@@ -66,6 +66,13 @@ def _wrap(args: argparse.Namespace, keys: Sequence[str], body: dict) -> dict:
     }
 
 
+def _config_error(flag: str, message: str) -> int:
+    """Exit status 2 with a JSON diagnostic naming the offending flag."""
+    diag = {"ok": False, "version": __version__, "flag": flag, "error": message}
+    sys.stdout.write(json.dumps(diag, sort_keys=True, indent=2) + "\n")
+    return 2
+
+
 def _fail(args, keys, filename, failed_records) -> int:
     _emit(
         _wrap(
@@ -362,6 +369,15 @@ def cmd_goppa(args) -> int:
 
 def cmd_mceliece(args) -> int:
     if args.action == "gen":
+        for flag, value in (("--k", args.k), ("--n", args.n)):
+            if value < 1:
+                return _config_error(flag, f"must be at least 1, got {value}")
+        if args.min_rank > min(args.k, args.n):
+            return _config_error(
+                "--min-rank",
+                f"{args.min_rank} exceeds min(k, n) = {min(args.k, args.n)}: "
+                "no message matrix has that rank",
+            )
         F = field_of_order(args.q)
         inst = hsp.random_instance(F, args.k, args.n, args.seed, min_rank=args.min_rank)
         _emit(

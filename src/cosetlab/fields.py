@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 FIELD_SIZE_CAP = 4096
 GL_ENUM_CAP = 10**6
 
@@ -235,6 +237,21 @@ class Fq:
                 raise ZeroDivisionError("negative power of 0")
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
+
+    def tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Full q x q addition and multiplication tables, for vectorized
+        arithmetic on arrays of field elements."""
+        q, p = self.q, self.p
+        a = np.arange(q)
+        add = np.zeros((q, q), dtype=np.int64)
+        for d in range(self.n):
+            digit = (a // p**d) % p
+            add += ((digit[:, None] + digit[None, :]) % p) * p**d
+        log = np.array(self._log)
+        mul = np.array(self._exp)[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        return add, mul
 
     def log(self, a: int) -> int:
         """Discrete log base the stored generator; a must be a unit."""

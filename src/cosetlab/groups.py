@@ -6,6 +6,13 @@ permutations, row tuples for matrices, nested pairs for products, (x, y, b)
 triples for wreath elements) and carry their group handle so that mixing
 elements of different groups fails immediately.
 
+Every group also has an id view (`Group.ids()`): id i is the i-th value
+of `iter_values()`, and products and inverses run on numpy id arrays.
+S_n and GL_k(F_q) multiply through an int32 Cayley table, built only up to
+TABLE_CAP elements; direct products and wreath products compose ids from
+their factors' ids and multiply through the factors' tables, so their own
+|G|^2 table is never built.
+
 Composition convention, fixed globally: products apply left factor first,
 (pi * sigma)(i) = sigma(pi(i)), which matches P_(pi*sigma) = P_pi P_sigma for
 the permutation matrices of `fields.perm_matrix` and the right action
@@ -18,10 +25,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import fields
 from .fields import Fq
 
 GROUP_ENUM_CAP = 200_000
+# largest group given a full Cayley table
+TABLE_CAP = 2048
+# products per row chunk of a table build, which bounds its transient memory
+TABLE_CHUNK_CELLS = 1 << 16
 
 
 class GroupElement:
@@ -59,7 +72,7 @@ class Group:
 
     def __init__(self):
         self._elements: Optional[List[GroupElement]] = None
-        self._index: Optional[dict] = None
+        self._ids = None
 
     # payload-level ops implemented by subclasses
     def identity_value(self):
@@ -75,6 +88,9 @@ class Group:
         raise NotImplementedError
 
     def validate_value(self, v) -> None:
+        raise NotImplementedError
+
+    def _make_ids(self):
         raise NotImplementedError
 
     # public element-level API
@@ -118,14 +134,18 @@ class Group:
         if self._elements is None:
             if self.order > cap:
                 raise ValueError(f"|{self}| = {self.order} exceeds enumeration cap {cap}")
-            self._elements = [GroupElement(self, v) for v in self.iter_values()]
-            assert len(self._elements) == self.order
+            els = [GroupElement(self, v) for v in self.iter_values()]
+            if len(els) != self.order:
+                raise AssertionError(f"enumerated {len(els)} elements of {self}, order {self.order}")
+            self._elements = els
         return self._elements
 
-    def element_index(self) -> dict:
-        if self._index is None:
-            self._index = {el.value: i for i, el in enumerate(self.elements())}
-        return self._index
+    def ids(self):
+        """The id view of this group (a TableIds, ProductIds or WreathIds),
+        built on first use."""
+        if self._ids is None:
+            self._ids = self._make_ids()
+        return self._ids
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Group) and self.key == other.key
@@ -169,6 +189,19 @@ class SymmetricGroup(Group):
     def validate_value(self, v) -> None:
         if sorted(v) != list(range(self.n)):
             raise ValueError(f"{v} is not a permutation of 0..{self.n - 1}")
+
+    def _make_ids(self):
+        values = [el.value for el in self.elements(TABLE_CAP)]
+        imgs = np.array(values).reshape(len(values), self.n)
+        place = self.n ** np.arange(self.n)
+
+        def product_codes(lo, hi):
+            # (a*b)(i) = b(a(i)) on image arrays
+            return imgs[np.arange(len(imgs))[None, :, None], imgs[lo:hi, None, :]] @ place
+
+        return TableIds(
+            values, self.identity_value(), imgs @ place, self.n**self.n, product_codes
+        )
 
     def from_cycles(self, cycles: Sequence[Sequence[int]]) -> GroupElement:
         img = list(range(self.n))
@@ -231,6 +264,37 @@ class GeneralLinearGroup(Group):
         if not fields.mat_is_invertible(self.field, v):
             raise ValueError(f"matrix {v} is singular")
 
+    def _make_ids(self):
+        values = [el.value for el in self.elements(TABLE_CAP)]
+        # a matrix is coded through its row codes, a row through its entries,
+        # both in positional notation; R row codes exist
+        k, q = self.k, self.field.q
+        R = q**k
+        add, mul = self.field.tables()
+        place = q ** np.arange(k)
+        rows = (np.arange(R)[:, None] // place) % q
+        scale = (mul[:, rows] @ place).ravel()  # c * row at c*R + row
+        row_add = (add[rows[:, None, :], rows[None, :, :]] @ place).ravel()
+        mats = np.array(values).reshape(len(values), k, k)
+        row_codes = mats @ place
+        row_place = R ** np.arange(k)
+
+        def product_codes(lo, hi):
+            # row i of A B is the sum over l of A[i, l] * (row l of B)
+            A = mats[lo:hi, None]
+            out = 0
+            for i in range(k):
+                acc = scale[A[..., i, 0] * R + row_codes[None, :, 0]]
+                for l in range(1, k):
+                    term = scale[A[..., i, l] * R + row_codes[None, :, l]]
+                    acc = row_add[acc * R + term]
+                out = out + acc * row_place[i]
+            return out
+
+        return TableIds(
+            values, self.identity_value(), row_codes @ row_place, R**k, product_codes
+        )
+
 
 class DirectProduct(Group):
     """G1 x G2 with componentwise operations; elements are value pairs."""
@@ -257,15 +321,19 @@ class DirectProduct(Group):
         return (self.factors[0].inv_value(a[0]), self.factors[1].inv_value(a[1]))
 
     def iter_values(self):
-        for v1 in self.factors[0].iter_values():
-            for v2 in self.factors[1].iter_values():
-                yield (v1, v2)
+        # itertools.product enumerates each factor once, in this order
+        return itertools.product(
+            self.factors[0].iter_values(), self.factors[1].iter_values()
+        )
 
     def validate_value(self, v) -> None:
         if len(v) != 2:
             raise ValueError("product element must be a pair")
         self.factors[0].validate_value(v[0])
         self.factors[1].validate_value(v[1])
+
+    def _make_ids(self):
+        return ProductIds(self.factors[0].ids(), self.factors[1].ids())
 
 
 class WreathZ2(Group):
@@ -306,10 +374,8 @@ class WreathZ2(Group):
         return (self.base.inv_value(x), self.base.inv_value(y), 0)
 
     def iter_values(self):
-        for b in (0, 1):
-            for x in self.base.iter_values():
-                for y in self.base.iter_values():
-                    yield (x, y, b)
+        base = list(self.base.iter_values())
+        return ((x, y, b) for b in (0, 1) for x in base for y in base)
 
     def validate_value(self, v) -> None:
         x, y, b = v
@@ -317,6 +383,117 @@ class WreathZ2(Group):
             raise ValueError("wreath bit must be 0 or 1")
         self.base.validate_value(x)
         self.base.validate_value(y)
+
+    def _make_ids(self):
+        return WreathIds(self.base.ids())
+
+
+# ---- id views ----
+
+class TableIds:
+    """Ids of a group small enough for a Cayley table: id i is values[i],
+    the i-th value of iter_values(); table[a, b] is the id of a*b and
+    inverse[a] the id of a^-1.
+
+    Each value has an integer code below code_space (codes[i] for
+    values[i]); product_codes(lo, hi) gives the (hi - lo, n) codes of
+    values[lo:hi] times every value.
+    """
+
+    def __init__(self, values, identity_value, codes, code_space: int, product_codes):
+        self.values = values
+        self.index = {v: i for i, v in enumerate(values)}
+        self.order = n = len(values)
+        self.identity = self.index[identity_value]
+        code_to_id = np.full(code_space, -1, dtype=np.int32)
+        code_to_id[codes] = np.arange(n)
+        self.table = np.empty((n, n), dtype=np.int32)
+        self.inverse = np.empty(n, dtype=np.int64)
+        rows = max(1, TABLE_CHUNK_CELLS // n)
+        for lo in range(0, n, rows):
+            chunk = code_to_id[product_codes(lo, lo + rows)]
+            self.table[lo : lo + rows] = chunk
+            self.inverse[lo : lo + rows] = np.argmax(chunk == self.identity, axis=1)
+
+    def mul(self, a, b) -> np.ndarray:
+        return self.table[a, b]
+
+    def id_of(self, value) -> int:
+        return self.index[value]
+
+    def value_of(self, i):
+        return self.values[i]
+
+
+class ProductIds:
+    """Ids of G1 x G2: (i1, i2) has id i1*|G2| + i2, the order of
+    DirectProduct.iter_values()."""
+
+    def __init__(self, first, second):
+        self.factors = (first, second)
+        self.order = first.order * second.order
+        self.identity = first.identity * second.order + second.identity
+        self.inverse = (
+            first.inverse[:, None] * second.order + second.inverse[None, :]
+        ).ravel()
+
+    def mul(self, a, b) -> np.ndarray:
+        first, second = self.factors
+        a1, a2 = np.divmod(np.asarray(a, dtype=np.int64), second.order)
+        b1, b2 = np.divmod(np.asarray(b, dtype=np.int64), second.order)
+        return first.mul(a1, b1) * np.int64(second.order) + second.mul(a2, b2)
+
+    def id_of(self, value) -> int:
+        first, second = self.factors
+        return first.id_of(value[0]) * second.order + second.id_of(value[1])
+
+    def value_of(self, i):
+        first, second = self.factors
+        i1, i2 = divmod(int(i), second.order)
+        return (first.value_of(i1), second.value_of(i2))
+
+
+class WreathIds:
+    """Ids of G wr Z_2: (x, y, b) has id (b*|G| + x)*|G| + y, the order of
+    WreathZ2.iter_values()."""
+
+    def __init__(self, base):
+        self.base = base
+        n = base.order
+        self.order = 2 * n * n
+        self.identity = base.identity * n + base.identity
+        inv = base.inverse
+        # (x, y, 0)^-1 = (x^-1, y^-1, 0) and (x, y, 1)^-1 = (y^-1, x^-1, 1)
+        self.inverse = np.concatenate([
+            (inv[:, None] * n + inv[None, :]).ravel(),
+            ((n + inv[None, :]) * n + inv[:, None]).ravel(),
+        ])
+
+    def _split(self, a):
+        n = self.base.order
+        bx, y = np.divmod(np.asarray(a, dtype=np.int64), n)
+        b, x = np.divmod(bx, n)
+        return x, y, b
+
+    def mul(self, a, b) -> np.ndarray:
+        n = np.int64(self.base.order)
+        x1, y1, b1 = self._split(a)
+        x2, y2, b2 = self._split(b)
+        swap = b1 == 1
+        x = self.base.mul(x1, np.where(swap, y2, x2))
+        y = self.base.mul(y1, np.where(swap, x2, y2))
+        return ((b1 ^ b2) * n + x) * n + y
+
+    def id_of(self, value) -> int:
+        x, y, b = value
+        n = self.base.order
+        return (b * n + self.base.id_of(x)) * n + self.base.id_of(y)
+
+    def value_of(self, i):
+        n = self.base.order
+        bx, y = divmod(int(i), n)
+        b, x = divmod(bx, n)
+        return (self.base.value_of(x), self.base.value_of(y), b)
 
 
 _GROUP_CACHE: dict = {}
@@ -338,12 +515,6 @@ def product_group(g1: Group, g2: Group) -> DirectProduct:
 
 def wreath_z2(base: Group) -> WreathZ2:
     return _GROUP_CACHE.setdefault(("wr", base.key), WreathZ2(base))
-
-
-def wreath_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    if not isinstance(a.group, WreathZ2):
-        raise ValueError(f"{a.group} is not a wreath product")
-    return a.group.mul(a, b)
 
 
 class Subgroup:
@@ -468,7 +639,8 @@ def conjugacy_classes(
             tuple(GroupElement(G, v) for v in sorted(orbit)) if with_members else None
         )
         out.append(ConjugacyClass(representative=el, size=len(orbit), members=members))
-    assert sum(c.size for c in out) == G.order
+    if sum(c.size for c in out) != G.order:
+        raise AssertionError(f"conjugacy class sizes of {G} do not sum to {G.order}")
     return out
 
 

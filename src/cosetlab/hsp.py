@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from . import fields, goppa
 from .fields import Fq, Matrix, field_of_order
@@ -24,7 +26,10 @@ from .groups import (
     symmetric_group,
     wreath_z2,
 )
-from .wreathrep import KSubgroup, k_build
+from .wreathrep import k_build
+
+# ids per chunk of the scans over a whole group, which bounds their memory
+SCAN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,6 @@ class McElieceInstance:
         return product_group(
             general_linear_group(self.k, self.q), symmetric_group(self.n)
         )
-
-    def wreath_group(self) -> WreathZ2:
-        return wreath_z2(self.base_group())
 
     def as_json(self) -> dict:
         return {
@@ -101,7 +103,12 @@ def random_instance(
 ) -> McElieceInstance:
     """Seeded instance whose message matrix has rank at least min_rank;
     low-rank matrices blow up the stabilizer (the zero matrix is fixed by
-    all of GL_k x S_n) and carry little key information."""
+    all of GL_k x S_n) and carry little key information.  Raises ValueError
+    when no k x n matrix reaches min_rank, instead of sampling forever."""
+    if k < 1 or n < 1:
+        raise ValueError(f"k and n must be at least 1, got k={k}, n={n}")
+    if min_rank > min(k, n):
+        raise ValueError(f"min_rank {min_rank} exceeds min(k, n) = {min(k, n)}")
     rng = random.Random(seed)
     while True:
         M = random_matrix(rng, F, k, n)
@@ -154,6 +161,22 @@ class HiddenSubgroupInstance:
     f: Callable[[object], tuple]
     problem: ShiftProblem
 
+    def labels(self, cap: int = GROUP_ENUM_CAP) -> np.ndarray:
+        """f as labels over the ids of the wreath group (equal labels iff
+        equal values), built componentwise: f0 and f1 are evaluated once
+        per base element instead of once per wreath element."""
+        _require_cap(self.group, cap)
+        codes: Dict[object, int] = {}
+        base = [el.value for el in self.problem.group.elements()]
+        l0 = np.array([codes.setdefault(self.problem.f0(v), len(codes)) for v in base])
+        l1 = np.array([codes.setdefault(self.problem.f1(v), len(codes)) for v in base])
+        m = len(codes)
+        # id (b, x, y): (f0(x), f1(y)) for b = 0 and (f1(y), f0(x)) for b = 1
+        return np.stack([
+            l0[:, None] * m + l1[None, :],
+            l1[None, :] * m + l0[:, None],
+        ]).ravel()
+
 
 def _memoized_stabilizer_map(F: Fq, target: Matrix) -> Callable[[object], Matrix]:
     cache: Dict[object, Matrix] = {}
@@ -201,13 +224,25 @@ def lift_f(problem: ShiftProblem) -> HiddenSubgroupInstance:
 
 # ---- coset structure of a function ----
 
-def _value_classes(f, G: Group, cap: int):
-    els = G.elements(cap)
-    fv = {el.value: f(el.value) for el in els}
-    classes: Dict[object, List[object]] = {}
-    for v, val in fv.items():
-        classes.setdefault(val, []).append(v)
-    return els, fv, classes
+def _require_cap(G: Group, cap: int) -> None:
+    if G.order > cap:
+        raise ValueError(f"|{G}| = {G.order} exceeds enumeration cap {cap}")
+
+
+def _labels(f, G: Group, cap: int) -> np.ndarray:
+    """f as labels over the ids of G: f may be a function on G's values or
+    already such a label array."""
+    _require_cap(G, cap)
+    if isinstance(f, np.ndarray):
+        if f.shape != (G.order,):
+            raise ValueError(f"label array of shape {f.shape} for |{G}| = {G.order}")
+        return f
+    codes: Dict[object, int] = {}
+    return np.fromiter(
+        (codes.setdefault(f(v), len(codes)) for v in G.iter_values()),
+        dtype=np.int64,
+        count=G.order,
+    )
 
 
 def check_right_injective(f, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
@@ -216,35 +251,40 @@ def check_right_injective(f, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
     biconditional: every value class lies in one right translate of the
     identity class K, K is closed under multiplication (hence a subgroup),
     and the class count times |K| accounts for the whole group, which
-    forces each class to equal its translate exactly."""
-    els, fv, classes = _value_classes(f, G, cap)
-    ident_val = fv[G.identity_value()]
-    K_vals = set(classes[ident_val])
-    for cls in classes.values():
-        x_inv = G.inv_value(cls[0])
-        for y in cls:
-            if G.mul_values(y, x_inv) not in K_vals:
-                return False
-    for a in K_vals:
-        for b in K_vals:
-            if G.mul_values(a, b) not in K_vals:
-                return False
-    return len(classes) * len(K_vals) == len(els)
+    forces each class to equal its translate exactly.
+
+    f is a function on G's values or its label array over G's ids (see
+    HiddenSubgroupInstance.labels); the scans run on id arrays."""
+    labels = _labels(f, G, cap)
+    ids = G.ids()
+    _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
+    in_K = labels == labels[ids.identity]
+    # y x^-1 in K, with x the first element of y's class
+    rep_inv = ids.inverse[first[cls]]
+    for lo in range(0, G.order, SCAN_CHUNK):
+        y = np.arange(lo, min(lo + SCAN_CHUNK, G.order))
+        if not in_K[ids.mul(y, rep_inv[y])].all():
+            return False
+    K = np.flatnonzero(in_K)
+    rows = max(1, SCAN_CHUNK // len(K))
+    for lo in range(0, len(K), rows):
+        if not in_K[ids.mul(K[lo : lo + rows, None], K[None, :])].all():
+            return False
+    return len(first) * len(K) == G.order
 
 
 def hidden_subgroup_of(
-    f, G: Group, cap: int = GROUP_ENUM_CAP, label: str = "G|_f",
-    verify: bool = True,
+    f, G: Group, cap: int = GROUP_ENUM_CAP, label: str = "G|_f"
 ) -> Subgroup:
     """The stabilizer class {g : f(g) = f(1)} as a verified subgroup;
     requires right-injectivity so that f exactly separates its right
-    cosets.  Pass verify=False only when the caller has already run
-    check_right_injective on the same f."""
-    if verify and not check_right_injective(f, G, cap):
+    cosets.  f is as for check_right_injective."""
+    labels = _labels(f, G, cap)
+    if not check_right_injective(labels, G, cap):
         raise ValueError("function is not injective under right multiplication")
-    els, fv, classes = _value_classes(f, G, cap)
-    vals = classes[fv[G.identity_value()]]
-    return Subgroup(G, [GroupElement(G, v) for v in vals], label=label)
+    ids = G.ids()
+    K = np.flatnonzero(labels == labels[ids.identity])
+    return Subgroup(G, [GroupElement(G, ids.value_of(i)) for i in K], label=label)
 
 
 def brute_stabilizer(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> Subgroup:
@@ -321,11 +361,9 @@ def attack(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> AttackResult:
     public matrix."""
     F = inst.field()
     prob = shift_problem(inst)
-    hsp = lift_f(prob)
-    injective = check_right_injective(hsp.f, hsp.group, cap)
-    if not injective:
-        raise ValueError("lifted function is not injective under right multiplication")
-    K = hidden_subgroup_of(hsp.f, hsp.group, cap, label="K", verify=False)
+    hidden = lift_f(prob)
+    # raises ValueError unless the lifted function is right-injective
+    K = hidden_subgroup_of(hidden.labels(cap), hidden.group, cap, label="K")
     H0 = brute_stabilizer(inst, cap)
     oracle = k_build(H0, prob.witness)
     shift = extract_shift(K)
@@ -334,7 +372,7 @@ def attack(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> AttackResult:
     P_rec = Pv
     return AttackResult(
         instance=inst,
-        right_injective=injective,
+        right_injective=True,
         K=K,
         H0=H0,
         k_formula_match=K.value_set == oracle.subgroup.value_set,

@@ -22,7 +22,6 @@ from .groups import (
     WreathZ2,
 )
 
-GENERIC_CAP = 2048
 TRACE_TOL = 1e-8
 _TWIRL_TRIES = 10
 
@@ -62,27 +61,11 @@ class RealizedIrrep:
 
 # ---- the generic regular-representation route ----
 
-_REGULAR_CACHE: Dict[object, tuple] = {}
-
-
 def _regular_structure(G: Group):
-    """Element list, inverse indices and full Cayley rows for G."""
-    got = _REGULAR_CACHE.get(G.key)
-    if got is not None:
-        return got
-    els = G.elements(GENERIC_CAP)
-    n = len(els)
-    index = {el.value: i for i, el in enumerate(els)}
-    inv_index = np.array([index[G.inv_value(el.value)] for el in els])
-    cay = np.empty((n, n), dtype=np.int32)
-    for i, g in enumerate(els):
-        gv = g.value
-        row = cay[i]
-        for x, h in enumerate(els):
-            row[x] = index[G.mul_values(gv, h.value)]
-    got = (els, index, inv_index, cay)
-    _REGULAR_CACHE[G.key] = got
-    return got
+    """Element list, value-to-index map, inverse indices and Cayley table
+    of G, from its id view (at most groups.TABLE_CAP elements)."""
+    ids = G.ids()
+    return G.elements(), ids.index, ids.inverse, ids.table
 
 
 def _eig_clusters(evals: np.ndarray, tol: float) -> List[np.ndarray]:

@@ -220,7 +220,8 @@ def k_build(H0: Subgroup, s: GroupElement) -> KSubgroup:
             conj = G0.mul(G0.mul(s_inv, h2), s)
             vals.add((h1.value, conj.value, 0))
             vals.add((G0.mul(h1, s).value, G0.mul(s_inv, h2).value, 1))
-    assert len(vals) == 2 * H0.order**2, "two-coset form must have 2|H0|^2 elements"
+    if len(vals) != 2 * H0.order**2:
+        raise AssertionError("two-coset form must have 2|H0|^2 elements")
     sub = Subgroup(
         W,
         [W.make(v) for v in vals],

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cosetlab.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv):
@@ -198,3 +204,28 @@ def test_version_flag(capsys):
     rc = run_cli(["--version"])
     assert rc == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--k", "2", "--n", "3", "--min-rank", "3"], "--min-rank"),
+        (["--k", "3", "--n", "2", "--min-rank", "3"], "--min-rank"),
+        (["--k", "0"], "--k"),
+        (["--n", "0"], "--n"),
+    ],
+)
+def test_mceliece_gen_rejects_infeasible_shape(flags, flag):
+    # these inputs used to sample message matrices forever
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosetlab.cli", "mceliece", "gen", *flags],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    diag = json.loads(proc.stdout)
+    assert diag["ok"] is False and diag["flag"] == flag
+    assert "Traceback" not in proc.stderr

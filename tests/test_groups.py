@@ -3,10 +3,15 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cosetlab.groups import (
+    TABLE_CAP,
+    DirectProduct,
     Subgroup,
+    SymmetricGroup,
+    WreathZ2,
     conjugacy_classes,
     cycle_type,
     element_from_json,
@@ -189,3 +194,73 @@ def test_element_order_divides_group_order():
                 k += 1
             assert G.order % k == 0
             assert math.gcd(k, G.order) == k
+
+
+def test_id_view_matches_tuple_arithmetic_on_every_pair():
+    gl23 = general_linear_group(2, 3)
+    for G in (
+        symmetric_group(3),
+        symmetric_group(4),
+        general_linear_group(2, 2),
+        gl23,
+        product_group(gl23, symmetric_group(3)),
+    ):
+        ids = G.ids()
+        values = list(G.iter_values())
+        assert ids.order == G.order == len(values)
+        assert [ids.value_of(i) for i in range(ids.order)] == values
+        assert [ids.id_of(v) for v in values] == list(range(ids.order))
+        assert values[ids.identity] == G.identity_value()
+        n = len(values)
+        prods = ids.mul(np.arange(n)[:, None], np.arange(n)[None, :])
+        for a, va in enumerate(values):
+            assert values[ids.inverse[a]] == G.inv_value(va)
+            assert [values[c] for c in prods[a]] == [G.mul_values(va, vb) for vb in values]
+
+
+def test_wreath_id_view_matches_tuple_arithmetic():
+    W = wreath_z2(product_group(general_linear_group(2, 3), symmetric_group(3)))
+    ids = W.ids()
+    assert ids.order == W.order == 2 * 288**2
+    values = list(W.iter_values())
+    for i in (0, 1, 287, 288, 288**2 - 1, 288**2, W.order - 1):
+        assert ids.value_of(i) == values[i]
+        assert ids.id_of(values[i]) == i
+    rng = random.Random(11)
+    a = np.array([rng.randrange(W.order) for _ in range(2000)])
+    b = np.array([rng.randrange(W.order) for _ in range(2000)])
+    for i, j, c in zip(a, b, ids.mul(a, b)):
+        assert ids.value_of(c) == W.mul_values(values[i], values[j])
+    for i in a[:500]:
+        assert ids.value_of(ids.inverse[i]) == W.inv_value(values[i])
+    assert ids.value_of(ids.identity) == W.identity_value()
+
+
+def test_product_enumeration_runs_each_factor_once():
+    calls = []
+
+    class CountingSym(SymmetricGroup):
+        def iter_values(self):
+            calls.append(self.n)
+            return super().iter_values()
+
+    # built directly, past the group cache, so the counting factors are used
+    W = WreathZ2(DirectProduct(CountingSym(3), CountingSym(2)))
+    values = list(W.iter_values())
+    assert len(values) == W.order
+    assert sorted(calls) == [2, 3]
+    assert values == [
+        ((x1, x2), (y1, y2), b)
+        for b in (0, 1)
+        for x1 in symmetric_group(3).iter_values()
+        for x2 in symmetric_group(2).iter_values()
+        for y1 in symmetric_group(3).iter_values()
+        for y2 in symmetric_group(2).iter_values()
+    ]
+
+
+def test_cayley_table_cap():
+    G = general_linear_group(2, 8)
+    assert G.order > TABLE_CAP
+    with pytest.raises(ValueError):
+        G.ids()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from cosetlab import hsp
@@ -79,6 +80,12 @@ def test_instance_json_roundtrip_and_tamper_rejection():
     singular["A"] = [[1, 1], [1, 1]]
     with pytest.raises(ValueError):
         McElieceInstance.from_json(singular)
+
+
+@pytest.mark.parametrize("k, n, min_rank", [(2, 3, 3), (3, 2, 3), (0, 3, 0), (2, 0, 0)])
+def test_random_instance_rejects_infeasible_shapes(k, n, min_rank):
+    with pytest.raises(ValueError):
+        random_instance(field_of_order(2), k, n, seed=0, min_rank=min_rank)
 
 
 def test_random_instance_rank_floor():
@@ -187,3 +194,60 @@ def test_attack_larger_permutation_side():
     inst = random_instance(field_of_order(2), 2, 4, seed=1, min_rank=2)
     res = attack(inst)
     assert res.valid and res.k_formula_match and res.size_match
+
+
+def reference_right_injective(f, G):
+    """The tuple loop check_right_injective ran before the id view, kept as
+    the reference: (verdict, value set of the identity class)."""
+    fv = {el.value: f(el.value) for el in G.elements()}
+    classes = {}
+    for v, val in fv.items():
+        classes.setdefault(val, []).append(v)
+    K_vals = set(classes[fv[G.identity_value()]])
+    for cls in classes.values():
+        x_inv = G.inv_value(cls[0])
+        for y in cls:
+            if G.mul_values(y, x_inv) not in K_vals:
+                return False, K_vals
+    for a in K_vals:
+        for b in K_vals:
+            if G.mul_values(a, b) not in K_vals:
+                return False, K_vals
+    return len(classes) * len(K_vals) == len(fv), K_vals
+
+
+def same_partition(a, b):
+    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return len(np.unique(a)) == len(np.unique(b)) == pairs
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 1)])
+def test_id_scan_matches_tuple_reference(n, seed):
+    inst = random_instance(field_of_order(2), 2, n, seed=seed, min_rank=2)
+    hidden = lift_f(shift_problem(inst))
+    W = hidden.group
+    verdict, K_vals = reference_right_injective(hidden.f, W)
+    assert verdict is True
+    labels = hidden.labels()
+    codes = {}
+    by_value = np.array([codes.setdefault(hidden.f(v), len(codes)) for v in W.iter_values()])
+    assert same_partition(labels, by_value)
+    assert check_right_injective(hidden.f, W) is True
+    assert check_right_injective(labels, W) is True
+    assert hidden_subgroup_of(hidden.f, W).value_set == K_vals
+    assert hidden_subgroup_of(labels, W).value_set == K_vals
+    assert attack(inst).K.value_set == K_vals
+
+
+def test_id_scan_matches_tuple_reference_when_not_right_injective():
+    hidden = lift_f(shift_problem(tiny_instance(5)))
+    W = hidden.group
+    f0 = hidden.problem.f0
+    identity = W.identity_value()
+    # a level set that is not a subgroup, and classes of unequal size
+    for f in (lambda v: f0(v[0]), lambda v: v == identity):
+        verdict, _ = reference_right_injective(f, W)
+        assert verdict is False
+        assert check_right_injective(f, W) is False
+        with pytest.raises(ValueError):
+            hidden_subgroup_of(f, W)
