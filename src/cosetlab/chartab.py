@@ -58,6 +58,7 @@ class CharacterTable:
             np.abs(self.values[:, ident_col].imag).max(initial=0.0) > 1e-8
         ):
             raise ValueError("character at identity must equal the dimension")
+        self._element_columns: Optional[np.ndarray] = None
         self._element_values: Optional[np.ndarray] = None
 
     @property
@@ -73,13 +74,19 @@ class CharacterTable:
     def value(self, i: int, el: GroupElement) -> complex:
         return complex(self.values[i, self.class_index_of(el)])
 
+    def element_columns(self) -> np.ndarray:
+        """Class column of every element, aligned with group.elements()
+        (and so indexed by element id)."""
+        if self._element_columns is None:
+            self._element_columns = np.array(
+                [self.class_index_of(el) for el in self.group.elements()], dtype=int
+            )
+        return self._element_columns
+
     def element_values(self) -> np.ndarray:
         """Dense (n_irreps, |G|) value matrix aligned with group.elements()."""
         if self._element_values is None:
-            cols = np.array(
-                [self.class_index_of(el) for el in self.group.elements()], dtype=int
-            )
-            self._element_values = self.values[:, cols]
+            self._element_values = self.values[:, self.element_columns()]
         return self._element_values
 
     # -- inner products over classes --

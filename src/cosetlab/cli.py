@@ -30,8 +30,13 @@ from .symrep import sn_character_table
 from .wreathrep import wreath_char_table
 
 
+def _json(obj: dict) -> str:
+    """Report text; NaN and infinities are refused, not written."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(report: dict, out_dir: Optional[str], filename: str) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json(report)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, filename), "w") as fh:
@@ -69,7 +74,7 @@ def _wrap(args: argparse.Namespace, keys: Sequence[str], body: dict) -> dict:
 def _config_error(flag: str, message: str) -> int:
     """Exit status 2 with a JSON diagnostic naming the offending flag."""
     diag = {"ok": False, "version": __version__, "flag": flag, "error": message}
-    sys.stdout.write(json.dumps(diag, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json(diag))
     return 2
 
 
@@ -378,7 +383,10 @@ def cmd_mceliece(args) -> int:
                 f"{args.min_rank} exceeds min(k, n) = {min(args.k, args.n)}: "
                 "no message matrix has that rank",
             )
-        F = field_of_order(args.q)
+        try:
+            F = field_of_order(args.q)
+        except ValueError as exc:
+            return _config_error("--q", str(exc))
         inst = hsp.random_instance(F, args.k, args.n, args.seed, min_rank=args.min_rank)
         _emit(
             _wrap(
@@ -415,15 +423,29 @@ def cmd_mceliece(args) -> int:
 # ---- dist ----
 
 def cmd_dist(args) -> int:
+    if args.mc_samples is not None and args.mc_samples < 2:
+        return _config_error(
+            "--mc-samples",
+            f"need at least 2 samples for a standard error, got {args.mc_samples}",
+        )
     table = parse_group_table(args.group)
-    ctx = sampling.sampling_context(table, seed=args.seed)
-    H = parse_subgroup(ctx.group, args.subgroup)
     S_indices = None
     if args.S is not None:
         if args.S == "linear":
             S_indices = [i for i in range(table.n_irreps) if table.dims[i] == 1]
         else:
-            S_indices = [table.index_of(lbl) for lbl in args.S.split(",")]
+            labels = args.S.split(",")
+            unknown = [lbl for lbl in labels if lbl not in table.labels]
+            if unknown:
+                return _config_error(
+                    "--S", f"no irrep labelled {unknown[0]!r} in {table.group}"
+                )
+            S_indices = [table.index_of(lbl) for lbl in labels]
+        d_S = max((table.dims[i] for i in S_indices), default=0)
+        if args.D is not None and args.D <= d_S**2:
+            return _config_error("--D", f"must exceed d_S^2 = {d_S**2}, got {args.D}")
+    H = parse_subgroup(table.group, args.subgroup)
+    ctx = sampling.sampling_context(table, seed=args.seed)
     report = sampling.sampling_report(
         ctx,
         H,
@@ -432,14 +454,11 @@ def cmd_dist(args) -> int:
         mc_samples=args.mc_samples,
         seed=args.seed,
     )
-    res = sampling.distinguishability(
-        ctx, H, mc_samples=args.mc_samples, seed=args.seed
-    )
     lines = ["irrep,dim,weak_probability,mean_l1sq"]
     for i in range(table.n_irreps):
         lbl = table.labels[i]
         lines.append(
-            f"{lbl},{table.dims[i]},{res.weak[i]:.12g},{res.per_irrep[lbl]:.12g}"
+            f"{lbl},{table.dims[i]},{report.weak[lbl]:.12g},{report.per_irrep[lbl]:.12g}"
         )
     _emit_csv(lines, args.out, "dist_weak.csv")
     ok = -1e-12 < report.dist <= sampling.DIST_CEILING + 1e-12
@@ -608,7 +627,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "version": __version__,
             "error": str(exc) or exc.__class__.__name__,
         }
-        sys.stdout.write(json.dumps(diag, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json(diag))
         return 1
 
 

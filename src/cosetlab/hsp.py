@@ -287,25 +287,23 @@ def hidden_subgroup_of(
     return Subgroup(G, [GroupElement(G, ids.value_of(i)) for i in K], label=label)
 
 
+def _f0_fiber(prob: ShiftProblem, target: Matrix, cap: int) -> list:
+    """The base elements where f0 takes the value target, by full
+    enumeration; f0's memo is the problem's, so values already computed
+    (by HiddenSubgroupInstance.labels, say) are not computed again."""
+    return [el for el in prob.group.elements(cap) if prob.f0(el.value) == target]
+
+
 def brute_stabilizer(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> Subgroup:
     """H0 = {(A,P) : A^-1 M P = M} by full enumeration of GL_k x S_n."""
     prob = shift_problem(inst)
-    G = prob.group
-    vals = [
-        el for el in G.elements(cap) if prob.f0(el.value) == inst.M
-    ]
-    return Subgroup(G, vals, label="H0")
+    return Subgroup(prob.group, _f0_fiber(prob, inst.M, cap), label="H0")
 
 
 def shift_set(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> frozenset:
     """All group values s with f0(s x) = f1(x) for every x, which reduces
     to f0(s) = M*; equals the right coset H0 * (known shift)."""
-    prob = shift_problem(inst)
-    return frozenset(
-        el.value
-        for el in prob.group.elements(cap)
-        if prob.f0(el.value) == inst.Mstar
-    )
+    return frozenset(el.value for el in _f0_fiber(shift_problem(inst), inst.Mstar, cap))
 
 
 def stabilizer_order_product(inst: McElieceInstance) -> int:
@@ -364,7 +362,8 @@ def attack(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> AttackResult:
     hidden = lift_f(prob)
     # raises ValueError unless the lifted function is right-injective
     K = hidden_subgroup_of(hidden.labels(cap), hidden.group, cap, label="K")
-    H0 = brute_stabilizer(inst, cap)
+    # the same problem, so f0 is not evaluated a second time
+    H0 = Subgroup(prob.group, _f0_fiber(prob, inst.M, cap), label="H0")
     oracle = k_build(H0, prob.witness)
     shift = extract_shift(K)
     Av, Pv = shift.value

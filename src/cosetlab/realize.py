@@ -5,6 +5,10 @@ block models over realized base irreps, direct products get Kronecker
 factors, and everything else (notably GL_2) goes through a dense
 regular-representation projection: project onto the isotypic component,
 then split off a single copy with a twirled random Hermitian.
+
+Besides single matrices, every realized irrep gives the stack of all its
+matrices in id order; wreath and direct-product stacks are composed from
+their factors' stacks with batched Kronecker products.
 """
 
 from __future__ import annotations
@@ -26,20 +30,48 @@ TRACE_TOL = 1e-8
 _TWIRL_TRIES = 10
 
 MatFun = Callable[[object], np.ndarray]
+StackFun = Callable[[], np.ndarray]
+
+
+def kron_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n, m, a*b, a*b) array whose [i, j] entry is np.kron(A[i], B[j]),
+    for stacks A of shape (n, a, a) and B of shape (m, b, b).  The one
+    broadcast multiply is the ufunc np.kron applies, so every entry equals
+    the single-matrix np.kron bit for bit."""
+    n, a = A.shape[:2]
+    m, b = B.shape[:2]
+    prod = A[:, None, :, None, :, None] * B[None, :, None, :, None, :]
+    return prod.reshape(n, m, a * b, a * b)
 
 
 class RealizedIrrep:
     """One irrep as a function from elements to unitary matrices, with a
-    bounded per-value cache."""
+    bounded per-value cache, and as one stack of all its matrices."""
 
     def __init__(self, group: Group, label: str, dim: int, matfun: MatFun):
         self.group = group
         self.label = label
         self.dim = dim
         self._fun = matfun
+        self._stack: Optional[np.ndarray] = None
         self._cache: Dict[object, np.ndarray] = {}
         # keep roughly 4 MB of cached matrices per irrep
         self._cache_limit = max(64, 4_000_000 // (16 * dim * dim))
+
+    def stack(self) -> np.ndarray:
+        """All matrices of the irrep as a read-only (|G|, d, d) array in id
+        order, which is the order of group.elements(); built on first use
+        and kept."""
+        if self._stack is None:
+            got = self._build_stack()
+            if got.shape != (self.group.order, self.dim, self.dim):
+                raise AssertionError(f"stack of {self.label} has shape {got.shape}")
+            got.setflags(write=False)
+            self._stack = got
+        return self._stack
+
+    def _build_stack(self) -> np.ndarray:
+        return np.stack([self.mat_value(el.value) for el in self.group.elements()])
 
     def mat_value(self, value) -> np.ndarray:
         got = self._cache.get(value)
@@ -57,6 +89,21 @@ class RealizedIrrep:
 
     def __repr__(self) -> str:
         return f"RealizedIrrep({self.label}, dim={self.dim})"
+
+
+class ComposedIrrep(RealizedIrrep):
+    """An irrep of a direct or wreath product whose stack stackfun composes
+    from the stacks of its factors' irreps, without visiting elements one
+    by one."""
+
+    def __init__(
+        self, group: Group, label: str, dim: int, matfun: MatFun, stackfun: StackFun
+    ):
+        super().__init__(group, label, dim, matfun)
+        self._stackfun = stackfun
+
+    def _build_stack(self) -> np.ndarray:
+        return self._stackfun()
 
 
 # ---- the generic regular-representation route ----
@@ -153,7 +200,6 @@ def realize_table(table: CharacterTable, seed: int = 0) -> List[RealizedIrrep]:
 
         for i, la in enumerate(table.partition_rows):
             rep = symrep.YorRep(la)
-            assert rep.dim == table.dims[i]
             out.append(
                 RealizedIrrep(G, table.labels[i], rep.dim, lambda v, r=rep: r.mat(v))
             )
@@ -162,23 +208,32 @@ def realize_table(table: CharacterTable, seed: int = 0) -> List[RealizedIrrep]:
 
         base_reals = realize_table(table.base_table, seed)
         for i, meta in enumerate(table.wreath_meta):
-            rho = base_reals[meta.i].mat_value
-            sigma = base_reals[meta.j].mat_value if meta.kind == "pair" else None
-            fun = wreathrep.wreath_realize(meta.kind, rho, sigma)
-            out.append(RealizedIrrep(G, table.labels[i], table.dims[i], fun))
+            rho = base_reals[meta.i]
+            sigma = base_reals[meta.j] if meta.kind == "pair" else None
+            fun = wreathrep.wreath_realize(
+                meta.kind, rho.mat_value, sigma.mat_value if sigma else None
+            )
+            stackfun = lambda kind=meta.kind, r=rho, s=sigma: wreathrep.wreath_stack(
+                kind, r.stack(), s.stack() if s else None
+            )
+            out.append(
+                ComposedIrrep(G, table.labels[i], table.dims[i], fun, stackfun)
+            )
     elif isinstance(G, DirectProduct) and hasattr(table, "factor_tables"):
         t1, t2 = table.factor_tables
         reals1 = realize_table(t1, seed)
         reals2 = realize_table(t2, seed)
         for i1, r1 in enumerate(reals1):
             for i2, r2 in enumerate(reals2):
+                d = r1.dim * r2.dim
                 fun = lambda v, a=r1, b=r2: np.kron(a.mat_value(v[0]), b.mat_value(v[1]))
+                # product ids are i1*|G2| + i2
+                stackfun = lambda a=r1, b=r2, d=d: kron_stack(
+                    a.stack(), b.stack()
+                ).reshape(-1, d, d)
                 out.append(
-                    RealizedIrrep(
-                        G,
-                        table.labels[i1 * len(reals2) + i2],
-                        r1.dim * r2.dim,
-                        fun,
+                    ComposedIrrep(
+                        G, table.labels[i1 * len(reals2) + i2], d, fun, stackfun
                     )
                 )
     else:
@@ -187,7 +242,10 @@ def realize_table(table: CharacterTable, seed: int = 0) -> List[RealizedIrrep]:
             out.append(RealizedIrrep(G, table.labels[i], table.dims[i], fun))
 
     for i, r in enumerate(out):
-        assert r.dim == table.dims[i]
+        if r.dim != table.dims[i]:
+            raise AssertionError(
+                f"realized {r.label} has dimension {r.dim}, table says {table.dims[i]}"
+            )
     return out
 
 

@@ -2,6 +2,10 @@
 and strong sampling distributions, exact distinguishability of a subgroup
 from the trivial one, and the identity and inequality checks that drive the
 distinguishability bound.
+
+The checks read each irrep's stack of matrices over the whole group
+(`RealizedIrrep.stack()`, in id order) and the conjugation-invariance scan
+runs on id arrays, so they need a group with an id view.
 """
 
 from __future__ import annotations
@@ -63,8 +67,10 @@ def projection_bundle(real: RealizedIrrep, H: Subgroup) -> ProjectionBundle:
     for v in H.value_set:
         P += real.mat_value(v)
     P /= H.order
-    assert np.abs(P - P.conj().T).max() < STRUCT_TOL
-    assert np.abs(P @ P - P).max() < STRUCT_TOL
+    if np.abs(P - P.conj().T).max() >= STRUCT_TOL:
+        raise AssertionError(f"projection of {real.label} over H is not Hermitian")
+    if np.abs(P @ P - P).max() >= STRUCT_TOL:
+        raise AssertionError(f"projection of {real.label} over H is not idempotent")
     tr = float(np.trace(P).real)
     return ProjectionBundle(subgroup=H, label=real.label, matrix=P, trace=tr)
 
@@ -76,11 +82,14 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     probs = np.empty(table.n_irreps)
     for i in range(table.n_irreps):
         s = table.char_sum_over(i, H)
-        assert abs(s.imag) < STRUCT_TOL
+        if abs(s.imag) >= STRUCT_TOL:
+            raise AssertionError(f"character sum of {table.labels[i]} over H is not real")
         probs[i] = table.dims[i] * s.real / G.order
-    assert probs.min() > -WEAK_SUM_TOL
+    if probs.min() <= -WEAK_SUM_TOL:
+        raise AssertionError(f"negative weak probability {probs.min()}")
     probs = np.clip(probs, 0.0, None)
-    assert abs(probs.sum() - 1.0) < WEAK_SUM_TOL
+    if abs(probs.sum() - 1.0) >= WEAK_SUM_TOL:
+        raise AssertionError(f"weak distribution sums to {probs.sum()}")
     return probs
 
 
@@ -102,19 +111,29 @@ def conditional_distribution(
     return np.clip(p, 0.0, None)
 
 
-def _conditional_stack(
-    real: RealizedIrrep, bundle: ProjectionBundle, values: Sequence
-) -> np.ndarray:
-    """Conditional distributions for every listed group value, one row per
-    value."""
+def _conditionals(mats: np.ndarray, bundle: ProjectionBundle) -> np.ndarray:
+    """Conditional distributions for a stack of matrices rho(g), one row
+    per matrix."""
     if bundle.trace < ZERO_TRACE_TOL:
         raise ValueError(
             "projection has zero trace: the irrep has zero weak weight and "
             "the conditional distribution is undefined"
         )
-    mats = np.stack([real.mat_value(v) for v in values])
     diag = np.einsum("gji,jk,gki->gi", mats.conj(), bundle.matrix, mats).real
     return diag / bundle.trace
+
+
+def _conditional_stack(
+    real: RealizedIrrep, bundle: ProjectionBundle, values: Sequence
+) -> np.ndarray:
+    """Conditional distributions for every listed group value, one row per
+    value."""
+    return _conditionals(np.stack([real.mat_value(v) for v in values]), bundle)
+
+
+def _mean_l1sq(conds: np.ndarray, dim: int) -> float:
+    dists = np.abs(conds - 1.0 / dim).sum(axis=1)
+    return float(np.mean(dists**2))
 
 
 def expected_l1sq(
@@ -122,9 +141,7 @@ def expected_l1sq(
 ) -> float:
     """Mean over the listed g of the squared L1 distance between the
     conditional distribution and uniform."""
-    conds = _conditional_stack(real, bundle, values)
-    dists = np.abs(conds - 1.0 / real.dim).sum(axis=1)
-    return float(np.mean(dists**2))
+    return _mean_l1sq(_conditional_stack(real, bundle, values), real.dim)
 
 
 @dataclass
@@ -195,27 +212,14 @@ def tensor_conj_multiplicities(table: CharacterTable, rho_idx: int) -> np.ndarra
     ev = table.element_values()
     sq = np.abs(ev[rho_idx]) ** 2
     raw = ev.conj() @ sq / table.group.order
-    assert np.abs(raw.imag).max() < INT_TOL
+    if np.abs(raw.imag).max() >= INT_TOL:
+        raise AssertionError(f"tensor multiplicities of {table.labels[rho_idx]} are not real")
     mult = np.rint(raw.real).astype(int)
-    assert np.abs(raw.real - mult).max() < INT_TOL and mult.min() >= 0
+    if np.abs(raw.real - mult).max() >= INT_TOL or mult.min() < 0:
+        raise AssertionError(
+            f"tensor multiplicities of {table.labels[rho_idx]} are not nonnegative integers"
+        )
     return mult
-
-
-def isotypic_projection(
-    ctx: SamplingContext, rho_idx: int, sigma_idx: int
-) -> np.ndarray:
-    """Projection onto the sigma-isotypic component of rho (x) rho*,
-    accumulated from characters; d^2 x d^2."""
-    real = ctx.reals[rho_idx]
-    ev = ctx.table.element_values()
-    d2 = real.dim**2
-    P = np.zeros((d2, d2), dtype=complex)
-    for j, el in enumerate(ctx.els):
-        U = real.mat_value(el.value)
-        P += np.conj(ev[sigma_idx, j]) * np.kron(U, U.conj())
-    P *= ctx.table.dims[sigma_idx] / ctx.group.order
-    assert np.abs(P @ P - P).max() < STRUCT_TOL
-    return P
 
 
 def isotypic_vector_norms(ctx: SamplingContext, rho_idx: int) -> np.ndarray:
@@ -229,20 +233,26 @@ def isotypic_vector_norms(ctx: SamplingContext, rho_idx: int) -> np.ndarray:
         return cached
     real = ctx.reals[rho_idx]
     table = ctx.table
-    ev = table.element_values()
     d = real.dim
-    W = np.zeros((table.n_irreps, d, d * d), dtype=complex)
-    for j, el in enumerate(ctx.els):
-        U = real.mat_value(el.value)
-        V = np.einsum("ai,bi->iab", U, U.conj()).reshape(d, d * d)
-        W += ev[:, j].conj()[:, None, None] * V[None, :, :]
+    U = real.stack()
+    # V[g, i, a, b] = rho(g)[a, i] conj(rho(g)[b, i]), the image of b_i (x) b_i*
+    V = np.einsum("gai,gbi->giab", U, U.conj()).reshape(len(U), d * d * d)
+    # a running sum adds the rows in id order, one irrep at a time, so W
+    # equals an element-by-element accumulation bit for bit (a matmul or a
+    # pairwise sum rounds differently)
+    W = np.stack(
+        [np.cumsum(ev_s[:, None] * V, axis=0)[-1] for ev_s in table.element_values().conj()]
+    ).reshape(table.n_irreps, d, d * d)
     dims = np.asarray(table.dims, dtype=float)
     W *= (dims / ctx.group.order)[:, None, None]
     recon = W.sum(axis=0)
     target = np.zeros((d, d * d), dtype=complex)
     for i in range(d):
         target[i, i * d + i] = 1.0
-    assert np.abs(recon - target).max() < STRUCT_TOL
+    if np.abs(recon - target).max() >= STRUCT_TOL:
+        raise AssertionError(
+            f"isotypic projections of {real.label} do not sum back to b (x) b*"
+        )
     norms = (np.abs(W) ** 2).sum(axis=2)
     ctx._norms_cache[rho_idx] = norms
     return norms
@@ -250,17 +260,19 @@ def isotypic_vector_norms(ctx: SamplingContext, rho_idx: int) -> np.ndarray:
 
 # ---- identity and inequality checks ----
 
+def _fixed_weights(real: RealizedIrrep, bundle: ProjectionBundle, b_idx: int) -> np.ndarray:
+    """|Pi_{H^g} b|^2 = <rho(g) b, Pi_H rho(g) b> for every g, in id order."""
+    cols = real.stack()[:, :, b_idx]
+    return np.einsum("gj,jk,gk->g", cols.conj(), bundle.matrix, cols).real
+
+
 def schur_expectation_check(
     ctx: SamplingContext, H: Subgroup, rho_idx: int, b_idx: int
 ) -> Tuple[float, float]:
     """Mean over all g of |Pi_{H^g} b|^2 against tr(Pi_H)/d."""
     real = ctx.reals[rho_idx]
     bundle = projection_bundle(real, H)
-    mats = np.stack([real.mat_value(el.value) for el in ctx.els])
-    diag = np.einsum(
-        "gj,jk,gk->g", mats[:, :, b_idx].conj(), bundle.matrix, mats[:, :, b_idx]
-    ).real
-    return float(np.mean(diag)), bundle.trace / real.dim
+    return float(np.mean(_fixed_weights(real, bundle, b_idx))), bundle.trace / real.dim
 
 
 def second_moment_check(
@@ -271,11 +283,12 @@ def second_moment_check(
     real = ctx.reals[rho_idx]
     G = ctx.group
     Uh = real.mat_value(h_value)
-    vals = []
-    for el in ctx.els:
-        col = real.mat_value(el.value)[:, b_idx]
-        vals.append(abs(np.vdot(col, Uh @ col)) ** 2)
-    lhs = float(np.mean(vals))
+    cols = real.stack()[:, :, b_idx, None]
+    # <rho(g) b, rho(h) rho(g) b> for every g; the batched matmuls make the
+    # same BLAS matrix-vector product and dot per g as np.vdot(col, Uh @ col),
+    # and hypot and float_power round exactly as Python's abs(z) ** 2
+    overlaps = (cols.conj().transpose(0, 2, 1) @ (Uh @ cols))[:, 0, 0]
+    lhs = float(np.mean(np.float_power(np.hypot(overlaps.real, overlaps.imag), 2)))
     norms = isotypic_vector_norms(ctx, rho_idx)
     h_el = GroupElement(G, h_value)
     rhs = complex(0)
@@ -283,7 +296,8 @@ def second_moment_check(
         rhs += (
             ctx.table.value(s, h_el) / ctx.table.dims[s] * norms[s, b_idx]
         )
-    assert abs(rhs.imag) < INEQ_TOL
+    if abs(rhs.imag) >= INEQ_TOL:
+        raise AssertionError(f"isotypic expansion of {real.label} is not real")
     return lhs, float(rhs.real)
 
 
@@ -296,11 +310,7 @@ def variance_bound_check(
     isotypic norm of b (x) b*."""
     real = ctx.reals[rho_idx]
     bundle = projection_bundle(real, H)
-    mats = np.stack([real.mat_value(el.value) for el in ctx.els])
-    diag = np.einsum(
-        "gj,jk,gk->g", mats[:, :, b_idx].conj(), bundle.matrix, mats[:, :, b_idx]
-    ).real
-    lhs = float(np.var(diag))
+    lhs = float(np.var(_fixed_weights(real, bundle, b_idx)))
     mult = tensor_conj_multiplicities(ctx.table, rho_idx)
     norms = isotypic_vector_norms(ctx, rho_idx)
     rhs = 0.0
@@ -310,15 +320,6 @@ def variance_bound_check(
     return lhs, rhs
 
 
-def largesmall_check(
-    ctx: SamplingContext, rho_idx: int, sigma_idx: int
-) -> Tuple[float, float]:
-    """Sum over the basis of the sigma-isotypic norms of b (x) b* against
-    d_sigma^2."""
-    norms = isotypic_vector_norms(ctx, rho_idx)
-    return float(norms[sigma_idx].sum()), float(ctx.table.dims[sigma_idx] ** 2)
-
-
 def irrep_distortion(ctx: SamplingContext, H: Subgroup, rho_idx: int) -> float:
     """E_g |P_{H^g}(.|rho) - uniform|_1^2 for one irrep; the quantity the
     per-irrep bounds control."""
@@ -326,7 +327,7 @@ def irrep_distortion(ctx: SamplingContext, H: Subgroup, rho_idx: int) -> float:
     bundle = projection_bundle(real, H)
     if bundle.trace < ZERO_TRACE_TOL:
         raise ValueError("irrep has zero weak weight under this subgroup")
-    return expected_l1sq(real, bundle, [el.value for el in ctx.els])
+    return _mean_l1sq(_conditionals(real.stack(), bundle), real.dim)
 
 
 def general_method_check(
@@ -355,16 +356,21 @@ def general_method_check(
 
 def pg_invariance_error(table: CharacterTable, H: Subgroup) -> float:
     """Largest deviation of the weak distribution of any conjugate of H
-    from that of H itself; zero because characters are class functions."""
+    from that of H itself; zero because characters are class functions.
+
+    All conjugates g^-1 H g are formed at once on id arrays, in subgroup
+    element order, and mapped to class columns; conjugates with the same
+    columns give the same distribution, so each distinct row is summed
+    once."""
     G = table.group
+    ids = G.ids()
     base = weak_distribution(table, H)
     dims = np.asarray(table.dims, dtype=float)
+    h = np.array([ids.id_of(el.value) for el in H.elements])[None, :]
+    g = np.arange(G.order)[:, None]
+    conj = ids.mul(ids.mul(ids.inverse[g], h), g)
     worst = 0.0
-    for g in G.elements():
-        cols = [
-            table.class_index_of(GroupElement(G, v))
-            for v in H.conjugate_values(g)
-        ]
+    for cols in np.unique(table.element_columns()[conj], axis=0):
         sums = table.values[:, cols].sum(axis=1)
         probs = dims * sums.real / G.order
         worst = max(worst, float(np.abs(probs - base).max()))
@@ -376,7 +382,7 @@ def basis_average_error(ctx: SamplingContext, H: Subgroup, rho_idx: int) -> floa
     zero by the averaging argument behind the Schur check."""
     real = ctx.reals[rho_idx]
     bundle = projection_bundle(real, H)
-    conds = _conditional_stack(real, bundle, [el.value for el in ctx.els])
+    conds = _conditionals(real.stack(), bundle)
     return float(np.abs(conds.mean(axis=0) - 1.0 / real.dim).max())
 
 
@@ -451,6 +457,8 @@ class SamplingReport:
     subgroup_order: int
     basis: str
     weak: Dict[str, float]
+    # mean squared L1 distance per irrep label, as in DistResult
+    per_irrep: Dict[str, float]
     dist: float
     mc_samples: Optional[int]
     std_error: Optional[float]
@@ -494,6 +502,7 @@ def sampling_report(
         subgroup_order=H.order,
         basis=ctx.basis,
         weak=weak,
+        per_irrep=res.per_irrep,
         dist=res.value,
         mc_samples=mc_samples,
         std_error=res.std_error,

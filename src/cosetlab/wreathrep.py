@@ -12,6 +12,7 @@ import numpy as np
 
 from .chartab import CharacterTable
 from .groups import Group, GroupElement, Subgroup, WreathZ2, wreath_z2
+from .realize import kron_stack
 
 MAX_NORM_TOL = 1e-8
 
@@ -191,6 +192,37 @@ def wreath_realize(kind: str, rho: MatFun, sigma: Optional[MatFun] = None) -> Ma
         return M
 
     return g
+
+
+def wreath_stack(
+    kind: str, rho: np.ndarray, sigma: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The matrices of wreath_realize for every element at once, in wreath
+    id order (b, x, y), from the (|G|, d, d) stacks of the base irrep(s).
+    Entries equal wreath_realize's matrices bit for bit: the Kronecker
+    products are kron_stack's, and the right factor of the swap on b=1 is
+    a column permutation."""
+    n = rho.shape[0]
+    if kind in ("plus", "minus"):
+        sign = 1.0 if kind == "plus" else -1.0
+        d = rho.shape[1]
+        K = kron_stack(rho, rho)
+        # (M @ swap_matrix(d))[:, a*d + b] = M[:, b*d + a]
+        perm = np.arange(d * d).reshape(d, d).T.ravel()
+        out = np.stack([K, sign * K[..., perm]])
+        return out.reshape(2 * n * n, d * d, d * d)
+    if kind != "pair" or sigma is None:
+        raise ValueError(f"unknown wreath irrep kind {kind!r}")
+    # A[x, y] = rho(x) (x) sigma(y) and B[x, y] = rho(y) (x) sigma(x) = A[y, x]
+    A = kron_stack(rho, sigma)
+    B = A.transpose(1, 0, 2, 3)
+    h = A.shape[-1]
+    out = np.zeros((2, n, n, 2 * h, 2 * h), dtype=complex)
+    out[0, :, :, :h, :h] = A
+    out[0, :, :, h:, h:] = B
+    out[1, :, :, :h, h:] = A
+    out[1, :, :, h:, :h] = B
+    return out.reshape(2 * n * n, 2 * h, 2 * h)
 
 
 # ---- the hidden subgroup K of the lifted shift problem ----

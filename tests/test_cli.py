@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cosetlab import sampling
 from cosetlab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -229,3 +230,56 @@ def test_mceliece_gen_rejects_infeasible_shape(flags, flag):
     diag = json.loads(proc.stdout)
     assert diag["ok"] is False and diag["flag"] == flag
     assert "Traceback" not in proc.stderr
+
+
+def run_cli_process(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "cosetlab.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["mceliece", "gen", "--q", "6"], "--q"),
+        (["dist", "--group", "s3", "--subgroup", "order-2", "--S", "nope"], "--S"),
+        (["dist", "--group", "s3", "--subgroup", "order-2", "--mc-samples", "0"], "--mc-samples"),
+        (["dist", "--group", "s3", "--subgroup", "order-2", "--mc-samples", "1"], "--mc-samples"),
+        (
+            ["dist", "--group", "gl2_3", "--subgroup", "unipotent", "--S", "linear", "--D", "1"],
+            "--D",
+        ),
+    ],
+)
+def test_bad_inputs_are_config_errors(argv, flag):
+    # these used to exit 1, with a traceback or with NaN in the report
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    diag = json.loads(proc.stdout)
+    assert diag["ok"] is False and diag["flag"] == flag
+    assert "Traceback" not in proc.stderr
+
+
+def test_dist_with_two_mc_samples_writes_finite_json():
+    proc = run_cli_process("dist", "--group", "s3", "--subgroup", "order-2", "--mc-samples", "2")
+    assert proc.returncode == 0
+    assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+    assert json.loads(proc.stdout)["report"]["mc_samples"] == 2
+
+
+def test_dist_computes_distinguishability_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = sampling.distinguishability
+    monkeypatch.setattr(
+        sampling, "distinguishability", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    assert run_cli(["dist", "--group", "s3", "--subgroup", "order-2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    rows = (tmp_path / "dist_weak.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3 and rows[0].startswith("(3,),1,")

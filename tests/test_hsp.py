@@ -190,6 +190,22 @@ def test_attack_recovers_equivalent_key():
         assert body["valid"] and body["H0_order"] * 2 * body["H0_order"] == 2 * body["H0_order"] ** 2
 
 
+def test_attack_evaluates_each_shift_function_once_per_base_element(monkeypatch):
+    # f0 and f1 each transport the message matrix once per base element;
+    # the H0 scan reuses f0's values instead of evaluating it again
+    inst = tiny_instance(3)
+    calls = []
+    real = hsp.fields.apply_perm_to_cols
+    monkeypatch.setattr(
+        hsp.fields, "apply_perm_to_cols", lambda M, P: calls.append(1) or real(M, P)
+    )
+    res = attack(inst)
+    assert res.valid and res.k_formula_match
+    # plus one transport in the final public-matrix check
+    assert len(calls) == 2 * inst.base_group().order + 1
+    assert res.H0.value_set == brute_stabilizer(inst).value_set
+
+
 def test_attack_larger_permutation_side():
     inst = random_instance(field_of_order(2), 2, 4, seed=1, min_rank=2)
     res = attack(inst)

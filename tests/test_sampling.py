@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cosetlab import sampling
+from cosetlab.chartab import CharacterTable
 from cosetlab.gl2rep import char_table as gl2_char_table
-from cosetlab.groups import subgroup_closure, trivial_subgroup
+from cosetlab.groups import GroupElement, subgroup_closure, trivial_subgroup
 from cosetlab.sampling import (
     conditional_distribution,
     distinguishability,
@@ -17,9 +18,11 @@ from cosetlab.sampling import (
     projection_bundle,
     sampling_context,
     sampling_report,
+    second_moment_check,
     tensor_conj_multiplicities,
     weak_distribution,
 )
+from cosetlab.suites import subgroup_catalog
 from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import wreath_char_table
 
@@ -223,3 +226,89 @@ def test_wreath_minus_irrep_zero_weight_under_swap():
     assert minus_over_linear
     for i in minus_over_linear:
         assert probs[i] < 1e-12
+
+
+# ---- the per-element loops the checks ran before stacks, kept as references ----
+
+def reference_pg_invariance_error(table, H):
+    G = table.group
+    base = weak_distribution(table, H)
+    dims = np.asarray(table.dims, dtype=float)
+    worst = 0.0
+    for g in G.elements():
+        cols = [
+            table.class_index_of(GroupElement(G, v)) for v in H.conjugate_values(g)
+        ]
+        sums = table.values[:, cols].sum(axis=1)
+        probs = dims * sums.real / G.order
+        worst = max(worst, float(np.abs(probs - base).max()))
+    return worst
+
+
+def reference_isotypic_vector_norms(ctx, rho_idx):
+    real = ctx.reals[rho_idx]
+    table = ctx.table
+    ev = table.element_values()
+    d = real.dim
+    W = np.zeros((table.n_irreps, d, d * d), dtype=complex)
+    for j, el in enumerate(ctx.els):
+        U = real.mat_value(el.value)
+        V = np.einsum("ai,bi->iab", U, U.conj()).reshape(d, d * d)
+        W += ev[:, j].conj()[:, None, None] * V[None, :, :]
+    W *= (np.asarray(table.dims, dtype=float) / ctx.group.order)[:, None, None]
+    return (np.abs(W) ** 2).sum(axis=2)
+
+
+def reference_second_moment_lhs(ctx, h_value, rho_idx, b_idx):
+    real = ctx.reals[rho_idx]
+    Uh = real.mat_value(h_value)
+    vals = []
+    for el in ctx.els:
+        col = real.mat_value(el.value)[:, b_idx]
+        vals.append(abs(np.vdot(col, Uh @ col)) ** 2)
+    return float(np.mean(vals))
+
+
+def catalog_contexts():
+    for table in (sn_character_table(4), wreath_char_table(sn_character_table(3))):
+        ctx = sampling_context(table)
+        yield ctx, subgroup_catalog(ctx.group)
+
+
+def test_stacked_checks_match_per_element_loops():
+    for ctx, catalog in catalog_contexts():
+        table = ctx.table
+        for H in catalog:
+            assert pg_invariance_error(table, H) == reference_pg_invariance_error(table, H)
+        h_values = sorted({h.value for H in catalog for h in H.elements[:3]})
+        for i, real in enumerate(ctx.reals):
+            want = reference_isotypic_vector_norms(ctx, i)
+            assert np.abs(isotypic_vector_norms(ctx, i) - want).max() < 1e-13
+            for b in range(real.dim):
+                for hv in h_values:
+                    lhs, rhs = second_moment_check(ctx, hv, i, b)
+                    assert abs(lhs - reference_second_moment_lhs(ctx, hv, i, b)) < 1e-13
+                    assert abs(lhs - rhs) < 1e-7
+
+
+def test_pg_invariance_flags_a_wrong_class_map():
+    # a class map that puts one transposition among the 3-cycles is not a
+    # class function, and conjugating H = <(1 2)> exposes it
+    good = sn_character_table(3)
+    G = good.group
+    bad_value = (1, 0, 2)
+    three_cycle_key = good.class_key_of(G.make((1, 2, 0)))
+
+    def wrong_key_of(el):
+        if el.value == bad_value:
+            return three_cycle_key
+        return good.class_key_of(el)
+
+    bad = CharacterTable(
+        G, good.labels, good.dims, good.class_keys, good.class_sizes,
+        good.class_reps, good.values, wrong_key_of,
+    )
+    H = subgroup_closure(G, [G.make(bad_value)], label="order-2")
+    assert pg_invariance_error(good, H) < 1e-12
+    assert pg_invariance_error(bad, H) > 1e-3
+    assert reference_pg_invariance_error(bad, H) > 1e-3
