@@ -107,7 +107,7 @@ def _atom_table(spec: str) -> CharacterTable:
     m = _ATOM_GL2.match(spec)
     if m:
         return gl2_char_table(int(m.group(1)))
-    raise SystemExit(2)
+    raise ValueError(f"unrecognized group spec {spec!r}")
 
 
 def parse_group_table(spec: str) -> CharacterTable:
@@ -122,11 +122,7 @@ def parse_group_table(spec: str) -> CharacterTable:
         t2 = parse_group_table(right)
         G = product_group(t1.group, t2.group)
         return product_table(G, t1, t2)
-    try:
-        return _atom_table(spec)
-    except SystemExit:
-        print(f"unrecognized group spec {spec!r}", file=sys.stderr)
-        raise
+    return _atom_table(spec)
 
 
 _CYCLES = re.compile(r"^\[\s*(?:\([0-9, ]*\)\s*)*\]$")
@@ -145,8 +141,7 @@ def _parse_cycle_string(G, text: str) -> List:
         else:
             points = [int(ch) for ch in grp if ch.strip()]
         if any(p < 1 or p > G.n for p in points):
-            print(f"point out of range in cycle string {text!r}", file=sys.stderr)
-            raise SystemExit(2)
+            raise ValueError(f"point out of range in cycle string {text!r}")
         image = list(range(G.n))
         for a, b in zip(points, points[1:] + points[:1]):
             image[a - 1] = b - 1
@@ -159,11 +154,16 @@ def parse_subgroup(G: Group, spec: str) -> Subgroup:
     for symmetric groups, or a path to a JSON file with a generator list;
     an empty generator list means the trivial subgroup."""
     spec = spec.strip()
+    if os.path.isdir(spec):
+        raise ValueError(f"subgroup spec {spec!r} is a directory, not a generator file")
     if os.path.exists(spec):
-        with open(spec) as fh:
-            obj = json.load(fh)
-        gen_objs = obj["generators"] if isinstance(obj, dict) else obj
-        gens = [element_from_json(G, o) for o in gen_objs]
+        try:
+            with open(spec) as fh:
+                obj = json.load(fh)
+            gen_objs = obj["generators"] if isinstance(obj, dict) else obj
+            gens = [element_from_json(G, o) for o in gen_objs]
+        except (OSError, KeyError, TypeError) as exc:
+            raise ValueError(f"cannot read generators from {spec!r}: {exc!r}") from exc
         if not gens:
             return trivial_subgroup(G)
         return subgroup_closure(G, gens, label="from file")
@@ -175,16 +175,14 @@ def parse_subgroup(G: Group, spec: str) -> Subgroup:
     for H in suites.subgroup_catalog(G):
         if H.label == spec:
             return H
-    print(f"unrecognized subgroup spec {spec!r}", file=sys.stderr)
-    raise SystemExit(2)
+    raise ValueError(f"unrecognized subgroup spec {spec!r}")
 
 
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        print(f"bad fraction {text!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"bad fraction {text!r}") from None
 
 
 # ---- chartable ----
@@ -213,7 +211,11 @@ def cmd_chartable(args) -> int:
     elif args.kind == "sn":
         table = sn_character_table(args.n)
     else:
-        table = wreath_char_table(parse_group_table(args.base))
+        try:
+            base = parse_group_table(args.base)
+        except ValueError as exc:
+            return _config_error("--base", str(exc))
+        table = wreath_char_table(base)
     def csv_row(cells: List[str]) -> str:
         return ",".join('"%s"' % c if "," in c else c for c in cells)
 
@@ -273,7 +275,11 @@ def cmd_dims(args) -> int:
 
 
 def cmd_lambda_audit(args) -> int:
-    audit = symrep.lambda_c_audit(args.n, _parse_fraction(args.c))
+    try:
+        c = _parse_fraction(args.c)
+    except ValueError as exc:
+        return _config_error("--c", str(exc))
+    audit = symrep.lambda_c_audit(args.n, c)
     ok = audit.size_ok and audit.dim_ok
     _emit(
         _wrap(args, ("n", "c", "out"), {"ok": ok, "audit": audit.as_json()}),
@@ -284,7 +290,11 @@ def cmd_lambda_audit(args) -> int:
 
 
 def cmd_roichman(args) -> int:
-    report = symrep.roichman_report(args.n, _parse_fraction(args.c))
+    try:
+        c = _parse_fraction(args.c)
+    except ValueError as exc:
+        return _config_error("--c", str(exc))
+    report = symrep.roichman_report(args.n, c)
     _emit(
         _wrap(args, ("n", "c", "out"), {"ok": True, "report": report.as_json()}),
         args.out,
@@ -428,7 +438,10 @@ def cmd_dist(args) -> int:
             "--mc-samples",
             f"need at least 2 samples for a standard error, got {args.mc_samples}",
         )
-    table = parse_group_table(args.group)
+    try:
+        table = parse_group_table(args.group)
+    except ValueError as exc:
+        return _config_error("--group", str(exc))
     S_indices = None
     if args.S is not None:
         if args.S == "linear":
@@ -444,7 +457,10 @@ def cmd_dist(args) -> int:
         d_S = max((table.dims[i] for i in S_indices), default=0)
         if args.D is not None and args.D <= d_S**2:
             return _config_error("--D", f"must exceed d_S^2 = {d_S**2}, got {args.D}")
-    H = parse_subgroup(table.group, args.subgroup)
+    try:
+        H = parse_subgroup(table.group, args.subgroup)
+    except ValueError as exc:
+        return _config_error("--subgroup", str(exc))
     ctx = sampling.sampling_context(table, seed=args.seed)
     report = sampling.sampling_report(
         ctx,

@@ -318,6 +318,102 @@ def char_table(q: int) -> CharacterTable:
     )
 
 
+# ---- the Gelfand-Graev model ----
+
+class GelfandGraev:
+    """The Gelfand-Graev representations Ind_{ZU}^G(omega (x) psi) of
+    G = GL_2(F_q), one for each character omega_k = alpha_k of F_q^*.
+
+    ZU = {[[z, y], [0, z]]} carries the character omega(z) psi(y/z), where
+    psi(x) = exp(2 pi i (digit 0 of x) / p) is a fixed nontrivial additive
+    character.  On the left cosets of ZU (q^2 - 1 of them, numbered by
+    their smallest element id) each representation is monomial: g sends
+    coset i to coset target[g, i] with the phase of
+    rep[target[g, i]]^-1 g rep[i] in ZU.  Each is multiplicity-free, and
+    across the q - 1 central characters it holds every irrep of dimension
+    above 1 exactly once (Piatetski-Shapiro, Complex Representations of
+    GL(2,K) for Finite Fields K, 1983)."""
+
+    def __init__(self, G: GeneralLinearGroup):
+        F = G.field
+        q, p = F.q, F.p
+        ids = G.ids()
+        cay = ids.table
+        pairs = [(z, y) for z in F.units() for y in F.elements()]
+        zu = np.array([ids.id_of(((z, y), (0, z))) for z, y in pairs])
+        keys = cay[:, zu].min(axis=1)
+        reps = np.unique(keys)
+        if len(reps) != q * q - 1:
+            raise AssertionError(f"{len(reps)} cosets of ZU in {G}, expected q^2 - 1")
+        coset = np.searchsorted(reps, keys)
+        moved = cay[:, reps]
+        self.target = coset[moved]
+        inside = cay[ids.inverse[reps[self.target]], moved]
+        # (log z, digit 0 of y/z) of every ZU element, -1 elsewhere
+        zlog = np.full(G.order, -1)
+        digit = np.full(G.order, -1)
+        zlog[zu] = [F.log(z) for z, _ in pairs]
+        digit[zu] = [F.div(y, z) % p for z, y in pairs]
+        self._zlog = zlog[inside]
+        if (self._zlog < 0).any():
+            raise AssertionError("a coset representative product left ZU")
+        self._digit = digit[inside]
+        self.q, self.p = q, p
+        self.order = G.order
+        self.dim = q * q - 1
+
+    def phases(self, k: int) -> np.ndarray:
+        """(|G|, q^2 - 1) phases of the model with central character
+        alpha_k: omega_k(z) psi(y/z) of rep[target]^-1 g rep[i]."""
+        m = self.q - 1
+        omega = np.exp(2j * np.pi * ((k * np.arange(m)) % m) / m)
+        psi = np.exp(2j * np.pi * np.arange(self.p) / self.p)
+        return omega[self._zlog] * psi[self._digit]
+
+    def character(self, phases: np.ndarray) -> np.ndarray:
+        """Character of the model with these phases, in id order: the
+        phases of the cosets each g fixes, summed."""
+        return np.where(self.target == np.arange(self.dim), phases, 0).sum(axis=1)
+
+    def isotypic_basis(self, phases: np.ndarray, chi: np.ndarray, d: int) -> np.ndarray:
+        """(q^2 - 1, d) orthonormal basis of the chi-isotypic subspace of the
+        model, which must hold exactly one copy of the irrep.
+
+        The projector P = (d/|G|) sum_g conj(chi(g)) pi(g) is summed from
+        the monomial data; the basis is P's columns orthonormalized in
+        greedy order (the first column of largest remaining norm), so it
+        is fixed by P and uses no random numbers or eigensolver."""
+        mult = np.vdot(chi, self.character(phases)) / self.order
+        if abs(mult - 1) > 1e-8:
+            raise AssertionError(f"isotypic multiplicity {mult} in the model, expected 1")
+        m = self.dim
+        coef = np.conj(chi) * (d / self.order)
+        w = (coef[:, None] * phases).ravel()
+        flat = (self.target * m + np.arange(m)).ravel()
+        P = np.bincount(flat, w.real, m * m) + 1j * np.bincount(flat, w.imag, m * m)
+        P = P.reshape(m, m)
+        Q = np.empty((m, d), dtype=complex)
+        for a in range(d):
+            norms = (np.abs(P) ** 2).sum(axis=0)
+            j = int(np.argmax(norms >= norms.max() * (1 - 1e-6)))
+            Q[:, a] = P[:, j] / np.sqrt(norms[j])
+            P -= np.outer(Q[:, a], Q[:, a].conj() @ P)
+        if np.abs(P).max() > 1e-8:
+            raise AssertionError(f"isotypic projector has rank above {d}")
+        return Q
+
+    def block(self, phases: np.ndarray, Q: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Q* pi(g) Q for an array of element ids g, one (d, d) block each."""
+        A = Q.conj()[self.target[g]] * phases[g][..., None]
+        return A.transpose(0, 2, 1) @ Q
+
+    def traces(self, phases: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """Trace of Q* pi(g) Q for every g, in id order, without forming
+        the blocks: sum over i of the phase times (Q Q*)[i, target[g, i]]."""
+        K = Q @ Q.conj().T
+        return (phases * K[np.arange(self.dim), self.target]).sum(axis=1)
+
+
 # ---- linear parts of the tensor square ----
 
 def linear_multiplicity_pattern(table: CharacterTable, i: int) -> Dict[str, int]:

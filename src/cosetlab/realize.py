@@ -2,24 +2,27 @@
 
 Symmetric groups get Young's orthogonal matrices, wreath products get the
 block models over realized base irreps, direct products get Kronecker
-factors, and everything else (notably GL_2) goes through a dense
-regular-representation projection: project onto the isotypic component,
-then split off a single copy with a twirled random Hermitian.
+factors, and GL_2(F_q) gets its characters for the linear irreps and, for
+every other irrep, the image of the isotypic projector inside the
+Gelfand-Graev model (a monomial representation of dimension q^2 - 1).
+Every step is deterministic; a table of any other family is refused.
 
 Besides single matrices, every realized irrep gives the stack of all its
 matrices in id order; wreath and direct-product stacks are composed from
-their factors' stacks with batched Kronecker products.
+their factors' stacks with batched Kronecker products, and GL_2 stacks
+come from one batched product over the monomial data.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from .chartab import CharacterTable
 from .groups import (
     DirectProduct,
+    GeneralLinearGroup,
     Group,
     GroupElement,
     SymmetricGroup,
@@ -27,7 +30,6 @@ from .groups import (
 )
 
 TRACE_TOL = 1e-8
-_TWIRL_TRIES = 10
 
 MatFun = Callable[[object], np.ndarray]
 StackFun = Callable[[], np.ndarray]
@@ -91,10 +93,10 @@ class RealizedIrrep:
         return f"RealizedIrrep({self.label}, dim={self.dim})"
 
 
-class ComposedIrrep(RealizedIrrep):
-    """An irrep of a direct or wreath product whose stack stackfun composes
-    from the stacks of its factors' irreps, without visiting elements one
-    by one."""
+class BatchedIrrep(RealizedIrrep):
+    """An irrep whose stack stackfun builds in one batch (from the stacks
+    of a product's factors, or from GL_2's monomial data) without visiting
+    elements one by one."""
 
     def __init__(
         self, group: Group, label: str, dim: int, matfun: MatFun, stackfun: StackFun
@@ -106,93 +108,53 @@ class ComposedIrrep(RealizedIrrep):
         return self._stackfun()
 
 
-# ---- the generic regular-representation route ----
+# ---- GL_2 through the Gelfand-Graev model ----
 
-def _regular_structure(G: Group):
-    """Element list, value-to-index map, inverse indices and Cayley table
-    of G, from its id view (at most groups.TABLE_CAP elements)."""
-    ids = G.ids()
-    return G.elements(), ids.index, ids.inverse, ids.table
+def _gl2_realize(table: CharacterTable) -> List[RealizedIrrep]:
+    """Linear irreps are their characters; every other irrep is the image
+    of its isotypic projector inside the Gelfand-Graev model that holds
+    it (gl2rep.GelfandGraev), with traces certified on every element."""
+    from .gl2rep import GelfandGraev
 
-
-def _eig_clusters(evals: np.ndarray, tol: float) -> List[np.ndarray]:
-    order = np.argsort(evals)
-    ev = evals[order]
-    splits = np.nonzero(np.diff(ev) > tol)[0] + 1
-    return [chunk for chunk in np.split(order, splits)]
-
-
-def _generic_realize_row(
-    table: CharacterTable, i: int, seed: int
-) -> MatFun:
     G = table.group
-    els, index, inv_index, cay = _regular_structure(G)
-    n = len(els)
-    d = table.dims[i]
-    chi = table.element_values()[i]
-    coefs = np.conj(chi) * (d / G.order)
-    P = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    for gi in range(n):
-        P[cay[gi], cols] += coefs[gi]
-    evals, evecs = np.linalg.eigh(P)
-    Q0 = evecs[:, evals > 0.5]
-    if Q0.shape[1] != d * d:
-        raise ValueError(
-            f"isotypic rank {Q0.shape[1]} != d^2 = {d * d} for {table.labels[i]}"
-        )
+    ids = G.ids()
+    ev = table.element_values()
+    model = GelfandGraev(G)
+    phases = [model.phases(k) for k in range(G.field.q - 1)]
+    # multiplicity of every irrep in the model of every central character
+    mults = ev.conj() @ np.stack([model.character(ph) for ph in phases]).T / G.order
 
-    def block(gi: int, Q: np.ndarray) -> np.ndarray:
-        return Q.conj().T @ Q[cay[inv_index[gi]]]
+    def id_of(value) -> int:
+        gi = ids.index.get(value)
+        if gi is None:
+            raise ValueError("element outside the enumerated group")
+        return gi
 
-    last_err: Optional[str] = None
-    for attempt in range(_TWIRL_TRIES):
-        rng = np.random.default_rng((seed + attempt, i))
-        D2 = d * d
-        B = rng.standard_normal((D2, D2)) + 1j * rng.standard_normal((D2, D2))
-        T = np.zeros((D2, D2), dtype=complex)
-        for gi in range(n):
-            A = block(gi, Q0)
-            T += A @ B @ A.conj().T
-        H = (T + T.conj().T) / n
-        hvals, hvecs = np.linalg.eigh(H)
-        scale = max(1.0, float(np.abs(hvals).max(initial=0.0)))
-        chosen = None
-        for cluster in _eig_clusters(hvals, 1e-6 * scale):
-            if len(cluster) == d:
-                chosen = cluster
-                break
-        if chosen is None:
-            last_err = "no eigenvalue cluster of the right size"
-            continue
-        Qfin = Q0 @ hvecs[:, np.sort(chosen)]
-
-        def matfun(value, Qfin=Qfin):
-            gi = index.get(value)
-            if gi is None:
-                raise ValueError("element outside the enumerated group")
-            return Qfin.conj().T @ Qfin[cay[inv_index[gi]]]
-
-        # traces against the table certify the split-off copy
-        ok = True
-        for j, rep in enumerate(table.class_reps):
-            tr = np.trace(matfun(rep.value))
-            if abs(tr - table.values[i, j]) > TRACE_TOL:
-                ok = False
-                last_err = f"trace mismatch on class {j}: {tr} vs {table.values[i, j]}"
-                break
-        if ok:
-            return matfun
-    raise ValueError(
-        f"realization failed for {table.labels[i]} after {_TWIRL_TRIES} tries: {last_err}"
-    )
+    out: List[RealizedIrrep] = []
+    for i in range(table.n_irreps):
+        d = table.dims[i]
+        if d == 1:
+            chi = ev[i]
+            fun = lambda v, chi=chi: np.array([[chi[id_of(v)]]])
+            stackfun = lambda chi=chi: chi.reshape(-1, 1, 1).copy()
+        else:
+            ph = phases[int(np.argmax(np.abs(mults[i])))]
+            Q = model.isotypic_basis(ph, ev[i], d)
+            err = np.abs(model.traces(ph, Q) - ev[i]).max()
+            if err > TRACE_TOL:
+                raise AssertionError(f"trace mismatch for {table.labels[i]}: {err}")
+            fun = lambda v, ph=ph, Q=Q: model.block(ph, Q, np.array([id_of(v)]))[0]
+            stackfun = lambda ph=ph, Q=Q: model.block(ph, Q, np.arange(G.order))
+        out.append(BatchedIrrep(G, table.labels[i], d, fun, stackfun))
+    return out
 
 
 # ---- dispatch ----
 
-def realize_table(table: CharacterTable, seed: int = 0) -> List[RealizedIrrep]:
-    """Unitary models for every row of the table, aligned with its rows,
-    with traces certified against the table."""
+def realize_table(table: CharacterTable) -> List[RealizedIrrep]:
+    """Unitary models for every row of the table, aligned with its rows.
+    GL_2 traces are certified against the table on every element; a table
+    of no known family raises ValueError."""
     G = table.group
     out: List[RealizedIrrep] = []
     if isinstance(G, SymmetricGroup) and hasattr(table, "partition_rows"):
@@ -206,7 +168,7 @@ def realize_table(table: CharacterTable, seed: int = 0) -> List[RealizedIrrep]:
     elif isinstance(G, WreathZ2) and hasattr(table, "wreath_meta"):
         from . import wreathrep
 
-        base_reals = realize_table(table.base_table, seed)
+        base_reals = realize_table(table.base_table)
         for i, meta in enumerate(table.wreath_meta):
             rho = base_reals[meta.i]
             sigma = base_reals[meta.j] if meta.kind == "pair" else None
@@ -217,12 +179,12 @@ def realize_table(table: CharacterTable, seed: int = 0) -> List[RealizedIrrep]:
                 kind, r.stack(), s.stack() if s else None
             )
             out.append(
-                ComposedIrrep(G, table.labels[i], table.dims[i], fun, stackfun)
+                BatchedIrrep(G, table.labels[i], table.dims[i], fun, stackfun)
             )
     elif isinstance(G, DirectProduct) and hasattr(table, "factor_tables"):
         t1, t2 = table.factor_tables
-        reals1 = realize_table(t1, seed)
-        reals2 = realize_table(t2, seed)
+        reals1 = realize_table(t1)
+        reals2 = realize_table(t2)
         for i1, r1 in enumerate(reals1):
             for i2, r2 in enumerate(reals2):
                 d = r1.dim * r2.dim
@@ -232,14 +194,14 @@ def realize_table(table: CharacterTable, seed: int = 0) -> List[RealizedIrrep]:
                     a.stack(), b.stack()
                 ).reshape(-1, d, d)
                 out.append(
-                    ComposedIrrep(
+                    BatchedIrrep(
                         G, table.labels[i1 * len(reals2) + i2], d, fun, stackfun
                     )
                 )
+    elif isinstance(G, GeneralLinearGroup) and G.k == 2:
+        out = _gl2_realize(table)
     else:
-        for i in range(table.n_irreps):
-            fun = _generic_realize_row(table, i, seed)
-            out.append(RealizedIrrep(G, table.labels[i], table.dims[i], fun))
+        raise ValueError(f"no realization for the irreps of {G}")
 
     for i, r in enumerate(out):
         if r.dim != table.dims[i]:

@@ -43,7 +43,7 @@ class SamplingContext:
 
 
 def sampling_context(table: CharacterTable, seed: int = 0) -> SamplingContext:
-    reals = realize_table(table, seed=seed)
+    reals = realize_table(table)
     return SamplingContext(
         table=table,
         reals=reals,
@@ -79,9 +79,13 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     """P_H(rho) = d_rho * (sum of chi_rho over H) / |G| for every irrep;
     the outcome distribution of measuring only the irrep name."""
     G = table.group
+    # one class lookup per element of H; each row is then summed in H order
+    # with Python's sum, as CharacterTable.char_sum_over sums, so every
+    # probability rounds as before
+    cols = [table.class_index_of(h) for h in H.elements]
     probs = np.empty(table.n_irreps)
     for i in range(table.n_irreps):
-        s = table.char_sum_over(i, H)
+        s = sum(table.values[i, cols].tolist())
         if abs(s.imag) >= STRUCT_TOL:
             raise AssertionError(f"character sum of {table.labels[i]} over H is not real")
         probs[i] = table.dims[i] * s.real / G.order
@@ -290,12 +294,10 @@ def second_moment_check(
     overlaps = (cols.conj().transpose(0, 2, 1) @ (Uh @ cols))[:, 0, 0]
     lhs = float(np.mean(np.float_power(np.hypot(overlaps.real, overlaps.imag), 2)))
     norms = isotypic_vector_norms(ctx, rho_idx)
-    h_el = GroupElement(G, h_value)
+    chi_h = ctx.table.values[:, ctx.table.class_index_of(GroupElement(G, h_value))]
     rhs = complex(0)
     for s in range(ctx.table.n_irreps):
-        rhs += (
-            ctx.table.value(s, h_el) / ctx.table.dims[s] * norms[s, b_idx]
-        )
+        rhs += complex(chi_h[s]) / ctx.table.dims[s] * norms[s, b_idx]
     if abs(rhs.imag) >= INEQ_TOL:
         raise AssertionError(f"isotypic expansion of {real.label} is not real")
     return lhs, float(rhs.real)

@@ -254,10 +254,17 @@ def run_cli_process(*argv):
             ["dist", "--group", "gl2_3", "--subgroup", "unipotent", "--S", "linear", "--D", "1"],
             "--D",
         ),
+        (["dist", "--group", "qq7", "--subgroup", "trivial"], "--group"),
+        (["dist", "--group", "s3", "--subgroup", "bogus"], "--subgroup"),
+        (["dist", "--group", "s3", "--subgroup", "[(19)]"], "--subgroup"),
+        (["chartable", "wreath", "--base", "qq7"], "--base"),
+        (["lambda-audit", "--n", "6", "--c", "zebra"], "--c"),
+        (["roichman", "--n", "5", "--c", "1/0"], "--c"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):
-    # these used to exit 1, with a traceback or with NaN in the report
+    # these used to exit 1, with a traceback or with NaN in the report, or
+    # (the spec errors) exit 2 with a plain line on stderr and no JSON
     proc = run_cli_process(*argv)
     assert proc.returncode == 2
     diag = json.loads(proc.stdout)
@@ -283,3 +290,13 @@ def test_dist_computes_distinguishability_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
     rows = (tmp_path / "dist_weak.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 3 and rows[0].startswith("(3,),1,")
+
+
+def test_subgroup_directory_is_config_error(tmp_path):
+    # this used to exit 1 with an IsADirectoryError traceback
+    proc = run_cli_process("dist", "--group", "s3", "--subgroup", str(tmp_path))
+    assert proc.returncode == 2
+    diag = json.loads(proc.stdout)
+    assert diag["ok"] is False and diag["flag"] == "--subgroup"
+    assert "directory" in diag["error"]
+    assert "Traceback" not in proc.stderr

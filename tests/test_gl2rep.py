@@ -5,6 +5,7 @@ import pytest
 
 from cosetlab.chartab import CharacterTable
 from cosetlab.gl2rep import (
+    GelfandGraev,
     char_table,
     class_key,
     conjugacy_classes_gl2,
@@ -156,3 +157,19 @@ def test_scalar_free_check():
     with pytest.raises(ValueError):
         corollary_bound(scalars, 3)
     assert corollary_bound(uni, 3) == 28.0 * 9 / 3
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
+def test_gelfand_graev_models_hold_each_nonlinear_irrep_once(q):
+    t = char_table(q)
+    model = GelfandGraev(t.group)
+    chars = np.stack([model.character(model.phases(k)) for k in range(q - 1)])
+    raw = t.element_values().conj() @ chars.T / t.group.order
+    mults = np.rint(raw.real).astype(int)
+    assert np.abs(raw - mults).max() < 1e-9
+    # each model of dimension q^2 - 1 is a sum of table irreps
+    assert (np.asarray(t.dims) @ mults == q * q - 1).all()
+    for i, label in enumerate(t.labels):
+        # U is linear; for q = 2 the one X irrep is linear too, and found once
+        want = [0] * (q - 1) if label.startswith("U") else [0] * (q - 2) + [1]
+        assert sorted(mults[i].tolist()) == want, label

@@ -1,16 +1,26 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cosetlab.chartab import CharacterTable
+from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group
-from cosetlab.realize import _regular_structure, kron_stack, realize_table
+from cosetlab.realize import kron_stack, realize_table
 from cosetlab.suites import big_wreath_table, grid_tables
+from cosetlab.symrep import sn_character_table
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def reference_regular_structure(G):
-    """The Python Cayley loop the regular-representation route used before
-    the id view, kept as the reference."""
+    """The Python Cayley loop that GL2 realization used before id views,
+    kept as the reference for G.ids()."""
     els = G.elements()
     index = {el.value: i for i, el in enumerate(els)}
     inv_index = np.array([index[G.inv_value(el.value)] for el in els])
@@ -23,12 +33,12 @@ def reference_regular_structure(G):
 
 def test_regular_structure_matches_python_cayley_loop():
     G = general_linear_group(2, 3)
-    els, index, inv_index, cay = _regular_structure(G)
+    ids = G.ids()
     want_els, want_index, want_inv, want_cay = reference_regular_structure(G)
-    assert [el.value for el in els] == [el.value for el in want_els]
-    assert index == want_index
-    assert inv_index.dtype == want_inv.dtype and np.array_equal(inv_index, want_inv)
-    assert cay.dtype == want_cay.dtype and np.array_equal(cay, want_cay)
+    assert ids.values == [el.value for el in want_els]
+    assert ids.index == want_index
+    assert ids.inverse.dtype == want_inv.dtype and np.array_equal(ids.inverse, want_inv)
+    assert ids.table.dtype == want_cay.dtype and np.array_equal(ids.table, want_cay)
 
 
 def mat_value_stack(real):
@@ -37,9 +47,9 @@ def mat_value_stack(real):
     return np.stack([real.mat_value(el.value) for el in real.group.elements()])
 
 
-@pytest.mark.parametrize("name", [name for name, _ in grid_tables()])
+@pytest.mark.parametrize("name", [name for name, _ in grid_tables()] + ["gl2_5"])
 def test_stack_equals_mat_value_loop(name):
-    table = dict(grid_tables())[name]()
+    table = dict(grid_tables(), gl2_5=lambda: gl2_char_table(5))[name]()
     for real in realize_table(table):
         got = real.stack()
         assert got.shape == (table.group.order, real.dim, real.dim)
@@ -65,3 +75,86 @@ def test_kron_stack_is_np_kron_bit_for_bit():
     for i in range(3):
         for j in range(4):
             assert np.array_equal(got[i, j], np.kron(A[i], B[j]))
+
+
+# ---- GL2 realizations, certified on every element ----
+
+GL2_QS = (2, 3, 4, 5, 7)
+CERT_TOL = 1e-12
+
+
+def gl2_generators(G):
+    """Ids of [[1, 1], [0, 1]], diag(generator, 1) and the swap."""
+    F = G.field
+    gens = (((1, 1), (0, 1)), ((F.generator, 0), (0, 1)), ((0, 1), (1, 0)))
+    return [G.ids().id_of(v) for v in gens]
+
+
+def generates(ids, gens) -> bool:
+    seen = np.zeros(ids.order, dtype=bool)
+    seen[ids.identity] = True
+    frontier = np.array([ids.identity])
+    while frontier.size:
+        reached = ids.table[np.array(gens)[:, None], frontier[None, :]].ravel()
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return bool(seen.all())
+
+
+@pytest.mark.parametrize("q", GL2_QS)
+def test_gl2_realization_is_a_unitary_homomorphism_with_table_traces(q):
+    table = gl2_char_table(q)
+    G = table.group
+    ids = G.ids()
+    gens = gl2_generators(G)
+    assert generates(ids, gens)
+    ev = table.element_values()
+    reals = realize_table(table)
+    assert [r.dim for r in reals] == table.dims
+    while reals:
+        # drop each stack once it is checked (|GL2(F7)| = 2016)
+        real = reals.pop()
+        i = table.index_of(real.label)
+        S = real.stack()
+        eye = np.eye(real.dim)
+        assert np.abs(S @ S.conj().transpose(0, 2, 1) - eye).max() < CERT_TOL
+        for s in gens:
+            # rho(s) rho(g) = rho(sg) for every g, with sg read from the table
+            assert np.abs(S[s] @ S - S[ids.table[s]]).max() < CERT_TOL
+        assert np.abs(np.trace(S, axis1=1, axis2=2) - ev[i]).max() < CERT_TOL
+
+
+STACK_DIGESTS = """
+import hashlib
+from cosetlab.gl2rep import char_table
+from cosetlab.realize import realize_table
+for real in realize_table(char_table(5)):
+    print(real.label, hashlib.sha256(real.stack().tobytes()).hexdigest())
+"""
+
+
+def test_gl2_stacks_do_not_depend_on_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", STACK_DIGESTS],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 24
+    assert outputs[0] == outputs[1]
+
+
+def test_realize_refuses_a_table_of_no_known_family():
+    t = sn_character_table(3)
+    bare = CharacterTable(
+        t.group, t.labels, t.dims, t.class_keys, t.class_sizes,
+        t.class_reps, t.values, t.class_key_of,
+    )
+    with pytest.raises(ValueError, match="no realization"):
+        realize_table(bare)
