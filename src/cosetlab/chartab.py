@@ -5,17 +5,58 @@ A table stores one row per irreducible character and one column per class.
 `class_key_of` maps a group element to its class key, so character values on
 arbitrary elements never require enumerating the group; the dense per-element
 value matrix is materialized lazily only where projections need it.
+
+The four builders (`symrep.sn_character_table`, `gl2rep.char_table`,
+`product_table`, `wreathrep.wreath_char_table`) give each table a frozen
+`family` descriptor: its group family and the data that realizes its irreps.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .groups import DirectProduct, Group, GroupElement, Subgroup
 
 INTEGRALITY_TOL = 1e-6
+
+
+# ---- family descriptors ----
+
+@dataclass(frozen=True)
+class SymmetricFamily:
+    """S_n: the partition of every row, in row order."""
+    partitions: Tuple[Tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class GL2Family:
+    """GL_2(F_q): rows realized inside the Gelfand-Graev models."""
+
+
+@dataclass(frozen=True)
+class ProductFamily:
+    """G1 x G2: row i1*r2 + i2 is the tensor product of factor rows i1, i2."""
+    factors: Tuple["CharacterTable", "CharacterTable"]
+
+
+@dataclass(frozen=True)
+class WreathIrrepMeta:
+    kind: str  # "pair" | "plus" | "minus"
+    i: int
+    j: int  # equals i for plus/minus
+
+
+@dataclass(frozen=True)
+class WreathFamily:
+    """G wr Z_2: every row is built from rows i, j of the base table."""
+    base: "CharacterTable"
+    metas: Tuple[WreathIrrepMeta, ...]
+
+
+Family = Union[SymmetricFamily, GL2Family, ProductFamily, WreathFamily]
 
 
 class CharacterTable:
@@ -29,6 +70,7 @@ class CharacterTable:
         class_reps: Sequence[GroupElement],
         values: np.ndarray,
         class_key_of: Callable[[GroupElement], object],
+        family: Optional[Family] = None,
     ):
         n_irreps = len(labels)
         n_classes = len(class_keys)
@@ -46,6 +88,7 @@ class CharacterTable:
         self.class_reps = list(class_reps)
         self.values = np.asarray(values, dtype=complex)
         self.class_key_of = class_key_of
+        self.family = family
         self._key_index = {k: i for i, k in enumerate(self.class_keys)}
         if len(self._key_index) != n_classes:
             raise ValueError("duplicate class keys")
@@ -53,7 +96,6 @@ class CharacterTable:
         if len(self._label_index) != n_irreps:
             raise ValueError("duplicate irrep labels")
         ident_col = self.class_index_of(group.identity())
-        self.identity_class = ident_col
         if not np.allclose(self.values[:, ident_col].real, self.dims, atol=1e-8) or (
             np.abs(self.values[:, ident_col].imag).max(initial=0.0) > 1e-8
         ):
@@ -91,12 +133,6 @@ class CharacterTable:
 
     # -- inner products over classes --
 
-    def inner(self, i: int, j: int) -> complex:
-        w = np.asarray(self.class_sizes, dtype=float)
-        return complex(
-            np.sum(w * self.values[i] * np.conj(self.values[j])) / self.group.order
-        )
-
     def gram(self) -> np.ndarray:
         w = np.asarray(self.class_sizes, dtype=float)
         return (self.values * w) @ np.conj(self.values.T) / self.group.order
@@ -132,11 +168,6 @@ class CharacterTable:
             best = max(best, abs(self.value(i, h)) / self.dims[i])
         return best
 
-    def check_sum_of_squares(self) -> None:
-        total = sum(d * d for d in self.dims)
-        if total != self.group.order:
-            raise ValueError(f"sum of dim^2 = {total} != |G| = {self.group.order}")
-
 
 def product_table(G: DirectProduct, t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     """Character table of G1 x G2 from factor tables (tensor products)."""
@@ -165,8 +196,7 @@ def product_table(G: DirectProduct, t1: CharacterTable, t2: CharacterTable) -> C
             t2.class_key_of(GroupElement(g2, v2)),
         )
 
-    table = CharacterTable(
-        G, labels, dims, class_keys, class_sizes, class_reps, values, key_of
+    return CharacterTable(
+        G, labels, dims, class_keys, class_sizes, class_reps, values, key_of,
+        ProductFamily((t1, t2)),
     )
-    table.factor_tables = (t1, t2)
-    return table

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import sys
 from fractions import Fraction
@@ -59,7 +60,6 @@ def _config_dict(args: argparse.Namespace, keys: Sequence[str]) -> dict:
         if k != "out" and getattr(args, k, None) is not None
     }
     cfg["seed"] = getattr(args, "seed", 0)
-    cfg["threads"] = getattr(args, "threads", 1)
     return cfg
 
 
@@ -95,6 +95,16 @@ def _fail(args, keys, filename, failed_records) -> int:
 
 
 # ---- group and subgroup specs ----
+
+def _read_json(path: str):
+    """The parsed contents of a JSON file; ValueError if it is missing, a
+    directory or not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read JSON from {path!r}: {exc}") from None
+
 
 _ATOM_SN = re.compile(r"^s(\d+)$")
 _ATOM_GL2 = re.compile(r"^gl2_(\d+)$")
@@ -154,15 +164,12 @@ def parse_subgroup(G: Group, spec: str) -> Subgroup:
     for symmetric groups, or a path to a JSON file with a generator list;
     an empty generator list means the trivial subgroup."""
     spec = spec.strip()
-    if os.path.isdir(spec):
-        raise ValueError(f"subgroup spec {spec!r} is a directory, not a generator file")
     if os.path.exists(spec):
+        obj = _read_json(spec)
         try:
-            with open(spec) as fh:
-                obj = json.load(fh)
             gen_objs = obj["generators"] if isinstance(obj, dict) else obj
             gens = [element_from_json(G, o) for o in gen_objs]
-        except (OSError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"cannot read generators from {spec!r}: {exc!r}") from exc
         if not gens:
             return trivial_subgroup(G)
@@ -206,15 +213,17 @@ def _family_counts(table: CharacterTable) -> dict:
 
 
 def cmd_chartable(args) -> int:
-    if args.kind == "gl2":
-        table = gl2_char_table(args.q)
-    elif args.kind == "sn":
-        table = sn_character_table(args.n)
-    else:
-        try:
+    flag = {"gl2": "--q", "sn": "--n", "wreath": "--base"}[args.kind]
+    try:
+        if args.kind == "gl2":
+            table = gl2_char_table(args.q)
+        elif args.kind == "sn":
+            table = sn_character_table(args.n)
+        else:
             base = parse_group_table(args.base)
-        except ValueError as exc:
-            return _config_error("--base", str(exc))
+    except ValueError as exc:
+        return _config_error(flag, str(exc))
+    if args.kind == "wreath":
         table = wreath_char_table(base)
     def csv_row(cells: List[str]) -> str:
         return ",".join('"%s"' % c if "," in c else c for c in cells)
@@ -252,9 +261,13 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    try:
+        parts = symrep.partitions(args.n)
+    except ValueError as exc:
+        return _config_error("--n", str(exc))
     dims = {}
     total = 0
-    for la in symrep.partitions(args.n):
+    for la in parts:
         d = symrep.dimension(la)
         dims[str(la)] = d
         total += d * d
@@ -306,35 +319,44 @@ def cmd_roichman(args) -> int:
 # ---- goppa ----
 
 def _load_goppa_spec(path: str) -> goppa.RationalGoppaSpec:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if isinstance(obj, dict) and "spec" in obj:
         obj = obj["spec"]
-    return goppa.RationalGoppaSpec.from_json(obj)
+    try:
+        return goppa.RationalGoppaSpec.from_json(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path!r} holds no Goppa spec: missing {exc}") from None
 
 
 def cmd_goppa(args) -> int:
-    if args.action == "build":
+    if args.spec:
         try:
-            if args.spec:
-                spec = _load_goppa_spec(args.spec)
-            elif args.gamma is not None:
+            spec = _load_goppa_spec(args.spec)
+        except ValueError as exc:
+            return _config_error("--spec", str(exc))
+    elif args.action != "build":
+        return _config_error("--spec", f"goppa {args.action} needs a spec file")
+    else:
+        try:
+            field_of_order(args.q)
+        except ValueError as exc:
+            return _config_error("--q", str(exc))
+        n = len(args.gamma.split(",")) if args.gamma is not None else args.n
+        if not 0 <= args.r < n:
+            return _config_error("--r", f"need 0 <= r < n = {n}, got {args.r}")
+        try:
+            if args.gamma is None:
+                spec = goppa.random_spec(random.Random(args.seed), args.q, args.n, args.r)
+            else:
                 gamma = tuple(int(x) for x in args.gamma.split(","))
                 g = tuple(int(x) for x in args.g.split(",")) if args.g else (1,)
                 h = tuple(int(x) for x in args.h.split(",")) if args.h else (1,)
-                spec = goppa.RationalGoppaSpec(
-                    q=args.q, gamma=gamma, r=args.r, g=g, h=h
-                )
+                spec = goppa.RationalGoppaSpec(q=args.q, gamma=gamma, r=args.r, g=g, h=h)
                 spec.validate()
-            else:
-                import random as _random
-
-                rng = _random.Random(args.seed)
-                spec = goppa.random_spec(rng, args.q, args.n, args.r)
         except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        code = goppa.build_goppa(spec)
+            return _config_error("--gamma" if args.gamma is not None else "--n", str(exc))
+    code = goppa.build_goppa(spec)
+    if args.action == "build":
         body = {
             "ok": True,
             "spec": spec.as_json(),
@@ -352,8 +374,6 @@ def cmd_goppa(args) -> int:
             "goppa_build.json",
         )
         return 0 if body["ok"] else 1
-    spec = _load_goppa_spec(args.spec)
-    code = goppa.build_goppa(spec)
     report = goppa.automorphisms(code)
     if args.action == "aut":
         body = {
@@ -368,8 +388,7 @@ def cmd_goppa(args) -> int:
     try:
         ok = goppa.stichtenoth_check(spec, report)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _config_error("--spec", str(exc))
     body = {
         "ok": ok,
         "spec": spec.as_json(),
@@ -408,8 +427,12 @@ def cmd_mceliece(args) -> int:
             "mceliece_instance.json",
         )
         return 0
-    with open(args.instance) as fh:
-        obj = json.load(fh)
+    if not args.instance:
+        return _config_error("--instance", "mceliece attack needs an instance file")
+    try:
+        obj = _read_json(args.instance)
+    except ValueError as exc:
+        return _config_error("--instance", str(exc))
     if isinstance(obj, dict) and "instance" in obj:
         obj = obj["instance"]
     inst = hsp.McElieceInstance.from_json(obj)
@@ -461,7 +484,7 @@ def cmd_dist(args) -> int:
         H = parse_subgroup(table.group, args.subgroup)
     except ValueError as exc:
         return _config_error("--subgroup", str(exc))
-    ctx = sampling.sampling_context(table, seed=args.seed)
+    ctx = sampling.sampling_context(table)
     report = sampling.sampling_report(
         ctx,
         H,
@@ -515,12 +538,11 @@ def _slack_summary(records: Sequence[suites.CheckRecord]) -> dict:
 
 def cmd_verify_lemmas(args) -> int:
     if args.suite == "dist":
-        records = suites.run_dist_suite(seed=args.seed)
+        records = suites.run_dist_suite()
     elif args.suite == "all":
-        records = suites.run_lemma_suite("all", seed=args.seed)
-        records += suites.run_dist_suite(seed=args.seed)
+        records = suites.run_lemma_suite("all") + suites.run_dist_suite()
     else:
-        records = suites.run_lemma_suite(args.suite, seed=args.seed)
+        records = suites.run_lemma_suite(args.suite)
     bad = suites.failed(records)
     if bad:
         return _fail(args, ("suite", "out"), "verify_lemmas.json", bad)
@@ -553,12 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", default=None, help="report directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="recorded in reports; execution is sequential",
-        )
 
     sp = sub.add_parser("chartable", help="emit a character table as CSV + JSON")
     sp.add_argument("kind", choices=["gl2", "sn", "wreath"])
@@ -632,9 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "mceliece" and args.action == "attack" and not args.instance:
-        print("attack requires --instance", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, AssertionError) as exc:

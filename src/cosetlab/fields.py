@@ -396,10 +396,6 @@ def mat_mul(F: Fq, A: Matrix, B: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_scalar(F: Fq, c: int, k: int) -> Matrix:
-    return tuple(tuple(c if i == j else 0 for j in range(k)) for i in range(k))
-
-
 def mat_trace(F: Fq, A: Matrix) -> int:
     acc = 0
     for i in range(len(A)):

@@ -6,14 +6,13 @@ multiplicities, and the scalar-free subgroup distinguishability bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import fields
-from .chartab import CharacterTable
+from .chartab import CharacterTable, GL2Family
 from .fields import Fq, Matrix, field_make, field_of_order
 from .groups import (
     ConjugacyClass,
@@ -40,13 +39,6 @@ class CyclicCharacter:
     def of(self, F: Fq, x: int) -> complex:
         return self.at_log(F.log(x))
 
-    def is_trivial(self) -> bool:
-        return self.k == 0
-
-
-def character_sum_over_units(F: Fq, chi: CyclicCharacter) -> complex:
-    """sum of chi over F^*; zero for every nontrivial chi."""
-    return sum(chi.of(F, x) for x in F.units())
 
 
 # ---- conjugacy classes ----
@@ -315,6 +307,7 @@ def char_table(q: int) -> CharacterTable:
         [G.make(c.representative) for c in cls],
         values,
         lambda el: class_key(F, el.value),
+        GL2Family(),
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import fields
 from .fields import Fq, Matrix, field_of_order
@@ -239,6 +239,8 @@ def random_spec(
     F = field_of_order(q)
     if n > q:
         raise ValueError("need n <= q distinct evaluation points")
+    if not 0 <= r < n:
+        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     gamma = tuple(rng.sample(list(F.elements()), n))
     while True:
         g = tuple(rng.randrange(q) for _ in range(rng.randint(1, max_poly_deg + 1)))

@@ -203,13 +203,6 @@ class SymmetricGroup(Group):
             values, self.identity_value(), imgs @ place, self.n**self.n, product_codes
         )
 
-    def from_cycles(self, cycles: Sequence[Sequence[int]]) -> GroupElement:
-        img = list(range(self.n))
-        for cyc in cycles:
-            for i, a in enumerate(cyc):
-                img[a] = cyc[(i + 1) % len(cyc)]
-        return self.make(tuple(img))
-
 
 def cycle_type(perm: Sequence[int]) -> Tuple[int, ...]:
     """Cycle lengths of an image tuple, sorted decreasing (a partition of n)."""
@@ -553,9 +546,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"<{self.label} in {self.group}>"
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def conjugate_values(self, g: GroupElement) -> List:
         """Payloads of g^-1 H g in subgroup element order."""

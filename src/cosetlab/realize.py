@@ -1,16 +1,18 @@
-"""Explicit unitary matrix models for every irrep of a character table.
+"""Explicit unitary matrix models for every irrep of a character table,
+chosen by the table's `family` descriptor.
 
 Symmetric groups get Young's orthogonal matrices, wreath products get the
 block models over realized base irreps, direct products get Kronecker
 factors, and GL_2(F_q) gets its characters for the linear irreps and, for
 every other irrep, the image of the isotypic projector inside the
 Gelfand-Graev model (a monomial representation of dimension q^2 - 1).
-Every step is deterministic; a table of any other family is refused.
+Every step is deterministic; a table without a family is refused.
 
 Besides single matrices, every realized irrep gives the stack of all its
-matrices in id order; wreath and direct-product stacks are composed from
-their factors' stacks with batched Kronecker products, and GL_2 stacks
-come from one batched product over the monomial data.
+matrices in id order.  Wreath, direct-product and GL_2 irreps each have one
+batched formula (`wreathrep.wreath_stack`, `kron_stack` and
+`gl2rep.GelfandGraev.block`): `stack()` applies it to the whole group, and
+`mat_value` applies it to a batch of one, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .chartab import CharacterTable
-from .groups import (
-    DirectProduct,
-    GeneralLinearGroup,
-    Group,
-    GroupElement,
-    SymmetricGroup,
-    WreathZ2,
+from .chartab import (
+    CharacterTable,
+    GL2Family,
+    ProductFamily,
+    SymmetricFamily,
+    WreathFamily,
 )
+from .groups import Group
 
 TRACE_TOL = 1e-8
 
@@ -84,11 +85,6 @@ class RealizedIrrep:
                 self._cache[value] = got
         return got
 
-    def mat(self, el: GroupElement) -> np.ndarray:
-        if el.group.key != self.group.key:
-            raise ValueError(f"element of {el.group} fed to irrep of {self.group}")
-        return self.mat_value(el.value)
-
     def __repr__(self) -> str:
         return f"RealizedIrrep({self.label}, dim={self.dim})"
 
@@ -110,7 +106,7 @@ class BatchedIrrep(RealizedIrrep):
 
 # ---- GL_2 through the Gelfand-Graev model ----
 
-def _gl2_realize(table: CharacterTable) -> List[RealizedIrrep]:
+def _realize_gl2(table: CharacterTable) -> List[RealizedIrrep]:
     """Linear irreps are their characters; every other irrep is the image
     of its isotypic projector inside the Gelfand-Graev model that holds
     it (gl2rep.GelfandGraev), with traces certified on every element."""
@@ -152,54 +148,56 @@ def _gl2_realize(table: CharacterTable) -> List[RealizedIrrep]:
 # ---- dispatch ----
 
 def realize_table(table: CharacterTable) -> List[RealizedIrrep]:
-    """Unitary models for every row of the table, aligned with its rows.
-    GL_2 traces are certified against the table on every element; a table
-    of no known family raises ValueError."""
-    G = table.group
+    """Unitary models for every row of the table, aligned with its rows,
+    chosen by the table's family.  Wreath and product irreps go through one
+    formula each (wreathrep.wreath_stack, kron_stack): whole factor stacks
+    for stack(), one-element stacks for mat_value.  GL_2 traces are
+    certified against the table on every element; a table with no family
+    raises ValueError."""
+    G, fam = table.group, table.family
     out: List[RealizedIrrep] = []
-    if isinstance(G, SymmetricGroup) and hasattr(table, "partition_rows"):
-        from . import symrep
+    if isinstance(fam, SymmetricFamily):
+        from .symrep import YorRep
 
-        for i, la in enumerate(table.partition_rows):
-            rep = symrep.YorRep(la)
-            out.append(
-                RealizedIrrep(G, table.labels[i], rep.dim, lambda v, r=rep: r.mat(v))
-            )
-    elif isinstance(G, WreathZ2) and hasattr(table, "wreath_meta"):
-        from . import wreathrep
+        for label, la in zip(table.labels, fam.partitions):
+            rep = YorRep(la)
+            out.append(RealizedIrrep(G, label, rep.dim, lambda v, r=rep: r.mat(v)))
+    elif isinstance(fam, WreathFamily):
+        from .wreathrep import wreath_stack
 
-        base_reals = realize_table(table.base_table)
-        for i, meta in enumerate(table.wreath_meta):
-            rho = base_reals[meta.i]
-            sigma = base_reals[meta.j] if meta.kind == "pair" else None
-            fun = wreathrep.wreath_realize(
-                meta.kind, rho.mat_value, sigma.mat_value if sigma else None
-            )
-            stackfun = lambda kind=meta.kind, r=rho, s=sigma: wreathrep.wreath_stack(
-                kind, r.stack(), s.stack() if s else None
-            )
-            out.append(
-                BatchedIrrep(G, table.labels[i], table.dims[i], fun, stackfun)
-            )
-    elif isinstance(G, DirectProduct) and hasattr(table, "factor_tables"):
-        t1, t2 = table.factor_tables
-        reals1 = realize_table(t1)
-        reals2 = realize_table(t2)
+        base_reals = realize_table(fam.base)
+        for i, meta in enumerate(fam.metas):
+            # rho, and sigma for a pair irrep
+            bases = [base_reals[meta.i]] + ([base_reals[meta.j]] if meta.kind == "pair" else [])
+
+            def fun(v, kind=meta.kind, bases=bases):
+                x, y, b = v
+                xs = [r.mat_value(x)[None] for r in bases]
+                ys = [r.mat_value(y)[None] for r in bases]
+                return wreath_stack(kind, xs, ys)[b, 0, 0].copy()
+
+            def stackfun(kind=meta.kind, bases=bases, d=table.dims[i]):
+                full = [r.stack() for r in bases]
+                # wreath ids are (b*|G| + x)*|G| + y
+                return wreath_stack(kind, full, full).reshape(-1, d, d)
+
+            out.append(BatchedIrrep(G, table.labels[i], table.dims[i], fun, stackfun))
+    elif isinstance(fam, ProductFamily):
+        reals1, reals2 = (realize_table(t) for t in fam.factors)
         for i1, r1 in enumerate(reals1):
             for i2, r2 in enumerate(reals2):
                 d = r1.dim * r2.dim
-                fun = lambda v, a=r1, b=r2: np.kron(a.mat_value(v[0]), b.mat_value(v[1]))
+                fun = lambda v, a=r1, b=r2: kron_stack(
+                    a.mat_value(v[0])[None], b.mat_value(v[1])[None]
+                )[0, 0]
                 # product ids are i1*|G2| + i2
                 stackfun = lambda a=r1, b=r2, d=d: kron_stack(
                     a.stack(), b.stack()
                 ).reshape(-1, d, d)
-                out.append(
-                    BatchedIrrep(
-                        G, table.labels[i1 * len(reals2) + i2], d, fun, stackfun
-                    )
-                )
-    elif isinstance(G, GeneralLinearGroup) and G.k == 2:
-        out = _gl2_realize(table)
+                label = table.labels[i1 * len(reals2) + i2]
+                out.append(BatchedIrrep(G, label, d, fun, stackfun))
+    elif isinstance(fam, GL2Family):
+        out = _realize_gl2(table)
     else:
         raise ValueError(f"no realization for the irreps of {G}")
 
@@ -209,15 +207,3 @@ def realize_table(table: CharacterTable) -> List[RealizedIrrep]:
                 f"realized {r.label} has dimension {r.dim}, table says {table.dims[i]}"
             )
     return out
-
-
-def check_traces(table: CharacterTable, reals: List[RealizedIrrep], tol: float = TRACE_TOL) -> float:
-    """Max |trace - table value| over all irreps and class representatives."""
-    worst = 0.0
-    for i, r in enumerate(reals):
-        for j, rep in enumerate(table.class_reps):
-            err = abs(np.trace(r.mat(rep)) - table.values[i, j])
-            worst = max(worst, err)
-    if worst > tol:
-        raise AssertionError(f"trace certification failed: {worst}")
-    return worst

@@ -21,7 +21,6 @@ from .realize import RealizedIrrep, realize_table
 
 STRUCT_TOL = 1e-8
 INEQ_TOL = 1e-7
-INT_TOL = 1e-6
 WEAK_SUM_TOL = 1e-9
 ZERO_TRACE_TOL = 1e-12
 DIST_CEILING = 4.0
@@ -42,13 +41,12 @@ class SamplingContext:
         return self.table.group
 
 
-def sampling_context(table: CharacterTable, seed: int = 0) -> SamplingContext:
-    reals = realize_table(table)
+def sampling_context(table: CharacterTable) -> SamplingContext:
     return SamplingContext(
         table=table,
-        reals=reals,
+        reals=realize_table(table),
         els=table.group.elements(),
-        basis=f"realized coordinates, seed {seed}",
+        basis="realized coordinates",
     )
 
 
@@ -97,27 +95,11 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     return probs
 
 
-def conditional_distribution(
-    real: RealizedIrrep, bundle: ProjectionBundle, g_value
-) -> np.ndarray:
-    """Distribution over the realized basis after observing irrep rho with
-    the hidden subgroup conjugated by g: diagonal of U^* Pi U over tr Pi
-    where U = rho(g)."""
-    if bundle.trace < ZERO_TRACE_TOL:
-        raise ValueError(
-            "projection has zero trace: the irrep has zero weak weight and "
-            "the conditional distribution is undefined"
-        )
-    U = real.mat_value(g_value)
-    diag = np.einsum("ji,jk,ki->i", U.conj(), bundle.matrix, U).real
-    p = diag / bundle.trace
-    assert abs(p.sum() - 1.0) < STRUCT_TOL
-    return np.clip(p, 0.0, None)
-
-
 def _conditionals(mats: np.ndarray, bundle: ProjectionBundle) -> np.ndarray:
-    """Conditional distributions for a stack of matrices rho(g), one row
-    per matrix."""
+    """Conditional distributions for a stack of matrices U = rho(g), one
+    row per matrix: the distribution over the realized basis after
+    observing rho with the hidden subgroup conjugated by g, i.e. the
+    diagonal of U^* Pi U over tr Pi."""
     if bundle.trace < ZERO_TRACE_TOL:
         raise ValueError(
             "projection has zero trace: the irrep has zero weak weight and "
@@ -138,14 +120,6 @@ def _conditional_stack(
 def _mean_l1sq(conds: np.ndarray, dim: int) -> float:
     dists = np.abs(conds - 1.0 / dim).sum(axis=1)
     return float(np.mean(dists**2))
-
-
-def expected_l1sq(
-    real: RealizedIrrep, bundle: ProjectionBundle, values: Sequence
-) -> float:
-    """Mean over the listed g of the squared L1 distance between the
-    conditional distribution and uniform."""
-    return _mean_l1sq(_conditional_stack(real, bundle, values), real.dim)
 
 
 @dataclass
@@ -195,7 +169,8 @@ def distinguishability(
         per_irrep[ctx.table.labels[i]] = float(np.mean(dists))
         per_sample += probs[i] * dists
     value = float(np.mean(per_sample))
-    assert -STRUCT_TOL < value < DIST_CEILING + STRUCT_TOL
+    if not -STRUCT_TOL < value < DIST_CEILING + STRUCT_TOL:
+        raise AssertionError(f"distinguishability {value} outside [0, {DIST_CEILING}]")
     std_error = None
     if mc_samples is not None:
         std_error = float(np.std(per_sample, ddof=1) / np.sqrt(len(per_sample)))
@@ -209,22 +184,6 @@ def distinguishability(
 
 
 # ---- isotypic decomposition of rho (x) rho* ----
-
-def tensor_conj_multiplicities(table: CharacterTable, rho_idx: int) -> np.ndarray:
-    """Multiplicity of each irrep inside rho (x) rho*, from characters;
-    nonnegative integers, and the trivial irrep appears exactly once."""
-    ev = table.element_values()
-    sq = np.abs(ev[rho_idx]) ** 2
-    raw = ev.conj() @ sq / table.group.order
-    if np.abs(raw.imag).max() >= INT_TOL:
-        raise AssertionError(f"tensor multiplicities of {table.labels[rho_idx]} are not real")
-    mult = np.rint(raw.real).astype(int)
-    if np.abs(raw.real - mult).max() >= INT_TOL or mult.min() < 0:
-        raise AssertionError(
-            f"tensor multiplicities of {table.labels[rho_idx]} are not nonnegative integers"
-        )
-    return mult
-
 
 def isotypic_vector_norms(ctx: SamplingContext, rho_idx: int) -> np.ndarray:
     """norms[sigma, i] = squared norm of the sigma-isotypic projection of
@@ -313,7 +272,7 @@ def variance_bound_check(
     real = ctx.reals[rho_idx]
     bundle = projection_bundle(real, H)
     lhs = float(np.var(_fixed_weights(real, bundle, b_idx)))
-    mult = tensor_conj_multiplicities(ctx.table, rho_idx)
+    mult = ctx.table.tensor_square_multiplicities(rho_idx)
     norms = isotypic_vector_norms(ctx, rho_idx)
     rhs = 0.0
     for s in range(ctx.table.n_irreps):
@@ -348,7 +307,7 @@ def general_method_check(
         if s not in S:
             chi_bar = max(chi_bar, table.normalized_char_max(s, H))
     d_S = max((table.dims[s] for s in S), default=0)
-    mult = tensor_conj_multiplicities(table, rho_idx)
+    mult = table.tensor_square_multiplicities(rho_idx)
     overlap = sum(1 for s in S if mult[s] > 0)
     rhs = 4.0 * H.order**2 * (
         chi_bar + overlap * d_S**2 / table.dims[rho_idx]
@@ -432,7 +391,7 @@ def distinguishability_bound(
     large = [i for i in range(table.n_irreps) if table.dims[i] >= D]
     delta = 0
     for i in large:
-        mult = tensor_conj_multiplicities(table, i)
+        mult = table.tensor_square_multiplicities(i)
         delta = max(delta, sum(1 for s in S if mult[s] > 0))
     small_count = table.n_irreps - len(large)
     value = 4.0 * H.order**2 * (

@@ -8,12 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import sampling
-from .chartab import CharacterTable
+from .chartab import CharacterTable, SymmetricFamily
 from .gl2rep import char_table as gl2_char_table
 from .groups import (
     GeneralLinearGroup,
@@ -235,14 +233,12 @@ def dist_checks(
     S_indices: Optional[Sequence[int]] = None,
     D: Optional[int] = None,
     golden: Optional[float] = None,
-    mc_samples: Optional[int] = None,
-    seed: int = 0,
 ) -> List[CheckRecord]:
     """Distinguishability of one subgroup: range check, optional golden
     value, optional bound configuration."""
     table = ctx.table
     gname = repr(ctx.group)
-    res = sampling.distinguishability(ctx, H, mc_samples=mc_samples, seed=seed)
+    res = sampling.distinguishability(ctx, H)
     records = [
         CheckRecord(
             gname, H.label, "dist-range", "",
@@ -284,7 +280,7 @@ def grid_tables() -> List[Tuple[str, Callable[[], CharacterTable]]]:
 
 def big_wreath_table() -> CharacterTable:
     from .chartab import product_table
-    from .groups import general_linear_group, product_group, symmetric_group
+    from .groups import product_group
 
     g1t = gl2_char_table(2)
     g2t = sn_character_table(3)
@@ -292,7 +288,7 @@ def big_wreath_table() -> CharacterTable:
     return wreath_char_table(product_table(G, g1t, g2t))
 
 
-def run_lemma_suite(name: str, seed: int = 0) -> List[CheckRecord]:
+def run_lemma_suite(name: str) -> List[CheckRecord]:
     """name: one of small, gl2, wreath, big-wreath, all."""
     records: List[CheckRecord] = []
     picks: List[Tuple[str, Callable[[], CharacterTable]]] = []
@@ -305,11 +301,11 @@ def run_lemma_suite(name: str, seed: int = 0) -> List[CheckRecord]:
     if not picks and name not in ("big-wreath",):
         raise ValueError(f"unknown suite {name!r}")
     for _, factory in picks:
-        ctx = sampling_context(factory(), seed=seed)
+        ctx = sampling_context(factory())
         for H in subgroup_catalog(ctx.group):
             records.extend(lemma_checks(ctx, H))
     if name in ("big-wreath", "all"):
-        ctx = sampling_context(big_wreath_table(), seed=seed)
+        ctx = sampling_context(big_wreath_table())
         for H in subgroup_catalog(ctx.group):
             records.extend(lemma_checks(ctx, H, max_dim=2))
     return records
@@ -318,21 +314,23 @@ def run_lemma_suite(name: str, seed: int = 0) -> List[CheckRecord]:
 def lambda_set_indices(table: CharacterTable, c: Fraction) -> List[int]:
     """Indices of the partitions with a long first row or column at rate
     c, in a symmetric-group table."""
-    parts = table.partition_rows
+    if not isinstance(table.family, SymmetricFamily):
+        raise ValueError(f"{table.group} has no symmetric-group character table")
+    parts = table.family.partitions
     n = sum(parts[0])
     return [
         i for i, la in enumerate(parts) if lambda_c_member(la, n, c)
     ]
 
 
-def run_dist_suite(seed: int = 0) -> List[CheckRecord]:
+def run_dist_suite() -> List[CheckRecord]:
     """Golden distinguishability values plus bound configurations: the
     symmetric-group goldens, GL2 over q in {3,4,5} with S = linear irreps
     and D = q-1, and S6 against the long-row set at c = 1/6."""
     records: List[CheckRecord] = []
 
     table = sn_character_table(3)
-    ctx = sampling_context(table, seed=seed)
+    ctx = sampling_context(table)
     G = ctx.group
     trivialH = trivial_subgroup(G)
     order2 = subgroup_closure(G, [G.make((1, 0, 2))], label="order-2")
@@ -343,7 +341,7 @@ def run_dist_suite(seed: int = 0) -> List[CheckRecord]:
 
     for q in (3, 4, 5):
         table = gl2_char_table(q)
-        ctx = sampling_context(table, seed=seed)
+        ctx = sampling_context(table)
         G = ctx.group
         uni = subgroup_closure(
             G, [G.make(((1, 1), (0, 1)))], label="unipotent"
@@ -352,7 +350,7 @@ def run_dist_suite(seed: int = 0) -> List[CheckRecord]:
         records.extend(dist_checks(ctx, uni, S_indices=lin, D=q - 1))
 
     table = sn_character_table(6)
-    ctx = sampling_context(table, seed=seed)
+    ctx = sampling_context(table)
     G = ctx.group
     order2 = subgroup_closure(
         G, [G.make((1, 0, 2, 3, 4, 5))], label="order-2"

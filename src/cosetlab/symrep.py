@@ -7,14 +7,14 @@ matrices for explicit unitary models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chartab import CharacterTable
+from .chartab import CharacterTable, SymmetricFamily
 from .groups import GroupElement, SymmetricGroup, cycle_type, symmetric_group
 
 PARTITION_CAP = 40
@@ -32,6 +32,8 @@ def check_partition(la: Sequence[int]) -> Partition:
 @lru_cache(maxsize=None)
 def partitions(n: int) -> Tuple[Partition, ...]:
     """All partitions of n, largest-part-first lexicographic order."""
+    if n < 0:
+        raise ValueError(f"no partitions of {n}")
     if n > PARTITION_CAP:
         raise ValueError(f"partition enumeration capped at n = {PARTITION_CAP}")
 
@@ -137,12 +139,10 @@ def sn_character_table(n: int) -> CharacterTable:
     values = np.array(
         [[mn_character(la, mu) for mu in parts] for la in parts], dtype=complex
     )
-    table = CharacterTable(
+    return CharacterTable(
         G, labels, dims, list(parts), sizes, reps,
-        values, lambda el: cycle_type(el.value),
+        values, lambda el: cycle_type(el.value), SymmetricFamily(tuple(parts)),
     )
-    table.partition_rows = parts
-    return table
 
 
 # ---- the unbalanced-diagram family and its audit ----

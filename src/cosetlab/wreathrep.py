@@ -1,37 +1,25 @@
 """Irreducible characters and explicit block models of G wr Z_2 built from a
 base character table, plus the two-coset subgroup K of the lifted hidden
 shift problem and normalized characters on it.
+
+Each wreath irrep has one matrix formula, `wreath_stack`, which takes the
+base irreps' matrices at the x and y components as stacks: the whole base
+stacks give the irrep's stack over the group, and one-element stacks give a
+single matrix (a batch of one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .chartab import CharacterTable
-from .groups import Group, GroupElement, Subgroup, WreathZ2, wreath_z2
+from .chartab import CharacterTable, WreathFamily, WreathIrrepMeta
+from .groups import GroupElement, Subgroup, wreath_z2
 from .realize import kron_stack
 
 MAX_NORM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class WreathIrrepMeta:
-    kind: str  # "pair" | "plus" | "minus"
-    i: int
-    j: int  # equals i for plus/minus
-
-
-def wreath_irrep_dims(base_dims: Sequence[int], metas: Sequence[WreathIrrepMeta]):
-    out = []
-    for m in metas:
-        if m.kind == "pair":
-            out.append(2 * base_dims[m.i] * base_dims[m.j])
-        else:
-            out.append(base_dims[m.i] ** 2)
-    return out
 
 
 def wreath_char_table(base: CharacterTable) -> CharacterTable:
@@ -55,10 +43,13 @@ def wreath_char_table(base: CharacterTable) -> CharacterTable:
         labels.append(f"plus{{{base.labels[i]}}}")
         metas.append(WreathIrrepMeta("minus", i, i))
         labels.append(f"minus{{{base.labels[i]}}}")
-    dims = wreath_irrep_dims(base.dims, metas)
+    dims = [
+        2 * base.dims[m.i] * base.dims[m.j] if m.kind == "pair" else base.dims[m.i] ** 2
+        for m in metas
+    ]
     n_w = len(metas)
-    assert n_w == (r * r + 3 * r) // 2
-    assert sum(d * d for d in dims) == 2 * G0.order**2
+    if sum(d * d for d in dims) != 2 * G0.order**2:
+        raise ValueError("base dimensions do not square-sum to the base order")
 
     col_cache: Dict[object, int] = {}
 
@@ -118,7 +109,7 @@ def wreath_char_table(base: CharacterTable) -> CharacterTable:
         )
 
     values = np.column_stack(columns)
-    table = CharacterTable(
+    return CharacterTable(
         W,
         labels,
         dims,
@@ -127,102 +118,45 @@ def wreath_char_table(base: CharacterTable) -> CharacterTable:
         class_reps,
         values,
         lambda el: fingerprint(el.value),
+        WreathFamily(base, tuple(metas)),
     )
-    table.wreath_meta = metas
-    table.base_table = base
-    return table
 
 
-# ---- explicit block models ----
-
-def swap_matrix(d: int) -> np.ndarray:
-    """Permutation matrix sending u (x) v to v (x) u on C^d (x) C^d."""
-    S = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            S[b * d + a, a * d + b] = 1.0
-    return S
-
-
-MatFun = Callable[[object], np.ndarray]
-
-
-def wreath_realize(kind: str, rho: MatFun, sigma: Optional[MatFun] = None) -> MatFun:
-    """Matrix model of one wreath irrep from unitary models of the base
-    irrep(s); takes and returns functions on element values.
-
-    plus/minus act on the tensor square with the coordinate swap appearing
-    as a right factor on b=1 (the left-factor order fails the homomorphism
-    law under the fixed composition convention); pair-kind is the 2x2 block
-    induced model.
-    """
-    if kind in ("plus", "minus"):
-        sign = 1.0 if kind == "plus" else -1.0
-        swap: Dict[int, np.ndarray] = {}
-
-        def f(value):
-            xv, yv, bv = value
-            rx, ry = rho(xv), rho(yv)
-            M = np.kron(rx, ry)
-            if bv:
-                d = rx.shape[0]
-                S = swap.get(d)
-                if S is None:
-                    S = swap_matrix(d)
-                    swap[d] = S
-                M = sign * (M @ S)
-            return M
-
-        return f
-    if kind != "pair" or sigma is None:
-        raise ValueError(f"unknown wreath irrep kind {kind!r}")
-
-    def g(value):
-        xv, yv, bv = value
-        A = np.kron(rho(xv), sigma(yv))
-        B = np.kron(rho(yv), sigma(xv))
-        h = A.shape[0]
-        M = np.zeros((2 * h, 2 * h), dtype=complex)
-        if bv == 0:
-            M[:h, :h] = A
-            M[h:, h:] = B
-        else:
-            M[:h, h:] = A
-            M[h:, :h] = B
-        return M
-
-    return g
-
+# ---- the block models ----
 
 def wreath_stack(
-    kind: str, rho: np.ndarray, sigma: Optional[np.ndarray] = None
+    kind: str, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """The matrices of wreath_realize for every element at once, in wreath
-    id order (b, x, y), from the (|G|, d, d) stacks of the base irrep(s).
-    Entries equal wreath_realize's matrices bit for bit: the Kronecker
-    products are kron_stack's, and the right factor of the swap on b=1 is
-    a column permutation."""
-    n = rho.shape[0]
+    """Matrices of one wreath irrep at every element (x, y, b), as a
+    (2, n_x, n_y, D, D) array indexed [b, x, y].  xs holds the (n_x, d, d)
+    stacks of the base irrep rho (and, for a pair irrep, sigma) at the x
+    components, ys the same irreps at the y components.  Passing the whole
+    base stacks gives every element in wreath id order (b, x, y); passing
+    one-element stacks gives one matrix.
+
+    plus/minus act on rho (x) rho, with the coordinate swap as a right
+    factor on b = 1, i.e. a column permutation (the left-factor order fails
+    the homomorphism law under the fixed composition convention); a pair
+    irrep is the 2x2 block model induced from rho (x) sigma."""
     if kind in ("plus", "minus"):
         sign = 1.0 if kind == "plus" else -1.0
-        d = rho.shape[1]
-        K = kron_stack(rho, rho)
-        # (M @ swap_matrix(d))[:, a*d + b] = M[:, b*d + a]
+        d = xs[0].shape[1]
+        K = kron_stack(xs[0], ys[0])
+        # (M @ swap)[:, a*d + b] = M[:, b*d + a] for the swap u (x) v -> v (x) u
         perm = np.arange(d * d).reshape(d, d).T.ravel()
-        out = np.stack([K, sign * K[..., perm]])
-        return out.reshape(2 * n * n, d * d, d * d)
-    if kind != "pair" or sigma is None:
+        return np.stack([K, sign * K[..., perm]])
+    if kind != "pair":
         raise ValueError(f"unknown wreath irrep kind {kind!r}")
-    # A[x, y] = rho(x) (x) sigma(y) and B[x, y] = rho(y) (x) sigma(x) = A[y, x]
-    A = kron_stack(rho, sigma)
-    B = A.transpose(1, 0, 2, 3)
-    h = A.shape[-1]
-    out = np.zeros((2, n, n, 2 * h, 2 * h), dtype=complex)
+    # A[x, y] = rho(x) (x) sigma(y) and B[x, y] = rho(y) (x) sigma(x)
+    A = kron_stack(xs[0], ys[1])
+    B = kron_stack(ys[0], xs[1]).transpose(1, 0, 2, 3)
+    n_x, n_y, h = A.shape[0], A.shape[1], A.shape[-1]
+    out = np.zeros((2, n_x, n_y, 2 * h, 2 * h), dtype=complex)
     out[0, :, :, :h, :h] = A
     out[0, :, :, h:, h:] = B
     out[1, :, :, :h, h:] = A
     out[1, :, :, h:, :h] = B
-    return out.reshape(2 * n * n, 2 * h, 2 * h)
+    return out
 
 
 # ---- the hidden subgroup K of the lifted shift problem ----
@@ -287,9 +221,11 @@ def k_max_normalized_char(
     max(a, 1/d_rho) is an equality."""
     if K.subgroup.order < 2:
         raise ValueError("K is trivial")
-    metas = wtable.wreath_meta
-    base: CharacterTable = wtable.base_table
-    m = metas[index]
+    fam = wtable.family
+    if not isinstance(fam, WreathFamily):
+        raise ValueError(f"{wtable.group} has no wreath-product character table")
+    base = fam.base
+    m = fam.metas[index]
     H0 = K.base_subgroup
     direct = wtable.normalized_char_max(index, K.subgroup)
     if m.kind == "pair":
@@ -301,12 +237,16 @@ def k_max_normalized_char(
         base_max = base.normalized_char_max(m.i, H0)
         formula = max(base_max, 1.0 / base.dims[m.i])
         equality = abs(direct - formula) <= MAX_NORM_TOL
-        assert equality, (wtable.labels[index], direct, formula)
-    assert direct <= formula + MAX_NORM_TOL, (
-        wtable.labels[index],
-        direct,
-        formula,
-    )
+        if not equality:
+            raise AssertionError(
+                f"{wtable.labels[index]}: max normalized character {direct} "
+                f"differs from its closed form {formula}"
+            )
+    if direct > formula + MAX_NORM_TOL:
+        raise AssertionError(
+            f"{wtable.labels[index]}: max normalized character {direct} "
+            f"exceeds its bound {formula}"
+        )
     return KCharReport(
         label=wtable.labels[index],
         kind=m.kind,

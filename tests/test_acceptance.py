@@ -15,9 +15,10 @@ from cosetlab import fields, goppa, hsp, sampling, suites, symrep
 from cosetlab.fields import field_of_order
 from cosetlab.gl2rep import char_table as gl2_char_table, linear_multiplicities
 from cosetlab.groups import cycle_type, subgroup_closure, trivial_subgroup
-from cosetlab.realize import check_traces, realize_table
+from cosetlab.realize import realize_table
 from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import k_build, k_max_normalized_char, wreath_char_table
+from reference_models import check_traces
 
 GL2_ORDERS = (2, 3, 4, 5, 7)
 

@@ -260,6 +260,16 @@ def run_cli_process(*argv):
         (["chartable", "wreath", "--base", "qq7"], "--base"),
         (["lambda-audit", "--n", "6", "--c", "zebra"], "--c"),
         (["roichman", "--n", "5", "--c", "1/0"], "--c"),
+        (["mceliece", "attack", "--instance", "/nonexistent"], "--instance"),
+        (["mceliece", "attack"], "--instance"),
+        (["goppa", "aut", "--spec", "/nonexistent"], "--spec"),
+        (["goppa", "aut"], "--spec"),
+        (["goppa", "check", "--spec", str(SRC)], "--spec"),
+        (["goppa", "build", "--q", "6"], "--q"),
+        (["goppa", "build", "--q", "5", "--n", "4", "--r", "9"], "--r"),
+        (["chartable", "gl2", "--q", "6"], "--q"),
+        (["chartable", "sn", "--n", "0"], "--n"),
+        (["dims", "sn", "--n", "-1"], "--n"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):
@@ -299,4 +309,18 @@ def test_subgroup_directory_is_config_error(tmp_path):
     diag = json.loads(proc.stdout)
     assert diag["ok"] is False and diag["flag"] == "--subgroup"
     assert "directory" in diag["error"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_goppa_check_outside_its_range_is_config_error(tmp_path):
+    # r = 0 is a valid code but outside the check's range 1 <= r <= n-3;
+    # this used to print a plain line on stderr
+    assert run_cli_process(
+        "goppa", "build", "--q", "5", "--gamma", "0,1,2,3", "--r", "0", "--out", str(tmp_path)
+    ).returncode == 0
+    proc = run_cli_process("goppa", "check", "--spec", str(tmp_path / "goppa_build.json"))
+    assert proc.returncode == 2
+    diag = json.loads(proc.stdout)
+    assert diag["ok"] is False and diag["flag"] == "--spec"
+    assert "1 <= r <= n-3" in diag["error"]
     assert "Traceback" not in proc.stderr

@@ -8,12 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cosetlab.chartab import CharacterTable
+from cosetlab.chartab import (
+    CharacterTable,
+    GL2Family,
+    ProductFamily,
+    SymmetricFamily,
+    WreathFamily,
+)
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group
 from cosetlab.realize import kron_stack, realize_table
 from cosetlab.suites import big_wreath_table, grid_tables
 from cosetlab.symrep import sn_character_table
+from reference_models import product_mat, wreath_mat
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -57,13 +64,54 @@ def test_stack_equals_mat_value_loop(name):
         assert real.stack() is got and not got.flags.writeable
 
 
+def reference_stacks(table, max_dim=None):
+    """(label, per-element np.kron model in id order) for every irrep of a
+    wreath or product table, optionally only those of dimension <= max_dim."""
+    fam = table.family
+    els = [el.value for el in table.group.elements()]
+    if isinstance(fam, ProductFamily):
+        reals1, reals2 = (realize_table(t) for t in fam.factors)
+        models = [(a, b) for a in reals1 for b in reals2]
+        mat = lambda ab, v: product_mat(ab[0], ab[1], v)
+    else:
+        base = realize_table(fam.base)
+        models = [
+            (m.kind, base[m.i].mat_value, base[m.j].mat_value) for m in fam.metas
+        ]
+        mat = lambda model, v: wreath_mat(*model, v)
+    for i, model in enumerate(models):
+        if max_dim is None or table.dims[i] <= max_dim:
+            yield table.labels[i], np.stack([mat(model, v) for v in els])
+
+
+def product_table_of_big_wreath():
+    return big_wreath_table().family.base
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [dict(grid_tables())["wreath_s3"], product_table_of_big_wreath],
+    ids=["wreath_s3", "gl2_2xs3"],
+)
+def test_composed_irreps_equal_the_per_element_kron_model(factory):
+    table = factory()
+    reals = {r.label: r for r in realize_table(table)}
+    for label, want in reference_stacks(table):
+        real = reals[label]
+        assert np.array_equal(mat_value_stack(real), want)
+        assert np.array_equal(real.stack(), want)
+
+
 def test_big_wreath_stacks_equal_mat_value_loop():
     # |W| = 2592; the lemma grid reads the irreps of dimension at most 2
     table = big_wreath_table()
-    reals = [r for r in realize_table(table) if r.dim <= 2]
-    assert {r.label.split("{")[0] for r in reals} == {"pair", "plus", "minus"}
-    for real in reals:
+    reals = {r.label: r for r in realize_table(table) if r.dim <= 2}
+    assert {label.split("{")[0] for label in reals} == {"pair", "plus", "minus"}
+    for label, want in reference_stacks(table, max_dim=2):
+        real = reals.pop(label)
         assert np.array_equal(real.stack(), mat_value_stack(real))
+        assert np.array_equal(real.stack(), want)
+    assert not reals
 
 
 def test_kron_stack_is_np_kron_bit_for_bit():
@@ -148,6 +196,16 @@ def test_gl2_stacks_do_not_depend_on_blas_threads():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 24
     assert outputs[0] == outputs[1]
+
+
+def test_every_builder_sets_a_family():
+    wreath = big_wreath_table()
+    assert isinstance(wreath.family, WreathFamily)
+    assert isinstance(wreath.family.base.family, ProductFamily)
+    gl2, sym = wreath.family.base.family.factors
+    assert isinstance(gl2.family, GL2Family)
+    assert isinstance(sym.family, SymmetricFamily)
+    assert sym.family.partitions == ((3,), (2, 1), (1, 1, 1))
 
 
 def test_realize_refuses_a_table_of_no_known_family():

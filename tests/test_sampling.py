@@ -7,11 +7,13 @@ from cosetlab import sampling
 from cosetlab.chartab import CharacterTable
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import GroupElement, subgroup_closure, trivial_subgroup
+from cosetlab.realize import RealizedIrrep
 from cosetlab.sampling import (
-    conditional_distribution,
+    SamplingContext,
+    _conditional_stack,
+    _mean_l1sq,
     distinguishability,
     distinguishability_bound,
-    expected_l1sq,
     irrep_distortion,
     isotypic_vector_norms,
     pg_invariance_error,
@@ -19,7 +21,6 @@ from cosetlab.sampling import (
     sampling_context,
     sampling_report,
     second_moment_check,
-    tensor_conj_multiplicities,
     weak_distribution,
 )
 from cosetlab.suites import subgroup_catalog
@@ -27,8 +28,8 @@ from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import wreath_char_table
 
 
-def s3_ctx(seed=0):
-    return sampling_context(sn_character_table(3), seed=seed)
+def s3_ctx():
+    return sampling_context(sn_character_table(3))
 
 
 def s3_subgroups(ctx):
@@ -83,7 +84,7 @@ def test_conditional_distribution_golden_at_identity():
     _, order2, _ = s3_subgroups(ctx)
     std = next(i for i in range(3) if ctx.table.dims[i] == 2)
     bundle = projection_bundle(ctx.reals[std], order2)
-    p = conditional_distribution(ctx.reals[std], bundle, ctx.group.identity_value())
+    p = _conditional_stack(ctx.reals[std], bundle, [ctx.group.identity_value()])[0]
     assert np.allclose(sorted(p), [0.0, 1.0], atol=1e-10)
 
 
@@ -96,7 +97,7 @@ def test_conditional_distribution_zero_weight_raises():
     )
     bundle = projection_bundle(ctx.reals[sign], order2)
     with pytest.raises(ValueError):
-        conditional_distribution(ctx.reals[sign], bundle, ctx.group.identity_value())
+        _conditional_stack(ctx.reals[sign], bundle, [ctx.group.identity_value()])
 
 
 def test_distinguishability_golden_values():
@@ -107,10 +108,24 @@ def test_distinguishability_golden_values():
     assert distinguishability(ctx, alt).value < 1e-10
 
 
-def test_distinguishability_seed_independent():
-    # the exhaustive value is a basis-independent quantity
-    a = distinguishability(s3_ctx(0), s3_subgroups(s3_ctx(0))[1]).value
-    b = distinguishability(s3_ctx(5), s3_subgroups(s3_ctx(5))[1]).value
+def test_distinguishability_basis_relabeling_invariant():
+    # strong sampling depends on the realized basis only through its lines:
+    # reordering the basis vectors and changing their phases conjugates
+    # every irrep by a monomial unitary and leaves the value unchanged
+    ctx = s3_ctx()
+    order2 = s3_subgroups(ctx)[1]
+    rng = np.random.default_rng(5)
+    relabeled = []
+    for real in ctx.reals:
+        d = real.dim
+        V = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+        relabeled.append(RealizedIrrep(
+            real.group, real.label, d,
+            lambda v, r=real, V=V: V.conj().T @ r.mat_value(v) @ V,
+        ))
+    other = SamplingContext(ctx.table, relabeled, ctx.els, ctx.basis)
+    a = distinguishability(ctx, order2).value
+    b = distinguishability(other, order2).value
     assert abs(a - b) < 1e-10
 
 
@@ -132,17 +147,18 @@ def test_expected_l1sq_matches_direct_average():
     values = [el.value for el in ctx.els]
     direct = np.mean(
         [
-            np.abs(conditional_distribution(real, bundle, v) - 0.5).sum() ** 2
+            np.abs(_conditional_stack(real, bundle, [v])[0] - 0.5).sum() ** 2
             for v in values
         ]
     )
-    assert abs(expected_l1sq(real, bundle, values) - direct) < 1e-12
+    batched = _mean_l1sq(_conditional_stack(real, bundle, values), real.dim)
+    assert abs(batched - direct) < 1e-12
 
 
 def test_tensor_conj_multiplicities_are_integral():
     for table in (sn_character_table(4), gl2_char_table(3)):
         for i in range(table.n_irreps):
-            m = tensor_conj_multiplicities(table, i)
+            m = table.tensor_square_multiplicities(i)
             assert np.all(m >= 0)
             # the trivial irrep appears exactly once in rho (x) rho*
             trivial = next(
@@ -161,7 +177,7 @@ def test_isotypic_vector_norms_resolve_identity():
         d = ctx.reals[idx].dim
         # each b (x) b* is a unit vector split across isotypic pieces
         assert np.allclose(norms.sum(axis=0), 1.0, atol=1e-8)
-        mults = tensor_conj_multiplicities(ctx.table, idx)
+        mults = ctx.table.tensor_square_multiplicities(idx)
         for j in range(ctx.table.n_irreps):
             if mults[j] == 0:
                 assert np.all(norms[j] < 1e-10)
@@ -220,8 +236,8 @@ def test_wreath_minus_irrep_zero_weight_under_swap():
     probs = weak_distribution(table, swap)
     minus_over_linear = [
         i
-        for i, m in enumerate(table.wreath_meta)
-        if m.kind == "minus" and table.base_table.dims[m.i] == 1
+        for i, m in enumerate(table.family.metas)
+        if m.kind == "minus" and table.family.base.dims[m.i] == 1
     ]
     assert minus_over_linear
     for i in minus_over_linear:

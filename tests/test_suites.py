@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group, symmetric_group, wreath_z2
 from cosetlab.sampling import sampling_context
 from cosetlab.suites import (
@@ -82,7 +83,12 @@ def test_dist_checks_golden_and_bound():
 def test_lambda_set_indices_match_membership():
     table = sn_character_table(6)
     idx = set(lambda_set_indices(table, Fraction(1, 6)))
-    for i, la in enumerate(table.partition_rows):
+    for i, la in enumerate(table.family.partitions):
         assert (i in idx) == lambda_c_member(la, 6, Fraction(1, 6))
     assert len(idx) == 4
     assert len(idx) < len(partitions(6))
+
+
+def test_lambda_set_indices_refuses_other_families():
+    with pytest.raises(ValueError, match="symmetric-group"):
+        lambda_set_indices(gl2_char_table(3), Fraction(1, 6))

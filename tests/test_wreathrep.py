@@ -3,16 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cosetlab.groups import subgroup_closure, trivial_subgroup, wreath_z2
-from cosetlab.realize import check_traces, realize_table
+from cosetlab.groups import subgroup_closure, trivial_subgroup
+from cosetlab.realize import realize_table
 from cosetlab.symrep import sn_character_table
 from cosetlab.gl2rep import char_table as gl2_char_table
-from cosetlab.wreathrep import (
-    k_build,
-    k_max_normalized_char,
-    swap_matrix,
-    wreath_char_table,
-)
+from cosetlab.wreathrep import k_build, k_max_normalized_char, wreath_char_table
+from reference_models import check_traces, swap_matrix
 
 
 def s3_wreath():
@@ -23,7 +19,7 @@ def test_irrep_census():
     t = s3_wreath()
     assert t.n_irreps == 9
     assert sum(d * d for d in t.dims) == 72
-    kinds = [m.kind for m in t.wreath_meta]
+    kinds = [m.kind for m in t.family.metas]
     assert kinds.count("pair") == 3
     assert kinds.count("plus") == 3
     assert kinds.count("minus") == 3
@@ -41,7 +37,7 @@ def test_character_values_from_base_table():
     for el in W.elements():
         g1, g2, bit = el.value
         a, b = G0.make(g1), G0.make(g2)
-        for idx, m in enumerate(t.wreath_meta):
+        for idx, m in enumerate(t.family.metas):
             got = t.value(idx, el)
             ci = lambda g: base.values[m.i][base.class_index_of(g)]
             cj = lambda g: base.values[m.j][base.class_index_of(g)]
@@ -130,6 +126,14 @@ def test_k_normalized_character_relations_exhaustive():
                     assert rep.equality_holds
                 else:
                     assert rep.equality_holds is None
+
+
+def test_k_max_normalized_char_refuses_other_families():
+    base = sn_character_table(3)
+    G0 = base.group
+    K = k_build(trivial_subgroup(G0), G0.make((1, 0, 2)))
+    with pytest.raises(ValueError, match="wreath"):
+        k_max_normalized_char(base, 0, K)
 
 
 def test_wreath_over_matrix_base():
