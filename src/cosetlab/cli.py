@@ -435,7 +435,10 @@ def cmd_mceliece(args) -> int:
         return _config_error("--instance", str(exc))
     if isinstance(obj, dict) and "instance" in obj:
         obj = obj["instance"]
-    inst = hsp.McElieceInstance.from_json(obj)
+    try:
+        inst = hsp.McElieceInstance.from_json(obj)
+    except (KeyError, TypeError) as exc:
+        return _config_error("--instance", f"no McEliece instance: missing {exc}")
     res = hsp.attack(inst, cap=args.cap) if args.cap else hsp.attack(inst)
     checks = {
         "right-injective": res.right_injective,

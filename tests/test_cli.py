@@ -324,3 +324,18 @@ def test_goppa_check_outside_its_range_is_config_error(tmp_path):
     assert diag["ok"] is False and diag["flag"] == "--spec"
     assert "1 <= r <= n-3" in diag["error"]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["mceliece", "attack", "--instance"], "--instance"), (["goppa", "aut", "--spec"], "--spec")],
+)
+def test_json_file_of_the_wrong_shape_is_config_error(tmp_path, argv, flag):
+    # valid JSON without the expected keys used to end in a KeyError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"foo": 1}')
+    proc = run_cli_process(*argv, str(bad))
+    assert proc.returncode == 2
+    diag = json.loads(proc.stdout)
+    assert diag["ok"] is False and diag["flag"] == flag
+    assert "Traceback" not in proc.stderr
