@@ -2,9 +2,14 @@
 for inner products, tensor-square multiplicities and per-element lookup.
 
 A table stores one row per irreducible character and one column per class.
-`class_key_of` maps a group element to its class key, so character values on
-arbitrary elements never require enumerating the group; the dense per-element
-value matrix is materialized lazily only where projections need it.
+Class keys are exact (partitions, closed-form GL2 class labels, pairs of
+factor keys, or base-class indices for wreath products), never rounded
+floats. `class_key_of` maps a group element to its class key, so character
+values on arbitrary elements never require enumerating the group; the dense
+per-element value matrix is materialized lazily only where projections need
+it. A builder that can compute class columns on whole id arrays (the wreath
+builder) passes that function as `columns_of_ids`, and `element_columns`
+then makes no Python call per element.
 
 The four builders (`symrep.sn_character_table`, `gl2rep.char_table`,
 `product_table`, `wreathrep.wreath_char_table`) give each table a frozen
@@ -13,6 +18,7 @@ The four builders (`symrep.sn_character_table`, `gl2rep.char_table`,
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -71,6 +77,7 @@ class CharacterTable:
         values: np.ndarray,
         class_key_of: Callable[[GroupElement], object],
         family: Optional[Family] = None,
+        columns_of_ids: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         n_irreps = len(labels)
         n_classes = len(class_keys)
@@ -89,6 +96,7 @@ class CharacterTable:
         self.values = np.asarray(values, dtype=complex)
         self.class_key_of = class_key_of
         self.family = family
+        self._columns_of_ids = columns_of_ids
         self._key_index = {k: i for i, k in enumerate(self.class_keys)}
         if len(self._key_index) != n_classes:
             raise ValueError("duplicate class keys")
@@ -102,6 +110,10 @@ class CharacterTable:
             raise ValueError("character at identity must equal the dimension")
         self._element_columns: Optional[np.ndarray] = None
         self._element_values: Optional[np.ndarray] = None
+        # class columns of each subgroup's non-identity elements
+        self._nontrivial_columns: "weakref.WeakKeyDictionary[Subgroup, np.ndarray]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     @property
     def n_irreps(self) -> int:
@@ -120,9 +132,12 @@ class CharacterTable:
         """Class column of every element, aligned with group.elements()
         (and so indexed by element id)."""
         if self._element_columns is None:
-            self._element_columns = np.array(
-                [self.class_index_of(el) for el in self.group.elements()], dtype=int
-            )
+            if self._columns_of_ids is not None:
+                self._element_columns = self._columns_of_ids(np.arange(self.group.order))
+            else:
+                self._element_columns = np.array(
+                    [self.class_index_of(el) for el in self.group.elements()], dtype=int
+                )
         return self._element_columns
 
     def element_values(self) -> np.ndarray:
@@ -159,14 +174,19 @@ class CharacterTable:
         return sum(self.value(i, h) for h in sub.elements)
 
     def normalized_char_max(self, i: int, sub: Subgroup) -> float:
-        """max over non-identity h in H of |chi(h)| / dim; 0 for trivial H."""
-        G = self.group
-        best = 0.0
-        for h in sub.elements:
-            if G.is_identity(h):
-                continue
-            best = max(best, abs(self.value(i, h)) / self.dims[i])
-        return best
+        """max over non-identity h in H of |chi(h)| / dim; 0 for trivial H.
+        The classes of H are looked up once per subgroup, not per irrep."""
+        cols = self._nontrivial_columns.get(sub)
+        if cols is None:
+            G = self.group
+            cols = np.array(
+                [self.class_index_of(h) for h in sub.elements if not G.is_identity(h)],
+                dtype=int,
+            )
+            self._nontrivial_columns[sub] = cols
+        if not cols.size:
+            return 0.0
+        return float(np.abs(self.values[i, cols]).max() / self.dims[i])
 
 
 def product_table(G: DirectProduct, t1: CharacterTable, t2: CharacterTable) -> CharacterTable:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import __version__, goppa, hsp, sampling, suites, symrep
-from .chartab import CharacterTable, product_table
+from .chartab import CharacterTable, WreathFamily, product_table
 from .gl2rep import char_table as gl2_char_table
 from .groups import (
     Group,
@@ -220,19 +220,19 @@ def cmd_chartable(args) -> int:
         elif args.kind == "sn":
             table = sn_character_table(args.n)
         else:
-            base = parse_group_table(args.base)
+            table = wreath_char_table(parse_group_table(args.base))
     except ValueError as exc:
         return _config_error(flag, str(exc))
-    if args.kind == "wreath":
-        table = wreath_char_table(base)
+
     def csv_row(cells: List[str]) -> str:
         return ",".join('"%s"' % c if "," in c else c for c in cells)
 
     def class_header(j: int) -> str:
-        key = str(table.class_keys[j])
-        if "np." in key or "complex" in key:
+        # wreath keys are base-class indices, which say little in a header;
+        # a wreath class is named by its representative
+        if isinstance(table.family, WreathFamily):
             return str(table.class_reps[j].value)
-        return key
+        return str(table.class_keys[j])
 
     lines = [csv_row(["irrep"] + [class_header(j) for j in range(len(table.class_keys))])]
     for i in range(table.n_irreps):

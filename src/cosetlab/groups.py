@@ -462,7 +462,8 @@ class WreathIds:
             ((n + inv[None, :]) * n + inv[:, None]).ravel(),
         ])
 
-    def _split(self, a):
+    def split(self, a):
+        """The (x, y, b) base-id arrays of wreath id array a."""
         n = self.base.order
         bx, y = np.divmod(np.asarray(a, dtype=np.int64), n)
         b, x = np.divmod(bx, n)
@@ -470,8 +471,8 @@ class WreathIds:
 
     def mul(self, a, b) -> np.ndarray:
         n = np.int64(self.base.order)
-        x1, y1, b1 = self._split(a)
-        x2, y2, b2 = self._split(b)
+        x1, y1, b1 = self.split(a)
+        x2, y2, b2 = self.split(b)
         swap = b1 == 1
         x = self.base.mul(x1, np.where(swap, y2, x2))
         y = self.base.mul(y1, np.where(swap, x2, y2))

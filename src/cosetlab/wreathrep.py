@@ -2,6 +2,11 @@
 base character table, plus the two-coset subgroup K of the lifted hidden
 shift problem and normalized characters on it.
 
+The character table is in closed form: its conjugacy classes, exact keys,
+sizes, representatives and values come from the base table's classes
+through the base ids, without enumerating G wr Z_2, and its class columns
+are computed on whole id arrays.
+
 Each wreath irrep has one matrix formula, `wreath_stack`, which takes the
 base irreps' matrices at the x and y components as stacks: the whole base
 stacks give the irrep's stack over the group, and one-element stacks give a
@@ -11,7 +16,7 @@ single matrix (a batch of one).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,12 +28,19 @@ MAX_NORM_TOL = 1e-8
 
 
 def wreath_char_table(base: CharacterTable) -> CharacterTable:
-    """Character table of (base group) wr Z_2.
+    """Character table of (base group) wr Z_2, in closed form.
 
     Irreps: one for each unordered pair of distinct base irreps, plus two
-    extensions (unprimed and primed) of each diagonal tensor square; classes
-    are recovered by grouping elements with identical character vectors.
-    """
+    extensions (unprimed and primed) of each diagonal tensor square.
+
+    Classes (James-Kerber, ch. 4), with base classes C_0, ..., C_{r-1}:
+    for b = 0, key (0, i, j) with i <= j is the unordered pair of base
+    classes of x and y, of size |C_i||C_j|, doubled when i != j; for b = 1,
+    key (1, c) is the base class of x*y, of size |G||C_c|.  Each class is
+    represented by its first element in W's id order, and classes are
+    ordered by that element's id.  Keys, columns and representatives are
+    read from the base table's class columns through the base ids, so W
+    is never enumerated."""
     G0 = base.group
     W = wreath_z2(G0)
     r = base.n_irreps
@@ -47,78 +59,74 @@ def wreath_char_table(base: CharacterTable) -> CharacterTable:
         2 * base.dims[m.i] * base.dims[m.j] if m.kind == "pair" else base.dims[m.i] ** 2
         for m in metas
     ]
-    n_w = len(metas)
     if sum(d * d for d in dims) != 2 * G0.order**2:
         raise ValueError("base dimensions do not square-sum to the base order")
 
-    col_cache: Dict[object, int] = {}
+    ids0 = G0.ids()
+    n = ids0.order
+    bcols = base.element_columns()
+    sizes = base.class_sizes
+    # first[c]: smallest base id in C_c; swap_first[c]: smallest y with
+    # x0*y in C_c, for x0 = base id 0 (not the identity in general)
+    _, first = np.unique(bcols, return_index=True)
+    _, swap_first = np.unique(bcols[ids0.mul(0, np.arange(n))], return_index=True)
+    classes = []  # (representative as base ids (x, y, b), key, size)
+    for i in range(r):
+        for j in range(i, r):
+            lo, hi = sorted((first[i], first[j]))
+            classes.append(((lo, hi, 0), (0, i, j), sizes[i] * sizes[j] * (1 if i == j else 2)))
+    for c in range(r):
+        classes.append(((0, swap_first[c], 1), (1, c), n * sizes[c]))
+    classes.sort(key=lambda cl: (cl[0][2], cl[0][0], cl[0][1]))
+    keys = [cl[1] for cl in classes]
 
-    def bcol(v) -> int:
-        c = col_cache.get(v)
-        if c is None:
-            c = base.class_index_of(GroupElement(G0, v))
-            col_cache[v] = c
-        return c
-
+    x, y, b = np.array([cl[0] for cl in classes]).T
     V = base.values
+    VX, VY, VXY = V[:, bcols[x]], V[:, bcols[y]], V[:, bcols[ids0.mul(x, y)]]
+    mi = np.array([m.i for m in metas])
+    mj = np.array([m.j for m in metas])
+    kind = np.array([m.kind for m in metas])[:, None]
+    # pair: chi_i(x)chi_j(y) + chi_j(x)chi_i(y) off the swap, 0 on it;
+    # plus/minus: chi_i(x)chi_i(y) off the swap, +-chi_i(xy) on it
+    off_swap = np.where(kind == "pair", VX[mi] * VY[mj] + VX[mj] * VY[mi], VX[mi] * VY[mi])
+    on_swap = np.where(kind == "pair", 0, np.where(kind == "minus", -VXY[mi], VXY[mi]))
+    values = np.where(b == 0, off_swap, on_swap)
 
-    def values_at(value) -> np.ndarray:
-        xv, yv, bv = value
-        out = np.empty(n_w, dtype=complex)
-        if bv == 0:
-            vx = V[:, bcol(xv)]
-            vy = V[:, bcol(yv)]
-            for t, m in enumerate(metas):
-                if m.kind == "pair":
-                    out[t] = vx[m.i] * vy[m.j] + vx[m.j] * vy[m.i]
-                else:
-                    out[t] = vx[m.i] * vy[m.i]
+    pair_col = np.empty((r, r), dtype=int)
+    swap_col = np.empty(r, dtype=int)
+    for col, key in enumerate(keys):
+        if key[0]:
+            swap_col[key[1]] = col
         else:
-            vxy = V[:, bcol(G0.mul_values(xv, yv))]
-            for t, m in enumerate(metas):
-                if m.kind == "pair":
-                    out[t] = 0.0
-                elif m.kind == "plus":
-                    out[t] = vxy[m.i]
-                else:
-                    out[t] = -vxy[m.i]
-        return out
+            pair_col[key[1], key[2]] = pair_col[key[2], key[1]] = col
 
-    def fingerprint(value) -> tuple:
-        return tuple(np.round(values_at(value), 9))
+    def key_of(el: GroupElement) -> tuple:
+        xv, yv, bv = el.value
+        xi, yi = ids0.id_of(xv), ids0.id_of(yv)
+        if bv:
+            return (1, int(bcols[ids0.mul(xi, yi)]))
+        return (0, *sorted((int(bcols[xi]), int(bcols[yi]))))
 
-    class_keys: List[tuple] = []
-    class_sizes: List[int] = []
-    class_reps: List[GroupElement] = []
-    columns: List[np.ndarray] = []
-    index_of: Dict[tuple, int] = {}
-    for el in W.elements():
-        key = fingerprint(el.value)
-        idx = index_of.get(key)
-        if idx is None:
-            index_of[key] = len(class_keys)
-            class_keys.append(key)
-            class_sizes.append(1)
-            class_reps.append(el)
-            columns.append(values_at(el.value))
-        else:
-            class_sizes[idx] += 1
-    if len(class_keys) != n_w:
-        raise ValueError(
-            f"{len(class_keys)} character-distinct classes vs {n_w} irreps"
+    def columns_of_ids(w: np.ndarray) -> np.ndarray:
+        wx, wy, wb = W.ids().split(w)
+        return np.where(
+            wb == 0, pair_col[bcols[wx], bcols[wy]], swap_col[bcols[ids0.mul(wx, wy)]]
         )
 
-    values = np.column_stack(columns)
     return CharacterTable(
         W,
         labels,
         dims,
-        class_keys,
-        class_sizes,
-        class_reps,
+        keys,
+        [cl[2] for cl in classes],
+        [
+            GroupElement(W, (ids0.value_of(xi), ids0.value_of(yi), int(bi)))
+            for xi, yi, bi in zip(x, y, b)
+        ],
         values,
-        lambda el: fingerprint(el.value),
+        key_of,
         WreathFamily(base, tuple(metas)),
+        columns_of_ids,
     )
 
 
@@ -202,7 +210,6 @@ class KCharReport:
     kind: str
     direct: float
     formula: float
-    bound_ok: bool
     equality_holds: Optional[bool]  # None for pair kind
 
 
@@ -252,6 +259,5 @@ def k_max_normalized_char(
         kind=m.kind,
         direct=direct,
         formula=formula,
-        bound_ok=True,
         equality_holds=equality,
     )

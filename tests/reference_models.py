@@ -1,13 +1,19 @@
 """Reference models the tests compare the package against: trace
-certification on class representatives, and the per-element wreath and
+certification on class representatives, the per-element wreath and
 product matrices (np.kron with an explicit swap matrix) that the batched
-formulas in `wreathrep` and `realize` replaced."""
+formulas in `wreathrep` and `realize` replaced, and the enumerating wreath
+character table that the closed form in `wreathrep` replaced."""
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 import numpy as np
 
+from cosetlab.chartab import CharacterTable, WreathFamily
+from cosetlab.groups import GroupElement, wreath_z2
 from cosetlab.realize import TRACE_TOL
+from cosetlab.wreathrep import wreath_char_table
 
 
 def check_traces(table, reals, tol: float = TRACE_TOL) -> float:
@@ -59,3 +65,76 @@ def wreath_mat(kind: str, rho, sigma, value) -> np.ndarray:
 def product_mat(a, b, value) -> np.ndarray:
     """One direct-product irrep at value = (v1, v2) from realized factors."""
     return np.kron(a.mat_value(value[0]), b.mat_value(value[1]))
+
+
+def enumerated_wreath_char_table(base) -> CharacterTable:
+    """Character table of (base group) wr Z_2 found by enumerating W: each
+    element's character vector is computed from the base table, and
+    elements with the same vector rounded to 9 places form one class,
+    represented by its first element in id order.  Irreps, labels and
+    dimensions are those of `wreath_char_table`."""
+    closed = wreath_char_table(base)
+    metas = closed.family.metas
+    G0 = base.group
+    W = wreath_z2(G0)
+    n_w = len(metas)
+
+    col_cache: Dict[object, int] = {}
+
+    def bcol(v) -> int:
+        c = col_cache.get(v)
+        if c is None:
+            c = base.class_index_of(GroupElement(G0, v))
+            col_cache[v] = c
+        return c
+
+    V = base.values
+
+    def values_at(value) -> np.ndarray:
+        xv, yv, bv = value
+        out = np.empty(n_w, dtype=complex)
+        if bv == 0:
+            vx = V[:, bcol(xv)]
+            vy = V[:, bcol(yv)]
+            for t, m in enumerate(metas):
+                if m.kind == "pair":
+                    out[t] = vx[m.i] * vy[m.j] + vx[m.j] * vy[m.i]
+                else:
+                    out[t] = vx[m.i] * vy[m.i]
+        else:
+            vxy = V[:, bcol(G0.mul_values(xv, yv))]
+            for t, m in enumerate(metas):
+                if m.kind == "pair":
+                    out[t] = 0.0
+                elif m.kind == "plus":
+                    out[t] = vxy[m.i]
+                else:
+                    out[t] = -vxy[m.i]
+        return out
+
+    def fingerprint(value) -> tuple:
+        return tuple(np.round(values_at(value), 9))
+
+    class_keys: List[tuple] = []
+    class_sizes: List[int] = []
+    class_reps: List[GroupElement] = []
+    columns: List[np.ndarray] = []
+    index_of: Dict[tuple, int] = {}
+    for el in W.elements():
+        key = fingerprint(el.value)
+        idx = index_of.get(key)
+        if idx is None:
+            index_of[key] = len(class_keys)
+            class_keys.append(key)
+            class_sizes.append(1)
+            class_reps.append(el)
+            columns.append(values_at(el.value))
+        else:
+            class_sizes[idx] += 1
+    if len(class_keys) != n_w:
+        raise AssertionError(f"{len(class_keys)} character-distinct classes vs {n_w} irreps")
+    return CharacterTable(
+        W, closed.labels, closed.dims, class_keys, class_sizes, class_reps,
+        np.column_stack(columns), lambda el: fingerprint(el.value),
+        WreathFamily(base, metas),
+    )

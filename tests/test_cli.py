@@ -92,6 +92,15 @@ def test_chartable_other_kinds(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("base, order", [("gl2_5", 2 * 480**2), ("s6", 2 * 720**2)])
+def test_chartable_wreath_past_the_enumeration_cap(tmp_path, capsys, base, order):
+    # |W| exceeds GROUP_ENUM_CAP: the closed-form table never enumerates W
+    assert run_cli(["chartable", "wreath", "--base", base, "--out", str(tmp_path)]) == 0
+    body = read_json(capsys)
+    assert body["group_order"] == order
+    assert body["orthogonality_error"] <= 1e-9
+
+
 def test_dims_factorial(capsys):
     rc = run_cli(["dims", "sn", "--n", "6"])
     assert rc == 0
@@ -270,6 +279,7 @@ def run_cli_process(*argv):
         (["chartable", "gl2", "--q", "6"], "--q"),
         (["chartable", "sn", "--n", "0"], "--n"),
         (["dims", "sn", "--n", "-1"], "--n"),
+        (["chartable", "wreath", "--base", "s7"], "--base"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):

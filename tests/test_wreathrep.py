@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cosetlab.chartab import CharacterTable
 from cosetlab.groups import subgroup_closure, trivial_subgroup
 from cosetlab.realize import realize_table
+from cosetlab.suites import big_wreath_table
 from cosetlab.symrep import sn_character_table
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.wreathrep import k_build, k_max_normalized_char, wreath_char_table
-from reference_models import check_traces, swap_matrix
+from reference_models import check_traces, enumerated_wreath_char_table, swap_matrix
 
 
 def s3_wreath():
@@ -119,7 +124,6 @@ def test_k_normalized_character_relations_exhaustive():
             K = k_build(H0, s)
             for idx in range(t.n_irreps):
                 rep = k_max_normalized_char(t, idx, K)
-                assert rep.bound_ok
                 assert rep.direct <= rep.formula + 1e-8
                 if rep.kind in ("plus", "minus"):
                     # the closed form is exact for the two extensions
@@ -141,3 +145,66 @@ def test_wreath_over_matrix_base():
     assert t.n_irreps == 3 + 3 + 3
     assert sum(d * d for d in t.dims) == 2 * 36
     assert t.orthogonality_error() < 1e-9
+
+
+def test_k_max_normalized_char_raises_on_a_tampered_table():
+    # every character set to its dimension off the identity: the pair row's
+    # direct maximum 1 exceeds its bound, and the plus row of the
+    # 2-dimensional base irrep differs from its closed form 1/2
+    t = s3_wreath()
+    ident = t.class_index_of(t.group.identity())
+    values = np.repeat(np.asarray(t.dims, dtype=complex)[:, None], t.n_irreps, axis=1)
+    values[:, ident] = t.values[:, ident]
+    tampered = CharacterTable(
+        t.group, t.labels, t.dims, t.class_keys, t.class_sizes, t.class_reps,
+        values, t.class_key_of, t.family,
+    )
+    G0 = t.family.base.group
+    K = k_build(subgroup_closure(G0, [G0.make((1, 0, 2))]), G0.make((1, 2, 0)))
+    with pytest.raises(AssertionError, match="exceeds its bound"):
+        k_max_normalized_char(tampered, t.index_of("pair{(3,)|(2, 1)}"), K)
+    with pytest.raises(AssertionError, match="differs from its closed form"):
+        k_max_normalized_char(tampered, t.index_of("plus{(2, 1)}"), K)
+
+
+@pytest.mark.parametrize(
+    "make_base",
+    [
+        lambda: sn_character_table(3),
+        lambda: big_wreath_table().family.base,
+        lambda: gl2_char_table(3),
+    ],
+    ids=["s3", "gl2_2xs3", "gl2_3"],
+)
+def test_closed_form_equals_enumerated_table(make_base):
+    base = make_base()
+    t = wreath_char_table(base)
+    ref = enumerated_wreath_char_table(base)
+    assert [r.value for r in t.class_reps] == [r.value for r in ref.class_reps]
+    assert t.class_sizes == ref.class_sizes
+    assert np.array_equal(t.values, ref.values)
+    cols = t.element_columns()
+    W = t.group
+    ids = W.ids()
+    for el in W.elements():
+        col = ref.class_index_of(el)
+        assert cols[ids.id_of(el.value)] == col
+        assert t.class_index_of(el) == col
+
+
+@functools.lru_cache(maxsize=None)
+def _big_wreath_columns():
+    t = big_wreath_table()
+    return t.group.ids(), t.element_columns()
+
+
+BIG_WREATH_ORDER = 2 * 36**2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, BIG_WREATH_ORDER - 1), st.integers(0, BIG_WREATH_ORDER - 1))
+def test_big_wreath_columns_are_conjugation_invariant(g, k):
+    ids, cols = _big_wreath_columns()
+    assert ids.order == BIG_WREATH_ORDER
+    conj = ids.mul(ids.mul(ids.inverse[k], g), k)
+    assert cols[conj] == cols[g]
