@@ -125,9 +125,6 @@ class CharacterTable:
     def class_index_of(self, el: GroupElement) -> int:
         return self._key_index[self.class_key_of(el)]
 
-    def value(self, i: int, el: GroupElement) -> complex:
-        return complex(self.values[i, self.class_index_of(el)])
-
     def element_columns(self) -> np.ndarray:
         """Class column of every element, aligned with group.elements()
         (and so indexed by element id)."""
@@ -169,9 +166,6 @@ class CharacterTable:
         return mults
 
     # -- subgroup functionals --
-
-    def char_sum_over(self, i: int, sub: Subgroup) -> complex:
-        return sum(self.value(i, h) for h in sub.elements)
 
     def normalized_char_max(self, i: int, sub: Subgroup) -> float:
         """max over non-identity h in H of |chi(h)| / dim; 0 for trivial H.

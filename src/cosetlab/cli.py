@@ -466,6 +466,7 @@ def cmd_dist(args) -> int:
         )
     try:
         table = parse_group_table(args.group)
+        ctx = sampling.sampling_context(table)
     except ValueError as exc:
         return _config_error("--group", str(exc))
     S_indices = None
@@ -487,7 +488,6 @@ def cmd_dist(args) -> int:
         H = parse_subgroup(table.group, args.subgroup)
     except ValueError as exc:
         return _config_error("--subgroup", str(exc))
-    ctx = sampling.sampling_context(table)
     report = sampling.sampling_report(
         ctx,
         H,

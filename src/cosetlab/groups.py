@@ -8,10 +8,10 @@ elements of different groups fails immediately.
 
 Every group also has an id view (`Group.ids()`): id i is the i-th value
 of `iter_values()`, and products and inverses run on numpy id arrays.
-S_n and GL_k(F_q) multiply through an int32 Cayley table, built only up to
-TABLE_CAP elements; direct products and wreath products compose ids from
-their factors' ids and multiply through the factors' tables, so their own
-|G|^2 table is never built.
+S_n and GL_k(F_q) multiply through an int32 Cayley table, built on first
+use and only up to TABLE_CAP elements; direct products and wreath products
+compose ids from their factors' ids and multiply through the factors'
+tables, so their own |G|^2 table is never built.
 
 Composition convention, fixed globally: products apply left factor first,
 (pi * sigma)(i) = sigma(pi(i)), which matches P_(pi*sigma) = P_pi P_sigma for
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -191,7 +192,7 @@ class SymmetricGroup(Group):
             raise ValueError(f"{v} is not a permutation of 0..{self.n - 1}")
 
     def _make_ids(self):
-        values = [el.value for el in self.elements(TABLE_CAP)]
+        values = [el.value for el in self.elements()]
         imgs = np.array(values).reshape(len(values), self.n)
         place = self.n ** np.arange(self.n)
 
@@ -199,9 +200,7 @@ class SymmetricGroup(Group):
             # (a*b)(i) = b(a(i)) on image arrays
             return imgs[np.arange(len(imgs))[None, :, None], imgs[lo:hi, None, :]] @ place
 
-        return TableIds(
-            values, self.identity_value(), imgs @ place, self.n**self.n, product_codes
-        )
+        return TableIds(self, values, imgs @ place, self.n**self.n, product_codes)
 
 
 def cycle_type(perm: Sequence[int]) -> Tuple[int, ...]:
@@ -258,7 +257,7 @@ class GeneralLinearGroup(Group):
             raise ValueError(f"matrix {v} is singular")
 
     def _make_ids(self):
-        values = [el.value for el in self.elements(TABLE_CAP)]
+        values = [el.value for el in self.elements()]
         # a matrix is coded through its row codes, a row through its entries,
         # both in positional notation; R row codes exist
         k, q = self.k, self.field.q
@@ -284,9 +283,7 @@ class GeneralLinearGroup(Group):
                 out = out + acc * row_place[i]
             return out
 
-        return TableIds(
-            values, self.identity_value(), row_codes @ row_place, R**k, product_codes
-        )
+        return TableIds(self, values, row_codes @ row_place, R**k, product_codes)
 
 
 class DirectProduct(Group):
@@ -384,29 +381,43 @@ class WreathZ2(Group):
 # ---- id views ----
 
 class TableIds:
-    """Ids of a group small enough for a Cayley table: id i is values[i],
-    the i-th value of iter_values(); table[a, b] is the id of a*b and
-    inverse[a] the id of a^-1.
+    """Ids of S_n or GL_k(F_q): id i is values[i], the i-th value of
+    iter_values(), and index maps values to ids.  The int32 Cayley table
+    (table[a, b] is the id of a*b) and the inverse array are built together
+    on first use, only up to TABLE_CAP elements.
 
     Each value has an integer code below code_space (codes[i] for
     values[i]); product_codes(lo, hi) gives the (hi - lo, n) codes of
     values[lo:hi] times every value.
     """
 
-    def __init__(self, values, identity_value, codes, code_space: int, product_codes):
+    def __init__(self, group: Group, values, codes, code_space: int, product_codes):
+        self.group = group
         self.values = values
         self.index = {v: i for i, v in enumerate(values)}
-        self.order = n = len(values)
-        self.identity = self.index[identity_value]
+        self.order = len(values)
+        self.identity = self.index[group.identity_value()]
+        self._coding = (codes, code_space, product_codes)
+
+    table = property(lambda self: self._cayley[0])
+    inverse = property(lambda self: self._cayley[1])
+
+    @cached_property
+    def _cayley(self) -> Tuple[np.ndarray, np.ndarray]:
+        n = self.order
+        if n > TABLE_CAP:
+            raise ValueError(f"|{self.group}| = {n} exceeds the Cayley table cap {TABLE_CAP}")
+        codes, code_space, product_codes = self._coding
         code_to_id = np.full(code_space, -1, dtype=np.int32)
         code_to_id[codes] = np.arange(n)
-        self.table = np.empty((n, n), dtype=np.int32)
-        self.inverse = np.empty(n, dtype=np.int64)
+        table = np.empty((n, n), dtype=np.int32)
+        inverse = np.empty(n, dtype=np.int64)
         rows = max(1, TABLE_CHUNK_CELLS // n)
         for lo in range(0, n, rows):
             chunk = code_to_id[product_codes(lo, lo + rows)]
-            self.table[lo : lo + rows] = chunk
-            self.inverse[lo : lo + rows] = np.argmax(chunk == self.identity, axis=1)
+            table[lo : lo + rows] = chunk
+            inverse[lo : lo + rows] = np.argmax(chunk == self.identity, axis=1)
+        return table, inverse
 
     def mul(self, a, b) -> np.ndarray:
         return self.table[a, b]

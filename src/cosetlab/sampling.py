@@ -3,9 +3,9 @@ and strong sampling distributions, exact distinguishability of a subgroup
 from the trivial one, and the identity and inequality checks that drive the
 distinguishability bound.
 
-The checks read each irrep's stack of matrices over the whole group
-(`RealizedIrrep.stack()`, in id order) and the conjugation-invariance scan
-runs on id arrays, so they need a group with an id view.
+Every matrix comes from an irrep's gather (`RealizedIrrep.at` on an id
+array, or `stack()` on all ids) and the conjugation-invariance scan runs on
+id arrays; groups of more than GROUP_ENUM_CAP elements are refused.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartab import CharacterTable
-from .groups import Group, GroupElement, Subgroup
+from .groups import GROUP_ENUM_CAP, Group, GroupElement, Subgroup
 from .realize import RealizedIrrep, realize_table
 
 STRUCT_TOL = 1e-8
@@ -32,7 +32,6 @@ class SamplingContext:
     strong-sampling output is relative to the realized coordinate basis."""
     table: CharacterTable
     reals: List[RealizedIrrep]
-    els: List[GroupElement]
     basis: str
     _norms_cache: Dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -42,12 +41,12 @@ class SamplingContext:
 
 
 def sampling_context(table: CharacterTable) -> SamplingContext:
-    return SamplingContext(
-        table=table,
-        reals=realize_table(table),
-        els=table.group.elements(),
-        basis="realized coordinates",
-    )
+    """The table with its realized irreps; refused, before any matrix is
+    built, on a group of more than GROUP_ENUM_CAP elements."""
+    G = table.group
+    if G.order > GROUP_ENUM_CAP:
+        raise ValueError(f"|{G}| = {G.order} exceeds the sampling cap {GROUP_ENUM_CAP}")
+    return SamplingContext(table=table, reals=realize_table(table), basis="realized coordinates")
 
 
 @dataclass
@@ -61,9 +60,11 @@ class ProjectionBundle:
 def projection_bundle(real: RealizedIrrep, H: Subgroup) -> ProjectionBundle:
     """Average of the realized irrep over H; verified to be an orthogonal
     projection."""
+    ids = real.group.ids()
     P = np.zeros((real.dim, real.dim), dtype=complex)
-    for v in H.value_set:
-        P += real.mat_value(v)
+    # a running sum in value_set order (a pairwise sum rounds differently)
+    for M in real.at([ids.id_of(v) for v in H.value_set]):
+        P += M
     P /= H.order
     if np.abs(P - P.conj().T).max() >= STRUCT_TOL:
         raise AssertionError(f"projection of {real.label} over H is not Hermitian")
@@ -78,8 +79,7 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     the outcome distribution of measuring only the irrep name."""
     G = table.group
     # one class lookup per element of H; each row is then summed in H order
-    # with Python's sum, as CharacterTable.char_sum_over sums, so every
-    # probability rounds as before
+    # with Python's sum, which fixes how every probability rounds
     cols = [table.class_index_of(h) for h in H.elements]
     probs = np.empty(table.n_irreps)
     for i in range(table.n_irreps):
@@ -107,14 +107,6 @@ def _conditionals(mats: np.ndarray, bundle: ProjectionBundle) -> np.ndarray:
         )
     diag = np.einsum("gji,jk,gki->gi", mats.conj(), bundle.matrix, mats).real
     return diag / bundle.trace
-
-
-def _conditional_stack(
-    real: RealizedIrrep, bundle: ProjectionBundle, values: Sequence
-) -> np.ndarray:
-    """Conditional distributions for every listed group value, one row per
-    value."""
-    return _conditionals(np.stack([real.mat_value(v) for v in values]), bundle)
 
 
 def _mean_l1sq(conds: np.ndarray, dim: int) -> float:
@@ -152,19 +144,17 @@ def distinguishability(
             std_error=0.0 if mc_samples is not None else None,
         )
     if mc_samples is None:
-        g_values = [el.value for el in ctx.els]
+        ids = np.arange(ctx.group.order)
     else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, len(ctx.els), size=mc_samples)
-        g_values = [ctx.els[i].value for i in idx]
+        ids = np.random.default_rng(seed).integers(0, ctx.group.order, size=mc_samples)
     per_irrep: Dict[str, float] = {}
-    per_sample = np.zeros(len(g_values))
+    per_sample = np.zeros(len(ids))
     for i, real in enumerate(ctx.reals):
         if probs[i] < ZERO_TRACE_TOL:
             per_irrep[ctx.table.labels[i]] = 0.0
             continue
         bundle = projection_bundle(real, H)
-        conds = _conditional_stack(real, bundle, g_values)
+        conds = _conditionals(real.at(ids), bundle)
         dists = np.abs(conds - 1.0 / real.dim).sum(axis=1) ** 2
         per_irrep[ctx.table.labels[i]] = float(np.mean(dists))
         per_sample += probs[i] * dists

@@ -8,9 +8,9 @@ through the base ids, without enumerating G wr Z_2, and its class columns
 are computed on whole id arrays.
 
 Each wreath irrep has one matrix formula, `wreath_stack`, which takes the
-base irreps' matrices at the x and y components as stacks: the whole base
-stacks give the irrep's stack over the group, and one-element stacks give a
-single matrix (a batch of one).
+base irreps' matrices at the x and y components of a batch of elements,
+element by element; the realized irrep's gather feeds it the base gathers
+at the components of an id array.
 """
 
 from __future__ import annotations
@@ -133,37 +133,37 @@ def wreath_char_table(base: CharacterTable) -> CharacterTable:
 # ---- the block models ----
 
 def wreath_stack(
-    kind: str, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]
+    kind: str, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], b: np.ndarray
 ) -> np.ndarray:
-    """Matrices of one wreath irrep at every element (x, y, b), as a
-    (2, n_x, n_y, D, D) array indexed [b, x, y].  xs holds the (n_x, d, d)
-    stacks of the base irrep rho (and, for a pair irrep, sigma) at the x
-    components, ys the same irreps at the y components.  Passing the whole
-    base stacks gives every element in wreath id order (b, x, y); passing
-    one-element stacks gives one matrix.
+    """Matrices of one wreath irrep at the elements (x[i], y[i], b[i]), as
+    an (n, D, D) array.  xs holds the (n, d, d) matrices of the base irrep
+    rho (and, for a pair irrep, sigma) at the x components, ys the same
+    irreps at the y components, and b the swap bits.
 
     plus/minus act on rho (x) rho, with the coordinate swap as a right
     factor on b = 1, i.e. a column permutation (the left-factor order fails
     the homomorphism law under the fixed composition convention); a pair
     irrep is the 2x2 block model induced from rho (x) sigma."""
+    swap = np.asarray(b) == 1
     if kind in ("plus", "minus"):
         sign = 1.0 if kind == "plus" else -1.0
         d = xs[0].shape[1]
-        K = kron_stack(xs[0], ys[0])
+        out = kron_stack(xs[0], ys[0])
         # (M @ swap)[:, a*d + b] = M[:, b*d + a] for the swap u (x) v -> v (x) u
         perm = np.arange(d * d).reshape(d, d).T.ravel()
-        return np.stack([K, sign * K[..., perm]])
+        out[swap] = sign * out[swap][..., perm]
+        return out
     if kind != "pair":
         raise ValueError(f"unknown wreath irrep kind {kind!r}")
-    # A[x, y] = rho(x) (x) sigma(y) and B[x, y] = rho(y) (x) sigma(x)
+    # A = rho(x) (x) sigma(y) and B = rho(y) (x) sigma(x)
     A = kron_stack(xs[0], ys[1])
-    B = kron_stack(ys[0], xs[1]).transpose(1, 0, 2, 3)
-    n_x, n_y, h = A.shape[0], A.shape[1], A.shape[-1]
-    out = np.zeros((2, n_x, n_y, 2 * h, 2 * h), dtype=complex)
-    out[0, :, :, :h, :h] = A
-    out[0, :, :, h:, h:] = B
-    out[1, :, :, :h, h:] = A
-    out[1, :, :, h:, :h] = B
+    B = kron_stack(ys[0], xs[1])
+    n, h = A.shape[:2]
+    out = np.zeros((n, 2 * h, 2 * h), dtype=complex)
+    out[~swap, :h, :h] = A[~swap]
+    out[~swap, h:, h:] = B[~swap]
+    out[swap, :h, h:] = A[swap]
+    out[swap, h:, :h] = B[swap]
     return out
 
 

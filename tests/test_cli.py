@@ -280,6 +280,14 @@ def run_cli_process(*argv):
         (["chartable", "sn", "--n", "0"], "--n"),
         (["dims", "sn", "--n", "-1"], "--n"),
         (["chartable", "wreath", "--base", "s7"], "--base"),
+        # past the enumeration cap (these exited 1 naming no flag) and, for
+        # gl2_8, past the Cayley table cap that its realization needs
+        (["dist", "--group", "wreath_s6", "--subgroup", "trivial"], "--group"),
+        (
+            ["dist", "--group", "wreath_gl2_5", "--subgroup", "trivial", "--mc-samples", "10"],
+            "--group",
+        ),
+        (["dist", "--group", "gl2_8", "--subgroup", "trivial"], "--group"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):

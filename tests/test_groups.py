@@ -260,7 +260,11 @@ def test_product_enumeration_runs_each_factor_once():
 
 
 def test_cayley_table_cap():
+    # past the cap the id view holds values and index, and refuses the table
     G = general_linear_group(2, 8)
     assert G.order > TABLE_CAP
-    with pytest.raises(ValueError):
-        G.ids()
+    ids = G.ids()
+    assert ids.value_of(ids.id_of(G.identity_value())) == G.identity_value()
+    for attr in ("table", "inverse"):
+        with pytest.raises(ValueError, match=r"\|GL2\(F8\)\| = 3528 exceeds"):
+            getattr(ids, attr)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetlab.chartab import (
     CharacterTable,
@@ -19,7 +21,7 @@ from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group
 from cosetlab.realize import kron_stack, realize_table
 from cosetlab.suites import big_wreath_table, grid_tables
-from cosetlab.symrep import sn_character_table
+from cosetlab.symrep import YorRep, sn_character_table
 from reference_models import product_mat, wreath_mat
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -114,15 +116,61 @@ def test_big_wreath_stacks_equal_mat_value_loop():
     assert not reals
 
 
+AT_TABLES = dict(
+    grid_tables(), gl2_2xs3=product_table_of_big_wreath, big_wreath=big_wreath_table
+)
+
+
+@functools.lru_cache(maxsize=None)
+def lazy_and_built(name):
+    """|G| and two realizations of one table's irreps of dimension at most
+    4: one whose stacks are never built, one whose stacks are."""
+    table = AT_TABLES[name]()
+    lazy, built = ([r for r in realize_table(table) if r.dim <= 4] for _ in range(2))
+    for real in built:
+        real.stack()
+    return table.group.order, lazy, built
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_at_equals_stack_rows(data):
+    # unsorted, repeated and empty id arrays, gathered before and after the
+    # stack is built
+    name = data.draw(st.sampled_from(sorted(AT_TABLES)))
+    order, lazy, built = lazy_and_built(name)
+    ids = data.draw(st.lists(st.integers(0, order - 1), max_size=12))
+    for before, after in zip(lazy, built):
+        want = after.stack()[np.array(ids, dtype=np.int64)]
+        assert np.array_equal(before.at(ids), want)
+        assert np.array_equal(after.at(ids), want)
+        assert before._stack is None
+
+
+def test_s7_at_equals_yor_loop_without_a_cayley_table():
+    table = sn_character_table(7)
+    ids = table.group.ids()
+    g = np.array([5039, 0, 17, 17, 2500, 4000])
+    for real, la in zip(realize_table(table), table.family.partitions):
+        rep = YorRep(la)
+        want = np.stack([rep.mat(ids.value_of(i)) for i in g])
+        assert np.array_equal(real.at(g), want)
+    assert "_cayley" not in vars(ids)
+    with pytest.raises(ValueError, match=r"\|S7\| = 5040 exceeds"):
+        ids.table
+
+
 def test_kron_stack_is_np_kron_bit_for_bit():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
     B = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
-    got = kron_stack(A, B)
-    assert got.shape == (3, 4, 6, 6)
+    # every pair (i, j), as product ids i*4 + j
+    i, j = np.divmod(np.arange(12), 4)
+    got = kron_stack(A[i], B[j])
+    assert got.shape == (12, 6, 6)
     for i in range(3):
         for j in range(4):
-            assert np.array_equal(got[i, j], np.kron(A[i], B[j]))
+            assert np.array_equal(got[i * 4 + j], np.kron(A[i], B[j]))
 
 
 # ---- GL2 realizations, certified on every element ----

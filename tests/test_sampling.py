@@ -10,7 +10,7 @@ from cosetlab.groups import GroupElement, subgroup_closure, trivial_subgroup
 from cosetlab.realize import RealizedIrrep
 from cosetlab.sampling import (
     SamplingContext,
-    _conditional_stack,
+    _conditionals,
     _mean_l1sq,
     distinguishability,
     distinguishability_bound,
@@ -84,7 +84,7 @@ def test_conditional_distribution_golden_at_identity():
     _, order2, _ = s3_subgroups(ctx)
     std = next(i for i in range(3) if ctx.table.dims[i] == 2)
     bundle = projection_bundle(ctx.reals[std], order2)
-    p = _conditional_stack(ctx.reals[std], bundle, [ctx.group.identity_value()])[0]
+    p = _conditionals(ctx.reals[std].at([ctx.group.ids().identity]), bundle)[0]
     assert np.allclose(sorted(p), [0.0, 1.0], atol=1e-10)
 
 
@@ -97,7 +97,7 @@ def test_conditional_distribution_zero_weight_raises():
     )
     bundle = projection_bundle(ctx.reals[sign], order2)
     with pytest.raises(ValueError):
-        _conditional_stack(ctx.reals[sign], bundle, [ctx.group.identity_value()])
+        _conditionals(ctx.reals[sign].at([ctx.group.ids().identity]), bundle)
 
 
 def test_distinguishability_golden_values():
@@ -121,12 +121,20 @@ def test_distinguishability_basis_relabeling_invariant():
         V = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
         relabeled.append(RealizedIrrep(
             real.group, real.label, d,
-            lambda v, r=real, V=V: V.conj().T @ r.mat_value(v) @ V,
+            lambda g, r=real, V=V: V.conj().T @ r.at(g) @ V,
         ))
-    other = SamplingContext(ctx.table, relabeled, ctx.els, ctx.basis)
+    other = SamplingContext(ctx.table, relabeled, ctx.basis)
     a = distinguishability(ctx, order2).value
     b = distinguishability(other, order2).value
     assert abs(a - b) < 1e-10
+
+
+def test_sampling_context_refuses_past_the_enumeration_cap(monkeypatch):
+    # |(S6)wrZ2| = 1,036,800: refused before any irrep is realized
+    table = wreath_char_table(sn_character_table(6))
+    monkeypatch.setattr(sampling, "realize_table", lambda t: pytest.fail("realized"))
+    with pytest.raises(ValueError, match=r"= 1036800 exceeds the sampling cap"):
+        sampling_context(table)
 
 
 def test_distinguishability_monte_carlo_agrees():
@@ -144,14 +152,14 @@ def test_expected_l1sq_matches_direct_average():
     std = next(i for i in range(3) if ctx.table.dims[i] == 2)
     real = ctx.reals[std]
     bundle = projection_bundle(real, order2)
-    values = [el.value for el in ctx.els]
+    ids = np.arange(ctx.group.order)
     direct = np.mean(
         [
-            np.abs(_conditional_stack(real, bundle, [v])[0] - 0.5).sum() ** 2
-            for v in values
+            np.abs(_conditionals(real.at([g]), bundle)[0] - 0.5).sum() ** 2
+            for g in ids
         ]
     )
-    batched = _mean_l1sq(_conditional_stack(real, bundle, values), real.dim)
+    batched = _mean_l1sq(_conditionals(real.at(ids), bundle), real.dim)
     assert abs(batched - direct) < 1e-12
 
 
@@ -267,7 +275,7 @@ def reference_isotypic_vector_norms(ctx, rho_idx):
     ev = table.element_values()
     d = real.dim
     W = np.zeros((table.n_irreps, d, d * d), dtype=complex)
-    for j, el in enumerate(ctx.els):
+    for j, el in enumerate(ctx.group.elements()):
         U = real.mat_value(el.value)
         V = np.einsum("ai,bi->iab", U, U.conj()).reshape(d, d * d)
         W += ev[:, j].conj()[:, None, None] * V[None, :, :]
@@ -279,7 +287,7 @@ def reference_second_moment_lhs(ctx, h_value, rho_idx, b_idx):
     real = ctx.reals[rho_idx]
     Uh = real.mat_value(h_value)
     vals = []
-    for el in ctx.els:
+    for el in ctx.group.elements():
         col = real.mat_value(el.value)[:, b_idx]
         vals.append(abs(np.vdot(col, Uh @ col)) ** 2)
     return float(np.mean(vals))
