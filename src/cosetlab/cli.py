@@ -185,11 +185,14 @@ def parse_subgroup(G: Group, spec: str) -> Subgroup:
     raise ValueError(f"unrecognized subgroup spec {spec!r}")
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_rate(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        c = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad fraction {text!r}") from None
+    if not 0 < c < Fraction(1, 4):
+        raise ValueError(f"cutoff must lie in (0, 1/4), got {c}")
+    return c
 
 
 # ---- chartable ----
@@ -289,9 +292,11 @@ def cmd_dims(args) -> int:
 
 def cmd_lambda_audit(args) -> int:
     try:
-        c = _parse_fraction(args.c)
+        c = _parse_rate(args.c)
     except ValueError as exc:
         return _config_error("--c", str(exc))
+    if args.n < 1:
+        return _config_error("--n", f"must be at least 1, got {args.n}")
     audit = symrep.lambda_c_audit(args.n, c)
     ok = audit.size_ok and audit.dim_ok
     _emit(
@@ -304,9 +309,11 @@ def cmd_lambda_audit(args) -> int:
 
 def cmd_roichman(args) -> int:
     try:
-        c = _parse_fraction(args.c)
+        c = _parse_rate(args.c)
     except ValueError as exc:
         return _config_error("--c", str(exc))
+    if args.n < 1:
+        return _config_error("--n", f"must be at least 1, got {args.n}")
     report = symrep.roichman_report(args.n, c)
     _emit(
         _wrap(args, ("n", "c", "out"), {"ok": True, "report": report.as_json()}),

@@ -180,7 +180,8 @@ class Fq:
             if all(self._slow_pow(u, (q - 1) // ell) != 1 for ell in prime_divs):
                 gen = u
                 break
-        assert gen is not None, "multiplicative group of a field is cyclic"
+        if gen is None:
+            raise AssertionError("multiplicative group of a field is cyclic")
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
             exp[i] = self._slow_mul(exp[i - 1], gen)
@@ -296,7 +297,8 @@ def embed_map(F: Fq, E: Fq) -> List[int]:
         if acc == 0:
             root = z
             break
-    assert root is not None, "modulus splits in any extension of its own field"
+    if root is None:
+        raise AssertionError("modulus splits in any extension of its own field")
     powers = [E.pow(root, i) if i else 1 for i in range(F.n)]
     table = []
     for a in F.elements():

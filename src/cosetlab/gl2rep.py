@@ -144,8 +144,10 @@ def gl2_class_list(F: Fq) -> List[Gl2Class]:
         D = inv[E.mul(xi, conj)]
         out.append(Gl2Class(("d", xi), ((0, F.neg(D)), (1, t)), q * q - q))
     total = sum(c.size for c in out)
-    assert total == fields.glk_order(q, 2), "class sizes must fill the group"
-    assert len(out) == q * q - 1, "class count must be q^2 - 1"
+    if total != fields.glk_order(q, 2):
+        raise AssertionError("class sizes must fill the group")
+    if len(out) != q * q - 1:
+        raise AssertionError("class count must be q^2 - 1")
     return out
 
 
@@ -153,7 +155,8 @@ def conjugacy_classes_gl2(
     G: GeneralLinearGroup, with_members: bool = False, cap: int = 0
 ) -> List[ConjugacyClass]:
     """Conjugacy classes of GL_2 via the closed-form classification."""
-    assert G.k == 2
+    if G.k != 2:
+        raise ValueError(f"{G} is not GL_2")
     F = G.field
     cls = gl2_class_list(F)
     members_by_key: Dict[ClassKey, List[GroupElement]] = {}
@@ -167,7 +170,8 @@ def conjugacy_classes_gl2(
         members = None
         if with_members:
             got = members_by_key.get(c.key, [])
-            assert len(got) == c.size, (c.key, len(got), c.size)
+            if len(got) != c.size:
+                raise AssertionError((c.key, len(got), c.size))
             members = tuple(got)
         out.append(ConjugacyClass(G.make(c.representative), c.size, members))
     return out
@@ -295,7 +299,8 @@ def char_table(q: int) -> CharacterTable:
         rows.append(row)
 
     expected = (q - 1) + (q - 1) + (q - 1) * (q - 2) // 2 + q * (q - 1) // 2
-    assert len(rows) == expected == q * q - 1
+    if not len(rows) == expected == q * q - 1:
+        raise AssertionError(f"{len(rows)} irreps, expected {expected} = q^2 - 1")
 
     values = np.array(rows, dtype=complex)
     return CharacterTable(

@@ -130,8 +130,8 @@ def build_goppa(spec: RationalGoppaSpec) -> LinearCode:
             tuple(F.mul(F.pow(x, j), s) for x, s in zip(spec.gamma, scale))
         )
     code = LinearCode(F, tuple(rows))
-    assert code.k == spec.r + 1
-    assert fields.column_rank(F, code.generator) == spec.r + 1, "full rank"
+    if code.k != spec.r + 1 or fields.column_rank(F, code.generator) != spec.r + 1:
+        raise AssertionError("full rank")
     return code
 
 
@@ -162,10 +162,12 @@ def automorphisms(code: LinearCode) -> CodeAutReport:
             auts.append(pi)
     aut_set = set(auts)
     identity = tuple(range(code.n))
-    assert identity in aut_set
+    if identity not in aut_set:
+        raise AssertionError("the identity must be an automorphism")
     for pi in auts:
         inv = tuple(sorted(range(code.n), key=lambda i: pi[i]))
-        assert inv in aut_set, "automorphisms must be closed under inverse"
+        if inv not in aut_set:
+            raise AssertionError("automorphisms must be closed under inverse")
     supports = [_perm_support(pi) for pi in auts if pi != identity]
     return CodeAutReport(
         automorphisms=tuple(auts),
@@ -185,7 +187,8 @@ def pgl2_elements(F: Fq) -> List[Matrix]:
         lead = next(x for x in flat if x != 0)
         if lead == 1:
             out.append(M)
-    assert len(out) == F.q * (F.q**2 - 1)
+    if len(out) != F.q * (F.q**2 - 1):
+        raise AssertionError(f"{len(out)} normalized matrices, expected q(q^2 - 1)")
     return out
 
 

@@ -9,11 +9,11 @@ Gelfand-Graev model (a monomial representation of dimension q^2 - 1).
 Every step is deterministic; a table without a family is refused.
 
 Every realized irrep has one matrix source, a gather from an id array to
-the (n, d, d) array of its matrices: Young's orthogonal matrices for S_n,
+the (n, d, d) array of its matrices: `symrep.YorRep.mats` for S_n,
 `gl2rep.GelfandGraev.block` (or the character) for GL_2, `kron_stack` of
-the factors' gathers for products and `wreathrep.wreath_stack` of the base
-gathers for wreaths.  `at(ids)`, `stack()` and `mat_value` all read it, so
-they agree bit for bit.
+the factors' stack rows for products and `wreathrep.wreath_stack` of the
+base stack rows for wreaths.  `at(ids)`, `stack()` and `mat_value` all
+read it, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -128,14 +128,10 @@ def realize_table(table: CharacterTable) -> List[RealizedIrrep]:
     if isinstance(fam, SymmetricFamily):
         from .symrep import YorRep
 
+        perms = np.array(G.ids().values).reshape(G.order, G.n)
         for label, la in zip(table.labels, fam.partitions):
             rep = YorRep(la)
-
-            def gather(g, r=rep):
-                value_of = G.ids().value_of
-                return np.array([r.mat(value_of(i)) for i in g]).reshape(len(g), r.dim, r.dim)
-
-            out.append(RealizedIrrep(G, label, rep.dim, gather))
+            out.append(RealizedIrrep(G, label, rep.dim, lambda g, r=rep: r.mats(perms[g])))
     elif isinstance(fam, WreathFamily):
         from .wreathrep import wreath_stack
 
@@ -146,7 +142,8 @@ def realize_table(table: CharacterTable) -> List[RealizedIrrep]:
 
             def gather(g, kind=meta.kind, bases=bases):
                 x, y, b = G.ids().split(g)
-                return wreath_stack(kind, [r.at(x) for r in bases], [r.at(y) for r in bases], b)
+                stacks = [r.stack() for r in bases]
+                return wreath_stack(kind, [s[x] for s in stacks], [s[y] for s in stacks], b)
 
             out.append(RealizedIrrep(G, table.labels[i], table.dims[i], gather))
     elif isinstance(fam, ProductFamily):
@@ -155,7 +152,7 @@ def realize_table(table: CharacterTable) -> List[RealizedIrrep]:
         for i1, r1 in enumerate(reals1):
             for i2, r2 in enumerate(reals2):
                 # product ids are i1*|G2| + i2
-                gather = lambda g, a=r1, b=r2: kron_stack(a.at(g // n2), b.at(g % n2))
+                gather = lambda g, a=r1, b=r2: kron_stack(a.stack()[g // n2], b.stack()[g % n2])
                 label = table.labels[i1 * len(reals2) + i2]
                 out.append(RealizedIrrep(G, label, r1.dim * r2.dim, gather))
     elif isinstance(fam, GL2Family):

@@ -75,7 +75,8 @@ def dimension(la: Partition) -> int:
         for h in row:
             hooks *= h
     d, rem = divmod(math.factorial(n), hooks)
-    assert rem == 0, "hook product must divide n!"
+    if rem:
+        raise AssertionError("hook product must divide n!")
     return d
 
 
@@ -318,7 +319,8 @@ def yor_generator_matrices(la: Partition) -> List[np.ndarray]:
     n = sum(la)
     tabs = standard_tableaux(la)
     d = len(tabs)
-    assert d == dimension(la), "tableau count must match hook dimension"
+    if d != dimension(la):
+        raise AssertionError("tableau count must match hook dimension")
     pos: List[Dict[int, Tuple[int, int]]] = []
     for t in tabs:
         m: Dict[int, Tuple[int, int]] = {}
@@ -366,21 +368,42 @@ def adjacent_word(perm: Sequence[int]) -> List[int]:
 
 
 class YorRep:
-    """Young's orthogonal representation of one shape, evaluated on demand."""
+    """Young's orthogonal representation of one shape."""
 
     def __init__(self, la: Partition):
         self.shape = check_partition(la)
         self.n = sum(la)
         self.dim = dimension(la)
         self.generators = yor_generator_matrices(la)
-        self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def mat(self, perm: Sequence[int]) -> np.ndarray:
-        perm = tuple(perm)
-        got = self._cache.get(perm)
-        if got is None:
-            got = np.eye(self.dim)
-            for i in adjacent_word(perm):
-                got = got @ self.generators[i]
-            self._cache[perm] = got
+        got = np.eye(self.dim)
+        for i in adjacent_word(perm):
+            got = got @ self.generators[i]
         return got
+
+    def mats(self, perms) -> np.ndarray:
+        """mat() of every row of an (N, n) array of one-line forms, bit for
+        bit, as (N, d, d).  The bubble sorts of all rows run in lockstep;
+        rows whose words share a prefix share its one product
+        M_prefix @ generators[i], so all of S_n costs |S_n| - 1 products."""
+        p = np.array(perms, dtype=np.int64).reshape(-1, self.n)
+        buf = np.empty((2 * len(p) + 1, self.dim, self.dim))  # prefix matrices
+        buf[0] = np.eye(self.dim)
+        node = np.zeros(len(p), dtype=np.int64)  # row -> its prefix in buf
+        size = 1
+        for _ in range(self.n - 1):
+            for i in range(self.n - 1):
+                sw = np.flatnonzero(p[:, i] > p[:, i + 1])
+                if not sw.size:
+                    continue
+                p[sw, i], p[sw, i + 1] = p[sw, i + 1], p[sw, i]
+                if size + len(sw) > len(buf):  # keep the prefixes rows still hold
+                    live, node = np.unique(node, return_inverse=True)
+                    buf[: len(live)] = buf[live]
+                    size = len(live)
+                u, inv = np.unique(node[sw], return_inverse=True)
+                np.matmul(buf[u], self.generators[i], out=buf[size : size + len(u)])
+                node[sw] = size + inv
+                size += len(u)
+        return buf[node]

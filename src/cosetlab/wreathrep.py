@@ -9,8 +9,8 @@ are computed on whole id arrays.
 
 Each wreath irrep has one matrix formula, `wreath_stack`, which takes the
 base irreps' matrices at the x and y components of a batch of elements,
-element by element; the realized irrep's gather feeds it the base gathers
-at the components of an id array.
+element by element; the realized irrep's gather feeds it rows of the base
+stacks at the components of an id array.
 """
 
 from __future__ import annotations

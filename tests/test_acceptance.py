@@ -4,10 +4,12 @@ at desk scale with pinned tolerances and wall-clock budgets.
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -216,3 +218,15 @@ def test_wreath_character_stack():
                 if rep.kind in ("plus", "minus"):
                     assert rep.equality_holds
     assert time.monotonic() - start < 60.0
+
+
+def test_no_runtime_asserts_in_src():
+    # python -O strips assert statements, so runtime checks raise instead
+    src = Path(symrep.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found

@@ -288,6 +288,13 @@ def run_cli_process(*argv):
             "--group",
         ),
         (["dist", "--group", "gl2_8", "--subgroup", "trivial"], "--group"),
+        # --n 0 raised an IndexError; the others exited 1
+        (["lambda-audit", "--n", "0", "--c", "1/6"], "--n"),
+        (["roichman", "--n", "0", "--c", "1/6"], "--n"),
+        (["lambda-audit", "--n", "-3", "--c", "1/6"], "--n"),
+        (["roichman", "--n", "-3", "--c", "1/6"], "--n"),
+        (["lambda-audit", "--n", "6", "--c", "0"], "--c"),
+        (["roichman", "--n", "6", "--c", "2"], "--c"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):

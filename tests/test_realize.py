@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from cosetlab.chartab import (
 )
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group
-from cosetlab.realize import kron_stack, realize_table
+from cosetlab.realize import RealizedIrrep, kron_stack, realize_table
 from cosetlab.suites import big_wreath_table, grid_tables
 from cosetlab.symrep import YorRep, sn_character_table
 from reference_models import product_mat, wreath_mat
@@ -117,16 +118,21 @@ def test_big_wreath_stacks_equal_mat_value_loop():
 
 
 AT_TABLES = dict(
-    grid_tables(), gl2_2xs3=product_table_of_big_wreath, big_wreath=big_wreath_table
+    grid_tables(),
+    s5=lambda: sn_character_table(5),
+    s6=lambda: sn_character_table(6),
+    gl2_2xs3=product_table_of_big_wreath,
+    big_wreath=big_wreath_table,
 )
 
 
 @functools.lru_cache(maxsize=None)
 def lazy_and_built(name):
     """|G| and two realizations of one table's irreps of dimension at most
-    4: one whose stacks are never built, one whose stacks are."""
+    5 (all the irreps of S5 and six of S6): one whose stacks are never
+    built, one whose stacks are."""
     table = AT_TABLES[name]()
-    lazy, built = ([r for r in realize_table(table) if r.dim <= 4] for _ in range(2))
+    lazy, built = ([r for r in realize_table(table) if r.dim <= 5] for _ in range(2))
     for real in built:
         real.stack()
     return table.group.order, lazy, built
@@ -158,6 +164,31 @@ def test_s7_at_equals_yor_loop_without_a_cayley_table():
     assert "_cayley" not in vars(ids)
     with pytest.raises(ValueError, match=r"\|S7\| = 5040 exceeds"):
         ids.table
+
+
+def test_big_wreath_stacks_run_each_base_gather_once(monkeypatch):
+    # every gather below the wreath (base product irreps and their GL2(F2)
+    # and S3 factors) runs once, on all of its group, however many wreath
+    # ids ask for it
+    calls = Counter()
+    init = RealizedIrrep.__init__
+
+    def counting_init(self, group, label, dim, matfun):
+        def gather(g):
+            calls[str(group), label] += 1
+            return matfun(g)
+
+        init(self, group, label, dim, gather)
+
+    monkeypatch.setattr(RealizedIrrep, "__init__", counting_init)
+    table = big_wreath_table()
+    for real in realize_table(table):
+        real.stack()
+    base = table.family.base
+    assert all(calls[str(base.group), label] == 1 for label in base.labels)
+    factor_irreps = sum(t.n_irreps for t in base.family.factors)
+    assert len(calls) == table.n_irreps + base.n_irreps + factor_irreps
+    assert set(calls.values()) == {1}
 
 
 def test_kron_stack_is_np_kron_bit_for_bit():

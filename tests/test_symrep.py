@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cosetlab.groups import symmetric_group
+from cosetlab.realize import realize_table
 from cosetlab.symrep import (
     YorRep,
     adjacent_word,
@@ -179,6 +180,51 @@ def test_yor_representation_is_homomorphism():
             left = rep.mat(G.mul(a, b).value)
             right = rep.mat(a.value) @ rep.mat(b.value)
             assert np.allclose(left, right, atol=1e-10)
+
+
+def yor_mat_loop(rep, perms):
+    """The one-permutation word products, kept as the reference for mats()."""
+    return np.array([rep.mat(p) for p in perms]).reshape(len(perms), rep.dim, rep.dim)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_yor_mats_equal_the_mat_loop_on_all_of_sn(n):
+    perms = np.array(symmetric_group(n).ids().values)
+    for la in partitions(n):
+        rep = YorRep(la)
+        assert np.array_equal(rep.mats(perms), yor_mat_loop(rep, perms))
+
+
+def test_yor_mats_equal_the_mat_loop_on_s7_samples():
+    values = np.array(symmetric_group(7).ids().values)
+    g = np.random.default_rng(7).integers(0, len(values), size=500)
+    assert len(np.unique(g)) < len(g) and not np.all(np.diff(g) >= 0)
+    for la in partitions(7):
+        rep = YorRep(la)
+        want = yor_mat_loop(rep, values[g])
+        for rows in (slice(None), slice(0, 0), slice(None, -38, -1)):
+            got = rep.mats(values[g[rows]])
+            assert got.shape == want[rows].shape
+            assert np.array_equal(got, want[rows])
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_realized_sn_irreps_are_unitary_homomorphisms(n):
+    # rho(s_i) rho(g) = rho(s_i * g) for every adjacent transposition s_i,
+    # which generate S_n, and every g, through the id table
+    G = symmetric_group(n)
+    ids = G.ids()
+    swaps = []
+    for i in range(n - 1):
+        v = list(range(n))
+        v[i], v[i + 1] = v[i + 1], v[i]
+        swaps.append(ids.id_of(tuple(v)))
+    for real in realize_table(sn_character_table(n)):
+        U = real.stack()
+        eye = np.eye(real.dim)
+        assert np.abs(U @ U.conj().transpose(0, 2, 1) - eye).max() < 1e-12
+        for s in swaps:
+            assert np.abs(U[s] @ U - U[ids.table[s]]).max() < 1e-12
 
 
 def test_yor_traces_match_mn_characters():
