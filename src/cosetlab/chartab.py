@@ -18,7 +18,6 @@ The four builders (`symrep.sn_character_table`, `gl2rep.char_table`,
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -110,10 +109,6 @@ class CharacterTable:
             raise ValueError("character at identity must equal the dimension")
         self._element_columns: Optional[np.ndarray] = None
         self._element_values: Optional[np.ndarray] = None
-        # class columns of each subgroup's non-identity elements
-        self._nontrivial_columns: "weakref.WeakKeyDictionary[Subgroup, np.ndarray]" = (
-            weakref.WeakKeyDictionary()
-        )
 
     @property
     def n_irreps(self) -> int:
@@ -168,19 +163,11 @@ class CharacterTable:
     # -- subgroup functionals --
 
     def normalized_char_max(self, i: int, sub: Subgroup) -> float:
-        """max over non-identity h in H of |chi(h)| / dim; 0 for trivial H.
-        The classes of H are looked up once per subgroup, not per irrep."""
-        cols = self._nontrivial_columns.get(sub)
-        if cols is None:
-            G = self.group
-            cols = np.array(
-                [self.class_index_of(h) for h in sub.elements if not G.is_identity(h)],
-                dtype=int,
-            )
-            self._nontrivial_columns[sub] = cols
-        if not cols.size:
+        """max over non-identity h in H of |chi(h)| / dim; 0 for trivial H."""
+        h = sub.ids[sub.ids != self.group.ids().identity]
+        if not h.size:
             return 0.0
-        return float(np.abs(self.values[i, cols]).max() / self.dims[i])
+        return float(np.abs(self.values[i, self.element_columns()[h]]).max() / self.dims[i])
 
 
 def product_table(G: DirectProduct, t1: CharacterTable, t2: CharacterTable) -> CharacterTable:

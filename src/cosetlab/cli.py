@@ -295,8 +295,8 @@ def cmd_lambda_audit(args) -> int:
         c = _parse_rate(args.c)
     except ValueError as exc:
         return _config_error("--c", str(exc))
-    if args.n < 1:
-        return _config_error("--n", f"must be at least 1, got {args.n}")
+    if not 1 <= args.n <= symrep.PARTITION_CAP:
+        return _config_error("--n", f"must lie in [1, {symrep.PARTITION_CAP}], got {args.n}")
     audit = symrep.lambda_c_audit(args.n, c)
     ok = audit.size_ok and audit.dim_ok
     _emit(
@@ -312,8 +312,8 @@ def cmd_roichman(args) -> int:
         c = _parse_rate(args.c)
     except ValueError as exc:
         return _config_error("--c", str(exc))
-    if args.n < 1:
-        return _config_error("--n", f"must be at least 1, got {args.n}")
+    if not 1 <= args.n <= symrep.ROICHMAN_CAP:
+        return _config_error("--n", f"must lie in [1, {symrep.ROICHMAN_CAP}], got {args.n}")
     report = symrep.roichman_report(args.n, c)
     _emit(
         _wrap(args, ("n", "c", "out"), {"ok": True, "report": report.as_json()}),

@@ -330,18 +330,6 @@ def poly_eval(F: Fq, f: Sequence[int], x: int) -> int:
     return acc
 
 
-def poly_mul(F: Fq, f: Sequence[int], g: Sequence[int]) -> Tuple[int, ...]:
-    f, g = poly_trim(f), poly_trim(g)
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return poly_trim(out)
-
-
 def poly_divmod(F: Fq, num: Sequence[int], den: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     num, den = list(poly_trim(num)), poly_trim(den)
     if not den:
@@ -563,19 +551,3 @@ def fix_orbit_report(F: Fq, M: Matrix, cap: int = GL_ENUM_CAP) -> FixOrbitReport
         fix_formula=fix_size_formula(k, r, F.q),
         group_order=order,
     )
-
-
-# ---- JSON round trip ----
-
-def mat_to_json(F: Fq, M: Matrix) -> dict:
-    return {"q": F.q, "p": F.p, "n": F.n, "rows": [list(r) for r in M]}
-
-
-def mat_from_json(obj: dict) -> Tuple[Fq, Matrix]:
-    F = field_make(int(obj["p"]), int(obj["n"]))
-    if F.q != int(obj["q"]):
-        raise ValueError("inconsistent field parameters in matrix JSON")
-    M = mat_from_rows(obj["rows"])
-    if any(not 0 <= x < F.q for row in M for x in row):
-        raise ValueError("matrix entry out of field range")
-    return F, M

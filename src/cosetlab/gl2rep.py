@@ -15,9 +15,7 @@ from . import fields
 from .chartab import CharacterTable, GL2Family
 from .fields import Fq, Matrix, field_make, field_of_order
 from .groups import (
-    ConjugacyClass,
     GeneralLinearGroup,
-    GroupElement,
     Subgroup,
     general_linear_group,
 )
@@ -148,32 +146,6 @@ def gl2_class_list(F: Fq) -> List[Gl2Class]:
         raise AssertionError("class sizes must fill the group")
     if len(out) != q * q - 1:
         raise AssertionError("class count must be q^2 - 1")
-    return out
-
-
-def conjugacy_classes_gl2(
-    G: GeneralLinearGroup, with_members: bool = False, cap: int = 0
-) -> List[ConjugacyClass]:
-    """Conjugacy classes of GL_2 via the closed-form classification."""
-    if G.k != 2:
-        raise ValueError(f"{G} is not GL_2")
-    F = G.field
-    cls = gl2_class_list(F)
-    members_by_key: Dict[ClassKey, List[GroupElement]] = {}
-    if with_members:
-        from .groups import GROUP_ENUM_CAP
-
-        for el in G.elements(cap or GROUP_ENUM_CAP):
-            members_by_key.setdefault(class_key(F, el.value), []).append(el)
-    out = []
-    for c in cls:
-        members = None
-        if with_members:
-            got = members_by_key.get(c.key, [])
-            if len(got) != c.size:
-                raise AssertionError((c.key, len(got), c.size))
-            members = tuple(got)
-        out.append(ConjugacyClass(G.make(c.representative), c.size, members))
     return out
 
 

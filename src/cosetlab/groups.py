@@ -9,9 +9,11 @@ elements of different groups fails immediately.
 Every group also has an id view (`Group.ids()`): id i is the i-th value
 of `iter_values()`, and products and inverses run on numpy id arrays.
 S_n and GL_k(F_q) multiply through an int32 Cayley table, built on first
-use and only up to TABLE_CAP elements; direct products and wreath products
-compose ids from their factors' ids and multiply through the factors'
-tables, so their own |G|^2 table is never built.
+use and only up to TABLE_CAP elements; past the cap S_n multiplies by
+composing image arrays.  Direct products and wreath products compose ids
+from their factors' ids and multiply through the factors, so their own
+|G|^2 table is never built.  A Subgroup is the sorted array of its ids,
+certified and closed on id arrays.
 
 Composition convention, fixed globally: products apply left factor first,
 (pi * sigma)(i) = sigma(pi(i)), which matches P_(pi*sigma) = P_pi P_sigma for
@@ -22,7 +24,6 @@ M -> M P on codeword positions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -34,8 +35,10 @@ from .fields import Fq
 GROUP_ENUM_CAP = 200_000
 # largest group given a full Cayley table
 TABLE_CAP = 2048
-# products per row chunk of a table build, which bounds its transient memory
-TABLE_CHUNK_CELLS = 1 << 16
+# products per row chunk of a table build or a subgroup's closure scan,
+# which bounds its transient memory; on a 2-vCPU VM a first S6 table took
+# 16-23 ms in these chunks and 39-50 ms in chunks of 1 << 16
+TABLE_CHUNK_CELLS = 1 << 14
 
 
 class GroupElement:
@@ -116,18 +119,6 @@ class Group:
         """g^-1 x g."""
         return self.mul(self.mul(self.inv(g), x), g)
 
-    def power(self, a: GroupElement, m: int) -> GroupElement:
-        if m < 0:
-            return self.power(self.inv(a), -m)
-        out = self.identity_value()
-        base = a.value
-        while m:
-            if m & 1:
-                out = self.mul_values(out, base)
-            base = self.mul_values(base, base)
-            m >>= 1
-        return GroupElement(self, out)
-
     def is_identity(self, a: GroupElement) -> bool:
         return a.value == self.identity_value()
 
@@ -193,14 +184,24 @@ class SymmetricGroup(Group):
 
     def _make_ids(self):
         values = [el.value for el in self.elements()]
-        imgs = np.array(values).reshape(len(values), self.n)
-        place = self.n ** np.arange(self.n)
+        n = self.n
+        imgs = np.array(values).reshape(len(values), n)
+        flat = imgs.ravel()
+        # a permutation is fixed by its first n - 1 images, coded positionally
+        place = n ** np.arange(n - 1)
+        code_to_id = np.zeros(n ** (n - 1), dtype=np.int32)
+        code_to_id[imgs[:, :-1] @ place] = np.arange(len(values))
 
-        def product_codes(lo, hi):
-            # (a*b)(i) = b(a(i)) on image arrays
-            return imgs[np.arange(len(imgs))[None, :, None], imgs[lo:hi, None, :]] @ place
+        def product(a, b):
+            # (a*b)(i) = b(a(i)), one image position at a time
+            bn = np.asarray(b) * n
+            code = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+            for i in range(n - 1):
+                code += flat[bn + imgs[a, i]] * place[i]
+            return code_to_id[code]
 
-        return TableIds(self, values, imgs @ place, self.n**self.n, product_codes)
+        inverse = code_to_id[np.argsort(imgs, axis=1)[:, :-1] @ place].astype(np.int64)
+        return TableIds(self, values, product, inverse)
 
 
 def cycle_type(perm: Sequence[int]) -> Tuple[int, ...]:
@@ -217,10 +218,6 @@ def cycle_type(perm: Sequence[int]) -> Tuple[int, ...]:
             lens.append(length)
     lens.sort(reverse=True)
     return tuple(lens)
-
-
-def support_size(perm: Sequence[int]) -> int:
-    return sum(1 for i, j in enumerate(perm) if i != j)
 
 
 class GeneralLinearGroup(Group):
@@ -270,20 +267,21 @@ class GeneralLinearGroup(Group):
         mats = np.array(values).reshape(len(values), k, k)
         row_codes = mats @ place
         row_place = R ** np.arange(k)
+        code_to_id = np.zeros(R**k, dtype=np.int32)
+        code_to_id[row_codes @ row_place] = np.arange(len(values))
 
-        def product_codes(lo, hi):
+        def product(a, b):
             # row i of A B is the sum over l of A[i, l] * (row l of B)
-            A = mats[lo:hi, None]
+            A, B = mats[a], row_codes[b]
             out = 0
             for i in range(k):
-                acc = scale[A[..., i, 0] * R + row_codes[None, :, 0]]
+                acc = scale[A[..., i, 0] * R + B[..., 0]]
                 for l in range(1, k):
-                    term = scale[A[..., i, l] * R + row_codes[None, :, l]]
-                    acc = row_add[acc * R + term]
+                    acc = row_add[acc * R + scale[A[..., i, l] * R + B[..., l]]]
                 out = out + acc * row_place[i]
-            return out
+            return code_to_id[out]
 
-        return TableIds(self, values, row_codes @ row_place, R**k, product_codes)
+        return TableIds(self, values, product)
 
 
 class DirectProduct(Group):
@@ -382,44 +380,44 @@ class WreathZ2(Group):
 
 class TableIds:
     """Ids of S_n or GL_k(F_q): id i is values[i], the i-th value of
-    iter_values(), and index maps values to ids.  The int32 Cayley table
-    (table[a, b] is the id of a*b) and the inverse array are built together
-    on first use, only up to TABLE_CAP elements.
+    iter_values(), and index maps values to ids.
 
-    Each value has an integer code below code_space (codes[i] for
-    values[i]); product_codes(lo, hi) gives the (hi - lo, n) codes of
-    values[lo:hi] times every value.
+    product(a, b) gives the ids of a*b for broadcasting id arrays a and b.
+    Up to TABLE_CAP elements the int32 Cayley table (table[a, b] is the id
+    of a*b), built from product in row chunks on first use, caches it.  S_n
+    passes its inverse array and past the cap multiplies with product; GL_k
+    reads its inverse off the table, so past the cap it has neither.
     """
 
-    def __init__(self, group: Group, values, codes, code_space: int, product_codes):
+    def __init__(self, group: Group, values, product, inverse=None):
         self.group = group
         self.values = values
         self.index = {v: i for i, v in enumerate(values)}
         self.order = len(values)
         self.identity = self.index[group.identity_value()]
-        self._coding = (codes, code_space, product_codes)
-
-    table = property(lambda self: self._cayley[0])
-    inverse = property(lambda self: self._cayley[1])
+        self.product = product
+        self._inverse = inverse
 
     @cached_property
-    def _cayley(self) -> Tuple[np.ndarray, np.ndarray]:
+    def table(self) -> np.ndarray:
         n = self.order
         if n > TABLE_CAP:
             raise ValueError(f"|{self.group}| = {n} exceeds the Cayley table cap {TABLE_CAP}")
-        codes, code_space, product_codes = self._coding
-        code_to_id = np.full(code_space, -1, dtype=np.int32)
-        code_to_id[codes] = np.arange(n)
         table = np.empty((n, n), dtype=np.int32)
-        inverse = np.empty(n, dtype=np.int64)
         rows = max(1, TABLE_CHUNK_CELLS // n)
         for lo in range(0, n, rows):
-            chunk = code_to_id[product_codes(lo, lo + rows)]
-            table[lo : lo + rows] = chunk
-            inverse[lo : lo + rows] = np.argmax(chunk == self.identity, axis=1)
-        return table, inverse
+            table[lo : lo + rows] = self.product(np.arange(lo, min(lo + rows, n))[:, None], np.arange(n))
+        return table
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        if self._inverse is not None:
+            return self._inverse
+        return np.argmax(self.table == self.identity, axis=1)
 
     def mul(self, a, b) -> np.ndarray:
+        if self.order > TABLE_CAP and self._inverse is not None:
+            return self.product(a, b)
         return self.table[a, b]
 
     def id_of(self, value) -> int:
@@ -522,128 +520,91 @@ def wreath_z2(base: Group) -> WreathZ2:
     return _GROUP_CACHE.setdefault(("wr", base.key), WreathZ2(base))
 
 
-class Subgroup:
-    """An explicit subgroup given by its full element list.
+def _distinct(x) -> np.ndarray:
+    """The sorted distinct ids of an id array (np.unique, whose first call
+    imports numpy.ma, is kept off the attack path)."""
+    x = np.sort(np.asarray(x, dtype=np.int64).ravel())
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
-    Construction verifies identity membership and closure under products and
-    inverses, so holding a Subgroup is a certificate.
+
+def _member(sorted_ids: np.ndarray, x) -> np.ndarray:
+    """Whether each id in x lies in the sorted, duplicate-free id array."""
+    pos = np.minimum(np.searchsorted(sorted_ids, x), len(sorted_ids) - 1)
+    return sorted_ids[pos] == x
+
+
+class Subgroup:
+    """An explicit subgroup of G held as the sorted int64 array of its ids
+    in G.ids() (`ids`).
+
+    Construction verifies, on id arrays, identity membership and closure
+    under inverses and products, so holding a Subgroup is a certificate.
+    `value_set` and `elements` (in value order) are derived views for
+    JSON, reports and tests.
     """
 
-    def __init__(self, group: Group, elements: Sequence[GroupElement], label: str = ""):
-        values = {el.value for el in elements}
-        if not values:
+    def __init__(self, group: Group, ids, label: str = ""):
+        ids = _distinct(ids)
+        if not ids.size:
             raise ValueError("subgroup needs at least the identity")
-        if group.identity_value() not in values:
+        if ids[0] < 0 or ids[-1] >= group.order:
+            raise ValueError(f"id out of range for {group}")
+        gids = group.ids()
+        if not _member(ids, gids.identity):
             raise ValueError("subgroup misses the identity")
-        for el in elements:
-            if el.group.key != group.key:
-                raise ValueError(f"element of {el.group} in subgroup of {group}")
-        for a in values:
-            if group.inv_value(a) not in values:
-                raise ValueError("subgroup not closed under inverse")
-            for b in values:
-                if group.mul_values(a, b) not in values:
-                    raise ValueError("subgroup not closed under product")
+        if not _member(ids, gids.inverse[ids]).all():
+            raise ValueError("subgroup not closed under inverse")
+        rows = max(1, TABLE_CHUNK_CELLS // len(ids))
+        for lo in range(0, len(ids), rows):
+            if not _member(ids, gids.mul(ids[lo : lo + rows, None], ids[None, :])).all():
+                raise ValueError("subgroup not closed under product")
+        ids.flags.writeable = False
         self.group = group
-        self.elements = tuple(GroupElement(group, v) for v in sorted(values))
-        self.value_set = frozenset(values)
-        self.order = len(values)
+        self.ids = ids
+        self.order = len(ids)
         self.label = label or f"subgroup of order {self.order}"
 
-    def __contains__(self, el: GroupElement) -> bool:
-        return el.group.key == self.group.key and el.value in self.value_set
+    @cached_property
+    def value_set(self) -> frozenset:
+        value_of = self.group.ids().value_of
+        return frozenset(value_of(i) for i in self.ids)
 
-    def __len__(self) -> int:
-        return self.order
+    @cached_property
+    def elements(self) -> Tuple[GroupElement, ...]:
+        return tuple(GroupElement(self.group, v) for v in sorted(self.value_set))
 
     def __repr__(self) -> str:
         return f"<{self.label} in {self.group}>"
 
-    def conjugate_values(self, g: GroupElement) -> List:
-        """Payloads of g^-1 H g in subgroup element order."""
-        ginv = self.group.inv_value(g.value)
-        return [
-            self.group.mul_values(self.group.mul_values(ginv, h.value), g.value)
-            for h in self.elements
-        ]
-
 
 def trivial_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, [G.identity()], label="trivial")
-
-
-def full_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, G.elements(), label=f"all of {G}")
+    return Subgroup(G, [G.ids().identity], label="trivial")
 
 
 def subgroup_closure(
     G: Group, gens: Sequence[GroupElement], cap: int = GROUP_ENUM_CAP, label: str = ""
 ) -> Subgroup:
-    """Close a generator list under multiplication; empty input gives {1}."""
-    values = {G.identity_value()}
-    frontier = [G.identity_value()]
-    gen_values = [g.value for g in gens]
+    """Close a generator list under multiplication, by a breadth-first walk
+    on id arrays; empty input gives {1}."""
     for g in gens:
         if g.group.key != G.key:
             raise ValueError(f"generator from {g.group} for closure in {G}")
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gen_values:
-                w = G.mul_values(v, g)
-                if w not in values:
-                    values.add(w)
-                    nxt.append(w)
-                    if len(values) > cap:
-                        raise ValueError(f"closure exceeds cap {cap}")
-        frontier = nxt
-    return Subgroup(G, [GroupElement(G, v) for v in values], label=label)
-
-
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: GroupElement
-    size: int
-    members: Optional[Tuple[GroupElement, ...]] = None
-
-
-def conjugacy_classes(
-    G: Group, cap: int = GROUP_ENUM_CAP, with_members: bool = False
-) -> List[ConjugacyClass]:
-    """Partition G into conjugacy classes.
-
-    GL_2(F_q) uses the closed-form classification (see `gl2rep`), which works
-    far past the enumeration cap; every other group is enumerated.
-    """
-    if isinstance(G, GeneralLinearGroup) and G.k == 2:
-        from . import gl2rep
-
-        return gl2rep.conjugacy_classes_gl2(G, with_members=with_members, cap=cap)
-    els = G.elements(cap)
-    unassigned = {el.value for el in els}
-    out = []
-    for el in els:
-        if el.value not in unassigned:
-            continue
-        orbit = {el.value}
-        frontier = [el.value]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in els:
-                    w = G.mul_values(G.mul_values(G.inv_value(g.value), v), g.value)
-                    if w not in orbit:
-                        orbit.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        unassigned -= orbit
-        members = (
-            tuple(GroupElement(G, v) for v in sorted(orbit)) if with_members else None
-        )
-        out.append(ConjugacyClass(representative=el, size=len(orbit), members=members))
-    if sum(c.size for c in out) != G.order:
-        raise AssertionError(f"conjugacy class sizes of {G} do not sum to {G.order}")
-    return out
+    ids = G.ids()
+    gen_ids = np.array([ids.id_of(g.value) for g in gens], dtype=np.int64)
+    seen = np.zeros(G.order, dtype=bool)
+    seen[ids.identity] = True
+    frontier = np.array([ids.identity], dtype=np.int64)
+    count = 1
+    while frontier.size:
+        nxt = _distinct(ids.mul(frontier[:, None], gen_ids[None, :]))
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
+        count += frontier.size
+        if count > cap:
+            raise ValueError(f"closure exceeds cap {cap}")
+    return Subgroup(G, np.flatnonzero(seen), label=label)
 
 
 # ---- random elements (used by key generation and property tests) ----

@@ -282,16 +282,15 @@ def hidden_subgroup_of(
     labels = _labels(f, G, cap)
     if not check_right_injective(labels, G, cap):
         raise ValueError("function is not injective under right multiplication")
-    ids = G.ids()
-    K = np.flatnonzero(labels == labels[ids.identity])
-    return Subgroup(G, [GroupElement(G, ids.value_of(i)) for i in K], label=label)
+    return Subgroup(G, np.flatnonzero(labels == labels[G.ids().identity]), label=label)
 
 
-def _f0_fiber(prob: ShiftProblem, target: Matrix, cap: int) -> list:
-    """The base elements where f0 takes the value target, by full
-    enumeration; f0's memo is the problem's, so values already computed
-    (by HiddenSubgroupInstance.labels, say) are not computed again."""
-    return [el for el in prob.group.elements(cap) if prob.f0(el.value) == target]
+def _f0_fiber(prob: ShiftProblem, target: Matrix, cap: int) -> np.ndarray:
+    """The ids of the base elements where f0 takes the value target, by
+    full enumeration; f0's memo is the problem's, so values already
+    computed (by HiddenSubgroupInstance.labels, say) are not computed
+    again."""
+    return np.flatnonzero([prob.f0(el.value) == target for el in prob.group.elements(cap)])
 
 
 def brute_stabilizer(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> Subgroup:
@@ -303,7 +302,8 @@ def brute_stabilizer(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> Subgr
 def shift_set(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> frozenset:
     """All group values s with f0(s x) = f1(x) for every x, which reduces
     to f0(s) = M*; equals the right coset H0 * (known shift)."""
-    return frozenset(el.value for el in _f0_fiber(shift_problem(inst), inst.Mstar, cap))
+    prob = shift_problem(inst)
+    return frozenset(prob.group.ids().value_of(i) for i in _f0_fiber(prob, inst.Mstar, cap))
 
 
 def stabilizer_order_product(inst: McElieceInstance) -> int:
@@ -317,15 +317,18 @@ def stabilizer_order_product(inst: McElieceInstance) -> int:
 # ---- extraction ----
 
 def extract_shift(K: Subgroup) -> GroupElement:
-    """First component of the smallest b=1 element of K; always a valid
-    shift because the b=1 block is (H0 s, s^-1 H0)."""
+    """First component of the b=1 element of K with the smallest id; always
+    a valid shift because the b=1 block is (H0 s, s^-1 H0)."""
     W = K.group
     if not isinstance(W, WreathZ2):
         raise ValueError("K must live in a wreath product")
-    flipped = sorted(v for v in K.value_set if v[2] == 1)
-    if not flipped:
+    ids = W.ids()
+    x, _, b = ids.split(K.ids)
+    flipped = x[b == 1]
+    if not flipped.size:
         raise ValueError("no component-swapping element in K")
-    return GroupElement(W.base, flipped[0][0])
+    # K.ids is sorted, so flipped[0] belongs to the smallest b=1 id
+    return GroupElement(W.base, ids.base.value_of(flipped[0]))
 
 
 @dataclass
@@ -374,7 +377,7 @@ def attack(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> AttackResult:
         right_injective=True,
         K=K,
         H0=H0,
-        k_formula_match=K.value_set == oracle.subgroup.value_set,
+        k_formula_match=np.array_equal(K.ids, oracle.subgroup.ids),
         size_match=K.order == 2 * H0.order**2,
         recovered_A=A_rec,
         recovered_P=P_rec,

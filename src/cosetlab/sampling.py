@@ -60,10 +60,9 @@ class ProjectionBundle:
 def projection_bundle(real: RealizedIrrep, H: Subgroup) -> ProjectionBundle:
     """Average of the realized irrep over H; verified to be an orthogonal
     projection."""
-    ids = real.group.ids()
     P = np.zeros((real.dim, real.dim), dtype=complex)
-    # a running sum in value_set order (a pairwise sum rounds differently)
-    for M in real.at([ids.id_of(v) for v in H.value_set]):
+    # a running sum in id order (a pairwise sum rounds differently)
+    for M in real.at(H.ids):
         P += M
     P /= H.order
     if np.abs(P - P.conj().T).max() >= STRUCT_TOL:
@@ -78,9 +77,9 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     """P_H(rho) = d_rho * (sum of chi_rho over H) / |G| for every irrep;
     the outcome distribution of measuring only the irrep name."""
     G = table.group
-    # one class lookup per element of H; each row is then summed in H order
-    # with Python's sum, which fixes how every probability rounds
-    cols = [table.class_index_of(h) for h in H.elements]
+    # each row is summed in id order with Python's sum, which fixes how
+    # every probability rounds
+    cols = table.element_columns()[H.ids]
     probs = np.empty(table.n_irreps)
     for i in range(table.n_irreps):
         s = sum(table.values[i, cols].tolist())
@@ -309,17 +308,16 @@ def pg_invariance_error(table: CharacterTable, H: Subgroup) -> float:
     """Largest deviation of the weak distribution of any conjugate of H
     from that of H itself; zero because characters are class functions.
 
-    All conjugates g^-1 H g are formed at once on id arrays, in subgroup
-    element order, and mapped to class columns; conjugates with the same
+    All conjugates g^-1 H g are formed at once on id arrays, in H's id
+    order, and mapped to class columns; conjugates with the same
     columns give the same distribution, so each distinct row is summed
     once."""
     G = table.group
     ids = G.ids()
     base = weak_distribution(table, H)
     dims = np.asarray(table.dims, dtype=float)
-    h = np.array([ids.id_of(el.value) for el in H.elements])[None, :]
     g = np.arange(G.order)[:, None]
-    conj = ids.mul(ids.mul(ids.inverse[g], h), g)
+    conj = ids.mul(ids.mul(ids.inverse[g], H.ids[None, :]), g)
     worst = 0.0
     for cols in np.unique(table.element_columns()[conj], axis=0):
         sums = table.values[:, cols].sum(axis=1)

@@ -18,6 +18,8 @@ from .chartab import CharacterTable, SymmetricFamily
 from .groups import GroupElement, SymmetricGroup, cycle_type, symmetric_group
 
 PARTITION_CAP = 40
+# largest n of the full-table decay report
+ROICHMAN_CAP = 10
 
 Partition = Tuple[int, ...]
 
@@ -270,8 +272,8 @@ def roichman_report(n: int, c: Fraction) -> DecayReport:
     Purely empirical: no pass/fail judgment is made, since the decay
     constants are existence statements.
     """
-    if n > 10:
-        raise ValueError("full-table decay report capped at n = 10")
+    if n > ROICHMAN_CAP:
+        raise ValueError(f"full-table decay report capped at n = {ROICHMAN_CAP}")
     c = Fraction(c)
     outside = [la for la in partitions(n) if not lambda_c_member(la, n, c)]
     by_support: Dict[int, DecayRow] = {}

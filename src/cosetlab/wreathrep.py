@@ -181,26 +181,21 @@ class KSubgroup:
 
 
 def k_build(H0: Subgroup, s: GroupElement) -> KSubgroup:
-    """K = ((H0, s^-1 H0 s), 0) union ((H0 s, s^-1 H0), 1) inside G wr Z_2;
-    the Subgroup constructor re-verifies closure exhaustively."""
+    """K = ((H0, s^-1 H0 s), 0) union ((H0 s, s^-1 H0), 1) inside G wr Z_2,
+    built on ids: (x, y, b) has id (b*|G| + x)*|G| + y."""
     G0 = H0.group
     if s.group.key != G0.key:
         raise ValueError("shift must lie in the base group")
-    W = wreath_z2(G0)
-    s_inv = G0.inv(s)
-    vals = set()
-    for h1 in H0.elements:
-        for h2 in H0.elements:
-            conj = G0.mul(G0.mul(s_inv, h2), s)
-            vals.add((h1.value, conj.value, 0))
-            vals.add((G0.mul(h1, s).value, G0.mul(s_inv, h2).value, 1))
-    if len(vals) != 2 * H0.order**2:
-        raise AssertionError("two-coset form must have 2|H0|^2 elements")
-    sub = Subgroup(
-        W,
-        [W.make(v) for v in vals],
-        label=f"K[{H0.label}, shift {s.value}]",
-    )
+    ids0 = G0.ids()
+    n = np.int64(ids0.order)
+    h, si = H0.ids, ids0.id_of(s.value)
+    s_inv = ids0.inverse[si]
+    conj = ids0.mul(ids0.mul(s_inv, h), si)
+    K = np.concatenate([
+        (h[:, None] * n + conj[None, :]).ravel(),
+        ((n + ids0.mul(h, si))[:, None] * n + ids0.mul(s_inv, h)[None, :]).ravel(),
+    ])
+    sub = Subgroup(wreath_z2(G0), K, label=f"K[{H0.label}, shift {s.value}]")
     return KSubgroup(H0, s, sub)
 
 

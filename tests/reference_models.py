@@ -1,8 +1,10 @@
 """Reference models the tests compare the package against: trace
 certification on class representatives, the per-element wreath and
 product matrices (np.kron with an explicit swap matrix) that the batched
-formulas in `wreathrep` and `realize` replaced, and the enumerating wreath
-character table that the closed form in `wreathrep` replaced."""
+formulas in `wreathrep` and `realize` replaced, the enumerating wreath
+character table that the closed form in `wreathrep` replaced, and the
+tuple-valued subgroup certification and closure that the id arrays of
+`groups.Subgroup` replaced."""
 
 from __future__ import annotations
 
@@ -138,3 +140,35 @@ def enumerated_wreath_char_table(base) -> CharacterTable:
         np.column_stack(columns), lambda el: fingerprint(el.value),
         WreathFamily(base, metas),
     )
+
+
+def reference_subgroup_values(G, values) -> frozenset:
+    """The value set of a subgroup of G, certified by |H|^2 tuple products;
+    ValueError if the values do not form a subgroup."""
+    values = frozenset(values)
+    if G.identity_value() not in values:
+        raise ValueError("subgroup misses the identity")
+    for a in values:
+        if G.inv_value(a) not in values:
+            raise ValueError("subgroup not closed under inverse")
+        for b in values:
+            if G.mul_values(a, b) not in values:
+                raise ValueError("subgroup not closed under product")
+    return values
+
+
+def reference_closure_values(G, gen_values) -> frozenset:
+    """The subgroup generated by gen_values, by a breadth-first walk on
+    tuples, certified as above."""
+    values = {G.identity_value()}
+    frontier = [G.identity_value()]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gen_values:
+                w = G.mul_values(v, g)
+                if w not in values:
+                    values.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return reference_subgroup_values(G, values)

@@ -279,7 +279,8 @@ def run_cli_process(*argv):
         (["chartable", "gl2", "--q", "6"], "--q"),
         (["chartable", "sn", "--n", "0"], "--n"),
         (["dims", "sn", "--n", "-1"], "--n"),
-        (["chartable", "wreath", "--base", "s7"], "--base"),
+        # over the enumeration cap (s7 and s8 now have products and tables)
+        (["chartable", "wreath", "--base", "s9"], "--base"),
         # past the enumeration cap (these exited 1 naming no flag) and, for
         # gl2_8, past the Cayley table cap that its realization needs
         (["dist", "--group", "wreath_s6", "--subgroup", "trivial"], "--group"),
@@ -295,6 +296,9 @@ def run_cli_process(*argv):
         (["roichman", "--n", "-3", "--c", "1/6"], "--n"),
         (["lambda-audit", "--n", "6", "--c", "0"], "--c"),
         (["roichman", "--n", "6", "--c", "2"], "--c"),
+        # over the partition and decay-report caps; these exited 1
+        (["lambda-audit", "--n", "41", "--c", "1/6"], "--n"),
+        (["roichman", "--n", "11", "--c", "1/6"], "--n"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):
@@ -305,6 +309,15 @@ def test_bad_inputs_are_config_errors(argv, flag):
     diag = json.loads(proc.stdout)
     assert diag["ok"] is False and diag["flag"] == flag
     assert "Traceback" not in proc.stderr
+
+
+def test_dist_on_a_product_with_a_factor_past_the_table_cap():
+    # S7 multiplies by composing image arrays; this exited 1 with
+    # "|S7| = 5040 exceeds the Cayley table cap 2048"
+    proc = run_cli_process("dist", "--group", "s7xs2", "--subgroup", "cyclic", "--mc-samples", "20")
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)["report"]
+    assert report["subgroup_order"] == 2 and report["mc_samples"] == 20
 
 
 def test_dist_with_two_mc_samples_writes_finite_json():

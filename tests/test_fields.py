@@ -15,20 +15,17 @@ from cosetlab.fields import (
     fix_size_formula,
     glk_order,
     mat_det,
-    mat_from_json,
     mat_identity,
     mat_inv,
     mat_is_invertible,
     mat_mul,
     mat_rank,
     mat_rref,
-    mat_to_json,
     orbit_size_formula,
     perm_matrix,
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_mul,
 )
 
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
@@ -102,6 +99,14 @@ def test_subfield_embedding_is_homomorphism():
             assert emb[F.mul(a, b)] == E.mul(emb[a], emb[b])
 
 
+def _poly_mul(F, f, g):
+    out = [0] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return out
+
+
 def test_poly_divmod_identity():
     rng = random.Random(0)
     for q in (2, 3, 5):
@@ -115,7 +120,7 @@ def test_poly_divmod_identity():
             back = tuple(
                 F.add(a, b)
                 for a, b in zip(
-                    list(poly_mul(F, quo, den)) + [0] * 8,
+                    _poly_mul(F, quo, den) + [0] * 8,
                     list(rem) + [0] * 8,
                 )
             )
@@ -254,10 +259,3 @@ def test_fix_formula_extremes():
     assert fix_size_formula(k, k, q) == 1
     assert fix_size_formula(k, 0, q) == glk_order(q, k)
     assert orbit_size_formula(k, 0, q) == 1
-
-
-def test_matrix_json_roundtrip():
-    F = field_of_order(4)
-    M = ((0, 1, 2), (3, 1, 0))
-    F2, M2 = mat_from_json(mat_to_json(F, M))
-    assert F2 == F and M2 == M

@@ -8,7 +8,6 @@ from cosetlab.gl2rep import (
     GelfandGraev,
     char_table,
     class_key,
-    conjugacy_classes_gl2,
     corollary_bound,
     gl2_class_list,
     linear_multiplicities,
@@ -75,9 +74,14 @@ def test_class_census():
         assert sum(c.size for c in classes) == G.order
         # closed-form census agrees with explicit membership on small q
         if q <= 3:
-            reps = conjugacy_classes_gl2(G, with_members=True)
-            assert len(reps) == len(classes)
-            assert sum(c.size for c in reps) == G.order
+            F = field_of_order(q)
+            members = {}
+            for el in G.elements():
+                members.setdefault(class_key(F, el.value), []).append(el)
+            assert len(members) == len(classes)
+            assert sum(len(m) for m in members.values()) == G.order
+            for c in classes:
+                assert len(members[c.key]) == c.size
 
 
 def test_class_key_is_conjugation_invariant():

@@ -5,27 +5,33 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cosetlab.chartab import product_table
+from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import (
     TABLE_CAP,
     DirectProduct,
+    GroupElement,
     Subgroup,
     SymmetricGroup,
     WreathZ2,
-    conjugacy_classes,
     cycle_type,
     element_from_json,
     element_to_json,
-    full_subgroup,
     general_linear_group,
     product_group,
     random_element,
     subgroup_closure,
-    support_size,
     symmetric_group,
     trivial_subgroup,
     wreath_z2,
 )
+from cosetlab.suites import subgroup_catalog
+from cosetlab.symrep import sn_character_table
+from cosetlab.wreathrep import wreath_char_table
+
+from reference_models import reference_closure_values, reference_subgroup_values
 
 
 def sample_groups():
@@ -81,8 +87,6 @@ def test_cycle_type_and_support():
     assert cycle_type((0, 1, 2)) == (1, 1, 1)
     assert cycle_type((1, 0, 2)) == (2, 1)
     assert cycle_type((1, 2, 0)) == (3,)
-    assert support_size((0, 1, 2)) == 0
-    assert support_size((1, 0, 3, 2)) == 4
 
 
 def test_conjugation():
@@ -126,7 +130,7 @@ def test_subgroup_closure_alternating():
     assert G.identity_value() in A.value_set
     T = trivial_subgroup(G)
     assert T.order == 1
-    full = full_subgroup(G)
+    full = Subgroup(G, np.arange(G.order))
     assert full.order == 6
 
 
@@ -142,32 +146,50 @@ def test_subgroup_orders_divide_group_order():
 
 def test_subgroup_rejects_non_closed_sets():
     G = symmetric_group(3)
+    ids = G.ids()
     with pytest.raises(ValueError):
-        Subgroup(G, [G.identity(), G.make((1, 2, 0))])
+        Subgroup(G, [ids.identity, ids.id_of((1, 2, 0))])
 
 
 def test_conjugate_values_is_conjugate_subgroup():
+    # g^-1 H g formed on id arrays, as pg_invariance_error forms it
     G = symmetric_group(4)
+    ids = G.ids()
     H = subgroup_closure(G, [G.make((1, 0, 2, 3))])
-    for g in G.elements():
-        vals = H.conjugate_values(g)
+    for g in range(G.order):
+        vals = [ids.value_of(c) for c in ids.mul(ids.mul(ids.inverse[g], H.ids), g)]
         assert len(vals) == H.order
-        expected = {G.conj(g, h).value for h in H.elements}
+        expected = {G.conj(G.elements()[g], h).value for h in H.elements}
         assert set(vals) == expected
 
 
 def test_conjugacy_classes_partition_group():
-    for G in (symmetric_group(4), general_linear_group(2, 3), wreath_z2(symmetric_group(3))):
-        classes = conjugacy_classes(G, with_members=True)
-        assert sum(c.size for c in classes) == G.order
+    # the classes of a character table's element columns are the orbits of
+    # conjugation, found here by conjugating each representative
+    gl22 = gl2_char_table(2)
+    s3 = sn_character_table(3)
+    for table in (
+        sn_character_table(4),
+        gl2_char_table(3),
+        wreath_char_table(s3),
+        product_table(product_group(gl22.group, s3.group), gl22, s3),
+    ):
+        G = table.group
+        els = G.elements()
+        cols = table.element_columns()
+        classes = [np.flatnonzero(cols == c) for c in range(len(table.class_keys))]
+        assert sum(len(c) for c in classes) == G.order
         seen = set()
-        for c in classes:
-            assert len(c.members) == c.size
-            assert c.representative in c.members
-            for el in c.members:
-                assert el.value not in seen
-                seen.add(el.value)
-            assert G.order % c.size == 0
+        for c, members in enumerate(classes):
+            assert len(members) == table.class_sizes[c]
+            rep = table.class_reps[c]
+            assert G.ids().id_of(rep.value) in members
+            orbit = {G.conj(g, rep).value for g in els}
+            assert orbit == {els[i].value for i in members}
+            for i in members:
+                assert els[i].value not in seen
+                seen.add(els[i].value)
+            assert G.order % len(members) == 0
 
 
 def test_element_json_roundtrip_all_kinds():
@@ -268,3 +290,89 @@ def test_cayley_table_cap():
     for attr in ("table", "inverse"):
         with pytest.raises(ValueError, match=r"\|GL2\(F8\)\| = 3528 exceeds"):
             getattr(ids, attr)
+
+
+def test_sn_ids_match_tuple_arithmetic():
+    # every pair of S1-S6, through the table and through the product it caches
+    for n in range(1, 7):
+        G = symmetric_group(n)
+        ids = G.ids()
+        values = ids.values
+        want = np.array([[ids.id_of(G.mul_values(a, b)) for b in values] for a in values])
+        every = np.arange(G.order)
+        assert np.array_equal(ids.mul(every[:, None], every[None, :]), want)
+        assert np.array_equal(ids.product(every[:, None], every[None, :]), want)
+        assert [values[i] for i in ids.inverse] == [G.inv_value(v) for v in values]
+    # seeded pairs past the table cap, where mul composes image arrays
+    rng = np.random.default_rng(0)
+    for n in (7, 8):
+        G = symmetric_group(n)
+        ids = G.ids()
+        a, b = rng.integers(0, G.order, size=(2, 2000))
+        assert [ids.value_of(c) for c in ids.mul(a, b)] == [
+            G.mul_values(ids.value_of(x), ids.value_of(y)) for x, y in zip(a, b)
+        ]
+        assert [ids.value_of(c) for c in ids.inverse[a]] == [
+            G.inv_value(ids.value_of(x)) for x in a
+        ]
+        with pytest.raises(ValueError, match="exceeds the Cayley table cap"):
+            ids.table
+
+
+def subgroup_test_groups():
+    s3 = symmetric_group(3)
+    return [
+        symmetric_group(4),
+        general_linear_group(2, 3),
+        wreath_z2(s3),
+        wreath_z2(product_group(general_linear_group(2, 2), s3)),
+    ]
+
+
+def _accepted(certify) -> bool:
+    try:
+        certify()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_id_subgroup_matches_tuple_reference(data):
+    G = data.draw(st.sampled_from(subgroup_test_groups()))
+    ids = G.ids()
+    # one generator on the big wreath keeps the reference's |H|^2 small
+    n_gens = 1 if G.order > 1000 else 2
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=n_gens))
+    ref = reference_closure_values(G, [ids.value_of(g) for g in gens])
+    H = subgroup_closure(G, [GroupElement(G, ids.value_of(g)) for g in gens])
+    assert H.value_set == ref
+    assert list(H.ids) == sorted(ids.id_of(v) for v in ref)
+    # the closure with one id toggled, or a few ids with or without 1
+    if data.draw(st.booleans()):
+        subset = set(H.ids.tolist()) ^ {data.draw(st.integers(0, G.order - 1))}
+    else:
+        subset = set(data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=8)))
+        if data.draw(st.booleans()):
+            subset.add(ids.identity)
+    subset = sorted(subset)
+    assert _accepted(lambda: Subgroup(G, subset)) == _accepted(
+        lambda: reference_subgroup_values(G, [ids.value_of(i) for i in subset])
+    )
+
+
+def test_catalog_subgroups_match_tuple_reference():
+    s3 = symmetric_group(3)
+    groups = [symmetric_group(n) for n in range(2, 9)]
+    groups += [general_linear_group(2, q) for q in (2, 3, 4, 5, 7)]
+    groups += [
+        wreath_z2(s3),
+        wreath_z2(product_group(general_linear_group(2, 2), s3)),
+        product_group(general_linear_group(2, 2), s3),
+    ]
+    for G in groups:
+        for H in subgroup_catalog(G):
+            assert reference_subgroup_values(G, H.value_set) == H.value_set
+            assert reference_closure_values(G, H.value_set) == H.value_set
+            assert [el.value for el in H.elements] == sorted(H.value_set)

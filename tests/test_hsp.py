@@ -14,7 +14,17 @@ from cosetlab.fields import (
     mat_rank,
 )
 from cosetlab.goppa import LinearCode, automorphisms
-from cosetlab.groups import trivial_subgroup, wreath_z2
+from cosetlab.groups import (
+    DirectProduct,
+    GeneralLinearGroup,
+    SymmetricGroup,
+    WreathZ2,
+    general_linear_group,
+    product_group,
+    symmetric_group,
+    trivial_subgroup,
+    wreath_z2,
+)
 from cosetlab.hsp import (
     McElieceInstance,
     attack,
@@ -30,6 +40,7 @@ from cosetlab.hsp import (
     shift_set,
     stabilizer_order_product,
 )
+from cosetlab.suites import subgroup_catalog
 from cosetlab.wreathrep import k_build
 
 
@@ -267,3 +278,24 @@ def test_id_scan_matches_tuple_reference_when_not_right_injective():
         assert check_right_injective(f, W) is False
         with pytest.raises(ValueError):
             hidden_subgroup_of(f, W)
+
+
+def test_subgroups_and_k_are_built_without_tuple_arithmetic(monkeypatch):
+    # certification, closure and k_build run on id arrays only
+    def refuse(*args):
+        raise AssertionError("tuple arithmetic while building a subgroup")
+
+    for cls in (SymmetricGroup, GeneralLinearGroup, DirectProduct, WreathZ2):
+        monkeypatch.setattr(cls, "mul_values", refuse)
+        monkeypatch.setattr(cls, "inv_value", refuse)
+    s3, gl22 = symmetric_group(3), general_linear_group(2, 2)
+    groups = [symmetric_group(n) for n in range(2, 9)]
+    groups += [general_linear_group(2, q) for q in (2, 3, 4, 5, 7)]
+    groups += [wreath_z2(s3), wreath_z2(product_group(gl22, s3)), product_group(gl22, s3)]
+    for G in groups:
+        assert subgroup_catalog(G)
+    # attack builds K, H0 and the k_build oracle
+    for q in (2, 3):
+        for seed in range(3):
+            res = attack(random_instance(field_of_order(q), 2, 3, seed=seed))
+            assert res.valid and res.k_formula_match and res.size_match

@@ -6,7 +6,7 @@ import pytest
 from cosetlab import sampling
 from cosetlab.chartab import CharacterTable
 from cosetlab.gl2rep import char_table as gl2_char_table
-from cosetlab.groups import GroupElement, subgroup_closure, trivial_subgroup
+from cosetlab.groups import subgroup_closure, trivial_subgroup
 from cosetlab.realize import RealizedIrrep
 from cosetlab.sampling import (
     SamplingContext,
@@ -260,9 +260,7 @@ def reference_pg_invariance_error(table, H):
     dims = np.asarray(table.dims, dtype=float)
     worst = 0.0
     for g in G.elements():
-        cols = [
-            table.class_index_of(GroupElement(G, v)) for v in H.conjugate_values(g)
-        ]
+        cols = [table.class_index_of(G.conj(g, h)) for h in H.elements]
         sums = table.values[:, cols].sum(axis=1)
         probs = dims * sums.real / G.order
         worst = max(worst, float(np.abs(probs - base).max()))
