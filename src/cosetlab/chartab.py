@@ -4,12 +4,12 @@ for inner products, tensor-square multiplicities and per-element lookup.
 A table stores one row per irreducible character and one column per class.
 Class keys are exact (partitions, closed-form GL2 class labels, pairs of
 factor keys, or base-class indices for wreath products), never rounded
-floats. `class_key_of` maps a group element to its class key, so character
-values on arbitrary elements never require enumerating the group; the dense
-per-element value matrix is materialized lazily only where projections need
-it. A builder that can compute class columns on whole id arrays (the wreath
-builder) passes that function as `columns_of_ids`, and `element_columns`
-then makes no Python call per element.
+floats.  Each builder passes one column function, which maps an array of
+element ids to their class columns with array arithmetic: cycle-type codes
+for S_n, a (trace, det) lookup plus a scalar test for GL_2, factor columns
+for products and base columns for wreaths.  Building a table calls it on
+nothing, so a table never enumerates its group; the per-element columns
+and values are computed on first use.
 
 The four builders (`symrep.sn_character_table`, `gl2rep.char_table`,
 `product_table`, `wreathrep.wreath_char_table`) give each table a frozen
@@ -74,9 +74,8 @@ class CharacterTable:
         class_sizes: Sequence[int],
         class_reps: Sequence[GroupElement],
         values: np.ndarray,
-        class_key_of: Callable[[GroupElement], object],
+        columns: Callable[[np.ndarray], np.ndarray],
         family: Optional[Family] = None,
-        columns_of_ids: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         n_irreps = len(labels)
         n_classes = len(class_keys)
@@ -93,22 +92,26 @@ class CharacterTable:
         self.class_sizes = list(int(s) for s in class_sizes)
         self.class_reps = list(class_reps)
         self.values = np.asarray(values, dtype=complex)
-        self.class_key_of = class_key_of
         self.family = family
-        self._columns_of_ids = columns_of_ids
-        self._key_index = {k: i for i, k in enumerate(self.class_keys)}
-        if len(self._key_index) != n_classes:
+        self._columns = columns
+        if len(set(self.class_keys)) != n_classes:
             raise ValueError("duplicate class keys")
         self._label_index = {l: i for i, l in enumerate(self.labels)}
         if len(self._label_index) != n_irreps:
             raise ValueError("duplicate irrep labels")
-        ident_col = self.class_index_of(group.identity())
+        reps = [r.value for r in self.class_reps]
+        if group.identity_value() not in reps:
+            raise ValueError("no class is represented by the identity")
+        ident_col = reps.index(group.identity_value())
         if not np.allclose(self.values[:, ident_col].real, self.dims, atol=1e-8) or (
             np.abs(self.values[:, ident_col].imag).max(initial=0.0) > 1e-8
         ):
             raise ValueError("character at identity must equal the dimension")
         self._element_columns: Optional[np.ndarray] = None
         self._element_values: Optional[np.ndarray] = None
+        # the last subgroup asked of normalized_char_max, and the columns of
+        # its non-identity elements
+        self._sub_columns: Tuple[Optional[Subgroup], np.ndarray] = (None, np.empty(0, int))
 
     @property
     def n_irreps(self) -> int:
@@ -117,19 +120,18 @@ class CharacterTable:
     def index_of(self, label: str) -> int:
         return self._label_index[label]
 
+    def columns_of(self, ids) -> np.ndarray:
+        """Class column of each element id in an id array."""
+        return self._columns(np.asarray(ids, dtype=np.int64))
+
     def class_index_of(self, el: GroupElement) -> int:
-        return self._key_index[self.class_key_of(el)]
+        return int(self.columns_of([self.group.ids().id_of(el.value)])[0])
 
     def element_columns(self) -> np.ndarray:
         """Class column of every element, aligned with group.elements()
         (and so indexed by element id)."""
         if self._element_columns is None:
-            if self._columns_of_ids is not None:
-                self._element_columns = self._columns_of_ids(np.arange(self.group.order))
-            else:
-                self._element_columns = np.array(
-                    [self.class_index_of(el) for el in self.group.elements()], dtype=int
-                )
+            self._element_columns = self.columns_of(np.arange(self.group.order))
         return self._element_columns
 
     def element_values(self) -> np.ndarray:
@@ -163,11 +165,15 @@ class CharacterTable:
     # -- subgroup functionals --
 
     def normalized_char_max(self, i: int, sub: Subgroup) -> float:
-        """max over non-identity h in H of |chi(h)| / dim; 0 for trivial H."""
-        h = sub.ids[sub.ids != self.group.ids().identity]
-        if not h.size:
+        """max over non-identity h in H of |chi(h)| / dim; 0 for trivial H.
+        The checks ask for every irrep in turn, so H's columns are kept."""
+        if self._sub_columns[0] is not sub:
+            h = sub.ids[sub.ids != self.group.ids().identity]
+            self._sub_columns = (sub, self.columns_of(h))
+        cols = self._sub_columns[1]
+        if not cols.size:
             return 0.0
-        return float(np.abs(self.values[i, self.element_columns()[h]]).max() / self.dims[i])
+        return float(np.abs(self.values[i, cols]).max() / self.dims[i])
 
 
 def product_table(G: DirectProduct, t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
@@ -189,15 +195,13 @@ def product_table(G: DirectProduct, t1: CharacterTable, t2: CharacterTable) -> C
                 GroupElement(G, (t1.class_reps[j1].value, t2.class_reps[j2].value))
             )
     values = np.kron(t1.values, t2.values)
+    n2, r2 = g2.order, len(t2.class_keys)
 
-    def key_of(el: GroupElement):
-        v1, v2 = el.value
-        return (
-            t1.class_key_of(GroupElement(g1, v1)),
-            t2.class_key_of(GroupElement(g2, v2)),
-        )
+    def columns(g: np.ndarray) -> np.ndarray:
+        # product ids are i1*|G2| + i2, class keys (k1, k2) are column c1*r2 + c2
+        return t1.columns_of(g // n2) * r2 + t2.columns_of(g % n2)
 
     return CharacterTable(
-        G, labels, dims, class_keys, class_sizes, class_reps, values, key_of,
+        G, labels, dims, class_keys, class_sizes, class_reps, values, columns,
         ProductFamily((t1, t2)),
     )

@@ -359,13 +359,6 @@ def poly_gcd(F: Fq, f: Sequence[int], g: Sequence[int]) -> Tuple[int, ...]:
 
 # ---- matrices as tuples of row tuples ----
 
-def mat_from_rows(rows: Sequence[Sequence[int]]) -> Matrix:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix rows")
-    return out
-
-
 def mat_identity(k: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
@@ -384,13 +377,6 @@ def mat_mul(F: Fq, A: Matrix, B: Matrix) -> Matrix:
             new.append(acc)
         out.append(tuple(new))
     return tuple(out)
-
-
-def mat_trace(F: Fq, A: Matrix) -> int:
-    acc = 0
-    for i in range(len(A)):
-        acc = F.add(acc, A[i][i])
-    return acc
 
 
 def _eliminate(F: Fq, rows: List[List[int]], reduce_up: bool) -> Tuple[List[List[int]], List[int]]:

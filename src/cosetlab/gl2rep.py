@@ -51,61 +51,6 @@ def _quadratic_extension(F: Fq) -> Tuple[Fq, List[int], Dict[int, int]]:
     return E, emb, inv
 
 
-_CLASS_KEY_CACHE: Dict[Tuple[int, int, int, int], ClassKey] = {}
-
-
-def class_key(F: Fq, M: Matrix) -> ClassKey:
-    """Canonical conjugacy-class key of an invertible 2x2 matrix.
-
-    ('a', x) scalar, ('b', x) non-semisimple, ('c', x, y) split with x < y,
-    ('d', xi) non-split with xi the smaller of the two conjugate eigenvalues
-    in the quadratic extension.
-    """
-    t = fields.mat_trace(F, M)
-    D = fields.mat_det(F, M)
-    if D == 0:
-        raise ValueError("matrix is singular")
-    cached = _CLASS_KEY_CACHE.get((F.p, F.n, t, D))
-    if cached is not None:
-        kind = cached[0]
-        if kind == "a":
-            # same (t, D) covers both the scalar and the b_x class
-            x = cached[1]
-            if M == ((x, 0), (0, x)):
-                return cached
-            return ("b", x)
-        if kind == "b":
-            x = cached[1]
-            if M == ((x, 0), (0, x)):
-                return ("a", x)
-            return cached
-        return cached
-    roots = [
-        r
-        for r in F.units()
-        if F.add(F.sub(F.mul(r, r), F.mul(t, r)), D) == 0
-    ]
-    if roots:
-        if len(roots) == 1:
-            x = roots[0]
-            key: ClassKey = ("a", x) if M == ((x, 0), (0, x)) else ("b", x)
-            _CLASS_KEY_CACHE[(F.p, F.n, t, D)] = key
-            return key
-        x, y = min(roots), max(roots)
-        key = ("c", x, y)
-    else:
-        E, emb, _ = _quadratic_extension(F)
-        te, De = emb[t], emb[D]
-        xi = next(
-            z
-            for z in E.units()
-            if E.add(E.sub(E.mul(z, z), E.mul(te, z)), De) == 0
-        )
-        key = ("d", min(xi, E.pow(xi, F.q)))
-    _CLASS_KEY_CACHE[(F.p, F.n, t, D)] = key
-    return key
-
-
 @dataclass(frozen=True)
 class Gl2Class:
     key: ClassKey
@@ -283,9 +228,41 @@ def char_table(q: int) -> CharacterTable:
         [c.size for c in cls],
         [G.make(c.representative) for c in cls],
         values,
-        lambda el: class_key(F, el.value),
+        _class_columns(G, cls),
         GL2Family(),
     )
+
+
+def _class_columns(G: GeneralLinearGroup, cls: List[Gl2Class]):
+    """Column function of GL_2(F_q) on id arrays.  A matrix's class is fixed
+    by its characteristic polynomial (trace t, determinant D), except that
+    the scalar x and the non-semisimple class b_x share one; so a lookup at
+    t*q + D, built from the non-scalar representatives, and a scalar test
+    read every column, with all arithmetic through Fq.tables()."""
+    q = G.field.q
+    add, mul = G.field.tables()
+    neg = np.argmax(add == 0, axis=1)
+
+    def trace_det(M: np.ndarray):
+        a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+        return add[a, d], add[mul[a, d], neg[mul[b, c]]]
+
+    t, D = trace_det(np.array([c.representative for c in cls]))
+    lookup = np.full(q * q, -1)
+    scalar_col = np.full(q, -1)
+    for j, c in enumerate(cls):
+        if c.key[0] == "a":
+            scalar_col[c.key[1]] = j
+        else:
+            lookup[t[j] * q + D[j]] = j
+
+    def columns(g: np.ndarray) -> np.ndarray:
+        M = G.ids().array[g]
+        t, D = trace_det(M)
+        scalar = (M[..., 0, 1] == 0) & (M[..., 1, 0] == 0) & (M[..., 0, 0] == M[..., 1, 1])
+        return np.where(scalar, scalar_col[M[..., 0, 0]], lookup[t * q + D])
+
+    return columns
 
 
 # ---- the Gelfand-Graev model ----

@@ -1,13 +1,12 @@
 """Uniform handles for the small finite groups used throughout: S_n,
 GL_k(F_q), direct products, and the wreath product G wr Z_2 = G^2 : Z_2.
 
-Elements are thin wrappers around hashable payloads (image tuples for
-permutations, row tuples for matrices, nested pairs for products, (x, y, b)
-triples for wreath elements) and carry their group handle so that mixing
-elements of different groups fails immediately.
-
-Every group also has an id view (`Group.ids()`): id i is the i-th value
-of `iter_values()`, and products and inverses run on numpy id arrays.
+Element values are tuples (image tuples for permutations, row tuples for
+matrices, nested pairs for products, (x, y, b) triples for wreath
+elements).  They are the edge format: parsing, JSON, reports and class
+representatives.  All arithmetic runs in the id view (`Group.ids()`): id i
+is the i-th value of `iter_values()`, and products and inverses run on
+numpy id arrays.
 S_n and GL_k(F_q) multiply through an int32 Cayley table, built on first
 use and only up to TABLE_CAP elements; past the cap S_n multiplies by
 composing image arrays.  Direct products and wreath products compose ids
@@ -48,12 +47,6 @@ class GroupElement:
         self.group = group
         self.value = value
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.mul(self, other)
-
-    def inv(self) -> "GroupElement":
-        return self.group.inv(self)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupElement)
@@ -82,12 +75,6 @@ class Group:
     def identity_value(self):
         raise NotImplementedError
 
-    def mul_values(self, a, b):
-        raise NotImplementedError
-
-    def inv_value(self, a):
-        raise NotImplementedError
-
     def iter_values(self) -> Iterator:
         raise NotImplementedError
 
@@ -101,26 +88,6 @@ class Group:
     def make(self, value) -> GroupElement:
         self.validate_value(value)
         return GroupElement(self, value)
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, self.identity_value())
-
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        if a.group.key != self.key or b.group.key != self.key:
-            raise ValueError(f"element of {a.group} * element of {b.group} in {self}")
-        return GroupElement(self, self.mul_values(a.value, b.value))
-
-    def inv(self, a: GroupElement) -> GroupElement:
-        if a.group.key != self.key:
-            raise ValueError(f"element of {a.group} inverted in {self}")
-        return GroupElement(self, self.inv_value(a.value))
-
-    def conj(self, g: GroupElement, x: GroupElement) -> GroupElement:
-        """g^-1 x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
-
-    def is_identity(self, a: GroupElement) -> bool:
-        return a.value == self.identity_value()
 
     def elements(self, cap: int = GROUP_ENUM_CAP) -> List[GroupElement]:
         if self._elements is None:
@@ -166,15 +133,6 @@ class SymmetricGroup(Group):
     def identity_value(self):
         return tuple(range(self.n))
 
-    def mul_values(self, a, b):
-        return tuple(b[a[i]] for i in range(self.n))
-
-    def inv_value(self, a):
-        out = [0] * self.n
-        for i, j in enumerate(a):
-            out[j] = i
-        return tuple(out)
-
     def iter_values(self):
         return itertools.permutations(range(self.n))
 
@@ -201,23 +159,7 @@ class SymmetricGroup(Group):
             return code_to_id[code]
 
         inverse = code_to_id[np.argsort(imgs, axis=1)[:, :-1] @ place].astype(np.int64)
-        return TableIds(self, values, product, inverse)
-
-
-def cycle_type(perm: Sequence[int]) -> Tuple[int, ...]:
-    """Cycle lengths of an image tuple, sorted decreasing (a partition of n)."""
-    seen = [False] * len(perm)
-    lens = []
-    for i in range(len(perm)):
-        if not seen[i]:
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            lens.append(length)
-    lens.sort(reverse=True)
-    return tuple(lens)
+        return TableIds(self, values, imgs, product, inverse)
 
 
 class GeneralLinearGroup(Group):
@@ -235,12 +177,6 @@ class GeneralLinearGroup(Group):
 
     def identity_value(self):
         return fields.mat_identity(self.k)
-
-    def mul_values(self, a, b):
-        return fields.mat_mul(self.field, a, b)
-
-    def inv_value(self, a):
-        return fields.mat_inv(self.field, a)
 
     def iter_values(self):
         return fields.enumerate_glk(self.field, self.k, cap=max(self.order, fields.GL_ENUM_CAP))
@@ -281,7 +217,7 @@ class GeneralLinearGroup(Group):
                 out = out + acc * row_place[i]
             return code_to_id[out]
 
-        return TableIds(self, values, product)
+        return TableIds(self, values, mats, product)
 
 
 class DirectProduct(Group):
@@ -298,15 +234,6 @@ class DirectProduct(Group):
 
     def identity_value(self):
         return (self.factors[0].identity_value(), self.factors[1].identity_value())
-
-    def mul_values(self, a, b):
-        return (
-            self.factors[0].mul_values(a[0], b[0]),
-            self.factors[1].mul_values(a[1], b[1]),
-        )
-
-    def inv_value(self, a):
-        return (self.factors[0].inv_value(a[0]), self.factors[1].inv_value(a[1]))
 
     def iter_values(self):
         # itertools.product enumerates each factor once, in this order
@@ -344,28 +271,13 @@ class WreathZ2(Group):
         e = self.base.identity_value()
         return (e, e, 0)
 
-    def mul_values(self, a, b):
-        x1, y1, b1 = a
-        x2, y2, b2 = b
-        if b1:
-            x2, y2 = y2, x2
-        return (
-            self.base.mul_values(x1, x2),
-            self.base.mul_values(y1, y2),
-            b1 ^ b2,
-        )
-
-    def inv_value(self, a):
-        x, y, b = a
-        if b:
-            return (self.base.inv_value(y), self.base.inv_value(x), 1)
-        return (self.base.inv_value(x), self.base.inv_value(y), 0)
-
     def iter_values(self):
         base = list(self.base.iter_values())
         return ((x, y, b) for b in (0, 1) for x in base for y in base)
 
     def validate_value(self, v) -> None:
+        if len(v) != 3:
+            raise ValueError("wreath element must be a triple (x, y, b)")
         x, y, b = v
         if b not in (0, 1):
             raise ValueError("wreath bit must be 0 or 1")
@@ -380,7 +292,9 @@ class WreathZ2(Group):
 
 class TableIds:
     """Ids of S_n or GL_k(F_q): id i is values[i], the i-th value of
-    iter_values(), and index maps values to ids.
+    iter_values(), and index maps values to ids.  array holds the values as
+    one integer array: (N, n) image rows for S_n, (N, k, k) matrices for
+    GL_k.
 
     product(a, b) gives the ids of a*b for broadcasting id arrays a and b.
     Up to TABLE_CAP elements the int32 Cayley table (table[a, b] is the id
@@ -389,9 +303,10 @@ class TableIds:
     reads its inverse off the table, so past the cap it has neither.
     """
 
-    def __init__(self, group: Group, values, product, inverse=None):
+    def __init__(self, group: Group, values, array, product, inverse=None):
         self.group = group
         self.values = values
+        self.array = array
         self.index = {v: i for i, v in enumerate(values)}
         self.order = len(values)
         self.identity = self.index[group.identity_value()]
@@ -607,66 +522,12 @@ def subgroup_closure(
     return Subgroup(G, np.flatnonzero(seen), label=label)
 
 
-# ---- random elements (used by key generation and property tests) ----
-
-def random_element(G: Group, rng) -> GroupElement:
-    """Uniform element from G; rng is a random.Random."""
-    if isinstance(G, SymmetricGroup):
-        img = list(range(G.n))
-        rng.shuffle(img)
-        return GroupElement(G, tuple(img))
-    if isinstance(G, GeneralLinearGroup):
-        F, k = G.field, G.k
-        while True:
-            M = tuple(
-                tuple(rng.randrange(F.q) for _ in range(k)) for _ in range(k)
-            )
-            if fields.mat_is_invertible(F, M):
-                return GroupElement(G, M)
-    if isinstance(G, DirectProduct):
-        a = random_element(G.factors[0], rng)
-        b = random_element(G.factors[1], rng)
-        return GroupElement(G, (a.value, b.value))
-    if isinstance(G, WreathZ2):
-        x = random_element(G.base, rng)
-        y = random_element(G.base, rng)
-        return GroupElement(G, (x.value, y.value, rng.randrange(2)))
-    raise TypeError(f"no sampler for {G}")
-
-
-# ---- JSON serialization of elements ----
-
-def element_to_json(el: GroupElement):
-    G = el.group
-    if isinstance(G, SymmetricGroup):
-        return list(el.value)
-    if isinstance(G, GeneralLinearGroup):
-        return [list(r) for r in el.value]
-    if isinstance(G, DirectProduct):
-        return [
-            element_to_json(GroupElement(G.factors[0], el.value[0])),
-            element_to_json(GroupElement(G.factors[1], el.value[1])),
-        ]
-    if isinstance(G, WreathZ2):
-        return [
-            element_to_json(GroupElement(G.base, el.value[0])),
-            element_to_json(GroupElement(G.base, el.value[1])),
-            el.value[2],
-        ]
-    raise TypeError(f"no serializer for {G}")
-
-
 def element_from_json(G: Group, obj) -> GroupElement:
-    if isinstance(G, SymmetricGroup):
-        return G.make(tuple(int(x) for x in obj))
-    if isinstance(G, GeneralLinearGroup):
-        return G.make(fields.mat_from_rows(obj))
-    if isinstance(G, DirectProduct):
-        a = element_from_json(G.factors[0], obj[0])
-        b = element_from_json(G.factors[1], obj[1])
-        return G.make((a.value, b.value))
-    if isinstance(G, WreathZ2):
-        x = element_from_json(G.base, obj[0])
-        y = element_from_json(G.base, obj[1])
-        return G.make((x.value, y.value, int(obj[2])))
-    raise TypeError(f"no parser for {G}")
+    """The element of G written as JSON: lists are read as tuples and every
+    leaf through int(), and G.make validates the result, so a malformed
+    element raises ValueError or TypeError."""
+
+    def parse(o):
+        return tuple(parse(x) for x in o) if isinstance(o, list) else int(o)
+
+    return G.make(parse(obj))

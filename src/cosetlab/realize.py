@@ -11,9 +11,10 @@ Every step is deterministic; a table without a family is refused.
 Every realized irrep has one matrix source, a gather from an id array to
 the (n, d, d) array of its matrices: `symrep.YorRep.mats` for S_n,
 `gl2rep.GelfandGraev.block` (or the character) for GL_2, `kron_stack` of
-the factors' stack rows for products and `wreathrep.wreath_stack` of the
-base stack rows for wreaths.  `at(ids)`, `stack()` and `mat_value` all
-read it, so they agree bit for bit.
+the factors' rows for products (read through the factor's `at` for a
+request smaller than the factor group, from its stack otherwise) and
+`wreathrep.wreath_stack` of the base stack rows for wreaths.  `at(ids)`,
+`stack()` and `mat_value` all read it, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def realize_table(table: CharacterTable) -> List[RealizedIrrep]:
     if isinstance(fam, SymmetricFamily):
         from .symrep import YorRep
 
-        perms = np.array(G.ids().values).reshape(G.order, G.n)
+        perms = G.ids().array
         for label, la in zip(table.labels, fam.partitions):
             rep = YorRep(la)
             out.append(RealizedIrrep(G, label, rep.dim, lambda g, r=rep: r.mats(perms[g])))
@@ -149,10 +150,15 @@ def realize_table(table: CharacterTable) -> List[RealizedIrrep]:
     elif isinstance(fam, ProductFamily):
         reals1, reals2 = (realize_table(t) for t in fam.factors)
         n2 = fam.factors[1].group.order
+
+        def rows(r: RealizedIrrep, g: np.ndarray) -> np.ndarray:
+            # a request smaller than the factor group does not build its stack
+            return r.at(g) if len(g) < r.group.order else r.stack()[g]
+
         for i1, r1 in enumerate(reals1):
             for i2, r2 in enumerate(reals2):
                 # product ids are i1*|G2| + i2
-                gather = lambda g, a=r1, b=r2: kron_stack(a.stack()[g // n2], b.stack()[g % n2])
+                gather = lambda g, a=r1, b=r2: kron_stack(rows(a, g // n2), rows(b, g % n2))
                 label = table.labels[i1 * len(reals2) + i2]
                 out.append(RealizedIrrep(G, label, r1.dim * r2.dim, gather))
     elif isinstance(fam, GL2Family):

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartab import CharacterTable
-from .groups import GROUP_ENUM_CAP, Group, GroupElement, Subgroup
+from .groups import GROUP_ENUM_CAP, Group, Subgroup
 from .realize import RealizedIrrep, realize_table
 
 STRUCT_TOL = 1e-8
@@ -79,7 +79,7 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     G = table.group
     # each row is summed in id order with Python's sum, which fixes how
     # every probability rounds
-    cols = table.element_columns()[H.ids]
+    cols = table.columns_of(H.ids)
     probs = np.empty(table.n_irreps)
     for i in range(table.n_irreps):
         s = sum(table.values[i, cols].tolist())
@@ -242,7 +242,7 @@ def second_moment_check(
     overlaps = (cols.conj().transpose(0, 2, 1) @ (Uh @ cols))[:, 0, 0]
     lhs = float(np.mean(np.float_power(np.hypot(overlaps.real, overlaps.imag), 2)))
     norms = isotypic_vector_norms(ctx, rho_idx)
-    chi_h = ctx.table.values[:, ctx.table.class_index_of(GroupElement(G, h_value))]
+    chi_h = ctx.table.values[:, ctx.table.element_columns()[G.ids().id_of(h_value)]]
     rhs = complex(0)
     for s in range(ctx.table.n_irreps):
         rhs += complex(chi_h[s]) / ctx.table.dims[s] * norms[s, b_idx]

@@ -116,10 +116,11 @@ def subgroup_catalog(G: Group) -> List[Subgroup]:
     if isinstance(G, WreathZ2):
         return _wreath_catalog(G)
     out = [trivial_subgroup(G)]
-    for el in G.elements():
-        if not G.is_identity(el):
-            out.append(subgroup_closure(G, [el], label="cyclic"))
-            break
+    if G.order > 1:
+        # the first non-identity element in id order
+        ids = G.ids()
+        g = ids.value_of(1 if ids.identity == 0 else 0)
+        out.append(subgroup_closure(G, [G.make(g)], label="cyclic"))
     return out
 
 
@@ -162,12 +163,9 @@ def lemma_checks(
         for i in range(table.n_irreps)
         if max_dim is None or table.dims[i] <= max_dim
     ]
-    h_values = [H.group.identity_value()]
-    for el in H.elements:
-        if not H.group.is_identity(el):
-            h_values.append(el.value)
-        if len(h_values) > second_moment_elements:
-            break
+    # the identity, then the first non-identity elements in value order
+    e = H.group.identity_value()
+    h_values = [e] + [el.value for el in H.elements if el.value != e][:second_moment_elements]
     lin = _linear_indices(table)
     for i in rho_list:
         label = table.labels[i]

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartab import CharacterTable, SymmetricFamily
-from .groups import GroupElement, SymmetricGroup, cycle_type, symmetric_group
+from .groups import GroupElement, SymmetricGroup, symmetric_group
 
 PARTITION_CAP = 40
 # largest n of the full-table decay report
@@ -142,10 +142,32 @@ def sn_character_table(n: int) -> CharacterTable:
     values = np.array(
         [[mn_character(la, mu) for mu in parts] for la in parts], dtype=complex
     )
+
+    def columns(g: np.ndarray) -> np.ndarray:
+        # a cycle type is fixed by its code; the class reps give code -> column.
+        # Codes reach (n + 1)^n, past int64 for n > 15, so they are made only
+        # here, where G has ids (n <= 8), and never while a table is built
+        codes = _cycle_codes(np.array([r.value for r in reps]))
+        order = np.argsort(codes)
+        return order[np.searchsorted(codes, _cycle_codes(G.ids().array[g]), sorter=order)]
+
     return CharacterTable(
-        G, labels, dims, list(parts), sizes, reps,
-        values, lambda el: cycle_type(el.value), SymmetricFamily(tuple(parts)),
+        G, labels, dims, list(parts), sizes, reps, values, columns,
+        SymmetricFamily(tuple(parts)),
     )
+
+
+def _cycle_codes(imgs: np.ndarray) -> np.ndarray:
+    """Code of the cycle type of each (N, n) image row: the sum over points
+    of (n + 1)^(length of the point's cycle - 1), which counts the points
+    on cycles of each length in base n + 1."""
+    n = imgs.shape[1]
+    length = np.zeros(imgs.shape, dtype=np.int64)
+    cur = imgs
+    for k in range(1, n + 1):
+        length[(length == 0) & (cur == np.arange(n))] = k
+        cur = np.take_along_axis(imgs, cur, axis=1)
+    return ((n + 1) ** (length - 1)).sum(axis=1)
 
 
 # ---- the unbalanced-diagram family and its audit ----

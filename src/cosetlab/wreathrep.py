@@ -100,13 +100,6 @@ def wreath_char_table(base: CharacterTable) -> CharacterTable:
         else:
             pair_col[key[1], key[2]] = pair_col[key[2], key[1]] = col
 
-    def key_of(el: GroupElement) -> tuple:
-        xv, yv, bv = el.value
-        xi, yi = ids0.id_of(xv), ids0.id_of(yv)
-        if bv:
-            return (1, int(bcols[ids0.mul(xi, yi)]))
-        return (0, *sorted((int(bcols[xi]), int(bcols[yi]))))
-
     def columns_of_ids(w: np.ndarray) -> np.ndarray:
         wx, wy, wb = W.ids().split(w)
         return np.where(
@@ -124,9 +117,8 @@ def wreath_char_table(base: CharacterTable) -> CharacterTable:
             for xi, yi, bi in zip(x, y, b)
         ],
         values,
-        key_of,
-        WreathFamily(base, tuple(metas)),
         columns_of_ids,
+        WreathFamily(base, tuple(metas)),
     )
 
 

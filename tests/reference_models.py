@@ -1,4 +1,5 @@
-"""Reference models the tests compare the package against: trace
+"""Reference models the tests compare the package against: tuple-valued
+group arithmetic and cycle types, which the id views replaced, trace
 certification on class representatives, the per-element wreath and
 product matrices (np.kron with an explicit swap matrix) that the batched
 formulas in `wreathrep` and `realize` replaced, the enumerating wreath
@@ -12,11 +13,84 @@ from typing import Dict, List
 
 import numpy as np
 
+from cosetlab import fields
 from cosetlab.chartab import CharacterTable, WreathFamily
-from cosetlab.groups import GroupElement, wreath_z2
+from cosetlab.groups import (
+    DirectProduct,
+    GeneralLinearGroup,
+    GroupElement,
+    SymmetricGroup,
+    wreath_z2,
+)
 from cosetlab.realize import TRACE_TOL
 from cosetlab.wreathrep import wreath_char_table
 
+
+# ---- tuple-valued group arithmetic ----
+
+def mul_values(G, a, b):
+    """a * b on values, left factor applied first: (pi * sigma)(i) =
+    sigma(pi(i)), and (x1, y1, b1) * (x2, y2, b2) = (x1 u, y1 v, b1 ^ b2)
+    with (u, v) = (x2, y2) when b1 = 0 and (y2, x2) when b1 = 1."""
+    if isinstance(G, SymmetricGroup):
+        return tuple(b[a[i]] for i in range(G.n))
+    if isinstance(G, GeneralLinearGroup):
+        return fields.mat_mul(G.field, a, b)
+    if isinstance(G, DirectProduct):
+        return tuple(mul_values(F, x, y) for F, x, y in zip(G.factors, a, b))
+    x1, y1, b1 = a
+    x2, y2, b2 = b
+    if b1:
+        x2, y2 = y2, x2
+    return (mul_values(G.base, x1, x2), mul_values(G.base, y1, y2), b1 ^ b2)
+
+
+def inv_value(G, a):
+    if isinstance(G, SymmetricGroup):
+        out = [0] * G.n
+        for i, j in enumerate(a):
+            out[j] = i
+        return tuple(out)
+    if isinstance(G, GeneralLinearGroup):
+        return fields.mat_inv(G.field, a)
+    if isinstance(G, DirectProduct):
+        return tuple(inv_value(F, x) for F, x in zip(G.factors, a))
+    x, y, b = a
+    if b:
+        return (inv_value(G.base, y), inv_value(G.base, x), 1)
+    return (inv_value(G.base, x), inv_value(G.base, y), 0)
+
+
+def mul(G, a: GroupElement, b: GroupElement) -> GroupElement:
+    return GroupElement(G, mul_values(G, a.value, b.value))
+
+
+def inv(G, a: GroupElement) -> GroupElement:
+    return GroupElement(G, inv_value(G, a.value))
+
+
+def conj(G, g: GroupElement, x: GroupElement) -> GroupElement:
+    """g^-1 x g."""
+    return mul(G, mul(G, inv(G, g), x), g)
+
+
+def cycle_type(perm) -> tuple:
+    """Cycle lengths of an image tuple, sorted decreasing (a partition of n)."""
+    seen = [False] * len(perm)
+    lens = []
+    for i in range(len(perm)):
+        if not seen[i]:
+            j, length = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            lens.append(length)
+    lens.sort(reverse=True)
+    return tuple(lens)
+
+
+# ---- character tables and realized irreps ----
 
 def check_traces(table, reals, tol: float = TRACE_TOL) -> float:
     """Max |trace - table value| over all irreps and class representatives."""
@@ -104,7 +178,7 @@ def enumerated_wreath_char_table(base) -> CharacterTable:
                 else:
                     out[t] = vx[m.i] * vy[m.i]
         else:
-            vxy = V[:, bcol(G0.mul_values(xv, yv))]
+            vxy = V[:, bcol(mul_values(G0, xv, yv))]
             for t, m in enumerate(metas):
                 if m.kind == "pair":
                     out[t] = 0.0
@@ -135,10 +209,12 @@ def enumerated_wreath_char_table(base) -> CharacterTable:
             class_sizes[idx] += 1
     if len(class_keys) != n_w:
         raise AssertionError(f"{len(class_keys)} character-distinct classes vs {n_w} irreps")
+    def columns_of_ids(w: np.ndarray) -> np.ndarray:
+        return np.array([index_of[fingerprint(W.ids().value_of(i))] for i in w], dtype=int)
+
     return CharacterTable(
         W, closed.labels, closed.dims, class_keys, class_sizes, class_reps,
-        np.column_stack(columns), lambda el: fingerprint(el.value),
-        WreathFamily(base, metas),
+        np.column_stack(columns), columns_of_ids, WreathFamily(base, metas),
     )
 
 
@@ -149,10 +225,10 @@ def reference_subgroup_values(G, values) -> frozenset:
     if G.identity_value() not in values:
         raise ValueError("subgroup misses the identity")
     for a in values:
-        if G.inv_value(a) not in values:
+        if inv_value(G, a) not in values:
             raise ValueError("subgroup not closed under inverse")
         for b in values:
-            if G.mul_values(a, b) not in values:
+            if mul_values(G, a, b) not in values:
                 raise ValueError("subgroup not closed under product")
     return values
 
@@ -166,7 +242,7 @@ def reference_closure_values(G, gen_values) -> frozenset:
         nxt = []
         for v in frontier:
             for g in gen_values:
-                w = G.mul_values(v, g)
+                w = mul_values(G, v, g)
                 if w not in values:
                     values.add(w)
                     nxt.append(w)

@@ -16,11 +16,11 @@ import numpy as np
 from cosetlab import fields, goppa, hsp, sampling, suites, symrep
 from cosetlab.fields import field_of_order
 from cosetlab.gl2rep import char_table as gl2_char_table, linear_multiplicities
-from cosetlab.groups import cycle_type, subgroup_closure, trivial_subgroup
+from cosetlab.groups import subgroup_closure, trivial_subgroup
 from cosetlab.realize import realize_table
 from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import k_build, k_max_normalized_char, wreath_char_table
-from reference_models import check_traces
+from reference_models import check_traces, cycle_type
 
 GL2_ORDERS = (2, 3, 4, 5, 7)
 
@@ -221,12 +221,33 @@ def test_wreath_character_stack():
 
 
 def test_no_runtime_asserts_in_src():
-    # python -O strips assert statements, so runtime checks raise instead
+    # python -O strips assert statements, so runtime checks raise instead.
+    # The character and sampling layers read the group through id arrays
+    # only, and no module keeps tuple arithmetic or per-element class keys.
     src = Path(symrep.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert not found
+    enumerating = [
+        f"{name}:{node.lineno}"
+        for name in ("chartab.py", "sampling.py")
+        for node in ast.walk(trees[name])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("elements", "iter_values")
+    ]
+    assert not enumerating
+    retired = {"mul_values", "inv_value", "class_key_of"}
+    defined = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.FunctionDef) and node.name in retired)
+        or (isinstance(node, ast.Attribute) and node.attr in retired)
+    ]
+    assert not defined

@@ -12,6 +12,7 @@ from cosetlab import sampling
 from cosetlab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(argv):
@@ -299,6 +300,16 @@ def run_cli_process(*argv):
         # over the partition and decay-report caps; these exited 1
         (["lambda-audit", "--n", "41", "--c", "1/6"], "--n"),
         (["roichman", "--n", "11", "--c", "1/6"], "--n"),
+        # a wreath generator without its swap bit raised an IndexError, and
+        # the third part of a product generator was dropped (exit 0)
+        (
+            ["dist", "--group", "wreath_s3", "--subgroup", str(DATA / "wreath_s3_two_part_generator.json")],
+            "--subgroup",
+        ),
+        (
+            ["dist", "--group", "gl2_2xs3", "--subgroup", str(DATA / "gl2_2xs3_three_part_generator.json")],
+            "--subgroup",
+        ),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):

@@ -7,7 +7,6 @@ from cosetlab.chartab import CharacterTable
 from cosetlab.gl2rep import (
     GelfandGraev,
     char_table,
-    class_key,
     corollary_bound,
     gl2_class_list,
     linear_multiplicities,
@@ -17,6 +16,8 @@ from cosetlab.gl2rep import (
 from cosetlab.fields import field_of_order, glk_order
 from cosetlab.groups import general_linear_group, subgroup_closure
 from cosetlab.symrep import sn_character_table
+
+from reference_models import conj
 
 QS = (2, 3, 4, 5)
 
@@ -74,10 +75,10 @@ def test_class_census():
         assert sum(c.size for c in classes) == G.order
         # closed-form census agrees with explicit membership on small q
         if q <= 3:
-            F = field_of_order(q)
+            t = char_table(q)
             members = {}
-            for el in G.elements():
-                members.setdefault(class_key(F, el.value), []).append(el)
+            for el, col in zip(G.elements(), t.element_columns()):
+                members.setdefault(t.class_keys[col], []).append(el)
             assert len(members) == len(classes)
             assert sum(len(m) for m in members.values()) == G.order
             for c in classes:
@@ -86,12 +87,12 @@ def test_class_census():
 
 def test_class_key_is_conjugation_invariant():
     for q in (2, 3):
-        F = field_of_order(q)
-        G = general_linear_group(2, q)
+        t = char_table(q)
+        G = t.group
         els = G.elements()
         for x in els[:12]:
             for g in els[:12]:
-                assert class_key(F, x.value) == class_key(F, G.conj(g, x).value)
+                assert t.class_index_of(x) == t.class_index_of(conj(G, g, x))
 
 
 def test_q2_table_matches_s3():

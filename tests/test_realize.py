@@ -17,13 +17,14 @@ from cosetlab.chartab import (
     ProductFamily,
     SymmetricFamily,
     WreathFamily,
+    product_table,
 )
 from cosetlab.gl2rep import char_table as gl2_char_table
-from cosetlab.groups import general_linear_group
+from cosetlab.groups import general_linear_group, product_group
 from cosetlab.realize import RealizedIrrep, kron_stack, realize_table
 from cosetlab.suites import big_wreath_table, grid_tables
 from cosetlab.symrep import YorRep, sn_character_table
-from reference_models import product_mat, wreath_mat
+from reference_models import inv_value, mul_values, product_mat, wreath_mat
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -33,11 +34,11 @@ def reference_regular_structure(G):
     kept as the reference for G.ids()."""
     els = G.elements()
     index = {el.value: i for i, el in enumerate(els)}
-    inv_index = np.array([index[G.inv_value(el.value)] for el in els])
+    inv_index = np.array([index[inv_value(G, el.value)] for el in els])
     cay = np.empty((len(els), len(els)), dtype=np.int32)
     for i, g in enumerate(els):
         for x, h in enumerate(els):
-            cay[i, x] = index[G.mul_values(g.value, h.value)]
+            cay[i, x] = index[mul_values(G, g.value, h.value)]
     return els, index, inv_index, cay
 
 
@@ -191,6 +192,22 @@ def test_big_wreath_stacks_run_each_base_gather_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_few_product_ids_leave_the_factor_stacks_unbuilt(monkeypatch):
+    # a Monte Carlo request smaller than both factor groups reads the
+    # factors through at(), as dist --mc-samples does on gl2_7xs2
+    built = []
+    stack = RealizedIrrep.stack
+    monkeypatch.setattr(RealizedIrrep, "stack", lambda self: built.append(self.label) or stack(self))
+    t1, t2 = gl2_char_table(3), sn_character_table(4)
+    table = product_table(product_group(t1.group, t2.group), t1, t2)
+    g = np.random.default_rng(0).integers(0, table.group.order, size=20)
+    reals = realize_table(table)
+    got = [real.at(g) for real in reals]
+    assert built == []
+    for real, mats in zip(reals, got):
+        assert np.array_equal(mats, real.stack()[g])
+
+
 def test_kron_stack_is_np_kron_bit_for_bit():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
@@ -291,7 +308,7 @@ def test_realize_refuses_a_table_of_no_known_family():
     t = sn_character_table(3)
     bare = CharacterTable(
         t.group, t.labels, t.dims, t.class_keys, t.class_sizes,
-        t.class_reps, t.values, t.class_key_of,
+        t.class_reps, t.values, t.columns_of,
     )
     with pytest.raises(ValueError, match="no realization"):
         realize_table(bare)

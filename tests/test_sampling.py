@@ -27,6 +27,8 @@ from cosetlab.suites import subgroup_catalog
 from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import wreath_char_table
 
+from reference_models import conj
+
 
 def s3_ctx():
     return sampling_context(sn_character_table(3))
@@ -260,7 +262,7 @@ def reference_pg_invariance_error(table, H):
     dims = np.asarray(table.dims, dtype=float)
     worst = 0.0
     for g in G.elements():
-        cols = [table.class_index_of(G.conj(g, h)) for h in H.elements]
+        cols = [table.class_index_of(conj(G, g, h)) for h in H.elements]
         sums = table.values[:, cols].sum(axis=1)
         probs = dims * sums.real / G.order
         worst = max(worst, float(np.abs(probs - base).max()))
@@ -319,16 +321,15 @@ def test_pg_invariance_flags_a_wrong_class_map():
     good = sn_character_table(3)
     G = good.group
     bad_value = (1, 0, 2)
-    three_cycle_key = good.class_key_of(G.make((1, 2, 0)))
+    bad_id = G.ids().id_of(bad_value)
+    three_cycle_col = good.class_index_of(G.make((1, 2, 0)))
 
-    def wrong_key_of(el):
-        if el.value == bad_value:
-            return three_cycle_key
-        return good.class_key_of(el)
+    def wrong_columns(g):
+        return np.where(g == bad_id, three_cycle_col, good.columns_of(g))
 
     bad = CharacterTable(
         G, good.labels, good.dims, good.class_keys, good.class_sizes,
-        good.class_reps, good.values, wrong_key_of,
+        good.class_reps, good.values, wrong_columns,
     )
     H = subgroup_closure(G, [G.make(bad_value)], label="order-2")
     assert pg_invariance_error(good, H) < 1e-12

@@ -13,7 +13,14 @@ from cosetlab.suites import big_wreath_table
 from cosetlab.symrep import sn_character_table
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.wreathrep import k_build, k_max_normalized_char, wreath_char_table
-from reference_models import check_traces, enumerated_wreath_char_table, swap_matrix
+from reference_models import (
+    check_traces,
+    conj,
+    enumerated_wreath_char_table,
+    inv,
+    mul,
+    swap_matrix,
+)
 
 
 def s3_wreath():
@@ -56,7 +63,7 @@ def test_character_values_from_base_table():
                     want = 0.0
                 else:
                     sign = 1.0 if m.kind == "plus" else -1.0
-                    want = sign * ci(G0.mul(a, b))
+                    want = sign * ci(mul(G0, a, b))
             assert abs(got - want) < 1e-8
 
 
@@ -83,10 +90,10 @@ def test_k_two_coset_structure():
     s = G0.make((1, 2, 0))
     K = k_build(H0, s)
     assert K.order == 2 * H0.order**2
-    s_inv = G0.inv(s)
-    H0s = {G0.mul(h, s).value for h in H0.elements}
-    sH0s = {G0.conj(s, h).value for h in H0.elements}
-    sinvH0 = {G0.mul(s_inv, h).value for h in H0.elements}
+    s_inv = inv(G0, s)
+    H0s = {mul(G0, h, s).value for h in H0.elements}
+    sH0s = {conj(G0, s, h).value for h in H0.elements}
+    sinvH0 = {mul(G0, s_inv, h).value for h in H0.elements}
     for v in K.subgroup.value_set:
         g1, g2, bit = v
         if bit == 0:
@@ -101,7 +108,7 @@ def test_k_build_rejects_foreign_shift():
     other = sn_character_table(4).group
     H0 = trivial_subgroup(G0)
     with pytest.raises(ValueError):
-        k_build(H0, other.identity())
+        k_build(H0, other.make(other.identity_value()))
 
 
 def test_k_normalized_character_relations_exhaustive():
@@ -152,12 +159,12 @@ def test_k_max_normalized_char_raises_on_a_tampered_table():
     # direct maximum 1 exceeds its bound, and the plus row of the
     # 2-dimensional base irrep differs from its closed form 1/2
     t = s3_wreath()
-    ident = t.class_index_of(t.group.identity())
+    ident = t.class_index_of(t.group.make(t.group.identity_value()))
     values = np.repeat(np.asarray(t.dims, dtype=complex)[:, None], t.n_irreps, axis=1)
     values[:, ident] = t.values[:, ident]
     tampered = CharacterTable(
         t.group, t.labels, t.dims, t.class_keys, t.class_sizes, t.class_reps,
-        values, t.class_key_of, t.family,
+        values, t.columns_of, t.family,
     )
     G0 = t.family.base.group
     K = k_build(subgroup_closure(G0, [G0.make((1, 0, 2))]), G0.make((1, 2, 0)))
