@@ -2,12 +2,17 @@
 audits, rational Goppa construction and checks, key-recovery simulation,
 distinguishability reports, and the full verification grids.  All output
 is deterministic for a fixed config and seed.
+
+Each command returns (report file name, config keys, report body); `main`
+writes the report and is the only place that writes a diagnostic.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import random
 import re
@@ -19,16 +24,38 @@ from . import __version__, goppa, hsp, sampling, suites, symrep
 from .chartab import CharacterTable, WreathFamily, product_table
 from .gl2rep import char_table as gl2_char_table
 from .groups import (
+    GROUP_ENUM_CAP,
     Group,
     Subgroup,
+    SymmetricGroup,
     element_from_json,
     product_group,
     subgroup_closure,
     trivial_subgroup,
+    wreath_z2,
 )
 from .fields import field_of_order
 from .symrep import sn_character_table
 from .wreathrep import wreath_char_table
+
+
+class ConfigError(Exception):
+    """A bad input, charged to the flag that carried it; `main` turns it
+    into exit status 2 with a JSON diagnostic naming the flag."""
+
+    def __init__(self, flag: str, message: str):
+        super().__init__(message)
+        self.flag = flag
+
+
+@contextlib.contextmanager
+def _flag(flag: str):
+    """Charge a ValueError raised by the library inside the block to `flag`.
+    Only ValueError: any other exception is a bug and is not a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(flag, str(exc)) from None
 
 
 def _json(obj: dict) -> str:
@@ -36,75 +63,36 @@ def _json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(report: dict, out_dir: Optional[str], filename: str) -> None:
-    text = _json(report)
+def _write(text: str, out_dir: Optional[str], filename: str) -> None:
+    """Write one report file into the --out directory, if one is given."""
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, filename), "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(os.path.join(out_dir, filename), "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("--out", str(exc)) from None
 
 
-def _emit_csv(lines: List[str], out_dir: Optional[str], filename: str) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, filename), "w") as fh:
-            fh.write(text)
-
-
-def _config_dict(args: argparse.Namespace, keys: Sequence[str]) -> dict:
-    cfg = {
-        k: getattr(args, k)
-        for k in keys
-        if k != "out" and getattr(args, k, None) is not None
-    }
-    cfg["seed"] = getattr(args, "seed", 0)
-    return cfg
-
-
-def _wrap(args: argparse.Namespace, keys: Sequence[str], body: dict) -> dict:
-    return {
-        "version": __version__,
-        "config": _config_dict(args, keys),
-        **body,
-    }
-
-
-def _config_error(flag: str, message: str) -> int:
-    """Exit status 2 with a JSON diagnostic naming the offending flag."""
-    diag = {"ok": False, "version": __version__, "flag": flag, "error": message}
-    sys.stdout.write(_json(diag))
-    return 2
-
-
-def _fail(args, keys, filename, failed_records) -> int:
-    _emit(
-        _wrap(
-            args,
-            keys,
-            {
-                "ok": False,
-                "failed": [r.as_json() for r in failed_records],
-            },
-        ),
-        args.out,
-        filename,
-    )
-    return 1
+def _read_json(flag: str, path: str, parse, key: Optional[str] = None):
+    """parse() of the JSON in `path`, unwrapped from obj[key] when the file is
+    a report that holds it there.  A missing, unreadable or non-JSON file, or
+    one without the keys or shape that parse reads, is charged to `flag`; a
+    ValueError that parse raises on a well-formed object passes through."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(flag, f"cannot read JSON from {path!r}: {exc}") from None
+    if key is not None and isinstance(obj, dict) and key in obj:
+        obj = obj[key]
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ConfigError(flag, f"{path!r} has the wrong shape: {exc!r}") from None
 
 
 # ---- group and subgroup specs ----
-
-def _read_json(path: str):
-    """The parsed contents of a JSON file; ValueError if it is missing, a
-    directory or not JSON."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read JSON from {path!r}: {exc}") from None
-
 
 _ATOM_SN = re.compile(r"^s(\d+)$")
 _ATOM_GL2 = re.compile(r"^gl2_(\d+)$")
@@ -141,6 +129,8 @@ _CYCLES = re.compile(r"^\[\s*(?:\([0-9, ]*\)\s*)*\]$")
 def _parse_cycle_string(G, text: str) -> List:
     """Cycle notation with 1-indexed points, e.g. [(12)] or [(1,2)(3,4)];
     bare digit runs treat each digit as one point."""
+    if not isinstance(G, SymmetricGroup):
+        raise ValueError(f"cycle string {text!r} names permutations, and {G} is not S_n")
     gens = []
     for grp in re.findall(r"\(([0-9, ]*)\)", text):
         grp = grp.strip()
@@ -165,33 +155,31 @@ def parse_subgroup(G: Group, spec: str) -> Subgroup:
     an empty generator list means the trivial subgroup."""
     spec = spec.strip()
     if os.path.exists(spec):
-        obj = _read_json(spec)
-        try:
-            gen_objs = obj["generators"] if isinstance(obj, dict) else obj
-            gens = [element_from_json(G, o) for o in gen_objs]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"cannot read generators from {spec!r}: {exc!r}") from exc
-        if not gens:
-            return trivial_subgroup(G)
-        return subgroup_closure(G, gens, label="from file")
-    if _CYCLES.match(spec):
-        gens = _parse_cycle_string(G, spec)
-        if not gens:
-            return trivial_subgroup(G)
-        return subgroup_closure(G, gens, label=spec)
-    for H in suites.subgroup_catalog(G):
-        if H.label == spec:
-            return H
-    raise ValueError(f"unrecognized subgroup spec {spec!r}")
+        gens = _read_json("--subgroup", spec, lambda obj: [
+            element_from_json(G, o)
+            for o in (obj["generators"] if isinstance(obj, dict) else obj)
+        ])
+        label = "from file"
+    elif _CYCLES.match(spec):
+        gens, label = _parse_cycle_string(G, spec), spec
+    else:
+        for H in suites.subgroup_catalog(G):
+            if H.label == spec:
+                return H
+        raise ValueError(f"unrecognized subgroup spec {spec!r}")
+    return subgroup_closure(G, gens, label=label) if gens else trivial_subgroup(G)
 
 
-def _parse_rate(text: str) -> Fraction:
+def _parse_rate(args, n_cap: int) -> Fraction:
+    """The --c cutoff of lambda-audit and roichman; also checks --n."""
     try:
-        c = Fraction(text)
+        c = Fraction(args.c)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad fraction {text!r}") from None
+        raise ConfigError("--c", f"bad fraction {args.c!r}") from None
     if not 0 < c < Fraction(1, 4):
-        raise ValueError(f"cutoff must lie in (0, 1/4), got {c}")
+        raise ConfigError("--c", f"cutoff must lie in (0, 1/4), got {c}")
+    if not 1 <= args.n <= n_cap:
+        raise ConfigError("--n", f"must lie in [1, {n_cap}], got {args.n}")
     return c
 
 
@@ -215,17 +203,14 @@ def _family_counts(table: CharacterTable) -> dict:
     return counts
 
 
-def cmd_chartable(args) -> int:
-    flag = {"gl2": "--q", "sn": "--n", "wreath": "--base"}[args.kind]
-    try:
+def cmd_chartable(args):
+    with _flag({"gl2": "--q", "sn": "--n", "wreath": "--base"}[args.kind]):
         if args.kind == "gl2":
             table = gl2_char_table(args.q)
         elif args.kind == "sn":
             table = sn_character_table(args.n)
         else:
             table = wreath_char_table(parse_group_table(args.base))
-    except ValueError as exc:
-        return _config_error(flag, str(exc))
 
     def csv_row(cells: List[str]) -> str:
         return ",".join('"%s"' % c if "," in c else c for c in cells)
@@ -245,113 +230,54 @@ def cmd_chartable(args) -> int:
                 + [_complex_str(complex(v)) for v in table.values[i]]
             )
         )
-    _emit_csv(lines, args.out, "chartable.csv")
-    summary = _wrap(
-        args,
-        ("kind", "q", "n", "base", "out"),
-        {
-            "ok": True,
-            "n_irreps": table.n_irreps,
-            "dims": {table.labels[i]: table.dims[i] for i in range(table.n_irreps)},
-            "sum_of_squares": int(sum(d * d for d in table.dims)),
-            "group_order": table.group.order,
-            "family_counts": _family_counts(table),
-            "orthogonality_error": table.orthogonality_error(),
-        },
-    )
-    _emit(summary, args.out, "chartable_summary.json")
-    return 0
+    _write("\n".join(lines) + "\n", args.out, "chartable.csv")
+    return "chartable_summary.json", ("kind", "q", "n", "base"), {
+        "ok": True,
+        "n_irreps": table.n_irreps,
+        "dims": {table.labels[i]: table.dims[i] for i in range(table.n_irreps)},
+        "sum_of_squares": int(sum(d * d for d in table.dims)),
+        "group_order": table.group.order,
+        "family_counts": _family_counts(table),
+        "orthogonality_error": table.orthogonality_error(),
+    }
 
 
-def cmd_dims(args) -> int:
-    try:
+def cmd_dims(args):
+    with _flag("--n"):
         parts = symrep.partitions(args.n)
-    except ValueError as exc:
-        return _config_error("--n", str(exc))
-    dims = {}
-    total = 0
-    for la in parts:
-        d = symrep.dimension(la)
-        dims[str(la)] = d
-        total += d * d
-    fact = 1
-    for i in range(2, args.n + 1):
-        fact *= i
-    ok = total == fact
-    _emit(
-        _wrap(
-            args,
-            ("n", "out"),
-            {"ok": ok, "dims": dims, "sum_of_squares": total, "factorial": fact},
-        ),
-        args.out,
-        "dims.json",
-    )
-    return 0 if ok else 1
+    dims = {str(la): symrep.dimension(la) for la in parts}
+    total = sum(d * d for d in dims.values())
+    fact = math.factorial(args.n)
+    body = {"ok": total == fact, "dims": dims, "sum_of_squares": total, "factorial": fact}
+    return "dims.json", ("n",), body
 
 
-def cmd_lambda_audit(args) -> int:
-    try:
-        c = _parse_rate(args.c)
-    except ValueError as exc:
-        return _config_error("--c", str(exc))
-    if not 1 <= args.n <= symrep.PARTITION_CAP:
-        return _config_error("--n", f"must lie in [1, {symrep.PARTITION_CAP}], got {args.n}")
-    audit = symrep.lambda_c_audit(args.n, c)
-    ok = audit.size_ok and audit.dim_ok
-    _emit(
-        _wrap(args, ("n", "c", "out"), {"ok": ok, "audit": audit.as_json()}),
-        args.out,
-        "lambda_audit.json",
-    )
-    return 0 if ok else 1
+def cmd_lambda_audit(args):
+    audit = symrep.lambda_c_audit(args.n, _parse_rate(args, symrep.PARTITION_CAP))
+    body = {"ok": audit.size_ok and audit.dim_ok, "audit": audit.as_json()}
+    return "lambda_audit.json", ("n", "c"), body
 
 
-def cmd_roichman(args) -> int:
-    try:
-        c = _parse_rate(args.c)
-    except ValueError as exc:
-        return _config_error("--c", str(exc))
-    if not 1 <= args.n <= symrep.ROICHMAN_CAP:
-        return _config_error("--n", f"must lie in [1, {symrep.ROICHMAN_CAP}], got {args.n}")
-    report = symrep.roichman_report(args.n, c)
-    _emit(
-        _wrap(args, ("n", "c", "out"), {"ok": True, "report": report.as_json()}),
-        args.out,
-        "roichman.json",
-    )
-    return 0
+def cmd_roichman(args):
+    report = symrep.roichman_report(args.n, _parse_rate(args, symrep.ROICHMAN_CAP))
+    return "roichman.json", ("n", "c"), {"ok": True, "report": report.as_json()}
 
 
 # ---- goppa ----
 
-def _load_goppa_spec(path: str) -> goppa.RationalGoppaSpec:
-    obj = _read_json(path)
-    if isinstance(obj, dict) and "spec" in obj:
-        obj = obj["spec"]
-    try:
-        return goppa.RationalGoppaSpec.from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path!r} holds no Goppa spec: missing {exc}") from None
-
-
-def cmd_goppa(args) -> int:
+def cmd_goppa(args):
     if args.spec:
-        try:
-            spec = _load_goppa_spec(args.spec)
-        except ValueError as exc:
-            return _config_error("--spec", str(exc))
+        with _flag("--spec"):
+            spec = _read_json("--spec", args.spec, goppa.RationalGoppaSpec.from_json, "spec")
     elif args.action != "build":
-        return _config_error("--spec", f"goppa {args.action} needs a spec file")
+        raise ConfigError("--spec", f"goppa {args.action} needs a spec file")
     else:
-        try:
+        with _flag("--q"):
             field_of_order(args.q)
-        except ValueError as exc:
-            return _config_error("--q", str(exc))
         n = len(args.gamma.split(",")) if args.gamma is not None else args.n
         if not 0 <= args.r < n:
-            return _config_error("--r", f"need 0 <= r < n = {n}, got {args.r}")
-        try:
+            raise ConfigError("--r", f"need 0 <= r < n = {n}, got {args.r}")
+        with _flag("--gamma" if args.gamma is not None else "--n"):
             if args.gamma is None:
                 spec = goppa.random_spec(random.Random(args.seed), args.q, args.n, args.r)
             else:
@@ -360,8 +286,6 @@ def cmd_goppa(args) -> int:
                 h = tuple(int(x) for x in args.h.split(",")) if args.h else (1,)
                 spec = goppa.RationalGoppaSpec(q=args.q, gamma=gamma, r=args.r, g=g, h=h)
                 spec.validate()
-        except ValueError as exc:
-            return _config_error("--gamma" if args.gamma is not None else "--n", str(exc))
     code = goppa.build_goppa(spec)
     if args.action == "build":
         body = {
@@ -375,78 +299,60 @@ def cmd_goppa(args) -> int:
             body["min_distance"] = code.min_distance()
             body["distance_floor"] = code.n - spec.r
             body["ok"] = body["min_distance"] >= body["distance_floor"]
-        _emit(
-            _wrap(args, ("q", "n", "r", "gamma", "g", "h", "spec", "out"), body),
-            args.out,
-            "goppa_build.json",
-        )
-        return 0 if body["ok"] else 1
+        return "goppa_build.json", ("q", "n", "r", "gamma", "g", "h", "spec"), body
     report = goppa.automorphisms(code)
     if args.action == "aut":
-        body = {
+        return "goppa_aut.json", ("spec",), {
             "ok": True,
             "spec": spec.as_json(),
             "order": report.order,
             "minimal_degree": report.minimal_degree,
             "automorphisms": [list(p) for p in report.automorphisms],
         }
-        _emit(_wrap(args, ("spec", "out"), body), args.out, "goppa_aut.json")
-        return 0
-    try:
+    with _flag("--spec"):
         ok = goppa.stichtenoth_check(spec, report)
-    except ValueError as exc:
-        return _config_error("--spec", str(exc))
-    body = {
+    return "goppa_check.json", ("spec",), {
         "ok": ok,
         "spec": spec.as_json(),
         "order": report.order,
         "failed_check": None if ok else "moebius-induced-automorphisms",
     }
-    _emit(_wrap(args, ("spec", "out"), body), args.out, "goppa_check.json")
-    return 0 if ok else 1
 
 
 # ---- mceliece ----
 
-def cmd_mceliece(args) -> int:
+# from k = 18 or n = 18 on, GL_k(F_q) (at least 2^k - 1 elements) or S_n
+# alone has more elements than the attack can enumerate
+_SHAPE_CAP = GROUP_ENUM_CAP.bit_length() - 1
+
+
+def cmd_mceliece(args):
     if args.action == "gen":
         for flag, value in (("--k", args.k), ("--n", args.n)):
-            if value < 1:
-                return _config_error(flag, f"must be at least 1, got {value}")
+            if not 1 <= value <= _SHAPE_CAP:
+                raise ConfigError(flag, f"must lie in [1, {_SHAPE_CAP}], got {value}")
         if args.min_rank > min(args.k, args.n):
-            return _config_error(
+            raise ConfigError(
                 "--min-rank",
                 f"{args.min_rank} exceeds min(k, n) = {min(args.k, args.n)}: "
                 "no message matrix has that rank",
             )
-        try:
+        with _flag("--q"):
             F = field_of_order(args.q)
-        except ValueError as exc:
-            return _config_error("--q", str(exc))
         inst = hsp.random_instance(F, args.k, args.n, args.seed, min_rank=args.min_rank)
-        _emit(
-            _wrap(
-                args,
-                ("k", "n", "q", "min_rank", "out"),
-                {"ok": True, "instance": inst.as_json()},
-            ),
-            args.out,
-            "mceliece_instance.json",
-        )
-        return 0
+        body = {"ok": True, "instance": inst.as_json()}
+        return "mceliece_instance.json", ("k", "n", "q", "min_rank"), body
     if not args.instance:
-        return _config_error("--instance", "mceliece attack needs an instance file")
-    try:
-        obj = _read_json(args.instance)
-    except ValueError as exc:
-        return _config_error("--instance", str(exc))
-    if isinstance(obj, dict) and "instance" in obj:
-        obj = obj["instance"]
-    try:
-        inst = hsp.McElieceInstance.from_json(obj)
-    except (KeyError, TypeError) as exc:
-        return _config_error("--instance", f"no McEliece instance: missing {exc}")
-    res = hsp.attack(inst, cap=args.cap) if args.cap else hsp.attack(inst)
+        raise ConfigError("--instance", "mceliece attack needs an instance file")
+    inst = _read_json("--instance", args.instance, hsp.McElieceInstance.from_json, "instance")
+    shape_ok = all(1 <= v <= _SHAPE_CAP for v in (inst.k, inst.n))
+    if not shape_ok or wreath_z2(inst.base_group()).order > GROUP_ENUM_CAP:
+        raise ConfigError(
+            "--instance",
+            f"the attack needs k, n >= 1 and (GL_k(F_q) x S_n) wr Z2 within the "
+            f"enumeration cap {GROUP_ENUM_CAP}; got q={inst.q}, k={inst.k}, n={inst.n}",
+        )
+    res = hsp.attack(inst)
     checks = {
         "right-injective": res.right_injective,
         "hidden-subgroup-formula": res.k_formula_match,
@@ -459,23 +365,24 @@ def cmd_mceliece(args) -> int:
         "result": res.as_json(),
         "failed_check": None if ok else [k for k, v in checks.items() if not v][0],
     }
-    _emit(_wrap(args, ("instance", "cap", "out"), body), args.out, "mceliece_attack.json")
-    return 0 if ok else 1
+    return "mceliece_attack.json", ("instance",), body
 
 
 # ---- dist ----
 
-def cmd_dist(args) -> int:
-    if args.mc_samples is not None and args.mc_samples < 2:
-        return _config_error(
-            "--mc-samples",
-            f"need at least 2 samples for a standard error, got {args.mc_samples}",
-        )
-    try:
+def cmd_dist(args):
+    if args.mc_samples is not None:
+        # a standard error needs 2 samples, and no Monte Carlo run gathers
+        # more rows than the largest exhaustive one
+        if not 2 <= args.mc_samples <= GROUP_ENUM_CAP:
+            raise ConfigError(
+                "--mc-samples", f"must lie in [2, {GROUP_ENUM_CAP}], got {args.mc_samples}"
+            )
+        if args.seed < 0:
+            raise ConfigError("--seed", f"a Monte Carlo run needs a seed >= 0, got {args.seed}")
+    with _flag("--group"):
         table = parse_group_table(args.group)
         ctx = sampling.sampling_context(table)
-    except ValueError as exc:
-        return _config_error("--group", str(exc))
     S_indices = None
     if args.S is not None:
         if args.S == "linear":
@@ -484,17 +391,16 @@ def cmd_dist(args) -> int:
             labels = args.S.split(",")
             unknown = [lbl for lbl in labels if lbl not in table.labels]
             if unknown:
-                return _config_error(
-                    "--S", f"no irrep labelled {unknown[0]!r} in {table.group}"
-                )
+                raise ConfigError("--S", f"no irrep labelled {unknown[0]!r} in {table.group}")
             S_indices = [table.index_of(lbl) for lbl in labels]
         d_S = max((table.dims[i] for i in S_indices), default=0)
         if args.D is not None and args.D <= d_S**2:
-            return _config_error("--D", f"must exceed d_S^2 = {d_S**2}, got {args.D}")
-    try:
+            raise ConfigError("--D", f"must exceed d_S^2 = {d_S**2}, got {args.D}")
+    if (args.S is None) != (args.D is None):
+        missing = "--D" if args.D is None else "--S"
+        raise ConfigError(missing, "the bound needs both --S and --D")
+    with _flag("--subgroup"):
         H = parse_subgroup(table.group, args.subgroup)
-    except ValueError as exc:
-        return _config_error("--subgroup", str(exc))
     report = sampling.sampling_report(
         ctx,
         H,
@@ -509,22 +415,14 @@ def cmd_dist(args) -> int:
         lines.append(
             f"{lbl},{table.dims[i]},{report.weak[lbl]:.12g},{report.per_irrep[lbl]:.12g}"
         )
-    _emit_csv(lines, args.out, "dist_weak.csv")
+    _write("\n".join(lines) + "\n", args.out, "dist_weak.csv")
     ok = -1e-12 < report.dist <= sampling.DIST_CEILING + 1e-12
     failed = None if ok else "dist-range"
     if ok and report.bound is not None:
         ok = report.dist <= report.bound.value + 1e-7
         failed = None if ok else "dist-bound"
-    _emit(
-        _wrap(
-            args,
-            ("group", "subgroup", "S", "D", "mc_samples", "out"),
-            {"ok": ok, "failed_check": failed, "report": report.as_json()},
-        ),
-        args.out,
-        "dist_report.json",
-    )
-    return 0 if ok else 1
+    body = {"ok": ok, "failed_check": failed, "report": report.as_json()}
+    return "dist_report.json", ("group", "subgroup", "S", "D", "mc_samples"), body
 
 
 # ---- verify-lemmas ----
@@ -546,7 +444,7 @@ def _slack_summary(records: Sequence[suites.CheckRecord]) -> dict:
     return out
 
 
-def cmd_verify_lemmas(args) -> int:
+def cmd_verify_lemmas(args):
     if args.suite == "dist":
         records = suites.run_dist_suite()
     elif args.suite == "all":
@@ -555,21 +453,10 @@ def cmd_verify_lemmas(args) -> int:
         records = suites.run_lemma_suite(args.suite)
     bad = suites.failed(records)
     if bad:
-        return _fail(args, ("suite", "out"), "verify_lemmas.json", bad)
-    _emit(
-        _wrap(
-            args,
-            ("suite", "out"),
-            {
-                "ok": True,
-                "checks": len(records),
-                "by_check": _slack_summary(records),
-            },
-        ),
-        args.out,
-        "verify_lemmas.json",
-    )
-    return 0
+        body = {"ok": False, "failed": [r.as_json() for r in bad]}
+    else:
+        body = {"ok": True, "checks": len(records), "by_check": _slack_summary(records)}
+    return "verify_lemmas.json", ("suite",), body
 
 
 # ---- parser ----
@@ -631,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--min-rank", type=int, default=1, dest="min_rank")
     sp.add_argument("--instance", default=None, help="instance JSON path")
-    sp.add_argument("--cap", type=int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_mceliece)
 
@@ -657,17 +543,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and write its report.  This is the CLI's one error
+    boundary: a ConfigError exits 2 naming its flag, and a ValueError or
+    AssertionError from an internal check exits 1; each prints a JSON
+    diagnostic on stdout."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        filename, keys, body = args.func(args)
+        config = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+        text = _json({"version": __version__, "config": {**config, "seed": args.seed}, **body})
+        _write(text, args.out, filename)
+        sys.stdout.write(text)
+        return 0 if body["ok"] else 1
+    except ConfigError as exc:
+        diag, status = {"flag": exc.flag, "error": str(exc)}, 2
     except (ValueError, AssertionError) as exc:
-        diag = {
-            "ok": False,
-            "version": __version__,
-            "error": str(exc) or exc.__class__.__name__,
-        }
-        sys.stdout.write(_json(diag))
-        return 1
+        diag, status = {"error": str(exc) or exc.__class__.__name__}, 1
+    sys.stdout.write(_json({"ok": False, "version": __version__, **diag}))
+    return status
 
 
 if __name__ == "__main__":

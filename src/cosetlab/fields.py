@@ -275,6 +275,8 @@ def field_make(p: int, n: int = 1) -> Fq:
 
 
 def field_of_order(q: int) -> Fq:
+    if q > FIELD_SIZE_CAP:  # before trial division, which is slow on a large prime
+        raise ValueError(f"field order {q} exceeds cap {FIELD_SIZE_CAP}")
     p, n = split_prime_power(q)
     return field_make(p, n)
 
@@ -433,26 +435,6 @@ def mat_inv(F: Fq, A: Matrix) -> Matrix:
     if len(pivots) < k or pivots != list(range(k)):
         raise ValueError("matrix is singular")
     return tuple(tuple(r[k:]) for r in rows)
-
-
-def mat_det(F: Fq, A: Matrix) -> int:
-    k = len(A)
-    rows = [list(r) for r in A]
-    det = 1
-    for c in range(k):
-        pr = next((i for i in range(c, k) if rows[i][c] != 0), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = F.neg(det)
-        det = F.mul(det, rows[c][c])
-        inv = F.inv(rows[c][c])
-        for i in range(c + 1, k):
-            if rows[i][c] != 0:
-                f = F.mul(rows[i][c], inv)
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[c])]
-    return det
 
 
 def mat_is_invertible(F: Fq, A: Matrix) -> bool:

@@ -93,15 +93,18 @@ def _wreath_catalog(G: WreathZ2) -> List[Subgroup]:
     out = [trivial_subgroup(G)]
     out.append(subgroup_closure(G, [G.make((e, e, 1))], label="order-2"))
     base_els = base.elements()
+    if len(base_els) < 2:  # S1 wr Z2 has no shift s != 1
+        return out
     s = base_els[1]
     small = k_build(trivial_subgroup(base), s)
     small.subgroup.label = "K-type small"
     out.append(small.subgroup)
     H0 = subgroup_closure(base, [base_els[1]], label="H0")
-    s2 = next(el for el in base_els if el.value not in H0.value_set)
-    big = k_build(H0, s2)
-    big.subgroup.label = "K-type"
-    out.append(big.subgroup)
+    s2 = next((el for el in base_els if el.value not in H0.value_set), None)
+    if s2 is not None:  # none when H0 is the whole base, as in S2
+        big = k_build(H0, s2)
+        big.subgroup.label = "K-type"
+        out.append(big.subgroup)
     return out
 
 

@@ -133,8 +133,8 @@ def _rep_of_cycle_type(G: SymmetricGroup, mu: Partition) -> GroupElement:
 
 
 def sn_character_table(n: int) -> CharacterTable:
+    parts = partitions(n)  # first: it refuses n past the cap before n! is formed
     G = symmetric_group(n)
-    parts = partitions(n)
     labels = [str(la) for la in parts]
     dims = [dimension(la) for la in parts]
     sizes = [class_size(mu) for mu in parts]

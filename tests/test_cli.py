@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cosetlab import sampling
+from cosetlab import cli, sampling
 from cosetlab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -20,6 +24,24 @@ def run_cli(argv):
         return main(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+
+
+def run_cli_captured(argv):
+    """Exit status and stdout of one in-process run.  Any exception other
+    than SystemExit escapes and fails the test: the in-process form of "no
+    traceback"."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run_cli(argv)
+    return rc, out.getvalue()
+
+
+def assert_config_error(argv, flag):
+    rc, out = run_cli_captured(argv)
+    assert rc == 2
+    diag = json.loads(out)
+    assert diag["ok"] is False and diag["flag"] == flag
+    return diag
 
 
 def read_json(capsys):
@@ -217,31 +239,6 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip()
 
 
-@pytest.mark.parametrize(
-    "flags, flag",
-    [
-        (["--k", "2", "--n", "3", "--min-rank", "3"], "--min-rank"),
-        (["--k", "3", "--n", "2", "--min-rank", "3"], "--min-rank"),
-        (["--k", "0"], "--k"),
-        (["--n", "0"], "--n"),
-    ],
-)
-def test_mceliece_gen_rejects_infeasible_shape(flags, flag):
-    # these inputs used to sample message matrices forever
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "cosetlab.cli", "mceliece", "gen", *flags],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    assert proc.returncode == 2
-    diag = json.loads(proc.stdout)
-    assert diag["ok"] is False and diag["flag"] == flag
-    assert "Traceback" not in proc.stderr
-
-
 def run_cli_process(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -310,32 +307,61 @@ def run_cli_process(*argv):
             ["dist", "--group", "gl2_2xs3", "--subgroup", str(DATA / "gl2_2xs3_three_part_generator.json")],
             "--subgroup",
         ),
+        # infeasible shapes used to sample message matrices forever
+        (["mceliece", "gen", "--k", "2", "--n", "3", "--min-rank", "3"], "--min-rank"),
+        (["mceliece", "gen", "--k", "3", "--n", "2", "--min-rank", "3"], "--min-rank"),
+        (["mceliece", "gen", "--k", "0"], "--k"),
+        (["mceliece", "gen", "--n", "0"], "--n"),
+        # cycle strings on groups that are not S_n raised an AttributeError
+        (["dist", "--group", "gl2_3", "--subgroup", "[(12)]"], "--subgroup"),
+        (["dist", "--group", "gl2_2xs3", "--subgroup", "[(12)]"], "--subgroup"),
+        (["dist", "--group", "wreath_s3", "--subgroup", "[(12)]"], "--subgroup"),
+        # |W| = 1,036,800 is past the attack's enumeration cap (exit 1, no flag)
+        (["mceliece", "attack", "--instance", str(DATA / "mceliece_q2_k2_n5.json")], "--instance"),
+        # --S or --D alone recorded the flag and computed no bound (exit 0)
+        (["dist", "--group", "gl2_3", "--subgroup", "unipotent", "--S", "linear"], "--D"),
+        (["dist", "--group", "gl2_3", "--subgroup", "unipotent", "--D", "2"], "--S"),
+        # a 745 GiB allocation (exit 1, MemoryError traceback)
+        (["dist", "--group", "s3", "--subgroup", "order-2", "--mc-samples", "99999999999"], "--mc-samples"),
+        # numpy refuses a negative seed (exit 1 naming no check)
+        (["dist", "--group", "s3", "--subgroup", "order-2", "--mc-samples", "5", "--seed", "-1"], "--seed"),
+        # these hung: trial division of a large prime, 10^12!, and a
+        # 10^8 x 3 message matrix
+        (["mceliece", "gen", "--q", str(2**61 - 1)], "--q"),
+        (["chartable", "sn", "--n", str(10**12)], "--n"),
+        (["mceliece", "gen", "--k", str(10**8)], "--k"),
+        # an --out that is a file raised FileExistsError
+        (["dims", "sn", "--n", "3", "--out", str(DATA / "mceliece_q2_k2_n5.json")], "--out"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):
     # these used to exit 1, with a traceback or with NaN in the report, or
     # (the spec errors) exit 2 with a plain line on stderr and no JSON
-    proc = run_cli_process(*argv)
-    assert proc.returncode == 2
-    diag = json.loads(proc.stdout)
-    assert diag["ok"] is False and diag["flag"] == flag
-    assert "Traceback" not in proc.stderr
+    assert_config_error(argv, flag)
 
 
 def test_dist_on_a_product_with_a_factor_past_the_table_cap():
     # S7 multiplies by composing image arrays; this exited 1 with
     # "|S7| = 5040 exceeds the Cayley table cap 2048"
-    proc = run_cli_process("dist", "--group", "s7xs2", "--subgroup", "cyclic", "--mc-samples", "20")
-    assert proc.returncode == 0
-    report = json.loads(proc.stdout)["report"]
+    rc, out = run_cli_captured(["dist", "--group", "s7xs2", "--subgroup", "cyclic", "--mc-samples", "20"])
+    assert rc == 0
+    report = json.loads(out)["report"]
     assert report["subgroup_order"] == 2 and report["mc_samples"] == 20
 
 
+@pytest.mark.parametrize("group", ["wreath_s1", "wreath_s2"])
+def test_dist_on_wreath_products_of_tiny_bases(group):
+    # building the catalog raised IndexError (S1) or StopIteration (S2): the
+    # K-type subgroups need a base element outside H0
+    rc, out = run_cli_captured(["dist", "--group", group, "--subgroup", "order-2"])
+    assert rc == 0 and json.loads(out)["report"]["subgroup_order"] == 2
+
+
 def test_dist_with_two_mc_samples_writes_finite_json():
-    proc = run_cli_process("dist", "--group", "s3", "--subgroup", "order-2", "--mc-samples", "2")
-    assert proc.returncode == 0
-    assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
-    assert json.loads(proc.stdout)["report"]["mc_samples"] == 2
+    rc, out = run_cli_captured(["dist", "--group", "s3", "--subgroup", "order-2", "--mc-samples", "2"])
+    assert rc == 0
+    assert "NaN" not in out and "Infinity" not in out
+    assert json.loads(out)["report"]["mc_samples"] == 2
 
 
 def test_dist_computes_distinguishability_once(tmp_path, monkeypatch, capsys):
@@ -352,7 +378,8 @@ def test_dist_computes_distinguishability_once(tmp_path, monkeypatch, capsys):
 
 
 def test_subgroup_directory_is_config_error(tmp_path):
-    # this used to exit 1 with an IsADirectoryError traceback
+    # this used to exit 1 with an IsADirectoryError traceback; run as
+    # `python -m cosetlab.cli`, it also covers the module's exit status
     proc = run_cli_process("dist", "--group", "s3", "--subgroup", str(tmp_path))
     assert proc.returncode == 2
     diag = json.loads(proc.stdout)
@@ -364,15 +391,11 @@ def test_subgroup_directory_is_config_error(tmp_path):
 def test_goppa_check_outside_its_range_is_config_error(tmp_path):
     # r = 0 is a valid code but outside the check's range 1 <= r <= n-3;
     # this used to print a plain line on stderr
-    assert run_cli_process(
-        "goppa", "build", "--q", "5", "--gamma", "0,1,2,3", "--r", "0", "--out", str(tmp_path)
-    ).returncode == 0
-    proc = run_cli_process("goppa", "check", "--spec", str(tmp_path / "goppa_build.json"))
-    assert proc.returncode == 2
-    diag = json.loads(proc.stdout)
-    assert diag["ok"] is False and diag["flag"] == "--spec"
+    assert run_cli_captured(
+        ["goppa", "build", "--q", "5", "--gamma", "0,1,2,3", "--r", "0", "--out", str(tmp_path)]
+    )[0] == 0
+    diag = assert_config_error(["goppa", "check", "--spec", str(tmp_path / "goppa_build.json")], "--spec")
     assert "1 <= r <= n-3" in diag["error"]
-    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -383,8 +406,160 @@ def test_json_file_of_the_wrong_shape_is_config_error(tmp_path, argv, flag):
     # valid JSON without the expected keys used to end in a KeyError traceback
     bad = tmp_path / "bad.json"
     bad.write_text('{"foo": 1}')
-    proc = run_cli_process(*argv, str(bad))
-    assert proc.returncode == 2
-    diag = json.loads(proc.stdout)
-    assert diag["ok"] is False and diag["flag"] == flag
-    assert "Traceback" not in proc.stderr
+    assert_config_error([*argv, str(bad)], flag)
+
+
+# ---- the exit-status contract, property-tested in-process ----
+
+HOSTILE_INTS = st.sampled_from([-(2**63), -1, 0, 1, 2, 3, 5, 2**61 - 1, 10**12])
+HOSTILE_TEXT = st.sampled_from(["", " ", "x", "-1", "0", "1e400", "nan", "1/0", "é"])
+FRACTIONS = st.sampled_from(
+    ["1/6", "1/5", "0", "1/4", "-1/6", "3", "1/0", "zebra", "nan", "1e400", ""]
+)
+GROUPS = st.sampled_from(
+    ["s3", "gl2_2", "gl2_3", "s3xs2", "wreath_s2", "s0", "gl2_6", "qq7", "x", "wreath_", "s" + "9" * 12]
+)
+SUBGROUPS = st.sampled_from(
+    ["trivial", "order-2", "unipotent", "cyclic", "[(12)]", "[(1,9)]", "[()]", "bogus"]
+)
+S_SPECS = st.sampled_from(["linear", "U0", "U0,U1", "nope"])
+GAMMAS = st.sampled_from(["0,1,2,3", "0,1,2", "0,0,1", "0,1,99999999999", "a,b"])
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """Paths the grammar draws from: good files, missing paths, a directory,
+    a regular file as --out, and JSON of the wrong shape."""
+    root = tmp_path_factory.mktemp("contract")
+    good = root / "good"
+    for argv in (["mceliece", "gen", "--seed", "1"], ["goppa", "build", "--gamma", "0,1,2,3"]):
+        assert run_cli_captured([*argv, "--out", str(good)])[0] == 0
+    wrong = {
+        "object.json": '{"foo": 1}',
+        "list.json": "[]",
+        "string.json": '"s"',
+        "number.json": "3",
+        "instance.json": '{"instance": {"q": 2}}',
+        "spec.json": '{"spec": []}',
+        "generators.json": '{"generators": 5}',
+        "nested.json": '{"generators": [[1, [2]]]}',
+        "empty.json": "",
+        "text.json": "not json",
+    }
+    for name, text in wrong.items():
+        (root / name).write_text(text)
+    (root / "binary.json").write_bytes(b"\xff\xfe\x00")
+    (root / "empty_generators.json").write_text('{"generators": []}')
+    paths = [str(root / name) for name in [*wrong, "binary.json", "empty_generators.json"]]
+    paths += [str(good / "mceliece_instance.json"), str(good / "goppa_build.json")]
+    paths += [str(root / "missing.json"), str(root), str(DATA / "mceliece_q2_k2_n5.json")]
+    return {"paths": paths, "outs": [str(root / "out"), str(root / "object.json")]}
+
+
+def word(flag, values):
+    """One --flag=value word, so that a value that starts with '-' is not
+    read as an option."""
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+def opt(flag, values):
+    return st.just([]) | word(flag, values)
+
+
+def command_argv(paths, outs):
+    path = st.sampled_from(paths)
+    ints, text = HOSTILE_INTS, HOSTILE_TEXT
+    commands = st.one_of(
+        st.tuples(
+            st.sampled_from([["chartable", kind] for kind in ("gl2", "sn", "wreath")]),
+            opt("--q", ints), opt("--n", ints), opt("--base", GROUPS | text),
+        ),
+        st.tuples(st.just(["dims", "sn"]), word("--n", ints)),
+        st.tuples(
+            st.sampled_from([["lambda-audit"], ["roichman"]]),
+            word("--n", ints), word("--c", FRACTIONS),
+        ),
+        st.tuples(
+            st.just(["goppa", "build"]),
+            opt("--q", ints), opt("--n", ints), opt("--r", ints), opt("--gamma", GAMMAS | text),
+            opt("--g", text), opt("--h", text), opt("--spec", path),
+        ),
+        st.tuples(
+            st.sampled_from([["goppa", "aut"], ["goppa", "check"]]), opt("--spec", path | text),
+        ),
+        st.tuples(
+            st.just(["mceliece", "gen"]),
+            opt("--q", ints), opt("--k", ints), opt("--n", ints), opt("--min-rank", ints),
+        ),
+        st.tuples(st.just(["mceliece", "attack"]), opt("--instance", path | text)),
+        # dist draws valid groups and sample counts more often, to get past
+        # the first refusal; --S and --D come together or not at all, but
+        # either may be left out
+        st.tuples(
+            st.just(["dist"]),
+            word("--group", st.sampled_from(["s3", "gl2_3"]) | GROUPS),
+            word("--subgroup", SUBGROUPS | path | text),
+            st.just([]) | st.tuples(opt("--S", S_SPECS | text), opt("--D", ints)).map(
+                lambda t: t[0] + t[1]
+            ),
+            opt("--mc-samples", st.sampled_from([2, 20]) | ints),
+        ),
+        # "giant" is no suite: argparse's usage error
+        st.tuples(word("--suite", st.sampled_from(["small", "dist", "giant"])).map(
+            lambda w: ["verify-lemmas", *w]
+        )),
+    )
+    common = st.tuples(opt("--seed", ints), opt("--out", st.sampled_from(outs)))
+    return st.tuples(commands, common).map(
+        lambda t: [w for part in (*t[0], *t[1]) for w in part]
+    )
+
+
+@pytest.fixture(scope="module")
+def argv_strategy(contract_files):
+    return command_argv(contract_files["paths"], contract_files["outs"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_input_keeps_the_exit_status_contract(argv_strategy, data):
+    # exit 0, exit 1 with a JSON report or diagnostic, or exit 2 with a JSON
+    # diagnostic naming a flag; argparse's own usage errors (exit 2, usage on
+    # stderr, nothing on stdout) are the one exit without JSON
+    argv = data.draw(argv_strategy, label="argv")
+    rc, out = run_cli_captured(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2 and not out:
+        return
+    body = json.loads(out)
+    assert body["ok"] is (rc == 0)
+    if rc == 2:
+        assert body["flag"].startswith("--") and body["error"]
+
+
+def test_a_library_bug_is_not_a_config_error(monkeypatch):
+    # only a ValueError is charged to a flag; a TypeError from table building
+    # is a bug, and it escapes main instead of exiting 2
+    def broken(q):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(cli, "gl2_char_table", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(["chartable", "gl2", "--q", "3"])
+
+
+def test_commands_hold_no_error_handling():
+    # main is the one error boundary: no cmd_* function catches anything
+    tree = ast.parse((SRC / "cosetlab" / "cli.py").read_text())
+    defs = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    commands = [f for f in defs if f.name.startswith("cmd_")]
+    assert commands
+    for fn in commands:
+        assert not [node for node in ast.walk(fn) if isinstance(node, ast.Try)], fn.name
+    writers = {
+        fn.name
+        for fn in defs
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "stdout"
+    }
+    assert writers == {"main"}
