@@ -170,7 +170,7 @@ def parse_subgroup(G: Group, spec: str) -> Subgroup:
     return subgroup_closure(G, gens, label=label) if gens else trivial_subgroup(G)
 
 
-def _parse_rate(args, n_cap: int) -> Fraction:
+def _parse_rate(args, n_min: int, n_cap: int) -> Fraction:
     """The --c cutoff of lambda-audit and roichman; also checks --n."""
     try:
         c = Fraction(args.c)
@@ -178,8 +178,8 @@ def _parse_rate(args, n_cap: int) -> Fraction:
         raise ConfigError("--c", f"bad fraction {args.c!r}") from None
     if not 0 < c < Fraction(1, 4):
         raise ConfigError("--c", f"cutoff must lie in (0, 1/4), got {c}")
-    if not 1 <= args.n <= n_cap:
-        raise ConfigError("--n", f"must lie in [1, {n_cap}], got {args.n}")
+    if not n_min <= args.n <= n_cap:
+        raise ConfigError("--n", f"must lie in [{n_min}, {n_cap}], got {args.n}")
     return c
 
 
@@ -253,13 +253,14 @@ def cmd_dims(args):
 
 
 def cmd_lambda_audit(args):
-    audit = symrep.lambda_c_audit(args.n, _parse_rate(args, symrep.PARTITION_CAP))
+    # from n = 2 on: at n = 1 no irrep has dimension below the strict bound 1^cn
+    audit = symrep.lambda_c_audit(args.n, _parse_rate(args, 2, symrep.PARTITION_CAP))
     body = {"ok": audit.size_ok and audit.dim_ok, "audit": audit.as_json()}
     return "lambda_audit.json", ("n", "c"), body
 
 
 def cmd_roichman(args):
-    report = symrep.roichman_report(args.n, _parse_rate(args, symrep.ROICHMAN_CAP))
+    report = symrep.roichman_report(args.n, _parse_rate(args, 1, symrep.ROICHMAN_CAP))
     return "roichman.json", ("n", "c"), {"ok": True, "report": report.as_json()}
 
 
@@ -344,7 +345,11 @@ def cmd_mceliece(args):
         return "mceliece_instance.json", ("k", "n", "q", "min_rank"), body
     if not args.instance:
         raise ConfigError("--instance", "mceliece attack needs an instance file")
-    inst = _read_json("--instance", args.instance, hsp.McElieceInstance.from_json, "instance")
+    def instance(obj):  # a bad q is the file's fault; from_json's ValueErrors are failed checks
+        with _flag("--instance"):
+            field_of_order(int(obj["q"]))
+        return hsp.McElieceInstance.from_json(obj)
+    inst = _read_json("--instance", args.instance, instance, "instance")
     shape_ok = all(1 <= v <= _SHAPE_CAP for v in (inst.k, inst.n))
     if not shape_ok or wreath_z2(inst.base_group()).order > GROUP_ENUM_CAP:
         raise ConfigError(

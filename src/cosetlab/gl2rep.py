@@ -19,6 +19,7 @@ from .groups import (
     Subgroup,
     general_linear_group,
 )
+from .realize import projector_basis
 
 GL2_TABLE_CAP = 32
 
@@ -327,9 +328,7 @@ class GelfandGraev:
         model, which must hold exactly one copy of the irrep.
 
         The projector P = (d/|G|) sum_g conj(chi(g)) pi(g) is summed from
-        the monomial data; the basis is P's columns orthonormalized in
-        greedy order (the first column of largest remaining norm), so it
-        is fixed by P and uses no random numbers or eigensolver."""
+        the monomial data; the basis is realize.projector_basis of P."""
         mult = np.vdot(chi, self.character(phases)) / self.order
         if abs(mult - 1) > 1e-8:
             raise AssertionError(f"isotypic multiplicity {mult} in the model, expected 1")
@@ -338,16 +337,7 @@ class GelfandGraev:
         w = (coef[:, None] * phases).ravel()
         flat = (self.target * m + np.arange(m)).ravel()
         P = np.bincount(flat, w.real, m * m) + 1j * np.bincount(flat, w.imag, m * m)
-        P = P.reshape(m, m)
-        Q = np.empty((m, d), dtype=complex)
-        for a in range(d):
-            norms = (np.abs(P) ** 2).sum(axis=0)
-            j = int(np.argmax(norms >= norms.max() * (1 - 1e-6)))
-            Q[:, a] = P[:, j] / np.sqrt(norms[j])
-            P -= np.outer(Q[:, a], Q[:, a].conj() @ P)
-        if np.abs(P).max() > 1e-8:
-            raise AssertionError(f"isotypic projector has rank above {d}")
-        return Q
+        return projector_basis(P.reshape(m, m), d)
 
     def block(self, phases: np.ndarray, Q: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Q* pi(g) Q for an array of element ids g, one (d, d) block each."""

@@ -46,6 +46,22 @@ def kron_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return prod.reshape(n, a * b, a * b)
 
 
+def projector_basis(P: np.ndarray, rank: int) -> np.ndarray:
+    """(m, rank) orthonormal basis of the range of an orthogonal projector P by
+    pivoted Gram-Schmidt: each step takes the first column of largest remaining
+    norm and projects it out, so the basis is fixed by P, without an eigensolver."""
+    P = np.array(P, dtype=complex)
+    Q = np.empty((len(P), rank), dtype=complex)
+    for a in range(rank):
+        norms = (np.abs(P) ** 2).sum(axis=0)
+        j = int(np.argmax(norms >= norms.max() * (1 - 1e-6)))
+        Q[:, a] = P[:, j] / np.sqrt(norms[j])
+        P -= np.outer(Q[:, a], Q[:, a].conj() @ P)
+    if np.abs(P).max() > 1e-8:
+        raise AssertionError(f"projector has rank above {rank}")
+    return Q
+
+
 class RealizedIrrep:
     """One irrep given by its gather: matfun maps an id array to the
     (n, d, d) matrices of the irrep at those ids."""

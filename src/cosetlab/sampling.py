@@ -5,25 +5,28 @@ distinguishability bound.
 
 Every matrix comes from an irrep's gather (`RealizedIrrep.at` on an id
 array, or `stack()` on all ids) and the conjugation-invariance scan runs on
-id arrays; groups of more than GROUP_ENUM_CAP elements are refused.
+id arrays; groups of more than GROUP_ENUM_CAP elements are refused.  Strong
+sampling reads one cached coset kernel per (irrep, subgroup).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .chartab import CharacterTable
 from .groups import GROUP_ENUM_CAP, Group, Subgroup
-from .realize import RealizedIrrep, realize_table
+from .realize import RealizedIrrep, projector_basis, realize_table
 
 STRUCT_TOL = 1e-8
 INEQ_TOL = 1e-7
 WEAK_SUM_TOL = 1e-9
 ZERO_TRACE_TOL = 1e-12
 DIST_CEILING = 4.0
+KERNEL_CHUNK_CELLS = 1 << 18  # matrix entries or id products per coset-kernel chunk
 
 
 @dataclass
@@ -33,7 +36,7 @@ class SamplingContext:
     table: CharacterTable
     reals: List[RealizedIrrep]
     basis: str
-    _norms_cache: Dict[int, np.ndarray] = field(default_factory=dict)
+    _cache: Dict[tuple, object] = field(default_factory=dict)
 
     @property
     def group(self) -> Group:
@@ -51,8 +54,6 @@ def sampling_context(table: CharacterTable) -> SamplingContext:
 
 @dataclass
 class ProjectionBundle:
-    subgroup: Subgroup
-    label: str
     matrix: np.ndarray
     trace: float
 
@@ -69,8 +70,7 @@ def projection_bundle(real: RealizedIrrep, H: Subgroup) -> ProjectionBundle:
         raise AssertionError(f"projection of {real.label} over H is not Hermitian")
     if np.abs(P @ P - P).max() >= STRUCT_TOL:
         raise AssertionError(f"projection of {real.label} over H is not idempotent")
-    tr = float(np.trace(P).real)
-    return ProjectionBundle(subgroup=H, label=real.label, matrix=P, trace=tr)
+    return ProjectionBundle(matrix=P, trace=float(np.trace(P).real))
 
 
 def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
@@ -94,23 +94,57 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     return probs
 
 
-def _conditionals(mats: np.ndarray, bundle: ProjectionBundle) -> np.ndarray:
-    """Conditional distributions for a stack of matrices U = rho(g), one
-    row per matrix: the distribution over the realized basis after
-    observing rho with the hidden subgroup conjugated by g, i.e. the
-    diagonal of U^* Pi U over tr Pi."""
-    if bundle.trace < ZERO_TRACE_TOL:
-        raise ValueError(
-            "projection has zero trace: the irrep has zero weak weight and "
-            "the conditional distribution is undefined"
-        )
-    diag = np.einsum("gji,jk,gki->gi", mats.conj(), bundle.matrix, mats).real
-    return diag / bundle.trace
+class _CosetKernel:
+    """Strong sampling of one irrep under one subgroup H: the projection
+    bundle, an orthonormal basis Q of the H-fixed space (Q Q* = Pi_H) and
+    the weights |Q* rho(g) e_i|^2 = |Pi_{H^g} e_i|^2 of the realized basis.
+    Q* rho(hg) = Q* rho(g), so `weights`, taken on the least id of every
+    right coset Hg, gives every mean and variance over G."""
+
+    def __init__(self, real: RealizedIrrep, H: Subgroup):
+        self.real, self.H = real, H
+        self.bundle = projection_bundle(real, H)
+        self.Q = projector_basis(self.bundle.matrix, round(self.bundle.trace))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The weights on the least id of every right coset Hg, ascending: the
+        ids g with id(h g) >= g for every h in H, found in chunks of H."""
+        ids, g = self.H.group.ids(), np.arange(self.H.group.order)
+        least = g.copy()
+        rows = max(1, KERNEL_CHUNK_CELLS // len(g))
+        for lo in range(0, self.H.order, rows):
+            np.minimum(least, ids.mul(self.H.ids[lo : lo + rows, None], g).min(axis=0), out=least)
+        return self.at(np.flatnonzero(least == g))
+
+    def at(self, ids: np.ndarray) -> np.ndarray:
+        """(len(ids), d) weights at an id array, in gathers of KERNEL_CHUNK_CELLS entries."""
+        Qh = self.Q.conj().T
+        step = max(1, KERNEL_CHUNK_CELLS // self.real.dim**2)
+        chunks = (Qh @ self.real.at(ids[lo : lo + step]) for lo in range(0, len(ids), step))
+        return np.concatenate([(A.real**2 + A.imag**2).sum(axis=1) for A in chunks])
+
+    def conditionals(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """Weights over tr Pi_H, at ids or on the coset representatives: the
+        distribution over the realized basis after observing rho with the
+        hidden subgroup conjugated by g."""
+        if self.bundle.trace < ZERO_TRACE_TOL:
+            raise ValueError(
+                "projection has zero trace: the irrep has zero weak weight and "
+                "the conditional distribution is undefined"
+            )
+        return (self.weights if ids is None else self.at(ids)) / self.bundle.trace
+
+    def distortions(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """Squared L1 distance of each conditional from uniform."""
+        return np.abs(self.conditionals(ids) - 1.0 / self.real.dim).sum(axis=1) ** 2
 
 
-def _mean_l1sq(conds: np.ndarray, dim: int) -> float:
-    dists = np.abs(conds - 1.0 / dim).sum(axis=1)
-    return float(np.mean(dists**2))
+def _kernel(ctx: SamplingContext, rho_idx: int, H: Subgroup) -> _CosetKernel:
+    key = ("kernel", rho_idx, H.ids.tobytes())
+    if key not in ctx._cache:
+        ctx._cache[key] = _CosetKernel(ctx.reals[rho_idx], H)
+    return ctx._cache[key]
 
 
 @dataclass
@@ -142,21 +176,19 @@ def distinguishability(
             mc_samples=mc_samples,
             std_error=0.0 if mc_samples is not None else None,
         )
-    if mc_samples is None:
-        ids = np.arange(ctx.group.order)
-    else:
+    ids = None
+    if mc_samples is not None:
         ids = np.random.default_rng(seed).integers(0, ctx.group.order, size=mc_samples)
     per_irrep: Dict[str, float] = {}
-    per_sample = np.zeros(len(ids))
-    for i, real in enumerate(ctx.reals):
+    # per sampled g, or per right coset Hg; the weak weights make it an array
+    per_sample = 0.0
+    for i in range(ctx.table.n_irreps):
         if probs[i] < ZERO_TRACE_TOL:
             per_irrep[ctx.table.labels[i]] = 0.0
             continue
-        bundle = projection_bundle(real, H)
-        conds = _conditionals(real.at(ids), bundle)
-        dists = np.abs(conds - 1.0 / real.dim).sum(axis=1) ** 2
+        dists = _kernel(ctx, i, H).distortions(ids)
         per_irrep[ctx.table.labels[i]] = float(np.mean(dists))
-        per_sample += probs[i] * dists
+        per_sample = per_sample + probs[i] * dists
     value = float(np.mean(per_sample))
     if not -STRUCT_TOL < value < DIST_CEILING + STRUCT_TOL:
         raise AssertionError(f"distinguishability {value} outside [0, {DIST_CEILING}]")
@@ -180,75 +212,57 @@ def isotypic_vector_norms(ctx: SamplingContext, rho_idx: int) -> np.ndarray:
     uses (A (x) A*)(b (x) b*) = col (x) col* to stay in d^2 vectors.
     Also certifies completeness: the projections of b (x) b* sum back to
     it.  Cached on the context (independent of any subgroup)."""
-    cached = ctx._norms_cache.get(rho_idx)
-    if cached is not None:
-        return cached
-    real = ctx.reals[rho_idx]
-    table = ctx.table
+    key = ("norms", rho_idx)
+    if key in ctx._cache:
+        return ctx._cache[key]
+    real, table = ctx.reals[rho_idx], ctx.table
     d = real.dim
     U = real.stack()
-    # V[g, i, a, b] = rho(g)[a, i] conj(rho(g)[b, i]), the image of b_i (x) b_i*
+    # V[g, i, a, b] = rho(g)[a, i] conj(rho(g)[b, i]), the image of b_i (x) b_i*,
+    # summed over each conjugacy class in one pass, then weighted by the
+    # conjugate characters in one product
     V = np.einsum("gai,gbi->giab", U, U.conj()).reshape(len(U), d * d * d)
-    # a running sum adds the rows in id order, one irrep at a time, so W
-    # equals an element-by-element accumulation bit for bit (a matmul or a
-    # pairwise sum rounds differently)
-    W = np.stack(
-        [np.cumsum(ev_s[:, None] * V, axis=0)[-1] for ev_s in table.element_values().conj()]
-    ).reshape(table.n_irreps, d, d * d)
-    dims = np.asarray(table.dims, dtype=float)
-    W *= (dims / ctx.group.order)[:, None, None]
-    recon = W.sum(axis=0)
-    target = np.zeros((d, d * d), dtype=complex)
-    for i in range(d):
-        target[i, i * d + i] = 1.0
-    if np.abs(recon - target).max() >= STRUCT_TOL:
-        raise AssertionError(
-            f"isotypic projections of {real.label} do not sum back to b (x) b*"
-        )
+    C = np.zeros((len(table.class_sizes), d * d * d), dtype=complex)
+    np.add.at(C, table.element_columns(), V)
+    W = (table.values.conj() @ C).reshape(table.n_irreps, d, d * d)
+    W *= (np.asarray(table.dims, dtype=float) / ctx.group.order)[:, None, None]
+    # row i of the target is b_i (x) b_i*
+    if np.abs(W.sum(axis=0) - np.eye(d * d)[:: d + 1]).max() >= STRUCT_TOL:
+        raise AssertionError(f"isotypic projections of {real.label} do not sum back to b (x) b*")
     norms = (np.abs(W) ** 2).sum(axis=2)
-    ctx._norms_cache[rho_idx] = norms
+    ctx._cache[key] = norms
     return norms
 
 
 # ---- identity and inequality checks ----
 
-def _fixed_weights(real: RealizedIrrep, bundle: ProjectionBundle, b_idx: int) -> np.ndarray:
-    """|Pi_{H^g} b|^2 = <rho(g) b, Pi_H rho(g) b> for every g, in id order."""
-    cols = real.stack()[:, :, b_idx]
-    return np.einsum("gj,jk,gk->g", cols.conj(), bundle.matrix, cols).real
-
-
 def schur_expectation_check(
     ctx: SamplingContext, H: Subgroup, rho_idx: int, b_idx: int
 ) -> Tuple[float, float]:
     """Mean over all g of |Pi_{H^g} b|^2 against tr(Pi_H)/d."""
-    real = ctx.reals[rho_idx]
-    bundle = projection_bundle(real, H)
-    return float(np.mean(_fixed_weights(real, bundle, b_idx))), bundle.trace / real.dim
+    k = _kernel(ctx, rho_idx, H)
+    return float(np.mean(k.weights[:, b_idx])), k.bundle.trace / k.real.dim
 
 
 def second_moment_check(
     ctx: SamplingContext, h_value, rho_idx: int, b_idx: int
 ) -> Tuple[float, float]:
     """E_g |<b, rho(g^-1 h g) b>|^2 against the isotypic expansion
-    sum_sigma (chi_sigma(h)/d_sigma) |Pi_sigma (b (x) b*)|^2."""
-    real = ctx.reals[rho_idx]
-    G = ctx.group
-    Uh = real.mat_value(h_value)
-    cols = real.stack()[:, :, b_idx, None]
-    # <rho(g) b, rho(h) rho(g) b> for every g; the batched matmuls make the
-    # same BLAS matrix-vector product and dot per g as np.vdot(col, Uh @ col),
-    # and hypot and float_power round exactly as Python's abs(z) ** 2
-    overlaps = (cols.conj().transpose(0, 2, 1) @ (Uh @ cols))[:, 0, 0]
-    lhs = float(np.mean(np.float_power(np.hypot(overlaps.real, overlaps.imag), 2)))
-    norms = isotypic_vector_norms(ctx, rho_idx)
-    chi_h = ctx.table.values[:, ctx.table.element_columns()[G.ids().id_of(h_value)]]
-    rhs = complex(0)
-    for s in range(ctx.table.n_irreps):
-        rhs += complex(chi_h[s]) / ctx.table.dims[s] * norms[s, b_idx]
-    if abs(rhs.imag) >= INEQ_TOL:
-        raise AssertionError(f"isotypic expansion of {real.label} is not real")
-    return lhs, float(rhs.real)
+    sum_sigma (chi_sigma(h)/d_sigma) |Pi_sigma (b (x) b*)|^2; both sides
+    are formed for every basis vector b at once, once per (rho, h)."""
+    key = ("moment", rho_idx, h_value)
+    if key not in ctx._cache:
+        real, table = ctx.reals[rho_idx], ctx.table
+        U = real.stack()
+        # <rho(g) e_i, rho(h) rho(g) e_i> for every g and basis vector e_i
+        overlaps = (U.conj() * (real.mat_value(h_value) @ U)).sum(axis=1)
+        chi_h = table.values[:, table.element_columns()[ctx.group.ids().id_of(h_value)]]
+        rhs = (chi_h / np.asarray(table.dims)) @ isotypic_vector_norms(ctx, rho_idx)
+        if np.abs(rhs.imag).max() >= INEQ_TOL:
+            raise AssertionError(f"isotypic expansion of {real.label} is not real")
+        ctx._cache[key] = (np.mean(overlaps.real**2 + overlaps.imag**2, axis=0), rhs.real)
+    lhs, rhs = ctx._cache[key]
+    return float(lhs[b_idx]), float(rhs[b_idx])
 
 
 def variance_bound_check(
@@ -258,26 +272,19 @@ def variance_bound_check(
     sum over sigma appearing in rho (x) rho* of
     (max normalized character of sigma on H minus identity) times the
     isotypic norm of b (x) b*."""
-    real = ctx.reals[rho_idx]
-    bundle = projection_bundle(real, H)
-    lhs = float(np.var(_fixed_weights(real, bundle, b_idx)))
+    lhs = float(np.var(_kernel(ctx, rho_idx, H).weights[:, b_idx]))
     mult = ctx.table.tensor_square_multiplicities(rho_idx)
     norms = isotypic_vector_norms(ctx, rho_idx)
-    rhs = 0.0
-    for s in range(ctx.table.n_irreps):
-        if mult[s] > 0:
-            rhs += ctx.table.normalized_char_max(s, H) * norms[s, b_idx]
-    return lhs, rhs
+    rhs = sum(
+        ctx.table.normalized_char_max(s, H) * norms[s, b_idx] for s in np.flatnonzero(mult > 0)
+    )
+    return lhs, float(rhs)
 
 
 def irrep_distortion(ctx: SamplingContext, H: Subgroup, rho_idx: int) -> float:
     """E_g |P_{H^g}(.|rho) - uniform|_1^2 for one irrep; the quantity the
     per-irrep bounds control."""
-    real = ctx.reals[rho_idx]
-    bundle = projection_bundle(real, H)
-    if bundle.trace < ZERO_TRACE_TOL:
-        raise ValueError("irrep has zero weak weight under this subgroup")
-    return _mean_l1sq(_conditionals(real.stack(), bundle), real.dim)
+    return float(np.mean(_kernel(ctx, rho_idx, H).distortions()))
 
 
 def general_method_check(
@@ -329,10 +336,8 @@ def pg_invariance_error(table: CharacterTable, H: Subgroup) -> float:
 def basis_average_error(ctx: SamplingContext, H: Subgroup, rho_idx: int) -> float:
     """Deviation of the g-averaged conditional distribution from uniform;
     zero by the averaging argument behind the Schur check."""
-    real = ctx.reals[rho_idx]
-    bundle = projection_bundle(real, H)
-    conds = _conditionals(real.stack(), bundle)
-    return float(np.abs(conds.mean(axis=0) - 1.0 / real.dim).max())
+    conds = _kernel(ctx, rho_idx, H).conditionals()
+    return float(np.abs(conds.mean(axis=0) - 1.0 / conds.shape[1]).max())
 
 
 # ---- the distinguishability bound ----

@@ -20,6 +20,7 @@ from .groups import GroupElement, SymmetricGroup, symmetric_group
 PARTITION_CAP = 40
 # largest n of the full-table decay report
 ROICHMAN_CAP = 10
+SN_TABLE_CAP = 16  # largest n of a full table of p(n)^2 Murnaghan-Nakayama values
 
 Partition = Tuple[int, ...]
 
@@ -133,7 +134,9 @@ def _rep_of_cycle_type(G: SymmetricGroup, mu: Partition) -> GroupElement:
 
 
 def sn_character_table(n: int) -> CharacterTable:
-    parts = partitions(n)  # first: it refuses n past the cap before n! is formed
+    if n > SN_TABLE_CAP:  # before the partitions and n! are formed
+        raise ValueError(f"full S_n character table capped at n = {SN_TABLE_CAP}")
+    parts = partitions(n)
     G = symmetric_group(n)
     labels = [str(la) for la in parts]
     dims = [dimension(la) for la in parts]

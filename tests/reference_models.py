@@ -5,7 +5,8 @@ product matrices (np.kron with an explicit swap matrix) that the batched
 formulas in `wreathrep` and `realize` replaced, the enumerating wreath
 character table that the closed form in `wreathrep` replaced, and the
 tuple-valued subgroup certification and closure that the id arrays of
-`groups.Subgroup` replaced."""
+`groups.Subgroup` replaced, and the per-element contraction diag(U* Pi U)
+that the coset kernel in `sampling` replaced."""
 
 from __future__ import annotations
 
@@ -102,6 +103,12 @@ def check_traces(table, reals, tol: float = TRACE_TOL) -> float:
     if worst > tol:
         raise AssertionError(f"trace certification failed: {worst}")
     return worst
+
+
+def fixed_weights(mats: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """<U e_i, P U e_i> for every matrix U of a stack and basis vector e_i:
+    the (n, d) diagonals of U* P U, one d^3 contraction per matrix."""
+    return np.einsum("gji,jk,gki->gi", mats.conj(), P, mats).real
 
 
 def swap_matrix(d: int) -> np.ndarray:

@@ -251,3 +251,14 @@ def test_no_runtime_asserts_in_src():
         or (isinstance(node, ast.Attribute) and node.attr in retired)
     ]
     assert not defined
+    # no eigensolver or SVD, whose output depends on the LAPACK build and
+    # BLAS thread count, and no scipy, which would slow every import
+    spectral = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and (node.attr.startswith("eig") or node.attr == "svd"))
+        or (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert not spectral

@@ -332,6 +332,13 @@ def run_cli_process(*argv):
         (["mceliece", "gen", "--k", str(10**8)], "--k"),
         # an --out that is a file raised FileExistsError
         (["dims", "sn", "--n", "3", "--out", str(DATA / "mceliece_q2_k2_n5.json")], "--out"),
+        # an instance whose q is not a prime power (exit 1, no flag)
+        (["mceliece", "attack", "--instance", str(DATA / "mceliece_q6_k2_n5.json")], "--instance"),
+        # the strict dimension bound 1^cn cannot hold at n = 1 (exit 1)
+        (["lambda-audit", "--n", "1", "--c", "1/6"], "--n"),
+        # full tables of p(n)^2 characters: n = 22 took 24.5 s, s26 did not finish
+        (["chartable", "sn", "--n", "22"], "--n"),
+        (["dist", "--group", "s26", "--subgroup", "trivial"], "--group"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from cosetlab import sampling
-from cosetlab.chartab import CharacterTable
+from cosetlab.chartab import CharacterTable, product_table
 from cosetlab.gl2rep import char_table as gl2_char_table
-from cosetlab.groups import subgroup_closure, trivial_subgroup
+from cosetlab.groups import product_group, subgroup_closure, trivial_subgroup
 from cosetlab.realize import RealizedIrrep
 from cosetlab.sampling import (
     SamplingContext,
-    _conditionals,
-    _mean_l1sq,
+    _kernel,
     distinguishability,
     distinguishability_bound,
     irrep_distortion,
@@ -23,11 +22,11 @@ from cosetlab.sampling import (
     second_moment_check,
     weak_distribution,
 )
-from cosetlab.suites import subgroup_catalog
+from cosetlab.suites import lemma_checks, subgroup_catalog
 from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import wreath_char_table
 
-from reference_models import conj
+from reference_models import conj, fixed_weights
 
 
 def s3_ctx():
@@ -85,8 +84,8 @@ def test_conditional_distribution_golden_at_identity():
     ctx = s3_ctx()
     _, order2, _ = s3_subgroups(ctx)
     std = next(i for i in range(3) if ctx.table.dims[i] == 2)
-    bundle = projection_bundle(ctx.reals[std], order2)
-    p = _conditionals(ctx.reals[std].at([ctx.group.ids().identity]), bundle)[0]
+    k = _kernel(ctx, std, order2)
+    p = k.conditionals(np.array([ctx.group.ids().identity]))[0]
     assert np.allclose(sorted(p), [0.0, 1.0], atol=1e-10)
 
 
@@ -97,9 +96,11 @@ def test_conditional_distribution_zero_weight_raises():
         i for i in range(3)
         if ctx.table.dims[i] == 1 and ctx.table.labels[i] == "(1, 1, 1)"
     )
-    bundle = projection_bundle(ctx.reals[sign], order2)
-    with pytest.raises(ValueError):
-        _conditionals(ctx.reals[sign].at([ctx.group.ids().identity]), bundle)
+    k = _kernel(ctx, sign, order2)
+    # rank 0: every weight is 0, and only normalizing a conditional raises
+    assert k.Q.shape == (1, 0) and not k.weights.any()
+    with pytest.raises(ValueError, match="zero trace"):
+        k.conditionals(np.array([ctx.group.ids().identity]))
 
 
 def test_distinguishability_golden_values():
@@ -154,15 +155,13 @@ def test_expected_l1sq_matches_direct_average():
     std = next(i for i in range(3) if ctx.table.dims[i] == 2)
     real = ctx.reals[std]
     bundle = projection_bundle(real, order2)
-    ids = np.arange(ctx.group.order)
     direct = np.mean(
         [
-            np.abs(_conditionals(real.at([g]), bundle)[0] - 0.5).sum() ** 2
-            for g in ids
+            np.abs(fixed_weights(real.at([g]), bundle.matrix)[0] / bundle.trace - 0.5).sum() ** 2
+            for g in range(ctx.group.order)
         ]
     )
-    batched = _mean_l1sq(_conditionals(real.at(ids), bundle), real.dim)
-    assert abs(batched - direct) < 1e-12
+    assert abs(irrep_distortion(ctx, order2, std) - direct) < 1e-12
 
 
 def test_tensor_conj_multiplicities_are_integral():
@@ -294,7 +293,14 @@ def reference_second_moment_lhs(ctx, h_value, rho_idx, b_idx):
 
 
 def catalog_contexts():
-    for table in (sn_character_table(4), wreath_char_table(sn_character_table(3))):
+    g1, g2 = gl2_char_table(2), sn_character_table(3)
+    tables = (
+        sn_character_table(4),
+        wreath_char_table(sn_character_table(3)),
+        gl2_char_table(3),
+        product_table(product_group(g1.group, g2.group), g1, g2),
+    )
+    for table in tables:
         ctx = sampling_context(table)
         yield ctx, subgroup_catalog(ctx.group)
 
@@ -335,3 +341,51 @@ def test_pg_invariance_flags_a_wrong_class_map():
     assert pg_invariance_error(good, H) < 1e-12
     assert pg_invariance_error(bad, H) > 1e-3
     assert reference_pg_invariance_error(bad, H) > 1e-3
+
+
+# ---- the coset kernel against the per-element contraction ----
+
+def test_coset_kernel_matches_the_per_element_contraction():
+    for ctx, catalog in catalog_contexts():
+        ids = ctx.group.ids()
+        sampled = np.random.default_rng(7).integers(0, ctx.group.order, size=50)
+        for H in catalog:
+            least = [int(ids.mul(H.ids, g).min()) for g in range(ctx.group.order)]
+            reps = sorted(set(least))
+            for i, real in enumerate(ctx.reals):
+                k = _kernel(ctx, i, H)
+                want = fixed_weights(real.stack(), k.bundle.matrix)
+                # constant on right cosets Hg, so the representatives hold all
+                assert np.abs(want - want[least]).max() < 1e-13
+                assert np.abs(k.weights - want[reps]).max() < 1e-13
+                assert np.abs(k.at(sampled) - want[sampled]).max() < 1e-13
+                if k.bundle.trace > sampling.ZERO_TRACE_TOL:
+                    conds = k.conditionals(sampled)
+                    assert np.abs(conds - want[sampled] / k.bundle.trace).max() < 1e-13
+
+
+def test_coset_kernel_basis_spans_the_fixed_space():
+    for ctx, catalog in catalog_contexts():
+        for H in catalog:
+            for i in range(ctx.table.n_irreps):
+                k = _kernel(ctx, i, H)
+                Q, P = k.Q, k.bundle.matrix
+                assert Q.shape == (len(P), round(k.bundle.trace))
+                assert np.all(np.abs(Q @ Q.conj().T - P) < 1e-12)
+                assert np.all(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-12)
+
+
+def test_lemma_checks_build_each_bundle_once(monkeypatch):
+    built = []
+    bundle = sampling.projection_bundle
+
+    def counted(real, H):
+        built.append((real.label, H.ids.tobytes()))
+        return bundle(real, H)
+
+    monkeypatch.setattr(sampling, "projection_bundle", counted)
+    ctx = sampling_context(gl2_char_table(3))
+    catalog = subgroup_catalog(ctx.group)
+    for H in catalog:
+        lemma_checks(ctx, H)
+    assert len(built) == len(set(built)) == ctx.table.n_irreps * len(catalog)
