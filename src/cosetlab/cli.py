@@ -4,7 +4,8 @@ distinguishability reports, and the full verification grids.  All output
 is deterministic for a fixed config and seed.
 
 Each command returns (report file name, config keys, report body); `main`
-writes the report and is the only place that writes a diagnostic.
+writes the report and is the only place that writes a diagnostic.  Each
+command imports the layers it runs, so `goppa` and `mceliece gen` load no numpy.
 """
 
 from __future__ import annotations
@@ -20,23 +21,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from . import __version__, goppa, hsp, sampling, suites, symrep
-from .chartab import CharacterTable, WreathFamily, product_table
-from .gl2rep import char_table as gl2_char_table
-from .groups import (
-    GROUP_ENUM_CAP,
-    Group,
-    Subgroup,
-    SymmetricGroup,
-    element_from_json,
-    product_group,
-    subgroup_closure,
-    trivial_subgroup,
-    wreath_z2,
-)
-from .fields import field_of_order
-from .symrep import sn_character_table
-from .wreathrep import wreath_char_table
+from . import __version__, goppa, mceliece
+from .fields import GROUP_ENUM_CAP, field_of_order
 
 
 class ConfigError(Exception):
@@ -98,29 +84,36 @@ _ATOM_SN = re.compile(r"^s(\d+)$")
 _ATOM_GL2 = re.compile(r"^gl2_(\d+)$")
 
 
-def _atom_table(spec: str) -> CharacterTable:
+def _parse_group(spec: str):
+    """(group, table builder) for s<N>, gl2_<q>, a product written '<a>x<b>',
+    or any of those wrapped as 'wreath_<spec>'; no table is built yet."""
+    from . import chartab, gl2rep, groups, symrep, wreathrep
+    spec = spec.strip().lower()
+    if spec.startswith("wreath_"):
+        base, table = _parse_group(spec[len("wreath_"):])
+        return groups.wreath_z2(base), lambda: wreathrep.wreath_char_table(table())
+    if "x" in spec:
+        left, right = spec.split("x", 1)
+        (G1, t1), (G2, t2) = _parse_group(left), _parse_group(right)
+        G = groups.product_group(G1, G2)
+        return G, lambda: chartab.product_table(G, t1(), t2())
     m = _ATOM_SN.match(spec)
     if m:
-        return sn_character_table(int(m.group(1)))
+        n = int(m.group(1))
+        return symrep.sn_table_group(n), lambda: symrep.sn_character_table(n)
     m = _ATOM_GL2.match(spec)
     if m:
-        return gl2_char_table(int(m.group(1)))
+        q = int(m.group(1))
+        return groups.general_linear_group(2, q), lambda: gl2rep.char_table(q)
     raise ValueError(f"unrecognized group spec {spec!r}")
 
 
-def parse_group_table(spec: str) -> CharacterTable:
-    """s<N>, gl2_<q>, a product a x b written '<a>x<b>', or any of those
-    wrapped as 'wreath_<spec>'."""
-    spec = spec.strip().lower()
-    if spec.startswith("wreath_"):
-        return wreath_char_table(parse_group_table(spec[len("wreath_"):]))
-    if "x" in spec:
-        left, right = spec.split("x", 1)
-        t1 = parse_group_table(left)
-        t2 = parse_group_table(right)
-        G = product_group(t1.group, t2.group)
-        return product_table(G, t1, t2)
-    return _atom_table(spec)
+def parse_group_table(spec: str, check=lambda G: None):
+    """The character table of a group spec (see _parse_group); check(G)
+    runs on the group before any table is built."""
+    G, build = _parse_group(spec)
+    check(G)
+    return build()
 
 
 _CYCLES = re.compile(r"^\[\s*(?:\([0-9, ]*\)\s*)*\]$")
@@ -129,6 +122,7 @@ _CYCLES = re.compile(r"^\[\s*(?:\([0-9, ]*\)\s*)*\]$")
 def _parse_cycle_string(G, text: str) -> List:
     """Cycle notation with 1-indexed points, e.g. [(12)] or [(1,2)(3,4)];
     bare digit runs treat each digit as one point."""
+    from .groups import SymmetricGroup
     if not isinstance(G, SymmetricGroup):
         raise ValueError(f"cycle string {text!r} names permutations, and {G} is not S_n")
     gens = []
@@ -149,14 +143,15 @@ def _parse_cycle_string(G, text: str) -> List:
     return gens
 
 
-def parse_subgroup(G: Group, spec: str) -> Subgroup:
+def parse_subgroup(G, spec: str):
     """A catalog label (trivial, order-2, unipotent, ...), a cycle string
     for symmetric groups, or a path to a JSON file with a generator list;
     an empty generator list means the trivial subgroup."""
+    from . import groups, suites
     spec = spec.strip()
     if os.path.exists(spec):
         gens = _read_json("--subgroup", spec, lambda obj: [
-            element_from_json(G, o)
+            groups.element_from_json(G, o)
             for o in (obj["generators"] if isinstance(obj, dict) else obj)
         ])
         label = "from file"
@@ -167,7 +162,7 @@ def parse_subgroup(G: Group, spec: str) -> Subgroup:
             if H.label == spec:
                 return H
         raise ValueError(f"unrecognized subgroup spec {spec!r}")
-    return subgroup_closure(G, gens, label=label) if gens else trivial_subgroup(G)
+    return groups.subgroup_closure(G, gens, label=label) if gens else groups.trivial_subgroup(G)
 
 
 def _parse_rate(args, n_min: int, n_cap: int) -> Fraction:
@@ -191,7 +186,7 @@ def _complex_str(z: complex) -> str:
     return f"{re:.12g}{im:+.12g}i"
 
 
-def _family_counts(table: CharacterTable) -> dict:
+def _family_counts(table) -> dict:
     counts: dict = {}
     for label in table.labels:
         if label[0] in "([0123456789":
@@ -204,13 +199,14 @@ def _family_counts(table: CharacterTable) -> dict:
 
 
 def cmd_chartable(args):
+    from . import chartab, gl2rep, symrep, wreathrep
     with _flag({"gl2": "--q", "sn": "--n", "wreath": "--base"}[args.kind]):
         if args.kind == "gl2":
-            table = gl2_char_table(args.q)
+            table = gl2rep.char_table(args.q)
         elif args.kind == "sn":
-            table = sn_character_table(args.n)
+            table = symrep.sn_character_table(args.n)
         else:
-            table = wreath_char_table(parse_group_table(args.base))
+            table = wreathrep.wreath_char_table(parse_group_table(args.base))
 
     def csv_row(cells: List[str]) -> str:
         return ",".join('"%s"' % c if "," in c else c for c in cells)
@@ -218,7 +214,7 @@ def cmd_chartable(args):
     def class_header(j: int) -> str:
         # wreath keys are base-class indices, which say little in a header;
         # a wreath class is named by its representative
-        if isinstance(table.family, WreathFamily):
+        if isinstance(table.family, chartab.WreathFamily):
             return str(table.class_reps[j].value)
         return str(table.class_keys[j])
 
@@ -243,6 +239,7 @@ def cmd_chartable(args):
 
 
 def cmd_dims(args):
+    from . import symrep
     with _flag("--n"):
         parts = symrep.partitions(args.n)
     dims = {str(la): symrep.dimension(la) for la in parts}
@@ -253,6 +250,7 @@ def cmd_dims(args):
 
 
 def cmd_lambda_audit(args):
+    from . import symrep
     # from n = 2 on: at n = 1 no irrep has dimension below the strict bound 1^cn
     audit = symrep.lambda_c_audit(args.n, _parse_rate(args, 2, symrep.PARTITION_CAP))
     body = {"ok": audit.size_ok and audit.dim_ok, "audit": audit.as_json()}
@@ -260,6 +258,7 @@ def cmd_lambda_audit(args):
 
 
 def cmd_roichman(args):
+    from . import symrep
     report = symrep.roichman_report(args.n, _parse_rate(args, 1, symrep.ROICHMAN_CAP))
     return "roichman.json", ("n", "c"), {"ok": True, "report": report.as_json()}
 
@@ -340,18 +339,19 @@ def cmd_mceliece(args):
             )
         with _flag("--q"):
             F = field_of_order(args.q)
-        inst = hsp.random_instance(F, args.k, args.n, args.seed, min_rank=args.min_rank)
+        inst = mceliece.random_instance(F, args.k, args.n, args.seed, min_rank=args.min_rank)
         body = {"ok": True, "instance": inst.as_json()}
         return "mceliece_instance.json", ("k", "n", "q", "min_rank"), body
+    from . import groups, hsp
     if not args.instance:
         raise ConfigError("--instance", "mceliece attack needs an instance file")
     def instance(obj):  # a bad q is the file's fault; from_json's ValueErrors are failed checks
         with _flag("--instance"):
             field_of_order(int(obj["q"]))
-        return hsp.McElieceInstance.from_json(obj)
+        return mceliece.McElieceInstance.from_json(obj)
     inst = _read_json("--instance", args.instance, instance, "instance")
     shape_ok = all(1 <= v <= _SHAPE_CAP for v in (inst.k, inst.n))
-    if not shape_ok or wreath_z2(inst.base_group()).order > GROUP_ENUM_CAP:
+    if not shape_ok or groups.wreath_z2(inst.base_group()).order > GROUP_ENUM_CAP:
         raise ConfigError(
             "--instance",
             f"the attack needs k, n >= 1 and (GL_k(F_q) x S_n) wr Z2 within the "
@@ -376,6 +376,7 @@ def cmd_mceliece(args):
 # ---- dist ----
 
 def cmd_dist(args):
+    from . import sampling
     if args.mc_samples is not None:
         # a standard error needs 2 samples, and no Monte Carlo run gathers
         # more rows than the largest exhaustive one
@@ -386,7 +387,7 @@ def cmd_dist(args):
         if args.seed < 0:
             raise ConfigError("--seed", f"a Monte Carlo run needs a seed >= 0, got {args.seed}")
     with _flag("--group"):
-        table = parse_group_table(args.group)
+        table = parse_group_table(args.group, sampling.require_samplable)
         ctx = sampling.sampling_context(table)
     S_indices = None
     if args.S is not None:
@@ -432,24 +433,20 @@ def cmd_dist(args):
 
 # ---- verify-lemmas ----
 
-def _slack_summary(records: Sequence[suites.CheckRecord]) -> dict:
+def _slack_summary(records) -> dict:
     out: dict = {}
     for r in records:
-        entry = out.setdefault(
-            r.check,
-            {"count": 0, "failures": 0, "max_abs_diff": 0.0, "min_margin": None},
-        )
+        entry = out.setdefault(r.check, {"count": 0, "failures": 0, "max_abs_diff": 0.0})
         entry["count"] += 1
-        if not r.ok:
-            entry["failures"] += 1
+        entry["failures"] += not r.ok
         entry["max_abs_diff"] = max(entry["max_abs_diff"], abs(r.lhs - r.rhs))
         margin = r.rhs - r.lhs
-        if entry["min_margin"] is None or margin < entry["min_margin"]:
-            entry["min_margin"] = margin
+        entry["min_margin"] = min(entry.get("min_margin", margin), margin)
     return out
 
 
 def cmd_verify_lemmas(args):
+    from . import suites
     if args.suite == "dist":
         records = suites.run_dist_suite()
     elif args.suite == "all":

@@ -12,10 +12,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 FIELD_SIZE_CAP = 4096
 GL_ENUM_CAP = 10**6
+GROUP_ENUM_CAP = 200_000
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -239,9 +238,10 @@ class Fq:
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def tables(self) -> Tuple[np.ndarray, np.ndarray]:
+    def tables(self) -> Tuple["np.ndarray", "np.ndarray"]:
         """Full q x q addition and multiplication tables, for vectorized
         arithmetic on arrays of field elements."""
+        import numpy as np  # the rest of this module is numpy-free
         q, p = self.q, self.p
         a = np.arange(q)
         add = np.zeros((q, q), dtype=np.int64)

@@ -29,9 +29,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fields
-from .fields import Fq
+from .fields import GROUP_ENUM_CAP, Fq
 
-GROUP_ENUM_CAP = 200_000
 # largest group given a full Cayley table
 TABLE_CAP = 2048
 # products per row chunk of a table build or a subgroup's closure scan,
@@ -436,8 +435,7 @@ def wreath_z2(base: Group) -> WreathZ2:
 
 
 def _distinct(x) -> np.ndarray:
-    """The sorted distinct ids of an id array (np.unique, whose first call
-    imports numpy.ma, is kept off the attack path)."""
+    """The sorted distinct ids of an id array, as a flat int64 array."""
     x = np.sort(np.asarray(x, dtype=np.int64).ravel())
     keep = np.ones(len(x), dtype=bool)
     keep[1:] = x[1:] != x[:-1]

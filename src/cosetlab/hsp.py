@@ -1,19 +1,18 @@
-"""Scrambler-permutation key recovery as a hidden subgroup computation: key
-generation, the two stabilizer-shift functions on GL_k x S_n, their lift to
-the wreath product, right-injectivity certification, explicit hidden
+"""Scrambler-permutation key recovery as a hidden subgroup computation: the
+two stabilizer-shift functions on GL_k x S_n of a `mceliece` key, their lift
+to the wreath product, right-injectivity certification, explicit hidden
 subgroups, and shift extraction back to a valid private key.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from . import fields, goppa
-from .fields import Fq, Matrix, field_of_order
+from .fields import Fq, Matrix
 from .groups import (
     DirectProduct,
     Group,
@@ -21,128 +20,13 @@ from .groups import (
     GROUP_ENUM_CAP,
     Subgroup,
     WreathZ2,
-    general_linear_group,
-    product_group,
-    symmetric_group,
     wreath_z2,
 )
+from .mceliece import McElieceInstance, public_matrix
 from .wreathrep import k_build
 
 # ids per chunk of the scans over a whole group, which bounds their memory
 SCAN_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class McElieceInstance:
-    q: int
-    k: int
-    n: int
-    M: Matrix
-    A: Matrix
-    P: Tuple[int, ...]
-    Mstar: Matrix
-    seed: Optional[int] = None
-
-    def field(self) -> Fq:
-        return field_of_order(self.q)
-
-    def base_group(self) -> DirectProduct:
-        return product_group(
-            general_linear_group(self.k, self.q), symmetric_group(self.n)
-        )
-
-    def as_json(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "n": self.n,
-            "seed": self.seed,
-            "M": [list(r) for r in self.M],
-            "A": [list(r) for r in self.A],
-            "P": list(self.P),
-            "Mstar": [list(r) for r in self.Mstar],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "McElieceInstance":
-        inst = McElieceInstance(
-            q=int(obj["q"]),
-            k=int(obj["k"]),
-            n=int(obj["n"]),
-            M=tuple(tuple(int(x) for x in r) for r in obj["M"]),
-            A=tuple(tuple(int(x) for x in r) for r in obj["A"]),
-            P=tuple(int(x) for x in obj["P"]),
-            Mstar=tuple(tuple(int(x) for x in r) for r in obj["Mstar"]),
-            seed=obj.get("seed"),
-        )
-        F = inst.field()
-        if public_matrix(F, inst.A, inst.M, inst.P) != inst.Mstar:
-            raise ValueError("public matrix does not match A*M*P")
-        if not fields.mat_is_invertible(F, inst.A):
-            raise ValueError("scrambler is singular")
-        return inst
-
-
-def public_matrix(F: Fq, A: Matrix, M: Matrix, P: Tuple[int, ...]) -> Matrix:
-    return fields.mat_mul(F, A, fields.apply_perm_to_cols(M, P))
-
-
-def random_matrix(rng: random.Random, F: Fq, k: int, n: int) -> Matrix:
-    return tuple(tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(k))
-
-
-def random_invertible(rng: random.Random, F: Fq, k: int) -> Matrix:
-    while True:
-        A = random_matrix(rng, F, k, k)
-        if fields.mat_is_invertible(F, A):
-            return A
-
-
-def random_instance(
-    F: Fq, k: int, n: int, seed: int, min_rank: int = 1
-) -> McElieceInstance:
-    """Seeded instance whose message matrix has rank at least min_rank;
-    low-rank matrices blow up the stabilizer (the zero matrix is fixed by
-    all of GL_k x S_n) and carry little key information.  Raises ValueError
-    when no k x n matrix reaches min_rank, instead of sampling forever."""
-    if k < 1 or n < 1:
-        raise ValueError(f"k and n must be at least 1, got k={k}, n={n}")
-    if min_rank > min(k, n):
-        raise ValueError(f"min_rank {min_rank} exceeds min(k, n) = {min(k, n)}")
-    rng = random.Random(seed)
-    while True:
-        M = random_matrix(rng, F, k, n)
-        if fields.mat_rank(F, M) >= min_rank:
-            break
-    return keygen(F, M, seed=rng.randrange(2**32))
-
-
-def keygen(
-    F: Fq,
-    M: Matrix,
-    seed: int,
-    force_A: Optional[Matrix] = None,
-    force_P: Optional[Tuple[int, ...]] = None,
-) -> McElieceInstance:
-    """Instance with uniformly random scrambler (rejection sampling) and
-    permutation (shuffle), deterministic from the seed; force hooks pin
-    either secret for tests."""
-    k = len(M)
-    n = len(M[0])
-    rng = random.Random(seed)
-    A = force_A if force_A is not None else random_invertible(rng, F, k)
-    if force_P is not None:
-        P = tuple(force_P)
-    else:
-        p = list(range(n))
-        rng.shuffle(p)
-        P = tuple(p)
-    if not fields.mat_is_invertible(F, A):
-        raise ValueError("forced scrambler is singular")
-    return McElieceInstance(
-        q=F.q, k=k, n=n, M=M, A=A, P=P,
-        Mstar=public_matrix(F, A, M, P), seed=seed,
-    )
 
 
 # ---- the shift pair and its wreath lift ----
@@ -231,11 +115,11 @@ def _require_cap(G: Group, cap: int) -> None:
 
 def _labels(f, G: Group, cap: int) -> np.ndarray:
     """f as labels over the ids of G: f may be a function on G's values or
-    already such a label array."""
+    already such an array of non-negative integers."""
     _require_cap(G, cap)
     if isinstance(f, np.ndarray):
-        if f.shape != (G.order,):
-            raise ValueError(f"label array of shape {f.shape} for |{G}| = {G.order}")
+        if f.shape != (G.order,) or f.min() < 0:
+            raise ValueError(f"a label array holds |{G}| = {G.order} non-negative integers")
         return f
     codes: Dict[object, int] = {}
     return np.fromiter(
@@ -257,10 +141,12 @@ def check_right_injective(f, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
     HiddenSubgroupInstance.labels); the scans run on id arrays."""
     labels = _labels(f, G, cap)
     ids = G.ids()
-    _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
+    # the least id of each label's class; G.order marks an unused label
+    first = np.full(labels.max() + 1, G.order, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(G.order))
     in_K = labels == labels[ids.identity]
     # y x^-1 in K, with x the first element of y's class
-    rep_inv = ids.inverse[first[cls]]
+    rep_inv = ids.inverse[first[labels]]
     for lo in range(0, G.order, SCAN_CHUNK):
         y = np.arange(lo, min(lo + SCAN_CHUNK, G.order))
         if not in_K[ids.mul(y, rep_inv[y])].all():
@@ -270,7 +156,7 @@ def check_right_injective(f, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
     for lo in range(0, len(K), rows):
         if not in_K[ids.mul(K[lo : lo + rows, None], K[None, :])].all():
             return False
-    return len(first) * len(K) == G.order
+    return int(np.count_nonzero(first < G.order)) * len(K) == G.order
 
 
 def hidden_subgroup_of(

@@ -43,12 +43,15 @@ class SamplingContext:
         return self.table.group
 
 
-def sampling_context(table: CharacterTable) -> SamplingContext:
-    """The table with its realized irreps; refused, before any matrix is
-    built, on a group of more than GROUP_ENUM_CAP elements."""
-    G = table.group
+def require_samplable(G: Group) -> None:
+    """Refuse a group of more than GROUP_ENUM_CAP elements."""
     if G.order > GROUP_ENUM_CAP:
         raise ValueError(f"|{G}| = {G.order} exceeds the sampling cap {GROUP_ENUM_CAP}")
+
+
+def sampling_context(table: CharacterTable) -> SamplingContext:
+    """The table with its realized irreps, after require_samplable(group)."""
+    require_samplable(table.group)
     return SamplingContext(table=table, reals=realize_table(table), basis="realized coordinates")
 
 

@@ -133,11 +133,16 @@ def _rep_of_cycle_type(G: SymmetricGroup, mu: Partition) -> GroupElement:
     return G.make(tuple(img))
 
 
-def sn_character_table(n: int) -> CharacterTable:
-    if n > SN_TABLE_CAP:  # before the partitions and n! are formed
+def sn_table_group(n: int) -> SymmetricGroup:
+    """S_n, refused past SN_TABLE_CAP before n! is formed."""
+    if n > SN_TABLE_CAP:
         raise ValueError(f"full S_n character table capped at n = {SN_TABLE_CAP}")
+    return symmetric_group(n)
+
+
+def sn_character_table(n: int) -> CharacterTable:
+    G = sn_table_group(n)
     parts = partitions(n)
-    G = symmetric_group(n)
     labels = [str(la) for la in parts]
     dims = [dimension(la) for la in parts]
     sizes = [class_size(mu) for mu in parts]

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import cli, sampling
+from cosetlab import cli, gl2rep, sampling, symrep
+from cosetlab.chartab import CharacterTable
 from cosetlab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -347,6 +348,16 @@ def test_bad_inputs_are_config_errors(argv, flag):
     assert_config_error(argv, flag)
 
 
+@pytest.mark.parametrize("group, order", [("s16", 20922789888000), ("s9", 362880), ("wreath_s6", 1036800)])
+def test_dist_refuses_a_group_past_the_sampling_cap_before_any_table(monkeypatch, group, order):
+    # s16 built its 231 x 231 table (1.2 s) before this refusal; every
+    # table, under any binding, is a CharacterTable
+    monkeypatch.setattr(symrep, "sn_character_table", lambda n: pytest.fail("table built"))
+    monkeypatch.setattr(CharacterTable, "__init__", lambda *a: pytest.fail("table built"))
+    diag = assert_config_error(["dist", "--group", group, "--subgroup", "trivial"], "--group")
+    assert diag["error"].endswith(f"| = {order} exceeds the sampling cap 200000")
+
+
 def test_dist_on_a_product_with_a_factor_past_the_table_cap():
     # S7 multiplies by composing image arrays; this exited 1 with
     # "|S7| = 5040 exceeds the Cayley table cap 2048"
@@ -550,7 +561,7 @@ def test_a_library_bug_is_not_a_config_error(monkeypatch):
     def broken(q):
         raise TypeError("bug")
 
-    monkeypatch.setattr(cli, "gl2_char_table", broken)
+    monkeypatch.setattr(gl2rep, "char_table", broken)
     with pytest.raises(TypeError, match="bug"):
         main(["chartable", "gl2", "--q", "3"])
 
@@ -570,3 +581,70 @@ def test_commands_hold_no_error_handling():
         if isinstance(node, ast.Attribute) and node.attr == "stdout"
     }
     assert writers == {"main"}
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, os, sys
+from cosetlab import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("cosetlab."))
+
+seen = {"import": loaded()}
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["mceliece", "gen", "--q", "3", "--out", out])
+    seen["gen"] = loaded()
+    cli.main(["mceliece", "attack", "--instance", os.path.join(out, "mceliece_instance.json")])
+    seen["attack"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_each_command_imports_only_the_layers_it_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env, check=True,
+    )
+    seen = json.loads(proc.stdout)
+    assert "numpy" not in seen["import"] and "cosetlab.groups" not in seen["import"]
+    assert "numpy" not in seen["gen"]
+    assert "numpy" in seen["attack"]
+    for layer in ("sampling", "suites", "symrep", "gl2rep"):
+        assert f"cosetlab.{layer}" not in seen["attack"]
+
+
+def _module_level_imports(name):
+    """(module, imported name) for every import at the top level of a
+    cosetlab module, with relative imports resolved to cosetlab.*."""
+    tree = ast.parse((SRC / "cosetlab" / f"{name}.py").read_text())
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            out += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "cosetlab" + (f".{module}" if module else "")
+            out += [(module, alias.name) for alias in node.names]
+    return out
+
+
+# the layers that load no numpy, so `goppa` and `mceliece gen` never do
+NUMPY_FREE = ("cli", "fields", "goppa", "mceliece")
+
+
+def test_numpy_free_layers_import_only_the_stdlib_and_each_other():
+    # a start-up gain from importing inside commands comes back one
+    # module-level import at a time; this catches the first one
+    for name in NUMPY_FREE:
+        for module, attr in _module_level_imports(name):
+            if module == "cosetlab" and attr != "__version__":
+                module = f"cosetlab.{attr}"
+            if module.startswith("cosetlab."):
+                assert module.split(".")[1] in NUMPY_FREE, (name, module)
+            else:
+                top = module.split(".")[0]
+                assert top == "cosetlab" or top in sys.stdlib_module_names, (name, module)

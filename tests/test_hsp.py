@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetlab import hsp
 from cosetlab.fields import (
@@ -26,20 +27,17 @@ from cosetlab.groups import (
     wreath_z2,
 )
 from cosetlab.hsp import (
-    McElieceInstance,
     attack,
     brute_stabilizer,
     check_right_injective,
     extract_shift,
     hidden_subgroup_of,
-    keygen,
     lift_f,
-    public_matrix,
-    random_instance,
     shift_problem,
     shift_set,
     stabilizer_order_product,
 )
+from cosetlab.mceliece import McElieceInstance, keygen, public_matrix, random_instance
 from cosetlab.suites import subgroup_catalog
 from cosetlab.wreathrep import k_build
 
@@ -280,6 +278,56 @@ def test_id_scan_matches_tuple_reference_when_not_right_injective():
         assert check_right_injective(f, W) is False
         with pytest.raises(ValueError):
             hidden_subgroup_of(f, W)
+
+
+def unique_right_injective(labels, G):
+    """check_right_injective as it ran on np.unique, kept as the reference
+    for the np.minimum.at scan."""
+    ids = G.ids()
+    _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
+    in_K = labels == labels[ids.identity]
+    y = np.arange(G.order)
+    if not in_K[ids.mul(y, ids.inverse[first[cls]])].all():
+        return False
+    K = np.flatnonzero(in_K)
+    if not in_K[ids.mul(K[:, None], K[None, :])].all():
+        return False
+    return len(first) * len(K) == G.order
+
+
+SCAN_GROUPS = [
+    symmetric_group(4),
+    general_linear_group(2, 3),
+    wreath_z2(symmetric_group(3)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_right_injective_scan_matches_the_unique_reference(data):
+    G = data.draw(st.sampled_from(SCAN_GROUPS))
+    ids = G.ids()
+    H = data.draw(st.sampled_from(subgroup_catalog(G)))
+    # label each id by the least id of its right coset Hg, then spread the
+    # labels over a larger range with gaps: right-injective by construction
+    coset = ids.mul(H.ids[:, None], np.arange(G.order)[None, :]).min(axis=0)
+    spread = np.array(data.draw(st.permutations(range(3 * G.order))))
+    labels = spread[coset]
+    kind = data.draw(st.sampled_from(["cosets", "one-changed", "random"]))
+    if kind == "one-changed":
+        labels[data.draw(st.integers(0, G.order - 1))] = data.draw(st.integers(0, 3 * G.order))
+    elif kind == "random":
+        m = data.draw(st.integers(1, 6))
+        labels = np.array(data.draw(st.lists(st.integers(0, m), min_size=G.order, max_size=G.order)))
+    expected = unique_right_injective(labels, G)
+    assert expected is True or kind != "cosets"
+    assert check_right_injective(labels, G) is expected
+
+
+def test_a_negative_label_array_is_refused():
+    G = symmetric_group(3)
+    with pytest.raises(ValueError, match="non-negative"):
+        check_right_injective(np.array([0, 1, -1, 0, 1, 2]), G)
 
 
 def test_subgroups_and_k_are_built_without_tuple_arithmetic():
