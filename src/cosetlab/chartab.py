@@ -109,9 +109,9 @@ class CharacterTable:
             raise ValueError("character at identity must equal the dimension")
         self._element_columns: Optional[np.ndarray] = None
         self._element_values: Optional[np.ndarray] = None
-        # the last subgroup asked of normalized_char_max, and the columns of
-        # its non-identity elements
-        self._sub_columns: Tuple[Optional[Subgroup], np.ndarray] = (None, np.empty(0, int))
+        self._tensor_mults: Optional[np.ndarray] = None
+        # the last subgroup asked of normalized_char_maxes, and its answer
+        self._sub_maxes: Tuple[Optional[Subgroup], np.ndarray] = (None, np.empty(0))
 
     @property
     def n_irreps(self) -> int:
@@ -150,30 +150,34 @@ class CharacterTable:
         return float(np.abs(self.gram() - np.eye(self.n_irreps)).max())
 
     def tensor_square_multiplicities(self, i: int) -> np.ndarray:
-        """Multiplicity of each irrep in rho_i (x) rho_i^*, as exact integers."""
-        w = np.asarray(self.class_sizes, dtype=float)
-        sq = np.abs(self.values[i]) ** 2
-        raw = np.conj(self.values) @ (w * sq) / self.group.order
-        mults = np.rint(raw.real).astype(int)
-        err = np.abs(raw - mults).max()
-        if err > INTEGRALITY_TOL:
-            raise ValueError(f"non-integer tensor multiplicity (off by {err:.2e})")
-        if mults.min() < 0:
-            raise ValueError("negative tensor multiplicity")
-        return mults
+        """Multiplicity of each irrep in rho_i (x) rho_i^*, as exact integers;
+        the rows of every irrep are formed and certified on first use."""
+        if self._tensor_mults is None:
+            w = np.asarray(self.class_sizes, dtype=float)
+            raw = (w * np.abs(self.values) ** 2) @ np.conj(self.values).T / self.group.order
+            mults = np.rint(raw.real).astype(int)
+            err = np.abs(raw - mults).max()
+            if err > INTEGRALITY_TOL:
+                raise ValueError(f"non-integer tensor multiplicity (off by {err:.2e})")
+            if mults.min() < 0:
+                raise ValueError("negative tensor multiplicity")
+            mults.setflags(write=False)
+            self._tensor_mults = mults
+        return self._tensor_mults[i]
 
     # -- subgroup functionals --
 
-    def normalized_char_max(self, i: int, sub: Subgroup) -> float:
-        """max over non-identity h in H of |chi(h)| / dim; 0 for trivial H.
-        The checks ask for every irrep in turn, so H's columns are kept."""
-        if self._sub_columns[0] is not sub:
+    def normalized_char_maxes(self, sub: Subgroup) -> np.ndarray:
+        """max over non-identity h in H of |chi(h)| / dim for every irrep; 0
+        for trivial H.  The checks ask about one H for every irrep in turn,
+        so the last H's answer is kept."""
+        if self._sub_maxes[0] is not sub:
             h = sub.ids[sub.ids != self.group.ids().identity]
-            self._sub_columns = (sub, self.columns_of(h))
-        cols = self._sub_columns[1]
-        if not cols.size:
-            return 0.0
-        return float(np.abs(self.values[i, cols]).max() / self.dims[i])
+            cells = np.abs(self.values[:, self.columns_of(h)])
+            maxes = cells.max(axis=1, initial=0.0) / np.asarray(self.dims)
+            maxes.setflags(write=False)
+            self._sub_maxes = (sub, maxes)
+        return self._sub_maxes[1]
 
 
 def product_table(G: DirectProduct, t1: CharacterTable, t2: CharacterTable) -> CharacterTable:

@@ -14,11 +14,7 @@ import numpy as np
 from . import fields
 from .chartab import CharacterTable, GL2Family
 from .fields import Fq, Matrix, field_make, field_of_order
-from .groups import (
-    GeneralLinearGroup,
-    Subgroup,
-    general_linear_group,
-)
+from .groups import GeneralLinearGroup, Subgroup, _distinct, general_linear_group
 from .realize import projector_basis
 
 GL2_TABLE_CAP = 32
@@ -290,7 +286,7 @@ class GelfandGraev:
         pairs = [(z, y) for z in F.units() for y in F.elements()]
         zu = np.array([ids.id_of(((z, y), (0, z))) for z, y in pairs])
         keys = cay[:, zu].min(axis=1)
-        reps = np.unique(keys)
+        reps = _distinct(keys)
         if len(reps) != q * q - 1:
             raise AssertionError(f"{len(reps)} cosets of ZU in {G}, expected q^2 - 1")
         coset = np.searchsorted(reps, keys)

@@ -435,7 +435,8 @@ def wreath_z2(base: Group) -> WreathZ2:
 
 
 def _distinct(x) -> np.ndarray:
-    """The sorted distinct ids of an id array, as a flat int64 array."""
+    """The sorted distinct ids of an id array, as a flat int64 array; a
+    plain np.unique would import numpy.ma (numpy 2.4 asks np.ma.is_masked)."""
     x = np.sort(np.asarray(x, dtype=np.int64).ravel())
     keep = np.ones(len(x), dtype=bool)
     keep[1:] = x[1:] != x[:-1]
@@ -455,7 +456,7 @@ class Subgroup:
     Construction verifies, on id arrays, identity membership and closure
     under inverses and products, so holding a Subgroup is a certificate.
     `value_set` and `elements` (in value order) are derived views for
-    JSON, reports and tests.
+    JSON, reports and tests; `coset_reps` serves every coset kernel on H.
     """
 
     def __init__(self, group: Group, ids, label: str = ""):
@@ -487,6 +488,17 @@ class Subgroup:
     @cached_property
     def elements(self) -> Tuple[GroupElement, ...]:
         return tuple(GroupElement(self.group, v) for v in sorted(self.value_set))
+
+    @cached_property
+    def coset_reps(self) -> np.ndarray:
+        """The least id of every right coset Hg, ascending: the ids g with
+        id(h g) >= g for every h in H, found in chunks of H."""
+        ids, g = self.group.ids(), np.arange(self.group.order)
+        least = g.copy()
+        rows = max(1, TABLE_CHUNK_CELLS // len(g))
+        for lo in range(0, self.order, rows):
+            np.minimum(least, ids.mul(self.ids[lo : lo + rows, None], g).min(axis=0), out=least)
+        return np.flatnonzero(least == g)
 
     def __repr__(self) -> str:
         return f"<{self.label} in {self.group}>"

@@ -26,7 +26,7 @@ INEQ_TOL = 1e-7
 WEAK_SUM_TOL = 1e-9
 ZERO_TRACE_TOL = 1e-12
 DIST_CEILING = 4.0
-KERNEL_CHUNK_CELLS = 1 << 18  # matrix entries or id products per coset-kernel chunk
+KERNEL_CHUNK_CELLS = 1 << 18  # matrix entries per coset-kernel gather
 
 
 @dataclass
@@ -111,14 +111,8 @@ class _CosetKernel:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """The weights on the least id of every right coset Hg, ascending: the
-        ids g with id(h g) >= g for every h in H, found in chunks of H."""
-        ids, g = self.H.group.ids(), np.arange(self.H.group.order)
-        least = g.copy()
-        rows = max(1, KERNEL_CHUNK_CELLS // len(g))
-        for lo in range(0, self.H.order, rows):
-            np.minimum(least, ids.mul(self.H.ids[lo : lo + rows, None], g).min(axis=0), out=least)
-        return self.at(np.flatnonzero(least == g))
+        """The weights on H's right-coset representatives, ascending."""
+        return self.at(self.H.coset_reps)
 
     def at(self, ids: np.ndarray) -> np.ndarray:
         """(len(ids), d) weights at an id array, in gathers of KERNEL_CHUNK_CELLS entries."""
@@ -239,55 +233,68 @@ def isotypic_vector_norms(ctx: SamplingContext, rho_idx: int) -> np.ndarray:
 
 # ---- identity and inequality checks ----
 
+def _by_basis(k: _CosetKernel) -> np.ndarray:
+    """The kernel weights with one contiguous row per basis vector b, so a
+    reduction along a row sums as the strided column would."""
+    return np.ascontiguousarray(k.weights.T)
+
+
 def schur_expectation_check(
-    ctx: SamplingContext, H: Subgroup, rho_idx: int, b_idx: int
-) -> Tuple[float, float]:
-    """Mean over all g of |Pi_{H^g} b|^2 against tr(Pi_H)/d."""
+    ctx: SamplingContext, H: Subgroup, rho_idx: int
+) -> Tuple[np.ndarray, float]:
+    """Mean over all g of |Pi_{H^g} b|^2, for every basis vector b, against
+    tr(Pi_H)/d."""
     k = _kernel(ctx, rho_idx, H)
-    return float(np.mean(k.weights[:, b_idx])), k.bundle.trace / k.real.dim
+    return _by_basis(k).mean(axis=1), k.bundle.trace / k.real.dim
 
 
 def second_moment_check(
-    ctx: SamplingContext, h_value, rho_idx: int, b_idx: int
-) -> Tuple[float, float]:
+    ctx: SamplingContext, h_ids: Sequence[int], rho_idx: int
+) -> Tuple[np.ndarray, np.ndarray]:
     """E_g |<b, rho(g^-1 h g) b>|^2 against the isotypic expansion
-    sum_sigma (chi_sigma(h)/d_sigma) |Pi_sigma (b (x) b*)|^2; both sides
-    are formed for every basis vector b at once, once per (rho, h)."""
-    key = ("moment", rho_idx, h_value)
-    if key not in ctx._cache:
-        real, table = ctx.reals[rho_idx], ctx.table
-        U = real.stack()
-        # <rho(g) e_i, rho(h) rho(g) e_i> for every g and basis vector e_i
-        overlaps = (U.conj() * (real.mat_value(h_value) @ U)).sum(axis=1)
-        chi_h = table.values[:, table.element_columns()[ctx.group.ids().id_of(h_value)]]
-        rhs = (chi_h / np.asarray(table.dims)) @ isotypic_vector_norms(ctx, rho_idx)
-        if np.abs(rhs.imag).max() >= INEQ_TOL:
-            raise AssertionError(f"isotypic expansion of {real.label} is not real")
-        ctx._cache[key] = (np.mean(overlaps.real**2 + overlaps.imag**2, axis=0), rhs.real)
-    lhs, rhs = ctx._cache[key]
-    return float(lhs[b_idx]), float(rhs[b_idx])
+    sum_sigma (chi_sigma(h)/d_sigma) |Pi_sigma (b (x) b*)|^2, as (len(h_ids), d)
+    arrays over the elements h and the basis vectors b."""
+    real, table = ctx.reals[rho_idx], ctx.table
+    n, d = real.group.order, real.dim
+    # column (g, i) of cols is rho(g) e_i, so one product (m d, d) @ (d, |G| d)
+    # gives rho(h) rho(g) e_i for every h, g and basis vector e_i
+    cols = real.stack().transpose(1, 0, 2).reshape(d, n * d)
+    moved = (real.at(h_ids).reshape(-1, d) @ cols).reshape(len(h_ids), d, n * d)
+    overlaps = (cols.conj() * moved).sum(axis=1).reshape(len(h_ids), n, d)
+    lhs = np.mean(overlaps.real**2 + overlaps.imag**2, axis=1)
+    norms, dims = isotypic_vector_norms(ctx, rho_idx), np.asarray(table.dims)
+    chi = table.values[:, table.element_columns()[h_ids]]
+    # one vector-matrix product per h, which fixes how every rhs rounds
+    rhs = np.stack([(chi[:, j] / dims) @ norms for j in range(len(h_ids))])
+    if np.abs(rhs.imag).max() >= INEQ_TOL:
+        raise AssertionError(f"isotypic expansion of {real.label} is not real")
+    return lhs, rhs.real
 
 
 def variance_bound_check(
-    ctx: SamplingContext, H: Subgroup, rho_idx: int, b_idx: int
-) -> Tuple[float, float]:
-    """Variance over g of |Pi_{H^g} b|^2 against
+    ctx: SamplingContext, H: Subgroup, rho_idx: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Variance over g of |Pi_{H^g} b|^2, for every basis vector b, against
     sum over sigma appearing in rho (x) rho* of
     (max normalized character of sigma on H minus identity) times the
     isotypic norm of b (x) b*."""
-    lhs = float(np.var(_kernel(ctx, rho_idx, H).weights[:, b_idx]))
-    mult = ctx.table.tensor_square_multiplicities(rho_idx)
+    lhs = _by_basis(_kernel(ctx, rho_idx, H)).var(axis=1)
+    chi_max = ctx.table.normalized_char_maxes(H)
     norms = isotypic_vector_norms(ctx, rho_idx)
-    rhs = sum(
-        ctx.table.normalized_char_max(s, H) * norms[s, b_idx] for s in np.flatnonzero(mult > 0)
-    )
-    return lhs, float(rhs)
+    mult = ctx.table.tensor_square_multiplicities(rho_idx)
+    # for every b, a running sum over sigma in index order
+    return lhs, sum(chi_max[s] * norms[s] for s in np.flatnonzero(mult > 0))
 
 
 def irrep_distortion(ctx: SamplingContext, H: Subgroup, rho_idx: int) -> float:
     """E_g |P_{H^g}(.|rho) - uniform|_1^2 for one irrep; the quantity the
     per-irrep bounds control."""
     return float(np.mean(_kernel(ctx, rho_idx, H).distortions()))
+
+
+def _chi_bar(table: CharacterTable, H: Subgroup, S: set) -> float:
+    """The largest normalized character maximum on H outside S (0 if none)."""
+    return float(np.delete(table.normalized_char_maxes(H), list(S)).max(initial=0.0))
 
 
 def general_method_check(
@@ -301,10 +308,7 @@ def general_method_check(
         raise ValueError("rho must lie outside S")
     lhs = irrep_distortion(ctx, H, rho_idx)
     table = ctx.table
-    chi_bar = 0.0
-    for s in range(table.n_irreps):
-        if s not in S:
-            chi_bar = max(chi_bar, table.normalized_char_max(s, H))
+    chi_bar = _chi_bar(table, H, S)
     d_S = max((table.dims[s] for s in S), default=0)
     mult = table.tensor_square_multiplicities(rho_idx)
     overlap = sum(1 for s in S if mult[s] > 0)
@@ -328,8 +332,11 @@ def pg_invariance_error(table: CharacterTable, H: Subgroup) -> float:
     dims = np.asarray(table.dims, dtype=float)
     g = np.arange(G.order)[:, None]
     conj = ids.mul(ids.mul(ids.inverse[g], H.ids[None, :]), g)
+    # the distinct rows, sorted as one key per row (np.unique would import numpy.ma)
+    rows = table.element_columns()[conj]
+    rows = rows[np.lexsort(rows.T[::-1])]
     worst = 0.0
-    for cols in np.unique(table.element_columns()[conj], axis=0):
+    for cols in rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]:
         sums = table.values[:, cols].sum(axis=1)
         probs = dims * sums.real / G.order
         worst = max(worst, float(np.abs(probs - base).max()))
@@ -380,10 +387,7 @@ def distinguishability_bound(
     d_S = max((table.dims[s] for s in S), default=0)
     if D <= d_S**2:
         raise ValueError("dimension threshold must exceed d_S^2")
-    chi_bar = 0.0
-    for s in range(table.n_irreps):
-        if s not in S:
-            chi_bar = max(chi_bar, table.normalized_char_max(s, H))
+    chi_bar = _chi_bar(table, H, S)
     large = [i for i in range(table.n_irreps) if table.dims[i] >= D]
     delta = 0
     for i in large:

@@ -147,84 +147,51 @@ def lemma_checks(
     table = ctx.table
     gname = repr(ctx.group)
     records: List[CheckRecord] = []
+
+    def add(check: str, subject: str, lhs: float, rhs: float, ok: bool) -> None:
+        records.append(CheckRecord(gname, H.label, check, subject, lhs, rhs, ok))
+
     probs = sampling.weak_distribution(table, H)
-    records.append(
-        CheckRecord(
-            gname, H.label, "weak-sum", "",
-            float(probs.sum()), 1.0, abs(probs.sum() - 1.0) < 1e-9,
-        )
-    )
+    total = float(probs.sum())
+    add("weak-sum", "", total, 1.0, abs(total - 1.0) < 1e-9)
     inv_err = sampling.pg_invariance_error(table, H)
-    records.append(
-        CheckRecord(
-            gname, H.label, "conjugation-invariance", "",
-            inv_err, 0.0, inv_err < INVARIANCE_TOL,
-        )
-    )
+    add("conjugation-invariance", "", inv_err, 0.0, inv_err < INVARIANCE_TOL)
     rho_list = [
         i
         for i in range(table.n_irreps)
         if max_dim is None or table.dims[i] <= max_dim
     ]
     # the identity, then the first non-identity elements in value order
-    e = H.group.identity_value()
-    h_values = [e] + [el.value for el in H.elements if el.value != e][:second_moment_elements]
+    ids = H.group.ids()
+    rest = sorted((h for h in H.ids.tolist() if h != ids.identity), key=ids.value_of)
+    h_ids = [ids.identity] + rest[:second_moment_elements]
     lin = _linear_indices(table)
+    # each check runs once per irrep on every basis vector b at once; the
+    # records read plain floats and bools from .tolist()
     for i in rho_list:
-        label = table.labels[i]
-        d = table.dims[i]
+        rho = f"rho={table.labels[i]}"
         norms = sampling.isotypic_vector_norms(ctx, i)
-        for s in range(table.n_irreps):
-            lhs, rhs = float(norms[s].sum()), float(table.dims[s] ** 2)
-            records.append(
-                CheckRecord(
-                    gname, H.label, "large-small",
-                    f"rho={label} sigma={table.labels[s]}",
-                    lhs, rhs, lhs <= rhs + INEQ_TOL,
-                )
-            )
-        for b in range(d):
-            lhs, rhs = sampling.schur_expectation_check(ctx, H, i, b)
-            records.append(
-                CheckRecord(
-                    gname, H.label, "schur-expectation",
-                    f"rho={label} b={b}", lhs, rhs,
-                    abs(lhs - rhs) < SCHUR_TOL,
-                )
-            )
-            lhs, rhs = sampling.variance_bound_check(ctx, H, i, b)
-            records.append(
-                CheckRecord(
-                    gname, H.label, "variance-bound",
-                    f"rho={label} b={b}", lhs, rhs, lhs <= rhs + INEQ_TOL,
-                )
-            )
-            for j, hv in enumerate(h_values):
-                lhs, rhs = sampling.second_moment_check(ctx, hv, i, b)
-                records.append(
-                    CheckRecord(
-                        gname, H.label, "second-moment",
-                        f"rho={label} b={b} h#{j}", lhs, rhs,
-                        abs(lhs - rhs) < IDENTITY_TOL,
-                    )
-                )
+        for s, lhs in enumerate(norms.sum(axis=1).tolist()):
+            rhs = float(table.dims[s] ** 2)
+            add("large-small", f"{rho} sigma={table.labels[s]}", lhs, rhs, lhs <= rhs + INEQ_TOL)
+        schur, schur_rhs = sampling.schur_expectation_check(ctx, H, i)
+        var, var_rhs = sampling.variance_bound_check(ctx, H, i)
+        moment, moment_rhs = sampling.second_moment_check(ctx, h_ids, i)
+        per_b = zip(
+            schur.tolist(), var.tolist(), var_rhs.tolist(), moment.T.tolist(), moment_rhs.T.tolist()
+        )
+        for b, (mean, v, v_rhs, m_lhs, m_rhs) in enumerate(per_b):
+            ok = abs(mean - schur_rhs) < SCHUR_TOL
+            add("schur-expectation", f"{rho} b={b}", mean, schur_rhs, ok)
+            add("variance-bound", f"{rho} b={b}", v, v_rhs, v <= v_rhs + INEQ_TOL)
+            for j, (lhs, rhs) in enumerate(zip(m_lhs, m_rhs)):
+                add("second-moment", f"{rho} b={b} h#{j}", lhs, rhs, abs(lhs - rhs) < IDENTITY_TOL)
         if probs[i] > WEIGHT_TOL:
             err = sampling.basis_average_error(ctx, H, i)
-            records.append(
-                CheckRecord(
-                    gname, H.label, "basis-average",
-                    f"rho={label}", err, 0.0, err < SCHUR_TOL,
-                )
-            )
+            add("basis-average", rho, err, 0.0, err < SCHUR_TOL)
             if i not in lin and lin:
                 lhs, rhs = sampling.general_method_check(ctx, H, i, lin)
-                records.append(
-                    CheckRecord(
-                        gname, H.label, "general-method",
-                        f"rho={label} S=linear", lhs, rhs,
-                        lhs <= rhs + INEQ_TOL,
-                    )
-                )
+                add("general-method", f"{rho} S=linear", lhs, rhs, lhs <= rhs + INEQ_TOL)
     return records
 
 

@@ -221,15 +221,13 @@ def k_max_normalized_char(
     base = fam.base
     m = fam.metas[index]
     H0 = K.base_subgroup
-    direct = wtable.normalized_char_max(index, K.subgroup)
+    direct = float(wtable.normalized_char_maxes(K.subgroup)[index])
+    base_max = base.normalized_char_maxes(H0).tolist()
     if m.kind == "pair":
-        a = base.normalized_char_max(m.i, H0)
-        b = base.normalized_char_max(m.j, H0)
-        formula = (a + b) / 2.0
+        formula = (base_max[m.i] + base_max[m.j]) / 2.0
         equality: Optional[bool] = None
     else:
-        base_max = base.normalized_char_max(m.i, H0)
-        formula = max(base_max, 1.0 / base.dims[m.i])
+        formula = max(base_max[m.i], 1.0 / base.dims[m.i])
         equality = abs(direct - formula) <= MAX_NORM_TOL
         if not equality:
             raise AssertionError(

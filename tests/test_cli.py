@@ -222,6 +222,21 @@ def test_verify_lemmas_small(tmp_path, capsys):
     assert all(v["failures"] == 0 for v in body["by_check"].values())
 
 
+def test_a_failing_lemma_check_exits_1_with_json_records(monkeypatch):
+    # no mean equals its rhs within a negative tolerance, so every Schur
+    # record fails; np.bool_ or np.float64 fields would not serialize as these
+    from cosetlab import suites
+    monkeypatch.setattr(suites, "SCHUR_TOL", -1.0)
+    rc, out = run_cli_captured(["verify-lemmas", "--suite", "small"])
+    assert rc == 1
+    body = json.loads(out)
+    assert body["ok"] is False and body["failed"]
+    assert {r["check"] for r in body["failed"]} >= {"schur-expectation"}
+    for r in body["failed"]:
+        assert type(r["lhs"]) is float and type(r["rhs"]) is float
+        assert type(r["ok"]) is bool
+
+
 def test_unknown_group_spec_exits_config_error():
     assert run_cli(["dist", "--group", "qq7", "--subgroup", "trivial"]) == 2
 
@@ -597,6 +612,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen["gen"] = loaded()
     cli.main(["mceliece", "attack", "--instance", os.path.join(out, "mceliece_instance.json")])
     seen["attack"] = loaded()
+    cli.main(["verify-lemmas", "--suite", "gl2"])
+    seen["lemmas"] = loaded() + sorted(m for m in sys.modules if m == "numpy.ma")
 print(json.dumps(seen))
 """
 
@@ -614,6 +631,8 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     assert "numpy" in seen["attack"]
     for layer in ("sampling", "suites", "symrep", "gl2rep"):
         assert f"cosetlab.{layer}" not in seen["attack"]
+    # a plain np.unique imports numpy.ma; the lemma path runs without it
+    assert "cosetlab.suites" in seen["lemmas"] and "numpy.ma" not in seen["lemmas"]
 
 
 def _module_level_imports(name):

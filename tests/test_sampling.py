@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,9 @@ from cosetlab.sampling import (
     projection_bundle,
     sampling_context,
     sampling_report,
+    schur_expectation_check,
     second_moment_check,
+    variance_bound_check,
     weak_distribution,
 )
 from cosetlab.suites import lemma_checks, subgroup_catalog
@@ -311,14 +316,28 @@ def test_stacked_checks_match_per_element_loops():
         for H in catalog:
             assert pg_invariance_error(table, H) == reference_pg_invariance_error(table, H)
         h_values = sorted({h.value for H in catalog for h in H.elements[:3]})
+        h_ids = [ctx.group.ids().id_of(hv) for hv in h_values]
         for i, real in enumerate(ctx.reals):
             want = reference_isotypic_vector_norms(ctx, i)
             assert np.abs(isotypic_vector_norms(ctx, i) - want).max() < 1e-13
+            moment, moment_rhs = second_moment_check(ctx, h_ids, i)
+            assert moment.shape == moment_rhs.shape == (len(h_ids), real.dim)
             for b in range(real.dim):
-                for hv in h_values:
-                    lhs, rhs = second_moment_check(ctx, hv, i, b)
+                for j, hv in enumerate(h_values):
+                    lhs, rhs = moment[j, b], moment_rhs[j, b]
                     assert abs(lhs - reference_second_moment_lhs(ctx, hv, i, b)) < 1e-13
                     assert abs(lhs - rhs) < 1e-7
+            # every basis vector at once, each b summed as its own column
+            for H in catalog:
+                weights = _kernel(ctx, i, H).weights
+                schur, schur_rhs = schur_expectation_check(ctx, H, i)
+                var, var_rhs = variance_bound_check(ctx, H, i)
+                assert schur.shape == var.shape == var_rhs.shape == (real.dim,)
+                for b in range(real.dim):
+                    assert schur[b] == np.mean(weights[:, b])
+                    assert var[b] == np.var(weights[:, b])
+                    assert abs(schur[b] - schur_rhs) < 1e-7
+                    assert var[b] <= var_rhs[b] + 1e-7
 
 
 def test_pg_invariance_flags_a_wrong_class_map():
@@ -352,6 +371,7 @@ def test_coset_kernel_matches_the_per_element_contraction():
         for H in catalog:
             least = [int(ids.mul(H.ids, g).min()) for g in range(ctx.group.order)]
             reps = sorted(set(least))
+            assert H.coset_reps.tolist() == reps
             for i, real in enumerate(ctx.reals):
                 k = _kernel(ctx, i, H)
                 want = fixed_weights(real.stack(), k.bundle.matrix)
@@ -373,6 +393,21 @@ def test_coset_kernel_basis_spans_the_fixed_space():
                 assert Q.shape == (len(P), round(k.bundle.trace))
                 assert np.all(np.abs(Q @ Q.conj().T - P) < 1e-12)
                 assert np.all(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-12)
+
+
+def test_a_used_context_is_freed_without_the_cycle_collector():
+    # a kernel that pointed back at its context would keep every stack of a
+    # finished grid alive until the collector ran, raising peak memory
+    ctx = sampling_context(wreath_char_table(sn_character_table(3)))
+    for H in subgroup_catalog(ctx.group):
+        lemma_checks(ctx, H)
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_lemma_checks_build_each_bundle_once(monkeypatch):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from cosetlab import sampling
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group, symmetric_group, wreath_z2
 from cosetlab.sampling import sampling_context
@@ -17,6 +19,7 @@ from cosetlab.suites import (
     subgroup_catalog,
 )
 from cosetlab.symrep import lambda_c_member, partitions, sn_character_table
+from cosetlab.wreathrep import wreath_char_table
 
 
 def test_grid_names():
@@ -57,6 +60,26 @@ def test_lemma_checks_cover_expected_kinds():
     for r in records:
         body = r.as_json()
         assert set(body) >= {"group", "subgroup", "check", "lhs", "rhs", "ok"}
+
+
+@pytest.mark.parametrize("max_dim", [None, 2])
+def test_lemma_checks_run_each_batched_check_once_per_irrep(monkeypatch, max_dim):
+    calls = Counter()
+    for name in ("schur_expectation_check", "variance_bound_check", "second_moment_check"):
+        check = getattr(sampling, name)
+
+        def counted(ctx, subject, i, name=name, check=check):
+            calls[name, i] += 1
+            return check(ctx, subject, i)
+
+        monkeypatch.setattr(sampling, name, counted)
+    ctx = sampling_context(wreath_char_table(sn_character_table(3)))
+    examined = [i for i, d in enumerate(ctx.table.dims) if max_dim is None or d <= max_dim]
+    for H in subgroup_catalog(ctx.group):
+        calls.clear()
+        lemma_checks(ctx, H, max_dim=max_dim)
+        assert {i for _, i in calls} == set(examined)
+        assert max(calls.values()) == 1
 
 
 def test_run_lemma_suite_small_green():
