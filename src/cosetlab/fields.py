@@ -9,7 +9,6 @@ Multiplication runs through discrete log tables built once per field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 FIELD_SIZE_CAP = 4096
@@ -53,35 +52,14 @@ def split_prime_power(q: int) -> Tuple[int, int]:
     return p, n
 
 
-# ---- polynomial helpers over the prime field (coefficient lists, little-endian) ----
-
-def _ptrim(f: List[int]) -> List[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pdivmod(num: List[int], den: List[int], p: int) -> Tuple[List[int], List[int]]:
-    num = list(num)
-    dd = len(den) - 1
-    lead_inv = pow(den[-1], p - 2, p)
-    quot = [0] * max(0, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = (num[i] * lead_inv) % p
-        if c:
-            quot[i - dd] = c
-            for j, dc in enumerate(den):
-                num[i - dd + j] = (num[i - dd + j] - c * dc) % p
-    return quot, _ptrim(num)
-
-
 def _irreducible_over_prime(f: List[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg(f)//2."""
     deg = len(f) - 1
+    Fp = field_make(p)
     for d in range(1, deg // 2 + 1):
         for m in range(p**d):
             den = [(m // p**j) % p for j in range(d)] + [1]
-            _, rem = _pdivmod(f, den, p)
+            _, rem = poly_divmod(Fp, f, den)
             if not rem:
                 return False
     return True
@@ -127,9 +105,7 @@ class Fq:
         if n == 1:
             return (0, 1)
         for m in range(p**n):
-            low = [(m // p ** (n - 1 - i)) % p for i in range(n)]
-            low.reverse()
-            f = low + [1]
+            f = [(m // p**j) % p for j in range(n)] + [1]
             if _irreducible_over_prime(f, p):
                 return tuple(f)
         raise RuntimeError("no irreducible modulus found")  # unreachable for prime p
@@ -150,15 +126,16 @@ class Fq:
 
     def _slow_mul(self, a: int, b: int) -> int:
         p = self.p
+        if self.n == 1:  # F_p itself, which poly_divmod below runs on
+            return a * b % p
         da, db = self.digits(a), self.digits(b)
         prod = [0] * (2 * self.n - 1)
         for i, x in enumerate(da):
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        _, rem = _pdivmod(prod, list(self.modulus), p)
-        rem += [0] * (self.n - len(rem))
-        return self._undigits(rem)
+        _, rem = poly_divmod(field_make(p), prod, self.modulus)
+        return self._undigits(rem + (0,) * (self.n - len(rem)))
 
     def _slow_pow(self, a: int, e: int) -> int:
         out, base = 1, a
@@ -474,48 +451,7 @@ def enumerate_glk(F: Fq, k: int, cap: int = GL_ENUM_CAP) -> Iterator[Matrix]:
             yield M
 
 
-def fix_size_formula(k: int, r: int, q: int) -> int:
-    """Size of the left-multiplication stabilizer of a rank-r k x n matrix."""
-    if not 0 <= r <= k:
-        raise ValueError(f"rank {r} out of range for k={k}")
-    out = 1
-    for i in range(r, k):
-        out *= q**k - q**i
-    return out
-
-
-def orbit_size_formula(k: int, r: int, q: int) -> int:
-    if not 0 <= r <= k:
-        raise ValueError(f"rank {r} out of range for k={k}")
-    out = 1
-    for i in range(r):
-        out *= q**k - q**i
-    return out
-
-
 def fix_group_elements(F: Fq, M: Matrix, cap: int = GL_ENUM_CAP) -> List[Matrix]:
     """All S in GL_k with S M = M, by exhaustive enumeration."""
     return [S for S in enumerate_glk(F, len(M), cap) if mat_mul(F, S, M) == M]
 
-
-@dataclass(frozen=True)
-class FixOrbitReport:
-    rank: int
-    fix_size: int
-    orbit_size: int
-    fix_formula: int
-    group_order: int
-
-
-def fix_orbit_report(F: Fq, M: Matrix, cap: int = GL_ENUM_CAP) -> FixOrbitReport:
-    k = len(M)
-    r = column_rank(F, M)
-    fix = len(fix_group_elements(F, M, cap))
-    order = glk_order(F.q, k)
-    return FixOrbitReport(
-        rank=r,
-        fix_size=fix,
-        orbit_size=order // fix,
-        fix_formula=fix_size_formula(k, r, F.q),
-        group_order=order,
-    )

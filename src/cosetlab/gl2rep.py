@@ -1,7 +1,7 @@
 """Closed-form conjugacy data and the complete character table of GL_2(F_q):
 four class families keyed by eigenvalue structure, four character families
-built from cyclic characters of F_q^* and F_{q^2}^*, tensor-square linear
-multiplicities, and the scalar-free subgroup distinguishability bound.
+built from cyclic characters of F_q^* and F_{q^2}^*, and the Gelfand-Graev
+models that realize it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from . import fields
 from .chartab import CharacterTable, GL2Family
 from .fields import Fq, Matrix, field_make, field_of_order
-from .groups import GeneralLinearGroup, Subgroup, _distinct, general_linear_group
+from .groups import GeneralLinearGroup, _distinct, general_linear_group
 from .realize import projector_basis
 
 GL2_TABLE_CAP = 32
@@ -346,38 +346,3 @@ class GelfandGraev:
         K = Q @ Q.conj().T
         return (phases * K[np.arange(self.dim), self.target]).sum(axis=1)
 
-
-# ---- linear parts of the tensor square ----
-
-def linear_multiplicity_pattern(table: CharacterTable, i: int) -> Dict[str, int]:
-    """Multiplicity of each linear character in rho_i (x) rho_i^*, keyed by
-    label, zeros omitted."""
-    mults = table.tensor_square_multiplicities(i)
-    out = {}
-    for j, m in enumerate(mults):
-        if table.dims[j] == 1 and m > 0:
-            out[table.labels[j]] = int(m)
-    return out
-
-
-def linear_multiplicities(table: CharacterTable, i: int) -> int:
-    """Number of distinct linear constituents of rho_i (x) rho_i^*."""
-    return len(linear_multiplicity_pattern(table, i))
-
-
-# ---- scalar-free subgroups ----
-
-def scalar_free_check(H: Subgroup) -> bool:
-    """True iff H contains no scalar matrix other than the identity."""
-    for el in H.elements:
-        M = el.value
-        if M[0][1] == 0 and M[1][0] == 0 and M[0][0] == M[1][1] and M[0][0] != 1:
-            return False
-    return True
-
-
-def corollary_bound(H: Subgroup, q: int) -> float:
-    """28|H|^2/q, valid for scalar-free H <= GL_2(F_q)."""
-    if not scalar_free_check(H):
-        raise ValueError("subgroup contains a non-identity scalar")
-    return 28.0 * H.order**2 / q

@@ -1,18 +1,19 @@
 """Scrambler-permutation key recovery as a hidden subgroup computation: the
-two stabilizer-shift functions on GL_k x S_n of a `mceliece` key, their lift
-to the wreath product, right-injectivity certification, explicit hidden
-subgroups, and shift extraction back to a valid private key.
+two stabilizer-shift functions on GL_k x S_n of a `mceliece` key as label
+arrays over ids, their lift to the wreath product, right-injectivity
+certification, explicit hidden subgroups, and shift extraction back to a
+valid private key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import fields, goppa
-from .fields import Fq, Matrix
+from .fields import Matrix
 from .groups import (
     DirectProduct,
     Group,
@@ -20,6 +21,7 @@ from .groups import (
     GROUP_ENUM_CAP,
     Subgroup,
     WreathZ2,
+    _distinct,
     wreath_z2,
 )
 from .mceliece import McElieceInstance, public_matrix
@@ -33,77 +35,51 @@ SCAN_CHUNK = 1 << 16
 
 @dataclass
 class ShiftProblem:
+    """f0(A,P) = A^-1 M P and f1(A,P) = A^-1 M* P as labels over the ids of
+    GL_k x S_n, in one label space: l0[x] == l1[y] iff f0(x) = f1(y)."""
     group: DirectProduct
-    f0: Callable[[object], Matrix]
-    f1: Callable[[object], Matrix]
+    l0: np.ndarray
+    l1: np.ndarray
     witness: GroupElement  # a known shift, for oracle tests only
 
 
-@dataclass
-class HiddenSubgroupInstance:
-    group: WreathZ2
-    f: Callable[[object], tuple]
-    problem: ShiftProblem
-
-    def labels(self, cap: int = GROUP_ENUM_CAP) -> np.ndarray:
-        """f as labels over the ids of the wreath group (equal labels iff
-        equal values), built componentwise: f0 and f1 are evaluated once
-        per base element instead of once per wreath element."""
-        _require_cap(self.group, cap)
-        codes: Dict[object, int] = {}
-        base = [el.value for el in self.problem.group.elements()]
-        l0 = np.array([codes.setdefault(self.problem.f0(v), len(codes)) for v in base])
-        l1 = np.array([codes.setdefault(self.problem.f1(v), len(codes)) for v in base])
-        m = len(codes)
-        # id (b, x, y): (f0(x), f1(y)) for b = 0 and (f1(y), f0(x)) for b = 1
-        return np.stack([
-            l0[:, None] * m + l1[None, :],
-            l1[None, :] * m + l0[:, None],
-        ]).ravel()
-
-
-def _memoized_stabilizer_map(F: Fq, target: Matrix) -> Callable[[object], Matrix]:
-    cache: Dict[object, Matrix] = {}
-
-    def f(value):
-        got = cache.get(value)
-        if got is None:
-            Av, Pv = value
-            got = fields.mat_mul(
-                F, fields.mat_inv(F, Av), fields.apply_perm_to_cols(target, Pv)
-            )
-            cache[value] = got
-        return got
-
-    return f
-
-
-def shift_problem(inst: McElieceInstance) -> ShiftProblem:
-    """f0(A,P) = A^-1 M P and f1(A,P) = A^-1 M* P; the recorded witness
-    shift is (A^-1, P) for the secret pair."""
-    F = inst.field()
+def shift_problem(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> ShiftProblem:
+    """The shift pair of inst; the recorded witness shift is (A^-1, P) for
+    the secret pair.  Refused before any enumeration when the wreath lift
+    exceeds cap, which also keeps every code below q^(kn) < 2^18."""
     G = inst.base_group()
-    witness = G.make((fields.mat_inv(F, inst.A), inst.P))
+    _require_cap(wreath_z2(G), cap)
+    F, k = inst.field(), inst.k
+    gl, sn = G.ids().factors
+    add, mul = F.tables()
+    # A^-1 T over F_q for every A and T = M, M*: (|GL_k|, 2, k, n)
+    A_inv = gl.array[gl.inverse][:, None]
+    T = np.array([inst.M, inst.Mstar])[:, :, None, :]
+    AT = mul[A_inv[..., 0, None], T[:, 0]]
+    for l in range(1, k):
+        AT = add[AT, mul[A_inv[..., l, None], T[:, l]]]
+    # column j of A^-1 T, read in base q, is the digit of place P[j] in base
+    # q^k; codes[a, t, p] is the code at base id a*|S_n| + p
+    codes = (F.q ** np.arange(k) @ AT) @ (F.q**k) ** sn.array.T
+    labels = np.searchsorted(_distinct(codes), codes)
     return ShiftProblem(
         group=G,
-        f0=_memoized_stabilizer_map(F, inst.M),
-        f1=_memoized_stabilizer_map(F, inst.Mstar),
-        witness=witness,
+        l0=labels[:, 0].ravel(),
+        l1=labels[:, 1].ravel(),
+        witness=G.make((fields.mat_inv(F, inst.A), inst.P)),
     )
 
 
-def lift_f(problem: ShiftProblem) -> HiddenSubgroupInstance:
-    """Single function on (G x G) semidirect Z_2 hiding the two-coset
-    subgroup: components in given order on b=0, swapped on b=1."""
-    W = wreath_z2(problem.group)
-
-    def f(value):
-        xv, yv, bv = value
-        if bv == 0:
-            return (problem.f0(xv), problem.f1(yv))
-        return (problem.f1(yv), problem.f0(xv))
-
-    return HiddenSubgroupInstance(group=W, f=f, problem=problem)
+def lifted_labels(problem: ShiftProblem) -> np.ndarray:
+    """The single function on (G x G) semidirect Z_2 hiding the two-coset
+    subgroup, as labels over its ids (equal labels iff equal values):
+    (f0(x), f1(y)) at (x, y, 0) and (f1(y), f0(x)) at (x, y, 1)."""
+    l0, l1 = problem.l0, problem.l1
+    m = max(l0.max(), l1.max()) + 1
+    return np.stack([
+        l0[:, None] * m + l1[None, :],
+        l1[None, :] * m + l0[:, None],
+    ]).ravel()
 
 
 # ---- coset structure of a function ----
@@ -113,33 +89,23 @@ def _require_cap(G: Group, cap: int) -> None:
         raise ValueError(f"|{G}| = {G.order} exceeds enumeration cap {cap}")
 
 
-def _labels(f, G: Group, cap: int) -> np.ndarray:
-    """f as labels over the ids of G: f may be a function on G's values or
-    already such an array of non-negative integers."""
+def _checked_labels(labels, G: Group, cap: int) -> np.ndarray:
     _require_cap(G, cap)
-    if isinstance(f, np.ndarray):
-        if f.shape != (G.order,) or f.min() < 0:
-            raise ValueError(f"a label array holds |{G}| = {G.order} non-negative integers")
-        return f
-    codes: Dict[object, int] = {}
-    return np.fromiter(
-        (codes.setdefault(f(v), len(codes)) for v in G.iter_values()),
-        dtype=np.int64,
-        count=G.order,
-    )
+    labels = np.asarray(labels)
+    if labels.shape != (G.order,) or labels.min() < 0:
+        raise ValueError(f"a label array holds |{G}| = {G.order} non-negative integers")
+    return labels
 
 
-def check_right_injective(f, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
-    """f(x) = f(y) iff f(y x^-1) = f(identity), certified over the whole
-    group through three facts that together are equivalent to the pairwise
-    biconditional: every value class lies in one right translate of the
-    identity class K, K is closed under multiplication (hence a subgroup),
-    and the class count times |K| accounts for the whole group, which
-    forces each class to equal its translate exactly.
-
-    f is a function on G's values or its label array over G's ids (see
-    HiddenSubgroupInstance.labels); the scans run on id arrays."""
-    labels = _labels(f, G, cap)
+def check_right_injective(labels, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
+    """f(x) = f(y) iff f(y x^-1) = f(identity), for the function f given by
+    its label array over G's ids (equal labels iff equal values), certified
+    over the whole group through three facts that together are equivalent
+    to the pairwise biconditional: every value class lies in one right
+    translate of the identity class K, K is closed under multiplication
+    (hence a subgroup), and the class count times |K| accounts for the
+    whole group, which forces each class to equal its translate exactly."""
+    labels = _checked_labels(labels, G, cap)
     ids = G.ids()
     # the least id of each label's class; G.order marks an unused label
     first = np.full(labels.max() + 1, G.order, dtype=np.int64)
@@ -160,36 +126,15 @@ def check_right_injective(f, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
 
 
 def hidden_subgroup_of(
-    f, G: Group, cap: int = GROUP_ENUM_CAP, label: str = "G|_f"
+    labels, G: Group, cap: int = GROUP_ENUM_CAP, label: str = "G|_f"
 ) -> Subgroup:
     """The stabilizer class {g : f(g) = f(1)} as a verified subgroup;
     requires right-injectivity so that f exactly separates its right
-    cosets.  f is as for check_right_injective."""
-    labels = _labels(f, G, cap)
+    cosets.  labels are as for check_right_injective."""
+    labels = _checked_labels(labels, G, cap)
     if not check_right_injective(labels, G, cap):
         raise ValueError("function is not injective under right multiplication")
     return Subgroup(G, np.flatnonzero(labels == labels[G.ids().identity]), label=label)
-
-
-def _f0_fiber(prob: ShiftProblem, target: Matrix, cap: int) -> np.ndarray:
-    """The ids of the base elements where f0 takes the value target, by
-    full enumeration; f0's memo is the problem's, so values already
-    computed (by HiddenSubgroupInstance.labels, say) are not computed
-    again."""
-    return np.flatnonzero([prob.f0(el.value) == target for el in prob.group.elements(cap)])
-
-
-def brute_stabilizer(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> Subgroup:
-    """H0 = {(A,P) : A^-1 M P = M} by full enumeration of GL_k x S_n."""
-    prob = shift_problem(inst)
-    return Subgroup(prob.group, _f0_fiber(prob, inst.M, cap), label="H0")
-
-
-def shift_set(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> frozenset:
-    """All group values s with f0(s x) = f1(x) for every x, which reduces
-    to f0(s) = M*; equals the right coset H0 * (known shift)."""
-    prob = shift_problem(inst)
-    return frozenset(prob.group.ids().value_of(i) for i in _f0_fiber(prob, inst.Mstar, cap))
 
 
 def stabilizer_order_product(inst: McElieceInstance) -> int:
@@ -247,12 +192,12 @@ def attack(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> AttackResult:
     exhaustive evaluation, extract a shift, and verify it reproduces the
     public matrix."""
     F = inst.field()
-    prob = shift_problem(inst)
-    hidden = lift_f(prob)
+    prob = shift_problem(inst, cap)
     # raises ValueError unless the lifted function is right-injective
-    K = hidden_subgroup_of(hidden.labels(cap), hidden.group, cap, label="K")
-    # the same problem, so f0 is not evaluated a second time
-    H0 = Subgroup(prob.group, _f0_fiber(prob, inst.M, cap), label="H0")
+    K = hidden_subgroup_of(lifted_labels(prob), wreath_z2(prob.group), cap, label="K")
+    # f0(identity) = M, so H0 = {g : f0(g) = M} is f0's class at the identity
+    l0 = prob.l0
+    H0 = Subgroup(prob.group, np.flatnonzero(l0 == l0[prob.group.ids().identity]), label="H0")
     oracle = k_build(H0, prob.witness)
     shift = extract_shift(K)
     Av, Pv = shift.value

@@ -6,20 +6,27 @@ formulas in `wreathrep` and `realize` replaced, the enumerating wreath
 character table that the closed form in `wreathrep` replaced, and the
 tuple-valued subgroup certification and closure that the id arrays of
 `groups.Subgroup` replaced, and the per-element contraction diag(U* Pi U)
-that the coset kernel in `sampling` replaced."""
+that the coset kernel in `sampling` replaced; the tuple-valued McEliece
+shift functions and stabilizer that the label arrays of `hsp` replaced; and
+paper quantities that no package code reads: the stabilizer/orbit counting
+formulas over F_q, the linear multiplicities of GL2 tensor squares and the
+scalar-free corollary bound."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
 from cosetlab import fields
 from cosetlab.chartab import CharacterTable, WreathFamily
+from cosetlab.fields import Fq, GL_ENUM_CAP, Matrix
 from cosetlab.groups import (
     DirectProduct,
     GeneralLinearGroup,
     GroupElement,
+    Subgroup,
     SymmetricGroup,
     wreath_z2,
 )
@@ -255,3 +262,112 @@ def reference_closure_values(G, gen_values) -> frozenset:
                     nxt.append(w)
         frontier = nxt
     return reference_subgroup_values(G, values)
+
+
+# ---- McEliece shift functions on tuples ----
+
+def shift_value(F: Fq, target: Matrix, value) -> Matrix:
+    """A^-1 target P at the base value (A, P): f0 for target M, f1 for M*."""
+    A, P = value
+    return fields.apply_perm_to_cols(fields.mat_mul(F, fields.mat_inv(F, A), target), P)
+
+
+def lifted_function(inst):
+    """The lifted function on wreath values, (f0(x), f1(y)) at (x, y, 0)
+    and (f1(y), f0(x)) at (x, y, 1), with f0 and f1 tabulated once per base
+    value."""
+    F = inst.field()
+    base = list(inst.base_group().iter_values())
+    f0 = {v: shift_value(F, inst.M, v) for v in base}
+    f1 = {v: shift_value(F, inst.Mstar, v) for v in base}
+
+    def f(value):
+        x, y, b = value
+        return (f1[y], f0[x]) if b else (f0[x], f1[y])
+
+    return f
+
+
+def reference_stabilizer_values(inst) -> frozenset:
+    """H0 = {(A, P) : A^-1 M P = M}, by full enumeration on tuples."""
+    F = inst.field()
+    return frozenset(
+        v for v in inst.base_group().iter_values() if shift_value(F, inst.M, v) == inst.M
+    )
+
+
+# ---- paper quantities ----
+
+def fix_size_formula(k: int, r: int, q: int) -> int:
+    """Size of the left-multiplication stabilizer of a rank-r k x n matrix."""
+    if not 0 <= r <= k:
+        raise ValueError(f"rank {r} out of range for k={k}")
+    out = 1
+    for i in range(r, k):
+        out *= q**k - q**i
+    return out
+
+
+def orbit_size_formula(k: int, r: int, q: int) -> int:
+    if not 0 <= r <= k:
+        raise ValueError(f"rank {r} out of range for k={k}")
+    out = 1
+    for i in range(r):
+        out *= q**k - q**i
+    return out
+
+
+@dataclass(frozen=True)
+class FixOrbitReport:
+    rank: int
+    fix_size: int
+    orbit_size: int
+    fix_formula: int
+    group_order: int
+
+
+def fix_orbit_report(F: Fq, M: Matrix, cap: int = GL_ENUM_CAP) -> FixOrbitReport:
+    k = len(M)
+    r = fields.column_rank(F, M)
+    fix = len(fields.fix_group_elements(F, M, cap))
+    order = fields.glk_order(F.q, k)
+    return FixOrbitReport(
+        rank=r,
+        fix_size=fix,
+        orbit_size=order // fix,
+        fix_formula=fix_size_formula(k, r, F.q),
+        group_order=order,
+    )
+
+
+def linear_multiplicity_pattern(table: CharacterTable, i: int) -> Dict[str, int]:
+    """Multiplicity of each linear character in rho_i (x) rho_i^*, keyed by
+    label, zeros omitted."""
+    mults = table.tensor_square_multiplicities(i)
+    out = {}
+    for j, m in enumerate(mults):
+        if table.dims[j] == 1 and m > 0:
+            out[table.labels[j]] = int(m)
+    return out
+
+
+def linear_multiplicities(table: CharacterTable, i: int) -> int:
+    """Number of distinct linear constituents of rho_i (x) rho_i^*."""
+    return len(linear_multiplicity_pattern(table, i))
+
+
+def scalar_free_check(H: Subgroup) -> bool:
+    """True iff H <= GL_2(F_q) contains no scalar matrix other than the
+    identity."""
+    for el in H.elements:
+        M = el.value
+        if M[0][1] == 0 and M[1][0] == 0 and M[0][0] == M[1][1] and M[0][0] != 1:
+            return False
+    return True
+
+
+def corollary_bound(H: Subgroup, q: int) -> float:
+    """28|H|^2/q, valid for scalar-free H <= GL_2(F_q)."""
+    if not scalar_free_check(H):
+        raise ValueError("subgroup contains a non-identity scalar")
+    return 28.0 * H.order**2 / q

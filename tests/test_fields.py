@@ -11,8 +11,6 @@ from cosetlab.fields import (
     enumerate_glk,
     field_of_order,
     fix_group_elements,
-    fix_orbit_report,
-    fix_size_formula,
     glk_order,
     mat_identity,
     mat_inv,
@@ -20,12 +18,13 @@ from cosetlab.fields import (
     mat_mul,
     mat_rank,
     mat_rref,
-    orbit_size_formula,
     perm_matrix,
     poly_divmod,
     poly_eval,
     poly_gcd,
 )
+
+from reference_models import fix_orbit_report, fix_size_formula, orbit_size_formula
 
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -61,6 +60,66 @@ def test_field_axioms_exhaustive():
                     assert F.mul(a, F.add(b, c)) == F.add(
                         F.mul(a, b), F.mul(a, c)
                     )
+
+
+def _poly_mul_mod_p(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _monic(p, d):
+    """Every monic degree-d polynomial over F_p, little-endian, in the order
+    of the integer whose base-p digits are its lower coefficients."""
+    return [[(m // p**j) % p for j in range(d)] + [1] for m in range(p**d)]
+
+
+def test_field_encoding_rule_by_brute_force():
+    # Fq's rule, checked without poly_divmod: the modulus is the least
+    # irreducible monic candidate (the coefficient tuple read from the
+    # x^(n-1) term down), the generator the least unit of order q - 1, and
+    # element a has a's base-p digits as its residue polynomial
+    prime_powers = [q for q in range(2, 257) if len(fields.factorize(q)) == 1]
+    assert len(prime_powers) == 70
+    for q in prime_powers:
+        p, n = fields.split_prime_power(q)
+        F = field_of_order(q)
+        reducible = {
+            tuple(_poly_mul_mod_p(a, b, p))
+            for d in range(1, n // 2 + 1)
+            for a in _monic(p, d)
+            for b in _monic(p, n - d)
+        }
+        modulus = next(f for f in _monic(p, n) if tuple(f) not in reducible)
+        assert F.modulus == tuple(modulus)
+
+        def times(a, b):  # a * b modulo the modulus, on digit lists
+            prod = _poly_mul_mod_p(a, b, p)
+            for i in range(len(prod) - 1, n - 1, -1):
+                c = prod[i]
+                for j in range(n + 1):
+                    prod[i - n + j] = (prod[i - n + j] - c * modulus[j]) % p
+            return prod[:n]
+
+        def digits(a):
+            return [(a // p**j) % p for j in range(n)]
+
+        def order(u):
+            x, k = digits(u), 1
+            while x != digits(1):
+                x, k = times(x, digits(u)), k + 1
+            return k
+
+        generator = next(u for u in range(1, q) if order(u) == q - 1)
+        assert F.generator == generator
+        # the powers of the generator, which F.mul and F.inv read through
+        # the log tables
+        x = digits(1)
+        for i in range(q - 1):
+            assert digits(F.exp(i)) == x
+            x = times(x, digits(generator))
 
 
 def test_generator_has_full_order():

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from cosetlab.chartab import CharacterTable
-from cosetlab.gl2rep import (
-    GelfandGraev,
-    char_table,
-    corollary_bound,
-    gl2_class_list,
-    linear_multiplicities,
-    linear_multiplicity_pattern,
-    scalar_free_check,
-)
+from cosetlab.gl2rep import GelfandGraev, char_table, gl2_class_list
 from cosetlab.fields import field_of_order, glk_order
 from cosetlab.groups import general_linear_group, subgroup_closure
 from cosetlab.symrep import sn_character_table
 
-from reference_models import conj
+from reference_models import (
+    conj,
+    corollary_bound,
+    linear_multiplicities,
+    linear_multiplicity_pattern,
+    scalar_free_check,
+)
 
 QS = (2, 3, 4, 5)
 

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import hsp
+from cosetlab import fields
 from cosetlab.fields import (
+    GROUP_ENUM_CAP,
     apply_perm_to_cols,
     field_of_order,
-    mat_inv,
+    glk_order,
     mat_mul,
     mat_rank,
 )
@@ -18,6 +21,8 @@ from cosetlab.goppa import LinearCode, automorphisms
 from cosetlab.groups import (
     DirectProduct,
     GeneralLinearGroup,
+    Group,
+    Subgroup,
     SymmetricGroup,
     WreathZ2,
     general_linear_group,
@@ -28,20 +33,25 @@ from cosetlab.groups import (
 )
 from cosetlab.hsp import (
     attack,
-    brute_stabilizer,
     check_right_injective,
     extract_shift,
     hidden_subgroup_of,
-    lift_f,
+    lifted_labels,
     shift_problem,
-    shift_set,
     stabilizer_order_product,
 )
 from cosetlab.mceliece import McElieceInstance, keygen, public_matrix, random_instance
 from cosetlab.suites import subgroup_catalog
 from cosetlab.wreathrep import k_build
 
-from reference_models import inv_value, mul, mul_values
+from reference_models import (
+    inv_value,
+    lifted_function,
+    mul,
+    mul_values,
+    reference_stabilizer_values,
+    shift_value,
+)
 
 
 def tiny_instance(seed=0):
@@ -110,30 +120,51 @@ def test_witness_relates_the_two_functions():
     # f0(s x) = f1(x) for every x in the base group
     inst = tiny_instance(3)
     prob = shift_problem(inst)
-    G = prob.group
-    s = prob.witness
-    for x in G.elements():
-        assert prob.f0(mul(G, s, x).value) == prob.f1(x.value)
+    ids = prob.group.ids()
+    s = ids.id_of(prob.witness.value)
+    assert np.array_equal(prob.l0[ids.mul(s, np.arange(prob.group.order))], prob.l1)
+
+
+def same_partition(a, b):
+    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return len(np.unique(a)) == len(np.unique(b)) == pairs
+
+
+# every (q, k, n) with q in {2, 3, 4}, k in {1, 2}, n <= 4 whose lift is
+# within the enumeration cap; q = 4 runs on non-prime field tables
+LABEL_GRID = [
+    (q, k, n)
+    for q in (2, 3, 4)
+    for k in (1, 2)
+    for n in range(1, 5)
+    if 2 * (glk_order(q, k) * math.factorial(n)) ** 2 <= GROUP_ENUM_CAP
+]
 
 
 def test_function_values_are_transported_matrices():
-    inst = tiny_instance(4)
-    F = inst.field()
-    prob = shift_problem(inst)
-    G = prob.group
-    for el in G.elements()[:20]:
-        A, P = el.value
-        assert prob.f0(el.value) == apply_perm_to_cols(
-            mat_mul(F, mat_inv(F, A), inst.M), P
-        )
-    assert prob.f0(prob.witness.value) == inst.Mstar
+    # l0 and l1 partition the base ids, jointly, as the tuple values A^-1 M P
+    # and A^-1 M* P do
+    assert len(LABEL_GRID) == 20
+    for q, k, n in LABEL_GRID:
+        inst = random_instance(field_of_order(q), k, n, seed=q + k + n)
+        F = inst.field()
+        prob = shift_problem(inst)
+        values = list(prob.group.iter_values())
+        codes = {}
+        by_value = np.array([
+            codes.setdefault(shift_value(F, target, v), len(codes))
+            for target in (inst.M, inst.Mstar)
+            for v in values
+        ])
+        assert same_partition(np.concatenate([prob.l0, prob.l1]), by_value)
+        assert shift_value(F, inst.M, prob.witness.value) == inst.Mstar
 
 
 def test_base_stabilizer_order_product():
     # |H0| = |aut(code of M)| x |Fix(M)|
     for seed in (0, 1, 2, 5):
         inst = tiny_instance(seed)
-        H0 = brute_stabilizer(inst)
+        H0 = attack(inst).H0
         assert H0.order == stabilizer_order_product(inst)
         F = inst.field()
         code = LinearCode(F, inst.M)
@@ -141,41 +172,47 @@ def test_base_stabilizer_order_product():
 
 
 def test_base_stabilizer_fixes_message_matrix():
-    inst = tiny_instance(6)
-    prob = shift_problem(inst)
-    H0 = brute_stabilizer(inst)
-    for v in prob.group.elements():
-        assert (prob.f0(v.value) == inst.M) == (v.value in H0.value_set)
+    # the attack's H0, read off l0 at the identity, is the tuple stabilizer
+    for q, k, n in LABEL_GRID:
+        inst = random_instance(field_of_order(q), k, n, seed=q * k * n)
+        assert attack(inst).H0.value_set == reference_stabilizer_values(inst)
 
 
 def test_shift_set_is_right_coset_of_stabilizer():
-    inst = tiny_instance(7)
-    prob = shift_problem(inst)
-    G = prob.group
-    H0 = brute_stabilizer(inst)
-    want = {mul(G, h, prob.witness).value for h in H0.elements}
-    assert shift_set(inst) == frozenset(want)
+    # {x : f0(x) = f1(identity) = M*} is the right coset H0 * (known shift)
+    for q, k, n in LABEL_GRID:
+        inst = random_instance(field_of_order(q), k, n, seed=7)
+        prob = shift_problem(inst)
+        G = prob.group
+        ids = G.ids()
+        shifts = np.flatnonzero(prob.l0 == prob.l1[ids.identity])
+        want = {mul(G, h, prob.witness).value for h in attack(inst).H0.elements}
+        assert {ids.value_of(i) for i in shifts} == want
 
 
 def test_lifted_function_hides_the_two_coset_subgroup():
     inst = tiny_instance(8)
-    hidden = lift_f(shift_problem(inst))
-    W = hidden.group
-    assert check_right_injective(hidden.f, W)
-    K = hidden_subgroup_of(hidden.f, W)
-    H0 = brute_stabilizer(inst)
-    oracle = k_build(H0, hidden.problem.witness)
+    prob = shift_problem(inst)
+    W = wreath_z2(prob.group)
+    labels = lifted_labels(prob)
+    assert check_right_injective(labels, W)
+    K = hidden_subgroup_of(labels, W)
+    G = prob.group
+    H0 = Subgroup(G, [G.ids().id_of(v) for v in reference_stabilizer_values(inst)])
+    oracle = k_build(H0, prob.witness)
     assert K.value_set == oracle.subgroup.value_set
     assert K.order == 2 * H0.order**2
 
 
 def test_lifted_function_constant_exactly_on_left_cosets():
     inst = tiny_instance(9)
-    hidden = lift_f(shift_problem(inst))
-    W = hidden.group
-    K = hidden_subgroup_of(hidden.f, W)
+    prob = shift_problem(inst)
+    W = wreath_z2(prob.group)
+    labels = lifted_labels(prob)
+    K = hidden_subgroup_of(labels, W)
     els = W.elements()
-    fvals = {el.value: hidden.f(el.value) for el in els}
+    f = lifted_function(inst)
+    fvals = {el.value: f(el.value) for el in els}
     for x in els[:24]:
         for k in K.elements:
             assert fvals[mul(W, k, x).value] == fvals[x.value]
@@ -201,20 +238,38 @@ def test_attack_recovers_equivalent_key():
         assert body["valid"] and body["H0_order"] * 2 * body["H0_order"] == 2 * body["H0_order"] ** 2
 
 
-def test_attack_evaluates_each_shift_function_once_per_base_element(monkeypatch):
-    # f0 and f1 each transport the message matrix once per base element;
-    # the H0 scan reuses f0's values instead of evaluating it again
-    inst = tiny_instance(3)
-    calls = []
-    real = hsp.fields.apply_perm_to_cols
-    monkeypatch.setattr(
-        hsp.fields, "apply_perm_to_cols", lambda M, P: calls.append(1) or real(M, P)
-    )
-    res = attack(inst)
-    assert res.valid and res.k_formula_match
-    # plus one transport in the final public-matrix check
-    assert len(calls) == 2 * inst.base_group().order + 1
-    assert res.H0.value_set == brute_stabilizer(inst).value_set
+def test_attack_runs_no_tuple_arithmetic_per_base_element(monkeypatch):
+    # the shift functions are label arrays built on ids, so the attack's
+    # tuple matrix operations do not grow with the base group (36 elements
+    # at q = 2, 288 at q = 3)
+    counts = Counter()
+    for name in ("mat_mul", "mat_inv", "apply_perm_to_cols"):
+        real = getattr(fields, name)
+        monkeypatch.setattr(
+            fields, name, lambda *a, _n=name, _f=real: counts.update([_n]) or _f(*a)
+        )
+    seen = []
+    for q in (2, 3):
+        inst = random_instance(field_of_order(q), 2, 3, seed=3, min_rank=2)
+        counts.clear()
+        res = attack(inst)
+        assert res.valid and res.k_formula_match
+        seen.append(dict(counts))
+    assert seen[0]["mat_inv"] >= 1
+    assert seen[0] == seen[1]
+
+
+def test_attack_refuses_past_the_cap_before_enumerating(monkeypatch):
+    # (GL2(F3) x S4) wr Z2 has 2 (48 * 24)^2 = 2,654,208 elements
+    inst = random_instance(field_of_order(3), 2, 4, seed=0, min_rank=2)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{self} was enumerated")
+
+    monkeypatch.setattr(Group, "elements", refuse)
+    monkeypatch.setattr(Group, "ids", refuse)
+    with pytest.raises(ValueError, match=f"enumeration cap {GROUP_ENUM_CAP}"):
+        attack(inst)
 
 
 def test_attack_larger_permutation_side():
@@ -243,41 +298,44 @@ def reference_right_injective(f, G):
     return len(classes) * len(K_vals) == len(fv), K_vals
 
 
-def same_partition(a, b):
-    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
-    return len(np.unique(a)) == len(np.unique(b)) == pairs
-
-
 @pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 1)])
 def test_id_scan_matches_tuple_reference(n, seed):
     inst = random_instance(field_of_order(2), 2, n, seed=seed, min_rank=2)
-    hidden = lift_f(shift_problem(inst))
-    W = hidden.group
-    verdict, K_vals = reference_right_injective(hidden.f, W)
+    f = lifted_function(inst)
+    prob = shift_problem(inst)
+    W = wreath_z2(prob.group)
+    verdict, K_vals = reference_right_injective(f, W)
     assert verdict is True
-    labels = hidden.labels()
+    labels = lifted_labels(prob)
     codes = {}
-    by_value = np.array([codes.setdefault(hidden.f(v), len(codes)) for v in W.iter_values()])
+    by_value = np.array([
+        codes.setdefault(f(v), len(codes)) for v in W.iter_values()
+    ])
     assert same_partition(labels, by_value)
-    assert check_right_injective(hidden.f, W) is True
     assert check_right_injective(labels, W) is True
-    assert hidden_subgroup_of(hidden.f, W).value_set == K_vals
     assert hidden_subgroup_of(labels, W).value_set == K_vals
     assert attack(inst).K.value_set == K_vals
 
 
 def test_id_scan_matches_tuple_reference_when_not_right_injective():
-    hidden = lift_f(shift_problem(tiny_instance(5)))
-    W = hidden.group
-    f0 = hidden.problem.f0
+    inst = tiny_instance(5)
+    F = inst.field()
+    prob = shift_problem(inst)
+    W = wreath_z2(prob.group)
+    ids = W.ids()
     identity = W.identity_value()
+    x, _, _ = ids.split(np.arange(W.order))
     # a level set that is not a subgroup, and classes of unequal size
-    for f in (lambda v: f0(v[0]), lambda v: v == identity):
+    cases = [
+        (lambda v: shift_value(F, inst.M, v[0]), prob.l0[x]),
+        (lambda v: v == identity, (np.arange(W.order) == ids.identity).astype(np.int64)),
+    ]
+    for f, labels in cases:
         verdict, _ = reference_right_injective(f, W)
         assert verdict is False
-        assert check_right_injective(f, W) is False
+        assert check_right_injective(labels, W) is False
         with pytest.raises(ValueError):
-            hidden_subgroup_of(f, W)
+            hidden_subgroup_of(labels, W)
 
 
 def unique_right_injective(labels, G):
