@@ -193,11 +193,11 @@ def test_shift_set_is_right_coset_of_stabilizer():
 def test_lifted_function_hides_the_two_coset_subgroup():
     inst = tiny_instance(8)
     prob = shift_problem(inst)
-    W = wreath_z2(prob.group)
+    G = prob.group
+    W = wreath_z2(G)
     labels = lifted_labels(prob)
     assert check_right_injective(labels, W)
     K = hidden_subgroup_of(labels, W)
-    G = prob.group
     H0 = Subgroup(G, [G.ids().id_of(v) for v in reference_stabilizer_values(inst)])
     oracle = k_build(H0, prob.witness)
     assert K.value_set == oracle.subgroup.value_set
