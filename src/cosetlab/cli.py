@@ -5,7 +5,8 @@ is deterministic for a fixed config and seed.
 
 Each command returns (report file name, config keys, report body); `main`
 writes the report and is the only place that writes a diagnostic.  Each
-command imports the layers it runs, so `goppa` and `mceliece gen` load no numpy.
+command imports the layers it runs, so `goppa` and `mceliece gen` load no numpy
+and only `goppa` loads the code layer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from . import __version__, goppa, mceliece
+from . import __version__, mceliece
 from .fields import GROUP_ENUM_CAP, field_of_order
 
 
@@ -266,6 +267,7 @@ def cmd_roichman(args):
 # ---- goppa ----
 
 def cmd_goppa(args):
+    from . import goppa
     if args.spec:
         with _flag("--spec"):
             spec = _read_json("--spec", args.spec, goppa.RationalGoppaSpec.from_json, "spec")

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import fields, goppa
+from . import fields
 from .fields import Matrix
 from .groups import (
     DirectProduct,
@@ -27,8 +27,9 @@ from .groups import (
 from .mceliece import McElieceInstance, public_matrix
 from .wreathrep import k_build
 
-# ids per chunk of the scans over a whole group, which bounds their memory
-SCAN_CHUNK = 1 << 16
+# ids per chunk of the scans over a whole group: one chunk's temporaries
+# (a dozen id arrays in a wreath product) stay under about 1 MiB
+SCAN_CHUNK = 1 << 13
 
 
 # ---- the shift pair and its wreath lift ----
@@ -74,12 +75,18 @@ def lifted_labels(problem: ShiftProblem) -> np.ndarray:
     """The single function on (G x G) semidirect Z_2 hiding the two-coset
     subgroup, as labels over its ids (equal labels iff equal values):
     (f0(x), f1(y)) at (x, y, 0) and (f1(y), f0(x)) at (x, y, 1)."""
-    l0, l1 = problem.l0, problem.l1
-    m = max(l0.max(), l1.max()) + 1
-    return np.stack([
-        l0[:, None] * m + l1[None, :],
-        l1[None, :] * m + l0[:, None],
-    ]).ravel()
+    m = int(max(problem.l0.max(), problem.l1.max())) + 1
+    # every label is below m^2 <= (2|G|)^2 = 2|W|, within int32 under the cap
+    if m * m > np.iinfo(np.int32).max:
+        raise ValueError(f"{m}^2 lifted labels do not fit in int32")
+    l0, l1 = problem.l0.astype(np.int32), problem.l1.astype(np.int32)
+    n = len(l0)
+    out = np.empty((2, n, n), dtype=np.int32)
+    np.multiply(l0[:, None], m, out=out[0])
+    out[0] += l1[None, :]
+    np.multiply(l1[None, :], m, out=out[1])
+    out[1] += l0[:, None]
+    return out.ravel()
 
 
 # ---- coset structure of a function ----
@@ -106,23 +113,28 @@ def check_right_injective(labels, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
     (hence a subgroup), and the class count times |K| accounts for the
     whole group, which forces each class to equal its translate exactly."""
     labels = _checked_labels(labels, G, cap)
-    ids = G.ids()
-    # the least id of each label's class; G.order marks an unused label
-    first = np.full(labels.max() + 1, G.order, dtype=np.int64)
-    np.minimum.at(first, labels, np.arange(G.order))
-    in_K = labels == labels[ids.identity]
+    if labels.max() >= G.order:
+        # sparse labels: number the classes densely, so the class table
+        # below has at most |G| entries
+        labels = np.searchsorted(_distinct(labels), labels)
+    ids, n = G.ids(), G.order
+    k_label = labels[ids.identity]
+    chunks = [slice(lo, min(lo + SCAN_CHUNK, n)) for lo in range(0, n, SCAN_CHUNK)]
+    # the least id of each label's class; n marks an unused label
+    first = np.full(labels.max() + 1, n, dtype=np.int64)
+    for c in chunks:
+        np.minimum.at(first, labels[c], np.arange(c.start, c.stop))
     # y x^-1 in K, with x the first element of y's class
-    rep_inv = ids.inverse[first[labels]]
-    for lo in range(0, G.order, SCAN_CHUNK):
-        y = np.arange(lo, min(lo + SCAN_CHUNK, G.order))
-        if not in_K[ids.mul(y, rep_inv[y])].all():
+    for c in chunks:
+        rep_inv = ids.inverse[first[labels[c]]]
+        if not (labels[ids.mul(np.arange(c.start, c.stop), rep_inv)] == k_label).all():
             return False
-    K = np.flatnonzero(in_K)
+    K = np.flatnonzero(labels == k_label)
     rows = max(1, SCAN_CHUNK // len(K))
     for lo in range(0, len(K), rows):
-        if not in_K[ids.mul(K[lo : lo + rows, None], K[None, :])].all():
+        if not (labels[ids.mul(K[lo : lo + rows, None], K[None, :])] == k_label).all():
             return False
-    return int(np.count_nonzero(first < G.order)) * len(K) == G.order
+    return int(np.count_nonzero(first < n)) * len(K) == n
 
 
 def hidden_subgroup_of(
@@ -139,6 +151,8 @@ def hidden_subgroup_of(
 
 def stabilizer_order_product(inst: McElieceInstance) -> int:
     """|aut(code of M)| * |Fix(M)|, the closed form for |H0|."""
+    from . import goppa  # only the closed form reads code automorphisms
+
     F = inst.field()
     aut = goppa.automorphisms(goppa.LinearCode(F, inst.M))
     fix = len(fields.fix_group_elements(F, inst.M))

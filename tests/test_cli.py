@@ -629,10 +629,45 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     assert "numpy" not in seen["import"] and "cosetlab.groups" not in seen["import"]
     assert "numpy" not in seen["gen"]
     assert "numpy" in seen["attack"]
+    # only the goppa command and the closed form for |H0| read the code layer
+    for command in ("gen", "attack", "lemmas"):
+        assert "cosetlab.goppa" not in seen[command], command
     for layer in ("sampling", "suites", "symrep", "gl2rep"):
         assert f"cosetlab.{layer}" not in seen["attack"]
     # a plain np.unique imports numpy.ma; the lemma path runs without it
     assert "cosetlab.suites" in seen["lemmas"] and "numpy.ma" not in seen["lemmas"]
+
+
+RSS_PROBE = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_attack_peak_rss_stays_near_the_import_floor(tmp_path):
+    # the attack's working memory is one scan chunk plus its labels, so the
+    # process peaks within a few MiB of one that only imports its layers
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+
+    def peak_kib(*argv):
+        # ru_maxrss of the probe's only child, in KiB on Linux
+        proc = subprocess.run(
+            [sys.executable, "-c", RSS_PROBE, sys.executable, *argv],
+            capture_output=True, text=True, timeout=120, env=env, check=True,
+        )
+        return int(proc.stdout)
+
+    run_cli_captured([
+        "mceliece", "gen", "--q", "3", "--k", "2", "--n", "3", "--min-rank", "2",
+        "--seed", "1", "--out", str(tmp_path),
+    ])
+    instance = str(tmp_path / "mceliece_instance.json")
+    floor = peak_kib("-c", "import numpy, cosetlab.cli, cosetlab.hsp")
+    used = peak_kib("-m", "cosetlab.cli", "mceliece", "attack", "--instance", instance,
+                    "--out", str(tmp_path))
+    assert used - floor <= 6 * 1024, (used, floor)
 
 
 def _module_level_imports(name):

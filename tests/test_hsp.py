@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import fields
+from cosetlab import fields, hsp
 from cosetlab.fields import (
     GROUP_ENUM_CAP,
     apply_perm_to_cols,
@@ -272,10 +273,32 @@ def test_attack_refuses_past_the_cap_before_enumerating(monkeypatch):
         attack(inst)
 
 
+def test_attack_works_in_one_scan_chunk_plus_its_labels():
+    # (GL2(F3) x S3) wr Z2 has 165,888 elements: the lifted labels take
+    # 648 KiB as int32, and the certification scans hold one chunk at a
+    # time, where whole-group temporaries took 10.7 MiB
+    inst = random_instance(field_of_order(3), 2, 3, seed=1, min_rank=2)
+    attack(inst)  # builds the groups' id tables, which are cached
+    tracemalloc.start()
+    try:
+        res = attack(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.valid and res.k_formula_match
+    assert peak <= 4 << 20, peak
+
+
 def test_attack_larger_permutation_side():
     inst = random_instance(field_of_order(2), 2, 4, seed=1, min_rank=2)
     res = attack(inst)
     assert res.valid and res.k_formula_match and res.size_match
+
+
+# chunks that split the scans at uneven boundaries: one id, 7 ids, and 64
+# (past |S4| and |GL2(F3)|, short of |S3 wr Z2| and of every lift); then
+# the module's own chunk
+SCAN_CHUNKS = (1, 7, 64, hsp.SCAN_CHUNK)
 
 
 def reference_right_injective(f, G):
@@ -312,8 +335,12 @@ def test_id_scan_matches_tuple_reference(n, seed):
         codes.setdefault(f(v), len(codes)) for v in W.iter_values()
     ])
     assert same_partition(labels, by_value)
-    assert check_right_injective(labels, W) is True
-    assert hidden_subgroup_of(labels, W).value_set == K_vals
+    # one id per chunk over the 41,472 ids at n = 4 would take seconds
+    for chunk in SCAN_CHUNKS if n == 3 else SCAN_CHUNKS[1:]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hsp, "SCAN_CHUNK", chunk)
+            assert check_right_injective(labels, W) is True
+            assert hidden_subgroup_of(labels, W).value_set == K_vals
     assert attack(inst).K.value_set == K_vals
 
 
@@ -379,7 +406,39 @@ def test_right_injective_scan_matches_the_unique_reference(data):
         labels = np.array(data.draw(st.lists(st.integers(0, m), min_size=G.order, max_size=G.order)))
     expected = unique_right_injective(labels, G)
     assert expected is True or kind != "cosets"
-    assert check_right_injective(labels, G) is expected
+    for chunk in SCAN_CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hsp, "SCAN_CHUNK", chunk)
+            assert check_right_injective(labels, G) is expected
+
+
+def test_sparse_labels_get_the_verdict_of_their_dense_relabelling():
+    # the class table is sized by the number of classes, not by the largest
+    # label: labels up to 2^62 would otherwise ask for 2^65 bytes
+    rng = np.random.default_rng(0)
+    s3 = symmetric_group(3)
+    cases = [(s3, np.array([0, 1, 2, 0, 1, 3]), np.array([0, 1, 2, 0, 1, 2**40]))]
+    for G in SCAN_GROUPS:
+        ids = G.ids()
+        for H in subgroup_catalog(G):
+            coset = ids.mul(H.ids[:, None], np.arange(G.order)[None, :]).min(axis=0)
+            for dense in (coset, rng.integers(0, 4, size=G.order)):
+                dense = np.searchsorted(np.unique(dense), dense)
+                # distinct classes get distinct labels just below 2^62
+                cases.append((G, dense, 2**62 - 2**40 * rng.permutation(G.order)[dense]))
+    verdicts = set()
+    for G, dense, sparse in cases:
+        assert sparse.max() >= G.order
+        tracemalloc.start()
+        try:
+            got = check_right_injective(sparse, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got is check_right_injective(dense, G) is unique_right_injective(dense, G)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_a_negative_label_array_is_refused():

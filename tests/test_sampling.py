@@ -424,3 +424,34 @@ def test_lemma_checks_build_each_bundle_once(monkeypatch):
     for H in catalog:
         lemma_checks(ctx, H)
     assert len(built) == len(set(built)) == ctx.table.n_irreps * len(catalog)
+
+
+
+def wreath_s4_k_type():
+    ctx = sampling_context(wreath_char_table(sn_character_table(4)))
+    return ctx, next(H for H in subgroup_catalog(ctx.group) if H.label == "K-type")
+
+
+def cached_kernels(ctx):
+    return [key for key in ctx._cache if key[0] == "kernel"]
+
+
+def test_distinguishability_on_a_fresh_context_keeps_no_kernel():
+    # each irrep's weights are dropped once they are reduced to distortions
+    ctx, H = wreath_s4_k_type()
+    for mc_samples in (None, 60):
+        assert distinguishability(ctx, H, mc_samples=mc_samples, seed=3).value > 0
+        assert not cached_kernels(ctx)
+
+
+def test_distinguishability_reads_the_kernels_the_lemma_checks_cached():
+    # the cached kernels and the dropped ones give the same bits
+    ctx, H = wreath_s4_k_type()
+    cold = [distinguishability(ctx, H, mc_samples=m, seed=3) for m in (None, 60)]
+    lemma_checks(ctx, H)
+    kernels = cached_kernels(ctx)
+    assert len(kernels) == ctx.table.n_irreps
+    warm = [distinguishability(ctx, H, mc_samples=m, seed=3) for m in (None, 60)]
+    for w, c in zip(warm, cold):
+        assert (w.value, w.std_error, w.per_irrep) == (c.value, c.std_error, c.per_irrep)
+    assert cached_kernels(ctx) == kernels
