@@ -76,9 +76,8 @@ def lifted_labels(problem: ShiftProblem) -> np.ndarray:
     subgroup, as labels over its ids (equal labels iff equal values):
     (f0(x), f1(y)) at (x, y, 0) and (f1(y), f0(x)) at (x, y, 1)."""
     m = int(max(problem.l0.max(), problem.l1.max())) + 1
-    # every label is below m^2 <= (2|G|)^2 = 2|W|, within int32 under the cap
-    if m * m > np.iinfo(np.int32).max:
-        raise ValueError(f"{m}^2 lifted labels do not fit in int32")
+    # m <= |G|, so every label is below m^2 <= |W| / 2, which the cap check
+    # in shift_problem keeps far below 2^31
     l0, l1 = problem.l0.astype(np.int32), problem.l1.astype(np.int32)
     n = len(l0)
     out = np.empty((2, n, n), dtype=np.int32)

@@ -7,8 +7,8 @@ Every matrix comes from an irrep's gather (`RealizedIrrep.at` on an id
 array, or `stack()` on all ids) and the conjugation-invariance scan runs on
 id arrays; groups of more than GROUP_ENUM_CAP elements are refused.  The
 lemma checks read one cached coset kernel per (irrep, subgroup);
-distinguishability reads that cache when it is filled and otherwise drops
-each irrep's kernel once it has reduced it to distortions.
+distinguishability builds its own and drops each irrep's kernel once it has
+reduced it to distortions.
 """
 
 from __future__ import annotations
@@ -139,27 +139,11 @@ class _CosetKernel:
         return np.abs(self.conditionals(ids) - 1.0 / self.real.dim).sum(axis=1) ** 2
 
 
-def _kernel_key(rho_idx: int, H: Subgroup) -> tuple:
-    return ("kernel", rho_idx, H.ids.tobytes())
-
-
 def _kernel(ctx: SamplingContext, rho_idx: int, H: Subgroup) -> _CosetKernel:
-    key = _kernel_key(rho_idx, H)
+    key = ("kernel", rho_idx, H.ids.tobytes())
     if key not in ctx._cache:
         ctx._cache[key] = _CosetKernel(ctx.reals[rho_idx], H)
     return ctx._cache[key]
-
-
-def _distortions(
-    ctx: SamplingContext, rho_idx: int, H: Subgroup, ids: Optional[np.ndarray]
-) -> np.ndarray:
-    """The kernel's distortions at ids, or on the coset representatives,
-    from the cached kernel when the lemma checks built one; otherwise from
-    a kernel that is not cached, so its weights are freed on return."""
-    k = ctx._cache.get(_kernel_key(rho_idx, H))
-    if k is None:
-        k = _CosetKernel(ctx.reals[rho_idx], H)
-    return k.distortions(ids)
 
 
 @dataclass
@@ -201,7 +185,7 @@ def distinguishability(
         if probs[i] < ZERO_TRACE_TOL:
             per_irrep[ctx.table.labels[i]] = 0.0
             continue
-        dists = _distortions(ctx, i, H, ids)
+        dists = _CosetKernel(ctx.reals[i], H).distortions(ids)
         per_irrep[ctx.table.labels[i]] = float(np.mean(dists))
         per_sample = per_sample + probs[i] * dists
     value = float(np.mean(per_sample))

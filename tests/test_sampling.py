@@ -436,22 +436,17 @@ def cached_kernels(ctx):
     return [key for key in ctx._cache if key[0] == "kernel"]
 
 
-def test_distinguishability_on_a_fresh_context_keeps_no_kernel():
-    # each irrep's weights are dropped once they are reduced to distortions
+def test_distinguishability_keeps_no_kernel_and_matches_a_warm_context():
+    # each irrep's weights are dropped once they are reduced to distortions,
+    # and they give the same bits as the kernels the lemma checks cache
     ctx, H = wreath_s4_k_type()
+    cold = []
     for mc_samples in (None, 60):
-        assert distinguishability(ctx, H, mc_samples=mc_samples, seed=3).value > 0
+        cold.append(distinguishability(ctx, H, mc_samples=mc_samples, seed=3))
+        assert cold[-1].value > 0
         assert not cached_kernels(ctx)
-
-
-def test_distinguishability_reads_the_kernels_the_lemma_checks_cached():
-    # the cached kernels and the dropped ones give the same bits
-    ctx, H = wreath_s4_k_type()
-    cold = [distinguishability(ctx, H, mc_samples=m, seed=3) for m in (None, 60)]
     lemma_checks(ctx, H)
-    kernels = cached_kernels(ctx)
-    assert len(kernels) == ctx.table.n_irreps
+    assert len(cached_kernels(ctx)) == ctx.table.n_irreps
     warm = [distinguishability(ctx, H, mc_samples=m, seed=3) for m in (None, 60)]
     for w, c in zip(warm, cold):
         assert (w.value, w.std_error, w.per_irrep) == (c.value, c.std_error, c.per_irrep)
-    assert cached_kernels(ctx) == kernels
