@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .groups import DirectProduct, Group, GroupElement, Subgroup
+from .groups import DirectProduct, Group, Subgroup
 
 INTEGRALITY_TOL = 1e-6
 
@@ -72,7 +72,7 @@ class CharacterTable:
         dims: Sequence[int],
         class_keys: Sequence,
         class_sizes: Sequence[int],
-        class_reps: Sequence[GroupElement],
+        class_reps: Sequence,
         values: np.ndarray,
         columns: Callable[[np.ndarray], np.ndarray],
         family: Optional[Family] = None,
@@ -99,10 +99,9 @@ class CharacterTable:
         self._label_index = {l: i for i, l in enumerate(self.labels)}
         if len(self._label_index) != n_irreps:
             raise ValueError("duplicate irrep labels")
-        reps = [r.value for r in self.class_reps]
-        if group.identity_value() not in reps:
+        if group.identity_value() not in self.class_reps:
             raise ValueError("no class is represented by the identity")
-        ident_col = reps.index(group.identity_value())
+        ident_col = self.class_reps.index(group.identity_value())
         if not np.allclose(self.values[:, ident_col].real, self.dims, atol=1e-8) or (
             np.abs(self.values[:, ident_col].imag).max(initial=0.0) > 1e-8
         ):
@@ -124,8 +123,9 @@ class CharacterTable:
         """Class column of each element id in an id array."""
         return self._columns(np.asarray(ids, dtype=np.int64))
 
-    def class_index_of(self, el: GroupElement) -> int:
-        return int(self.columns_of([self.group.ids().id_of(el.value)])[0])
+    def class_index_of(self, value) -> int:
+        """Class column of one group value."""
+        return int(self.columns_of([self.group.ids().id_of(value)])[0])
 
     def element_columns(self) -> np.ndarray:
         """Class column of every element, aligned with group.elements()
@@ -195,9 +195,7 @@ def product_table(G: DirectProduct, t1: CharacterTable, t2: CharacterTable) -> C
         for j2, k2 in enumerate(t2.class_keys):
             class_keys.append((k1, k2))
             class_sizes.append(t1.class_sizes[j1] * t2.class_sizes[j2])
-            class_reps.append(
-                GroupElement(G, (t1.class_reps[j1].value, t2.class_reps[j2].value))
-            )
+            class_reps.append((t1.class_reps[j1], t2.class_reps[j2]))
     values = np.kron(t1.values, t2.values)
     n2, r2 = g2.order, len(t2.class_keys)
 

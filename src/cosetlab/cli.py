@@ -140,7 +140,7 @@ def _parse_cycle_string(G, text: str) -> List:
         image = list(range(G.n))
         for a, b in zip(points, points[1:] + points[:1]):
             image[a - 1] = b - 1
-        gens.append(G.make(tuple(image)))
+        gens.append(tuple(image))
     return gens
 
 
@@ -216,7 +216,7 @@ def cmd_chartable(args):
         # wreath keys are base-class indices, which say little in a header;
         # a wreath class is named by its representative
         if isinstance(table.family, chartab.WreathFamily):
-            return str(table.class_reps[j].value)
+            return str(table.class_reps[j])
         return str(table.class_keys[j])
 
     lines = [csv_row(["irrep"] + [class_header(j) for j in range(len(table.class_keys))])]

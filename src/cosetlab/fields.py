@@ -390,11 +390,6 @@ def mat_rank(F: Fq, A: Matrix) -> int:
     return len(pivots)
 
 
-def column_rank(F: Fq, A: Matrix) -> int:
-    """Column rank (= row rank) via Gaussian elimination."""
-    return mat_rank(F, A)
-
-
 def mat_rref(F: Fq, A: Matrix) -> Matrix:
     """Reduced row echelon form with zero rows dropped; canonical per row space."""
     if not A or not A[0]:
@@ -441,17 +436,17 @@ def glk_order(q: int, k: int) -> int:
     return out
 
 
-def enumerate_glk(F: Fq, k: int, cap: int = GL_ENUM_CAP) -> Iterator[Matrix]:
+def enumerate_glk(F: Fq, k: int) -> Iterator[Matrix]:
     """Yield every invertible k x k matrix over F exactly once."""
-    if glk_order(F.q, k) > cap:
-        raise ValueError(f"|GL_{k}(F_{F.q})| exceeds cap {cap}")
+    if glk_order(F.q, k) > GL_ENUM_CAP:
+        raise ValueError(f"|GL_{k}(F_{F.q})| exceeds cap {GL_ENUM_CAP}")
     for entries in itertools.product(F.elements(), repeat=k * k):
         M = tuple(entries[i * k : (i + 1) * k] for i in range(k))
         if mat_is_invertible(F, M):
             yield M
 
 
-def fix_group_elements(F: Fq, M: Matrix, cap: int = GL_ENUM_CAP) -> List[Matrix]:
+def fix_group_elements(F: Fq, M: Matrix) -> List[Matrix]:
     """All S in GL_k with S M = M, by exhaustive enumeration."""
-    return [S for S in enumerate_glk(F, len(M), cap) if mat_mul(F, S, M) == M]
+    return [S for S in enumerate_glk(F, len(M)) if mat_mul(F, S, M) == M]
 

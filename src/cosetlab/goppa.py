@@ -130,7 +130,7 @@ def build_goppa(spec: RationalGoppaSpec) -> LinearCode:
             tuple(F.mul(F.pow(x, j), s) for x, s in zip(spec.gamma, scale))
         )
     code = LinearCode(F, tuple(rows))
-    if code.k != spec.r + 1 or fields.column_rank(F, code.generator) != spec.r + 1:
+    if code.k != spec.r + 1 or fields.mat_rank(F, code.generator) != spec.r + 1:
         raise AssertionError("full rank")
     return code
 

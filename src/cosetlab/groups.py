@@ -4,9 +4,11 @@ GL_k(F_q), direct products, and the wreath product G wr Z_2 = G^2 : Z_2.
 Element values are tuples (image tuples for permutations, row tuples for
 matrices, nested pairs for products, (x, y, b) triples for wreath
 elements).  They are the edge format: parsing, JSON, reports and class
-representatives.  All arithmetic runs in the id view (`Group.ids()`): id i
-is the i-th value of `iter_values()`, and products and inverses run on
-numpy id arrays.
+representatives.  There is no element wrapper: `Group.make` validates a
+value and returns it, and `Group.elements()` is the list of values in id
+order.  All arithmetic runs in the id view (`Group.ids()`): id i is the
+i-th value of `iter_values()`, and products and inverses run on numpy id
+arrays.
 S_n and GL_k(F_q) multiply through an int32 Cayley table, built on first
 use and only up to TABLE_CAP elements; past the cap S_n multiplies by
 composing image arrays.  Direct products and wreath products compose ids
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,27 +41,6 @@ TABLE_CAP = 2048
 TABLE_CHUNK_CELLS = 1 << 14
 
 
-class GroupElement:
-    __slots__ = ("group", "value")
-
-    def __init__(self, group: "Group", value):
-        self.group = group
-        self.value = value
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupElement)
-            and self.group.key == other.group.key
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group.key, self.value))
-
-    def __repr__(self) -> str:
-        return f"<{self.value} in {self.group}>"
-
-
 class Group:
     """Abstract finite group handle; concrete kinds fill in payload ops."""
 
@@ -67,7 +48,7 @@ class Group:
     order: int
 
     def __init__(self):
-        self._elements: Optional[List[GroupElement]] = None
+        self._elements: Optional[list] = None
         self._ids = None
 
     # payload-level ops implemented by subclasses
@@ -83,16 +64,20 @@ class Group:
     def _make_ids(self):
         raise NotImplementedError
 
-    # public element-level API
-    def make(self, value) -> GroupElement:
+    # value-level API
+    def make(self, value):
+        """value, once validated as an element of this group."""
         self.validate_value(value)
-        return GroupElement(self, value)
+        return value
 
-    def elements(self, cap: int = GROUP_ENUM_CAP) -> List[GroupElement]:
+    def elements(self) -> list:
+        """The values of the group in id order, enumerated on first use."""
         if self._elements is None:
-            if self.order > cap:
-                raise ValueError(f"|{self}| = {self.order} exceeds enumeration cap {cap}")
-            els = [GroupElement(self, v) for v in self.iter_values()]
+            if self.order > GROUP_ENUM_CAP:
+                raise ValueError(
+                    f"|{self}| = {self.order} exceeds enumeration cap {GROUP_ENUM_CAP}"
+                )
+            els = list(self.iter_values())
             if len(els) != self.order:
                 raise AssertionError(f"enumerated {len(els)} elements of {self}, order {self.order}")
             self._elements = els
@@ -140,7 +125,7 @@ class SymmetricGroup(Group):
             raise ValueError(f"{v} is not a permutation of 0..{self.n - 1}")
 
     def _make_ids(self):
-        values = [el.value for el in self.elements()]
+        values = self.elements()
         n = self.n
         imgs = np.array(values).reshape(len(values), n)
         flat = imgs.ravel()
@@ -178,7 +163,7 @@ class GeneralLinearGroup(Group):
         return fields.mat_identity(self.k)
 
     def iter_values(self):
-        return fields.enumerate_glk(self.field, self.k, cap=max(self.order, fields.GL_ENUM_CAP))
+        return fields.enumerate_glk(self.field, self.k)
 
     def validate_value(self, v) -> None:
         if len(v) != self.k or any(len(r) != self.k for r in v):
@@ -189,7 +174,7 @@ class GeneralLinearGroup(Group):
             raise ValueError(f"matrix {v} is singular")
 
     def _make_ids(self):
-        values = [el.value for el in self.elements()]
+        values = self.elements()
         # a matrix is coded through its row codes, a row through its entries,
         # both in positional notation; R row codes exist
         k, q = self.k, self.field.q
@@ -455,8 +440,8 @@ class Subgroup:
 
     Construction verifies, on id arrays, identity membership and closure
     under inverses and products, so holding a Subgroup is a certificate.
-    `value_set` and `elements` (in value order) are derived views for
-    JSON, reports and tests; `coset_reps` serves every coset kernel on H.
+    `value_set` is a derived view for JSON, reports and tests;
+    `coset_reps` serves every coset kernel on H.
     """
 
     def __init__(self, group: Group, ids, label: str = ""):
@@ -486,10 +471,6 @@ class Subgroup:
         return frozenset(value_of(i) for i in self.ids)
 
     @cached_property
-    def elements(self) -> Tuple[GroupElement, ...]:
-        return tuple(GroupElement(self.group, v) for v in sorted(self.value_set))
-
-    @cached_property
     def coset_reps(self) -> np.ndarray:
         """The least id of every right coset Hg, ascending: the ids g with
         id(h g) >= g for every h in H, found in chunks of H."""
@@ -508,16 +489,13 @@ def trivial_subgroup(G: Group) -> Subgroup:
     return Subgroup(G, [G.ids().identity], label="trivial")
 
 
-def subgroup_closure(
-    G: Group, gens: Sequence[GroupElement], cap: int = GROUP_ENUM_CAP, label: str = ""
-) -> Subgroup:
-    """Close a generator list under multiplication, by a breadth-first walk
-    on id arrays; empty input gives {1}."""
+def subgroup_closure(G: Group, gens: Sequence, label: str = "") -> Subgroup:
+    """Close a list of generator values under multiplication, by a
+    breadth-first walk on id arrays; empty input gives {1}."""
     for g in gens:
-        if g.group.key != G.key:
-            raise ValueError(f"generator from {g.group} for closure in {G}")
+        G.validate_value(g)
     ids = G.ids()
-    gen_ids = np.array([ids.id_of(g.value) for g in gens], dtype=np.int64)
+    gen_ids = np.array([ids.id_of(g) for g in gens], dtype=np.int64)
     seen = np.zeros(G.order, dtype=bool)
     seen[ids.identity] = True
     frontier = np.array([ids.identity], dtype=np.int64)
@@ -527,12 +505,12 @@ def subgroup_closure(
         frontier = nxt[~seen[nxt]]
         seen[frontier] = True
         count += frontier.size
-        if count > cap:
-            raise ValueError(f"closure exceeds cap {cap}")
+        if count > GROUP_ENUM_CAP:
+            raise ValueError(f"closure exceeds cap {GROUP_ENUM_CAP}")
     return Subgroup(G, np.flatnonzero(seen), label=label)
 
 
-def element_from_json(G: Group, obj) -> GroupElement:
+def element_from_json(G: Group, obj):
     """The element of G written as JSON: lists are read as tuples and every
     leaf through int(), and G.make validates the result, so a malformed
     element raises ValueError or TypeError."""

@@ -17,7 +17,6 @@ from .fields import Matrix
 from .groups import (
     DirectProduct,
     Group,
-    GroupElement,
     GROUP_ENUM_CAP,
     Subgroup,
     WreathZ2,
@@ -41,15 +40,16 @@ class ShiftProblem:
     group: DirectProduct
     l0: np.ndarray
     l1: np.ndarray
-    witness: GroupElement  # a known shift, for oracle tests only
+    witness: tuple  # the value of a known shift, for oracle tests only
 
 
-def shift_problem(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> ShiftProblem:
+def shift_problem(inst: McElieceInstance) -> ShiftProblem:
     """The shift pair of inst; the recorded witness shift is (A^-1, P) for
     the secret pair.  Refused before any enumeration when the wreath lift
-    exceeds cap, which also keeps every code below q^(kn) < 2^18."""
+    exceeds GROUP_ENUM_CAP, which also keeps every code below
+    q^(kn) < 2^18."""
     G = inst.base_group()
-    _require_cap(wreath_z2(G), cap)
+    _require_cap(wreath_z2(G))
     F, k = inst.field(), inst.k
     gl, sn = G.ids().factors
     add, mul = F.tables()
@@ -90,20 +90,12 @@ def lifted_labels(problem: ShiftProblem) -> np.ndarray:
 
 # ---- coset structure of a function ----
 
-def _require_cap(G: Group, cap: int) -> None:
-    if G.order > cap:
-        raise ValueError(f"|{G}| = {G.order} exceeds enumeration cap {cap}")
+def _require_cap(G: Group) -> None:
+    if G.order > GROUP_ENUM_CAP:
+        raise ValueError(f"|{G}| = {G.order} exceeds enumeration cap {GROUP_ENUM_CAP}")
 
 
-def _checked_labels(labels, G: Group, cap: int) -> np.ndarray:
-    _require_cap(G, cap)
-    labels = np.asarray(labels)
-    if labels.shape != (G.order,) or labels.min() < 0:
-        raise ValueError(f"a label array holds |{G}| = {G.order} non-negative integers")
-    return labels
-
-
-def check_right_injective(labels, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
+def check_right_injective(labels, G: Group) -> bool:
     """f(x) = f(y) iff f(y x^-1) = f(identity), for the function f given by
     its label array over G's ids (equal labels iff equal values), certified
     over the whole group through three facts that together are equivalent
@@ -111,7 +103,10 @@ def check_right_injective(labels, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
     translate of the identity class K, K is closed under multiplication
     (hence a subgroup), and the class count times |K| accounts for the
     whole group, which forces each class to equal its translate exactly."""
-    labels = _checked_labels(labels, G, cap)
+    _require_cap(G)
+    labels = np.asarray(labels)
+    if labels.shape != (G.order,) or labels.min() < 0:
+        raise ValueError(f"a label array holds |{G}| = {G.order} non-negative integers")
     if labels.max() >= G.order:
         # sparse labels: number the classes densely, so the class table
         # below has at most |G| entries
@@ -136,14 +131,12 @@ def check_right_injective(labels, G: Group, cap: int = GROUP_ENUM_CAP) -> bool:
     return int(np.count_nonzero(first < n)) * len(K) == n
 
 
-def hidden_subgroup_of(
-    labels, G: Group, cap: int = GROUP_ENUM_CAP, label: str = "G|_f"
-) -> Subgroup:
+def hidden_subgroup_of(labels, G: Group, label: str = "G|_f") -> Subgroup:
     """The stabilizer class {g : f(g) = f(1)} as a verified subgroup;
     requires right-injectivity so that f exactly separates its right
-    cosets.  labels are as for check_right_injective."""
-    labels = _checked_labels(labels, G, cap)
-    if not check_right_injective(labels, G, cap):
+    cosets.  labels are as for check_right_injective, which checks them."""
+    labels = np.asarray(labels)
+    if not check_right_injective(labels, G):
         raise ValueError("function is not injective under right multiplication")
     return Subgroup(G, np.flatnonzero(labels == labels[G.ids().identity]), label=label)
 
@@ -160,9 +153,10 @@ def stabilizer_order_product(inst: McElieceInstance) -> int:
 
 # ---- extraction ----
 
-def extract_shift(K: Subgroup) -> GroupElement:
-    """First component of the b=1 element of K with the smallest id; always
-    a valid shift because the b=1 block is (H0 s, s^-1 H0)."""
+def extract_shift(K: Subgroup):
+    """First component of the b=1 element of K with the smallest id, as a
+    base group value; always a valid shift because the b=1 block is
+    (H0 s, s^-1 H0)."""
     W = K.group
     if not isinstance(W, WreathZ2):
         raise ValueError("K must live in a wreath product")
@@ -172,7 +166,7 @@ def extract_shift(K: Subgroup) -> GroupElement:
     if not flipped.size:
         raise ValueError("no component-swapping element in K")
     # K.ids is sorted, so flipped[0] belongs to the smallest b=1 id
-    return GroupElement(W.base, ids.base.value_of(flipped[0]))
+    return ids.base.value_of(flipped[0])
 
 
 @dataclass
@@ -200,22 +194,20 @@ class AttackResult:
         }
 
 
-def attack(inst: McElieceInstance, cap: int = GROUP_ENUM_CAP) -> AttackResult:
+def attack(inst: McElieceInstance) -> AttackResult:
     """End-to-end simulated attack: lift, read off the hidden subgroup by
     exhaustive evaluation, extract a shift, and verify it reproduces the
     public matrix."""
     F = inst.field()
-    prob = shift_problem(inst, cap)
+    prob = shift_problem(inst)
     # raises ValueError unless the lifted function is right-injective
-    K = hidden_subgroup_of(lifted_labels(prob), wreath_z2(prob.group), cap, label="K")
+    K = hidden_subgroup_of(lifted_labels(prob), wreath_z2(prob.group), label="K")
     # f0(identity) = M, so H0 = {g : f0(g) = M} is f0's class at the identity
     l0 = prob.l0
     H0 = Subgroup(prob.group, np.flatnonzero(l0 == l0[prob.group.ids().identity]), label="H0")
     oracle = k_build(H0, prob.witness)
-    shift = extract_shift(K)
-    Av, Pv = shift.value
+    Av, P_rec = extract_shift(K)
     A_rec = fields.mat_inv(F, Av)
-    P_rec = Pv
     return AttackResult(
         instance=inst,
         right_injective=True,

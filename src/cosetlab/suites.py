@@ -65,10 +65,10 @@ def _sym_catalog(G: SymmetricGroup) -> List[Subgroup]:
     out = [trivial_subgroup(G)]
     if n >= 2:
         swap = tuple([1, 0] + list(range(2, n)))
-        out.append(subgroup_closure(G, [G.make(swap)], label="order-2"))
+        out.append(subgroup_closure(G, [swap], label="order-2"))
     if n >= 3:
         cyc = tuple([1, 2, 0] + list(range(3, n)))
-        out.append(subgroup_closure(G, [G.make(cyc)], label="three-cycle"))
+        out.append(subgroup_closure(G, [cyc], label="three-cycle"))
     return out
 
 
@@ -76,14 +76,12 @@ def _gl2_catalog(G: GeneralLinearGroup) -> List[Subgroup]:
     F = G.field
     out = [trivial_subgroup(G)]
     uni = ((1, 1), (0, 1))
-    out.append(subgroup_closure(G, [G.make(uni)], label="unipotent"))
+    out.append(subgroup_closure(G, [uni], label="unipotent"))
     if F.q == 2:
-        out.append(
-            subgroup_closure(G, [G.make(((0, 1), (1, 1)))], label="order-3")
-        )
+        out.append(subgroup_closure(G, [((0, 1), (1, 1))], label="order-3"))
     else:
         torus = ((1, 0), (0, F.generator))
-        out.append(subgroup_closure(G, [G.make(torus)], label="split-torus"))
+        out.append(subgroup_closure(G, [torus], label="split-torus"))
     return out
 
 
@@ -91,7 +89,7 @@ def _wreath_catalog(G: WreathZ2) -> List[Subgroup]:
     base = G.base
     e = base.identity_value()
     out = [trivial_subgroup(G)]
-    out.append(subgroup_closure(G, [G.make((e, e, 1))], label="order-2"))
+    out.append(subgroup_closure(G, [(e, e, 1)], label="order-2"))
     base_els = base.elements()
     if len(base_els) < 2:  # S1 wr Z2 has no shift s != 1
         return out
@@ -100,7 +98,7 @@ def _wreath_catalog(G: WreathZ2) -> List[Subgroup]:
     small.subgroup.label = "K-type small"
     out.append(small.subgroup)
     H0 = subgroup_closure(base, [base_els[1]], label="H0")
-    s2 = next((el for el in base_els if el.value not in H0.value_set), None)
+    s2 = next((v for v in base_els if v not in H0.value_set), None)
     if s2 is not None:  # none when H0 is the whole base, as in S2
         big = k_build(H0, s2)
         big.subgroup.label = "K-type"
@@ -123,7 +121,7 @@ def subgroup_catalog(G: Group) -> List[Subgroup]:
         # the first non-identity element in id order
         ids = G.ids()
         g = ids.value_of(1 if ids.identity == 0 else 0)
-        out.append(subgroup_closure(G, [G.make(g)], label="cyclic"))
+        out.append(subgroup_closure(G, [g], label="cyclic"))
     return out
 
 
@@ -137,7 +135,6 @@ def lemma_checks(
     ctx: SamplingContext,
     H: Subgroup,
     max_dim: Optional[int] = None,
-    second_moment_elements: int = SECOND_MOMENT_ELEMENTS,
 ) -> List[CheckRecord]:
     """Every identity and inequality check for one subgroup: Schur means,
     second moments, variance bounds, basis sums, per-irrep distortion
@@ -164,7 +161,7 @@ def lemma_checks(
     # the identity, then the first non-identity elements in value order
     ids = H.group.ids()
     rest = sorted((h for h in H.ids.tolist() if h != ids.identity), key=ids.value_of)
-    h_ids = [ids.identity] + rest[:second_moment_elements]
+    h_ids = [ids.identity] + rest[:SECOND_MOMENT_ELEMENTS]
     lin = _linear_indices(table)
     # each check runs once per irrep on every basis vector b at once; the
     # records read plain floats and bools from .tolist()
@@ -301,8 +298,8 @@ def run_dist_suite() -> List[CheckRecord]:
     ctx = sampling_context(table)
     G = ctx.group
     trivialH = trivial_subgroup(G)
-    order2 = subgroup_closure(G, [G.make((1, 0, 2))], label="order-2")
-    alt = subgroup_closure(G, [G.make((1, 2, 0))], label="three-cycle")
+    order2 = subgroup_closure(G, [(1, 0, 2)], label="order-2")
+    alt = subgroup_closure(G, [(1, 2, 0)], label="three-cycle")
     records.extend(dist_checks(ctx, trivialH, golden=0.0))
     records.extend(dist_checks(ctx, order2, golden=1.0 / 3.0))
     records.extend(dist_checks(ctx, alt, golden=0.0))
@@ -311,18 +308,14 @@ def run_dist_suite() -> List[CheckRecord]:
         table = gl2_char_table(q)
         ctx = sampling_context(table)
         G = ctx.group
-        uni = subgroup_closure(
-            G, [G.make(((1, 1), (0, 1)))], label="unipotent"
-        )
+        uni = subgroup_closure(G, [((1, 1), (0, 1))], label="unipotent")
         lin = _linear_indices(table)
         records.extend(dist_checks(ctx, uni, S_indices=lin, D=q - 1))
 
     table = sn_character_table(6)
     ctx = sampling_context(table)
     G = ctx.group
-    order2 = subgroup_closure(
-        G, [G.make((1, 0, 2, 3, 4, 5))], label="order-2"
-    )
+    order2 = subgroup_closure(G, [(1, 0, 2, 3, 4, 5)], label="order-2")
     S = lambda_set_indices(table, Fraction(1, 6))
     d_S = max(table.dims[i] for i in S)
     records.extend(dist_checks(ctx, order2, S_indices=S, D=d_S**2 + 1))

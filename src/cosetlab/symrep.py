@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartab import CharacterTable, SymmetricFamily
-from .groups import GroupElement, SymmetricGroup, symmetric_group
+from .groups import SymmetricGroup, symmetric_group
 
 PARTITION_CAP = 40
 # largest n of the full-table decay report
@@ -124,7 +124,7 @@ def class_size(mu: Partition) -> int:
     return math.factorial(n) // z
 
 
-def _rep_of_cycle_type(G: SymmetricGroup, mu: Partition) -> GroupElement:
+def _rep_of_cycle_type(G: SymmetricGroup, mu: Partition) -> Tuple[int, ...]:
     img: List[int] = []
     start = 0
     for part in mu:
@@ -155,7 +155,7 @@ def sn_character_table(n: int) -> CharacterTable:
         # a cycle type is fixed by its code; the class reps give code -> column.
         # Codes reach (n + 1)^n, past int64 for n > 15, so they are made only
         # here, where G has ids (n <= 8), and never while a table is built
-        codes = _cycle_codes(np.array([r.value for r in reps]))
+        codes = _cycle_codes(np.array(reps))
         order = np.argsort(codes)
         return order[np.searchsorted(codes, _cycle_codes(G.ids().array[g]), sorter=order)]
 

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .chartab import CharacterTable, WreathFamily, WreathIrrepMeta
-from .groups import GroupElement, Subgroup, wreath_z2
+from .groups import Subgroup, wreath_z2
 from .realize import kron_stack
 
 MAX_NORM_TOL = 1e-8
@@ -112,10 +112,7 @@ def wreath_char_table(base: CharacterTable) -> CharacterTable:
         dims,
         keys,
         [cl[2] for cl in classes],
-        [
-            GroupElement(W, (ids0.value_of(xi), ids0.value_of(yi), int(bi)))
-            for xi, yi, bi in zip(x, y, b)
-        ],
+        [(ids0.value_of(xi), ids0.value_of(yi), int(bi)) for xi, yi, bi in zip(x, y, b)],
         values,
         columns_of_ids,
         WreathFamily(base, tuple(metas)),
@@ -164,7 +161,7 @@ def wreath_stack(
 @dataclass(frozen=True)
 class KSubgroup:
     base_subgroup: Subgroup
-    shift: GroupElement
+    shift: tuple
     subgroup: Subgroup
 
     @property
@@ -172,22 +169,22 @@ class KSubgroup:
         return self.subgroup.order
 
 
-def k_build(H0: Subgroup, s: GroupElement) -> KSubgroup:
-    """K = ((H0, s^-1 H0 s), 0) union ((H0 s, s^-1 H0), 1) inside G wr Z_2,
-    built on ids: (x, y, b) has id (b*|G| + x)*|G| + y."""
+def k_build(H0: Subgroup, s) -> KSubgroup:
+    """K = ((H0, s^-1 H0 s), 0) union ((H0 s, s^-1 H0), 1) inside G wr Z_2
+    for the shift value s of the base group, built on ids: (x, y, b) has
+    id (b*|G| + x)*|G| + y."""
     G0 = H0.group
-    if s.group.key != G0.key:
-        raise ValueError("shift must lie in the base group")
+    G0.validate_value(s)
     ids0 = G0.ids()
     n = np.int64(ids0.order)
-    h, si = H0.ids, ids0.id_of(s.value)
+    h, si = H0.ids, ids0.id_of(s)
     s_inv = ids0.inverse[si]
     conj = ids0.mul(ids0.mul(s_inv, h), si)
     K = np.concatenate([
         (h[:, None] * n + conj[None, :]).ravel(),
         ((n + ids0.mul(h, si))[:, None] * n + ids0.mul(s_inv, h)[None, :]).ravel(),
     ])
-    sub = Subgroup(wreath_z2(G0), K, label=f"K[{H0.label}, shift {s.value}]")
+    sub = Subgroup(wreath_z2(G0), K, label=f"K[{H0.label}, shift {s}]")
     return KSubgroup(H0, s, sub)
 
 

@@ -21,11 +21,10 @@ import numpy as np
 
 from cosetlab import fields
 from cosetlab.chartab import CharacterTable, WreathFamily
-from cosetlab.fields import Fq, GL_ENUM_CAP, Matrix
+from cosetlab.fields import Fq, Matrix
 from cosetlab.groups import (
     DirectProduct,
     GeneralLinearGroup,
-    GroupElement,
     Subgroup,
     SymmetricGroup,
     wreath_z2,
@@ -69,17 +68,9 @@ def inv_value(G, a):
     return (inv_value(G.base, x), inv_value(G.base, y), 0)
 
 
-def mul(G, a: GroupElement, b: GroupElement) -> GroupElement:
-    return GroupElement(G, mul_values(G, a.value, b.value))
-
-
-def inv(G, a: GroupElement) -> GroupElement:
-    return GroupElement(G, inv_value(G, a.value))
-
-
-def conj(G, g: GroupElement, x: GroupElement) -> GroupElement:
-    """g^-1 x g."""
-    return mul(G, mul(G, inv(G, g), x), g)
+def conj(G, g, x):
+    """g^-1 x g on values."""
+    return mul_values(G, mul_values(G, inv_value(G, g), x), g)
 
 
 def cycle_type(perm) -> tuple:
@@ -105,7 +96,7 @@ def check_traces(table, reals, tol: float = TRACE_TOL) -> float:
     worst = 0.0
     for i, r in enumerate(reals):
         for j, rep in enumerate(table.class_reps):
-            err = abs(np.trace(r.mat_value(rep.value)) - table.values[i, j])
+            err = abs(np.trace(r.mat_value(rep)) - table.values[i, j])
             worst = max(worst, err)
     if worst > tol:
         raise AssertionError(f"trace certification failed: {worst}")
@@ -174,7 +165,7 @@ def enumerated_wreath_char_table(base) -> CharacterTable:
     def bcol(v) -> int:
         c = col_cache.get(v)
         if c is None:
-            c = base.class_index_of(GroupElement(G0, v))
+            c = base.class_index_of(v)
             col_cache[v] = c
         return c
 
@@ -207,18 +198,18 @@ def enumerated_wreath_char_table(base) -> CharacterTable:
 
     class_keys: List[tuple] = []
     class_sizes: List[int] = []
-    class_reps: List[GroupElement] = []
+    class_reps: List[tuple] = []
     columns: List[np.ndarray] = []
     index_of: Dict[tuple, int] = {}
     for el in W.elements():
-        key = fingerprint(el.value)
+        key = fingerprint(el)
         idx = index_of.get(key)
         if idx is None:
             index_of[key] = len(class_keys)
             class_keys.append(key)
             class_sizes.append(1)
             class_reps.append(el)
-            columns.append(values_at(el.value))
+            columns.append(values_at(el))
         else:
             class_sizes[idx] += 1
     if len(class_keys) != n_w:
@@ -326,10 +317,10 @@ class FixOrbitReport:
     group_order: int
 
 
-def fix_orbit_report(F: Fq, M: Matrix, cap: int = GL_ENUM_CAP) -> FixOrbitReport:
+def fix_orbit_report(F: Fq, M: Matrix) -> FixOrbitReport:
     k = len(M)
-    r = fields.column_rank(F, M)
-    fix = len(fields.fix_group_elements(F, M, cap))
+    r = fields.mat_rank(F, M)
+    fix = len(fields.fix_group_elements(F, M))
     order = fields.glk_order(F.q, k)
     return FixOrbitReport(
         rank=r,
@@ -359,8 +350,7 @@ def linear_multiplicities(table: CharacterTable, i: int) -> int:
 def scalar_free_check(H: Subgroup) -> bool:
     """True iff H <= GL_2(F_q) contains no scalar matrix other than the
     identity."""
-    for el in H.elements:
-        M = el.value
+    for M in H.value_set:
         if M[0][1] == 0 and M[1][0] == 0 and M[0][0] == M[1][1] and M[0][0] != 1:
             return False
     return True

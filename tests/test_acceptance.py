@@ -179,8 +179,8 @@ def test_symmetric_group_stack():
         for la in symrep.partitions(n):
             rep = symrep.YorRep(la)
             for el in G.elements():
-                mu = cycle_type(el.value)
-                assert abs(np.trace(rep.mat(el.value)) - symrep.mn_character(la, mu)) < 1e-8
+                mu = cycle_type(el)
+                assert abs(np.trace(rep.mat(el)) - symrep.mn_character(la, mu)) < 1e-8
     for n in (6, 8, 12):
         audit = symrep.lambda_c_audit(n, Fraction(1, 6))
         assert audit.cn_ceil == math.ceil(Fraction(n, 6))
@@ -223,7 +223,8 @@ def test_wreath_character_stack():
 def test_no_runtime_asserts_in_src():
     # python -O strips assert statements, so runtime checks raise instead.
     # The character and sampling layers read the group through id arrays
-    # only, and no module keeps tuple arithmetic or per-element class keys.
+    # only, and no module keeps tuple arithmetic, per-element class keys or
+    # an element wrapper.
     src = Path(symrep.__file__).resolve().parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     found = [
@@ -242,13 +243,15 @@ def test_no_runtime_asserts_in_src():
         and node.func.attr in ("elements", "iter_values")
     ]
     assert not enumerating
-    retired = {"mul_values", "inv_value", "class_key_of"}
+    retired = {"mul_values", "inv_value", "class_key_of", "GroupElement"}
     defined = [
         f"{name}:{node.lineno}"
         for name, tree in trees.items()
         for node in ast.walk(tree)
-        if (isinstance(node, ast.FunctionDef) and node.name in retired)
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in retired)
         or (isinstance(node, ast.Attribute) and node.attr in retired)
+        or (isinstance(node, ast.Name) and node.id in retired)
+        or (isinstance(node, ast.alias) and node.name in retired)
     ]
     assert not defined
     # no eigensolver or SVD, whose output depends on the LAPACK build and

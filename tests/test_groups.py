@@ -16,7 +16,6 @@ from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import (
     TABLE_CAP,
     DirectProduct,
-    GroupElement,
     Subgroup,
     SymmetricGroup,
     WreathZ2,
@@ -30,14 +29,12 @@ from cosetlab.groups import (
 )
 from cosetlab.suites import subgroup_catalog
 from cosetlab.symrep import sn_character_table
-from cosetlab.wreathrep import wreath_char_table
+from cosetlab.wreathrep import k_build, wreath_char_table
 
 from reference_models import (
     conj,
     cycle_type,
-    inv,
     inv_value,
-    mul,
     mul_values,
     reference_closure_values,
     reference_subgroup_values,
@@ -75,12 +72,12 @@ def test_group_axioms_sampled():
         e = G.make(G.identity_value())
         els = G.elements()
         for el in els:
-            assert mul(G, el, e) == el
-            assert mul(G, e, el) == el
-            assert mul(G, el, inv(G, el)) == e
+            assert mul_values(G, el, e) == el
+            assert mul_values(G, e, el) == el
+            assert mul_values(G, el, inv_value(G, el)) == e
         for _ in range(60):
             a, b, c = (rng.choice(els) for _ in range(3))
-            assert mul(G, mul(G, a, b), c) == mul(G, a, mul(G, b, c))
+            assert mul_values(G, mul_values(G, a, b), c) == mul_values(G, a, mul_values(G, b, c))
 
 
 def test_symmetric_composition_is_left_then_right():
@@ -88,9 +85,9 @@ def test_symmetric_composition_is_left_then_right():
     G = symmetric_group(4)
     pi = G.make((1, 0, 3, 2))
     sigma = G.make((2, 3, 0, 1))
-    prod = mul(G, pi, sigma)
+    prod = mul_values(G, pi, sigma)
     for i in range(4):
-        assert prod.value[i] == sigma.value[pi.value[i]]
+        assert prod[i] == sigma[pi[i]]
 
 
 def test_cycle_type_and_support():
@@ -105,7 +102,7 @@ def test_conjugation():
         els = G.elements()
         for _ in range(40):
             g, x = rng.choice(els), rng.choice(els)
-            assert conj(G, g, x) == mul(G, mul(G, inv(G, g), x), g)
+            assert conj(G, g, x) == mul_values(G, mul_values(G, inv_value(G, g), x), g)
 
 
 def test_wreath_multiplication_swaps_components():
@@ -116,21 +113,21 @@ def test_wreath_multiplication_swaps_components():
     for _ in range(40):
         a1, a2, b1, b2 = (rng.choice(els) for _ in range(4))
         # bit 0 on the left factor: components multiply in place
-        w = mul(W, W.make((a1.value, a2.value, 0)), W.make((b1.value, b2.value, 0)))
-        assert w.value == (mul(G, a1, b1).value, mul(G, a2, b2).value, 0)
+        w = mul_values(W, W.make((a1, a2, 0)), W.make((b1, b2, 0)))
+        assert w == (mul_values(G, a1, b1), mul_values(G, a2, b2), 0)
         # bit 1 on the left factor: the right pair is swapped first
-        w = mul(W, W.make((a1.value, a2.value, 1)), W.make((b1.value, b2.value, 0)))
-        assert w.value[2] == 1
-        w = mul(W, W.make((a1.value, a2.value, 1)), W.make((b1.value, b2.value, 1)))
-        assert w.value[2] == 0
+        w = mul_values(W, W.make((a1, a2, 1)), W.make((b1, b2, 0)))
+        assert w[2] == 1
+        w = mul_values(W, W.make((a1, a2, 1)), W.make((b1, b2, 1)))
+        assert w[2] == 0
 
 
 def test_wreath_swap_generator_order_two():
     W = wreath_z2(symmetric_group(3))
     e3 = (0, 1, 2)
     swap = W.make((e3, e3, 1))
-    assert mul(W, swap, swap) == W.make(W.identity_value())
-    assert inv(W, swap) == swap
+    assert mul_values(W, swap, swap) == W.make(W.identity_value())
+    assert inv_value(W, swap) == swap
 
 
 def test_subgroup_closure_alternating():
@@ -161,6 +158,19 @@ def test_subgroup_rejects_non_closed_sets():
         Subgroup(G, [ids.identity, ids.id_of((1, 2, 0))])
 
 
+def test_values_outside_the_group_are_refused():
+    # elements are plain values, so each entry point validates them itself
+    s3, gl23 = symmetric_group(3), general_linear_group(2, 3)
+    for G, v in ((s3, (1, 0, 2)), (gl23, ((1, 1), (0, 1)))):
+        assert G.make(v) is v
+    with pytest.raises(ValueError, match="not a permutation of 0..2"):
+        subgroup_closure(s3, [(1, 0, 3, 2)])  # an S4 image tuple
+    with pytest.raises(ValueError, match="singular"):
+        subgroup_closure(gl23, [((1, 2), (2, 1))])  # det = -3 = 0 in F3
+    with pytest.raises(ValueError, match="not a permutation of 0..2"):
+        k_build(trivial_subgroup(s3), ((1, 1), (0, 1)))
+
+
 def test_conjugate_values_is_conjugate_subgroup():
     # g^-1 H g formed on id arrays, as pg_invariance_error forms it
     G = symmetric_group(4)
@@ -169,7 +179,7 @@ def test_conjugate_values_is_conjugate_subgroup():
     for g in range(G.order):
         vals = [ids.value_of(c) for c in ids.mul(ids.mul(ids.inverse[g], H.ids), g)]
         assert len(vals) == H.order
-        expected = {conj(G, G.elements()[g], h).value for h in H.elements}
+        expected = {conj(G, G.elements()[g], h) for h in H.value_set}
         assert set(vals) == expected
 
 
@@ -196,19 +206,19 @@ def test_conjugacy_classes_partition_group():
         for c, members in enumerate(classes):
             assert len(members) == table.class_sizes[c]
             rep = table.class_reps[c]
-            assert G.ids().id_of(rep.value) in members
-            orbit = {conj(G, g, rep).value for g in els}
-            assert orbit == {els[i].value for i in members}
+            assert G.ids().id_of(rep) in members
+            orbit = {conj(G, g, rep) for g in els}
+            assert orbit == {els[i] for i in members}
             for i in members:
-                assert els[i].value not in seen
-                seen.add(els[i].value)
+                assert els[i] not in seen
+                seen.add(els[i])
             assert G.order % len(members) == 0
 
 
 def test_element_json_roundtrip_all_kinds():
     for G in sample_groups():
         for el in G.elements()[:10]:
-            back = element_from_json(G, json.loads(json.dumps(el.value)))
+            back = element_from_json(G, json.loads(json.dumps(el)))
             assert back == el
 
 
@@ -231,7 +241,7 @@ def test_element_json_roundtrip_on_drawn_ids(data):
     ids = G.ids()
     i = data.draw(st.integers(0, G.order - 1))
     el = element_from_json(G, json.loads(json.dumps(ids.value_of(i))))
-    assert ids.id_of(el.value) == i
+    assert ids.id_of(el) == i
 
 
 @settings(max_examples=50, deadline=None)
@@ -240,7 +250,7 @@ def test_subgroup_file_parses_to_the_closure_of_its_generators(data):
     G = data.draw(st.sampled_from(roundtrip_groups()))
     ids = G.ids()
     gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
-    want = subgroup_closure(G, [GroupElement(G, ids.value_of(g)) for g in gens])
+    want = subgroup_closure(G, [ids.value_of(g) for g in gens])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "subgroup.json"
         path.write_text(json.dumps({"generators": [ids.value_of(g) for g in gens]}))
@@ -253,8 +263,8 @@ def test_element_order_divides_group_order():
         for el in G.elements():
             k = 1
             cur = el
-            while cur.value != G.identity_value():
-                cur = mul(G, cur, el)
+            while cur != G.identity_value():
+                cur = mul_values(G, cur, el)
                 k += 1
             assert G.order % k == 0
             assert math.gcd(k, G.order) == k
@@ -388,7 +398,7 @@ def test_id_subgroup_matches_tuple_reference(data):
     n_gens = 1 if G.order > 1000 else 2
     gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=n_gens))
     ref = reference_closure_values(G, [ids.value_of(g) for g in gens])
-    H = subgroup_closure(G, [GroupElement(G, ids.value_of(g)) for g in gens])
+    H = subgroup_closure(G, [ids.value_of(g) for g in gens])
     assert H.value_set == ref
     assert list(H.ids) == sorted(ids.id_of(v) for v in ref)
     # the closure with one id toggled, or a few ids with or without 1
@@ -417,4 +427,3 @@ def test_catalog_subgroups_match_tuple_reference():
         for H in subgroup_catalog(G):
             assert reference_subgroup_values(G, H.value_set) == H.value_set
             assert reference_closure_values(G, H.value_set) == H.value_set
-            assert [el.value for el in H.elements] == sorted(H.value_set)

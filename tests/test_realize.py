@@ -32,13 +32,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def reference_regular_structure(G):
     """The Python Cayley loop that GL2 realization used before id views,
     kept as the reference for G.ids()."""
-    els = G.elements()
-    index = {el.value: i for i, el in enumerate(els)}
-    inv_index = np.array([index[inv_value(G, el.value)] for el in els])
+    els = list(G.iter_values())
+    index = {el: i for i, el in enumerate(els)}
+    inv_index = np.array([index[inv_value(G, el)] for el in els])
     cay = np.empty((len(els), len(els)), dtype=np.int32)
     for i, g in enumerate(els):
         for x, h in enumerate(els):
-            cay[i, x] = index[mul_values(G, g.value, h.value)]
+            cay[i, x] = index[mul_values(G, g, h)]
     return els, index, inv_index, cay
 
 
@@ -46,7 +46,7 @@ def test_regular_structure_matches_python_cayley_loop():
     G = general_linear_group(2, 3)
     ids = G.ids()
     want_els, want_index, want_inv, want_cay = reference_regular_structure(G)
-    assert ids.values == [el.value for el in want_els]
+    assert ids.values == want_els
     assert ids.index == want_index
     assert ids.inverse.dtype == want_inv.dtype and np.array_equal(ids.inverse, want_inv)
     assert ids.table.dtype == want_cay.dtype and np.array_equal(ids.table, want_cay)
@@ -55,7 +55,7 @@ def test_regular_structure_matches_python_cayley_loop():
 def mat_value_stack(real):
     """The per-element loop the lemma checks ran before stacks, kept as
     the reference."""
-    return np.stack([real.mat_value(el.value) for el in real.group.elements()])
+    return np.stack([real.mat_value(el) for el in real.group.elements()])
 
 
 @pytest.mark.parametrize("name", [name for name, _ in grid_tables()] + ["gl2_5"])
@@ -72,7 +72,7 @@ def reference_stacks(table, max_dim=None):
     """(label, per-element np.kron model in id order) for every irrep of a
     wreath or product table, optionally only those of dimension <= max_dim."""
     fam = table.family
-    els = [el.value for el in table.group.elements()]
+    els = table.group.elements()
     if isinstance(fam, ProductFamily):
         reals1, reals2 = (realize_table(t) for t in fam.factors)
         models = [(a, b) for a in reals1 for b in reals2]

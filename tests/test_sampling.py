@@ -266,7 +266,7 @@ def reference_pg_invariance_error(table, H):
     dims = np.asarray(table.dims, dtype=float)
     worst = 0.0
     for g in G.elements():
-        cols = [table.class_index_of(conj(G, g, h)) for h in H.elements]
+        cols = [table.class_index_of(conj(G, g, h)) for h in sorted(H.value_set)]
         sums = table.values[:, cols].sum(axis=1)
         probs = dims * sums.real / G.order
         worst = max(worst, float(np.abs(probs - base).max()))
@@ -280,7 +280,7 @@ def reference_isotypic_vector_norms(ctx, rho_idx):
     d = real.dim
     W = np.zeros((table.n_irreps, d, d * d), dtype=complex)
     for j, el in enumerate(ctx.group.elements()):
-        U = real.mat_value(el.value)
+        U = real.mat_value(el)
         V = np.einsum("ai,bi->iab", U, U.conj()).reshape(d, d * d)
         W += ev[:, j].conj()[:, None, None] * V[None, :, :]
     W *= (np.asarray(table.dims, dtype=float) / ctx.group.order)[:, None, None]
@@ -292,7 +292,7 @@ def reference_second_moment_lhs(ctx, h_value, rho_idx, b_idx):
     Uh = real.mat_value(h_value)
     vals = []
     for el in ctx.group.elements():
-        col = real.mat_value(el.value)[:, b_idx]
+        col = real.mat_value(el)[:, b_idx]
         vals.append(abs(np.vdot(col, Uh @ col)) ** 2)
     return float(np.mean(vals))
 
@@ -315,7 +315,7 @@ def test_stacked_checks_match_per_element_loops():
         table = ctx.table
         for H in catalog:
             assert pg_invariance_error(table, H) == reference_pg_invariance_error(table, H)
-        h_values = sorted({h.value for H in catalog for h in H.elements[:3]})
+        h_values = sorted({h for H in catalog for h in sorted(H.value_set)[:3]})
         h_ids = [ctx.group.ids().id_of(hv) for hv in h_values]
         for i, real in enumerate(ctx.reals):
             want = reference_isotypic_vector_norms(ctx, i)
