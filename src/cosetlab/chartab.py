@@ -124,7 +124,8 @@ class CharacterTable:
         return self._columns(np.asarray(ids, dtype=np.int64))
 
     def class_index_of(self, value) -> int:
-        """Class column of one group value."""
+        """Class column of one group value; ValueError outside the group."""
+        self.group.validate_value(value)
         return int(self.columns_of([self.group.ids().id_of(value)])[0])
 
     def element_columns(self) -> np.ndarray:

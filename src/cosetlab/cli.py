@@ -4,9 +4,11 @@ distinguishability reports, and the full verification grids.  All output
 is deterministic for a fixed config and seed.
 
 Each command returns (report file name, config keys, report body); `main`
-writes the report and is the only place that writes a diagnostic.  Each
-command imports the layers it runs, so `goppa` and `mceliece gen` load no numpy
-and only `goppa` loads the code layer.
+writes the report and is the only place that writes a diagnostic.  At module
+level this imports only the stdlib that the parser and `main` need, so
+building the parser loads no cosetlab layer.  Each command imports the layers
+it runs: `goppa` and `mceliece gen` load no numpy, only `goppa` loads the code
+layer, and `mceliece attack` loads no character tables.
 """
 
 from __future__ import annotations
@@ -14,16 +16,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
-import random
 import re
 import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from . import __version__, mceliece
-from .fields import GROUP_ENUM_CAP, field_of_order
+from . import __version__
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ConfigError(Exception):
@@ -168,6 +169,7 @@ def parse_subgroup(G, spec: str):
 
 def _parse_rate(args, n_min: int, n_cap: int) -> Fraction:
     """The --c cutoff of lambda-audit and roichman; also checks --n."""
+    from fractions import Fraction
     try:
         c = Fraction(args.c)
     except (ValueError, ZeroDivisionError):
@@ -240,6 +242,7 @@ def cmd_chartable(args):
 
 
 def cmd_dims(args):
+    import math
     from . import symrep
     with _flag("--n"):
         parts = symrep.partitions(args.n)
@@ -267,7 +270,9 @@ def cmd_roichman(args):
 # ---- goppa ----
 
 def cmd_goppa(args):
+    import random
     from . import goppa
+    from .fields import field_of_order
     if args.spec:
         with _flag("--spec"):
             spec = _read_json("--spec", args.spec, goppa.RationalGoppaSpec.from_json, "spec")
@@ -323,16 +328,16 @@ def cmd_goppa(args):
 
 # ---- mceliece ----
 
-# from k = 18 or n = 18 on, GL_k(F_q) (at least 2^k - 1 elements) or S_n
-# alone has more elements than the attack can enumerate
-_SHAPE_CAP = GROUP_ENUM_CAP.bit_length() - 1
-
-
 def cmd_mceliece(args):
+    from . import mceliece
+    from .fields import GROUP_ENUM_CAP, field_of_order
+    # from k = 18 or n = 18 on, GL_k(F_q) (at least 2^k - 1 elements) or S_n
+    # alone has more elements than the attack can enumerate
+    shape_cap = GROUP_ENUM_CAP.bit_length() - 1
     if args.action == "gen":
         for flag, value in (("--k", args.k), ("--n", args.n)):
-            if not 1 <= value <= _SHAPE_CAP:
-                raise ConfigError(flag, f"must lie in [1, {_SHAPE_CAP}], got {value}")
+            if not 1 <= value <= shape_cap:
+                raise ConfigError(flag, f"must lie in [1, {shape_cap}], got {value}")
         if args.min_rank > min(args.k, args.n):
             raise ConfigError(
                 "--min-rank",
@@ -352,7 +357,7 @@ def cmd_mceliece(args):
             field_of_order(int(obj["q"]))
         return mceliece.McElieceInstance.from_json(obj)
     inst = _read_json("--instance", args.instance, instance, "instance")
-    shape_ok = all(1 <= v <= _SHAPE_CAP for v in (inst.k, inst.n))
+    shape_ok = all(1 <= v <= shape_cap for v in (inst.k, inst.n))
     if not shape_ok or groups.wreath_z2(inst.base_group()).order > GROUP_ENUM_CAP:
         raise ConfigError(
             "--instance",
@@ -379,6 +384,7 @@ def cmd_mceliece(args):
 
 def cmd_dist(args):
     from . import sampling
+    from .fields import GROUP_ENUM_CAP
     if args.mc_samples is not None:
         # a standard error needs 2 samples, and no Monte Carlo run gathers
         # more rows than the largest exhaustive one

@@ -7,8 +7,7 @@ valid private key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -33,8 +32,7 @@ SCAN_CHUNK = 1 << 13
 
 # ---- the shift pair and its wreath lift ----
 
-@dataclass
-class ShiftProblem:
+class ShiftProblem(NamedTuple):
     """f0(A,P) = A^-1 M P and f1(A,P) = A^-1 M* P as labels over the ids of
     GL_k x S_n, in one label space: l0[x] == l1[y] iff f0(x) = f1(y)."""
     group: DirectProduct
@@ -169,8 +167,7 @@ def extract_shift(K: Subgroup):
     return ids.base.value_of(flipped[0])
 
 
-@dataclass
-class AttackResult:
+class AttackResult(NamedTuple):
     instance: McElieceInstance
     right_injective: bool
     K: Subgroup

@@ -4,15 +4,13 @@ round trips, in F_q tuple arithmetic only, so `mceliece gen` loads no numpy."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import fields
 from .fields import Fq, Matrix, field_of_order
 
 
-@dataclass(frozen=True)
-class McElieceInstance:
+class McElieceInstance(NamedTuple):
     q: int
     k: int
     n: int

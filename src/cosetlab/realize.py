@@ -95,7 +95,8 @@ class RealizedIrrep:
         return self._stack
 
     def mat_value(self, value) -> np.ndarray:
-        """The matrix at one group value."""
+        """The matrix at one group value; ValueError outside the group."""
+        self.group.validate_value(value)
         return self.at([self.group.ids().id_of(value)])[0]
 
     def __repr__(self) -> str:

@@ -11,18 +11,21 @@ Each wreath irrep has one matrix formula, `wreath_stack`, which takes the
 base irreps' matrices at the x and y components of a batch of elements,
 element by element; the realized irrep's gather feeds it rows of the base
 stacks at the components of an id array.
+
+`chartab` and `realize` are imported inside the functions that use them,
+so building K for `mceliece attack` loads no character-table layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chartab import CharacterTable, WreathFamily, WreathIrrepMeta
 from .groups import Subgroup, wreath_z2
-from .realize import kron_stack
+
+if TYPE_CHECKING:
+    from .chartab import CharacterTable
 
 MAX_NORM_TOL = 1e-8
 
@@ -41,6 +44,7 @@ def wreath_char_table(base: CharacterTable) -> CharacterTable:
     ordered by that element's id.  Keys, columns and representatives are
     read from the base table's class columns through the base ids, so W
     is never enumerated."""
+    from .chartab import CharacterTable, WreathFamily, WreathIrrepMeta
     G0 = base.group
     W = wreath_z2(G0)
     r = base.n_irreps
@@ -133,6 +137,7 @@ def wreath_stack(
     factor on b = 1, i.e. a column permutation (the left-factor order fails
     the homomorphism law under the fixed composition convention); a pair
     irrep is the 2x2 block model induced from rho (x) sigma."""
+    from .realize import kron_stack
     swap = np.asarray(b) == 1
     if kind in ("plus", "minus"):
         sign = 1.0 if kind == "plus" else -1.0
@@ -158,8 +163,7 @@ def wreath_stack(
 
 # ---- the hidden subgroup K of the lifted shift problem ----
 
-@dataclass(frozen=True)
-class KSubgroup:
+class KSubgroup(NamedTuple):
     base_subgroup: Subgroup
     shift: tuple
     subgroup: Subgroup
@@ -188,8 +192,7 @@ def k_build(H0: Subgroup, s) -> KSubgroup:
     return KSubgroup(H0, s, sub)
 
 
-@dataclass(frozen=True)
-class KCharReport:
+class KCharReport(NamedTuple):
     label: str
     kind: str
     direct: float
@@ -210,6 +213,7 @@ def k_max_normalized_char(
     extensions the same mixed elements attain the base maximum and the swap
     coset always holds an element of trace +-d, so the closed form
     max(a, 1/d_rho) is an equality."""
+    from .chartab import WreathFamily
     if K.subgroup.order < 2:
         raise ValueError("K is trivial")
     fam = wtable.family

@@ -602,9 +602,12 @@ IMPORT_PROBE = """
 import contextlib, io, json, os, sys
 from cosetlab import cli
 
-def loaded():
-    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("cosetlab."))
+WATCHED = {"numpy", "numpy.ma", "dataclasses", "fractions", "inspect"}
 
+def loaded():
+    return sorted(m for m in sys.modules if m in WATCHED or m.startswith("cosetlab."))
+
+cli.build_parser()
 seen = {"import": loaded()}
 out = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -613,7 +616,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["mceliece", "attack", "--instance", os.path.join(out, "mceliece_instance.json")])
     seen["attack"] = loaded()
     cli.main(["verify-lemmas", "--suite", "gl2"])
-    seen["lemmas"] = loaded() + sorted(m for m in sys.modules if m == "numpy.ma")
+    seen["lemmas"] = loaded()
 print(json.dumps(seen))
 """
 
@@ -621,19 +624,29 @@ print(json.dumps(seen))
 def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
-        capture_output=True, text=True, timeout=60, env=env, check=True,
-    )
-    seen = json.loads(proc.stdout)
-    assert "numpy" not in seen["import"] and "cosetlab.groups" not in seen["import"]
-    assert "numpy" not in seen["gen"]
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", *argv],
+            capture_output=True, text=True, timeout=60, env=env, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    # a module that a bare interpreter already holds (a site .pth may load
+    # one) is not charged to the command
+    bare = set(run("import json, sys; print(json.dumps(list(sys.modules)))"))
+    seen = {command: set(mods) - bare for command, mods in run(IMPORT_PROBE, str(tmp_path)).items()}
+    # building the parser loads no layer, no numpy, and neither the records'
+    # dataclasses (with inspect) nor the rate parser's fractions
+    assert not seen["import"] - {"cosetlab.cli"}, seen["import"]
+    assert not seen["gen"] & {"numpy", "dataclasses", "fractions"}, seen["gen"]
     assert "numpy" in seen["attack"]
     # only the goppa command and the closed form for |H0| read the code layer
     for command in ("gen", "attack", "lemmas"):
         assert "cosetlab.goppa" not in seen[command], command
-    for layer in ("sampling", "suites", "symrep", "gl2rep"):
-        assert f"cosetlab.{layer}" not in seen["attack"]
+    # the attack builds K on ids and reads no character table
+    for layer in ("chartab", "realize", "sampling", "suites", "symrep", "gl2rep"):
+        assert f"cosetlab.{layer}" not in seen["attack"], layer
     # a plain np.unique imports numpy.ma; the lemma path runs without it
     assert "cosetlab.suites" in seen["lemmas"] and "numpy.ma" not in seen["lemmas"]
 
@@ -690,6 +703,8 @@ def _module_level_imports(name):
 
 # the layers that load no numpy, so `goppa` and `mceliece gen` never do
 NUMPY_FREE = ("cli", "fields", "goppa", "mceliece")
+# the layers `mceliece gen` and `mceliece attack` load
+KEYREC = ("fields", "mceliece", "groups", "hsp", "wreathrep")
 
 
 def test_numpy_free_layers_import_only_the_stdlib_and_each_other():
@@ -704,3 +719,21 @@ def test_numpy_free_layers_import_only_the_stdlib_and_each_other():
             else:
                 top = module.split(".")[0]
                 assert top == "cosetlab" or top in sys.stdlib_module_names, (name, module)
+
+
+def test_keyrec_layers_import_no_more_than_they_run():
+    # a start-up gain comes back one module-level import at a time: the
+    # parser needs only the stdlib, the keyrec records are NamedTuples, and
+    # the attack builds K without the character-table layers
+    for module, attr in _module_level_imports("cli"):
+        if module.split(".")[0] == "cosetlab":
+            assert (module, attr) == ("cosetlab", "__version__"), module
+        else:
+            assert module.split(".")[0] in sys.stdlib_module_names, module
+    for name in KEYREC:
+        for module, _ in _module_level_imports(name):
+            assert module not in ("dataclasses", "fractions"), (name, module)
+    for module, attr in _module_level_imports("wreathrep"):
+        assert {module, f"{module}.{attr}"}.isdisjoint(
+            {"cosetlab.chartab", "cosetlab.realize"}
+        ), module

@@ -27,6 +27,7 @@ from cosetlab.groups import (
     trivial_subgroup,
     wreath_z2,
 )
+from cosetlab.realize import realize_table
 from cosetlab.suites import subgroup_catalog
 from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import k_build, wreath_char_table
@@ -97,12 +98,14 @@ def test_cycle_type_and_support():
 
 
 def test_conjugation():
+    # the value-level g^-1 x g against the same product formed on ids
     for G in (symmetric_group(4), general_linear_group(2, 3)):
         rng = random.Random(1)
-        els = G.elements()
+        ids = G.ids()
         for _ in range(40):
-            g, x = rng.choice(els), rng.choice(els)
-            assert conj(G, g, x) == mul_values(G, mul_values(G, inv_value(G, g), x), g)
+            g, x = rng.randrange(G.order), rng.randrange(G.order)
+            want = ids.value_of(ids.mul(ids.mul(ids.inverse[g], x), g))
+            assert conj(G, ids.value_of(g), ids.value_of(x)) == want
 
 
 def test_wreath_multiplication_swaps_components():
@@ -169,6 +172,14 @@ def test_values_outside_the_group_are_refused():
         subgroup_closure(gl23, [((1, 2), (2, 1))])  # det = -3 = 0 in F3
     with pytest.raises(ValueError, match="not a permutation of 0..2"):
         k_build(trivial_subgroup(s3), ((1, 1), (0, 1)))
+    for table, v, msg in (
+        (sn_character_table(3), (1, 0, 3, 2), "not a permutation of 0..2"),
+        (gl2_char_table(3), ((1, 2), (2, 1)), "singular"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            table.class_index_of(v)
+        with pytest.raises(ValueError, match=msg):
+            realize_table(table)[1].mat_value(v)
 
 
 def test_conjugate_values_is_conjugate_subgroup():
