@@ -382,8 +382,24 @@ def cmd_mceliece(args):
 
 # ---- dist ----
 
+def _irrep_indices(table, spec: str) -> List[int]:
+    """The irreps named in a comma-separated --S list.  A label may hold
+    commas itself ('(2, 1)', 'W0,1'), so each item is the longest label
+    that the rest of the list starts with, up to a comma or the end."""
+    out = []
+    while True:
+        fits = [lbl for lbl in table.labels if spec.startswith(lbl) and spec[len(lbl):][:1] in ("", ",")]
+        if not fits:
+            raise ConfigError("--S", f"no irrep labelled {spec.split(',', 1)[0]!r} in {table.group}")
+        lbl = max(fits, key=len)
+        out.append(table.index_of(lbl))
+        if spec == lbl:
+            return out
+        spec = spec[len(lbl) + 1:]
+
+
 def cmd_dist(args):
-    from . import sampling
+    from . import sampling, suites
     from .fields import GROUP_ENUM_CAP
     if args.mc_samples is not None:
         # a standard error needs 2 samples, and no Monte Carlo run gathers
@@ -399,14 +415,7 @@ def cmd_dist(args):
         ctx = sampling.sampling_context(table)
     S_indices = None
     if args.S is not None:
-        if args.S == "linear":
-            S_indices = [i for i in range(table.n_irreps) if table.dims[i] == 1]
-        else:
-            labels = args.S.split(",")
-            unknown = [lbl for lbl in labels if lbl not in table.labels]
-            if unknown:
-                raise ConfigError("--S", f"no irrep labelled {unknown[0]!r} in {table.group}")
-            S_indices = [table.index_of(lbl) for lbl in labels]
+        S_indices = suites.linear_indices(table) if args.S == "linear" else _irrep_indices(table, args.S)
         d_S = max((table.dims[i] for i in S_indices), default=0)
         if args.D is not None and args.D <= d_S**2:
             raise ConfigError("--D", f"must exceed d_S^2 = {d_S**2}, got {args.D}")
@@ -415,27 +424,29 @@ def cmd_dist(args):
         raise ConfigError(missing, "the bound needs both --S and --D")
     with _flag("--subgroup"):
         H = parse_subgroup(table.group, args.subgroup)
-    report = sampling.sampling_report(
-        ctx,
-        H,
-        S_indices=S_indices,
-        D=args.D,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-    )
+    res = sampling.distinguishability(ctx, H, mc_samples=args.mc_samples, seed=args.seed)
+    bound = None
+    if S_indices is not None:
+        bound = sampling.distinguishability_bound(table, H, S_indices, args.D)
+    weak = dict(zip(table.labels, res.weak.tolist()))
     lines = ["irrep,dim,weak_probability,mean_l1sq"]
-    for i in range(table.n_irreps):
-        lbl = table.labels[i]
-        lines.append(
-            f"{lbl},{table.dims[i]},{report.weak[lbl]:.12g},{report.per_irrep[lbl]:.12g}"
-        )
+    for lbl, dim in zip(table.labels, table.dims):
+        lines.append(f"{lbl},{dim},{weak[lbl]:.12g},{res.per_irrep[lbl]:.12g}")
     _write("\n".join(lines) + "\n", args.out, "dist_weak.csv")
-    ok = -1e-12 < report.dist <= sampling.DIST_CEILING + 1e-12
-    failed = None if ok else "dist-range"
-    if ok and report.bound is not None:
-        ok = report.dist <= report.bound.value + 1e-7
-        failed = None if ok else "dist-bound"
-    body = {"ok": ok, "failed_check": failed, "report": report.as_json()}
+    report = {
+        "group": repr(table.group),
+        "subgroup": H.label,
+        "subgroup_order": H.order,
+        "basis": sampling.BASIS,
+        "weak_distribution": weak,
+        "distinguishability": res.value,
+    }
+    if res.mc_samples is not None:
+        report.update(mc_samples=res.mc_samples, std_error=res.std_error)
+    if bound is not None:
+        report["bound"] = bound.as_json()
+    bad = suites.failed(suites.dist_records(report["group"], H, res.value, bound))
+    body = {"ok": not bad, "failed_check": bad[0].check if bad else None, "report": report}
     return "dist_report.json", ("group", "subgroup", "S", "D", "mc_samples"), body
 
 

@@ -5,10 +5,13 @@ distinguishability bound.
 
 Every matrix comes from an irrep's gather (`RealizedIrrep.at` on an id
 array, or `stack()` on all ids) and the conjugation-invariance scan runs on
-id arrays; groups of more than GROUP_ENUM_CAP elements are refused.  The
-lemma checks read one cached coset kernel per (irrep, subgroup);
-distinguishability builds its own and drops each irrep's kernel once it has
-reduced it to distortions.
+id arrays; groups of more than GROUP_ENUM_CAP elements are refused.  Every
+strong-sampling quantity reads a `CosetKernel` of one (irrep, subgroup),
+which its caller builds and drops: `suites.lemma_checks` passes one per
+examined irrep to the Schur, variance, basis-average and general-method
+checks, and `distinguishability` reduces each irrep's kernel to distortions.
+The context caches only the isotypic norms, which do not depend on a
+subgroup.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ WEAK_SUM_TOL = 1e-9
 ZERO_TRACE_TOL = 1e-12
 DIST_CEILING = 4.0
 KERNEL_CHUNK_CELLS = 1 << 18  # matrix entries per coset-kernel gather
+BASIS = "realized coordinates"  # the basis every strong-sampling output is in
 
 
 @dataclass
@@ -37,8 +41,8 @@ class SamplingContext:
     strong-sampling output is relative to the realized coordinate basis."""
     table: CharacterTable
     reals: List[RealizedIrrep]
-    basis: str
-    _cache: Dict[tuple, object] = field(default_factory=dict)
+    # isotypic_vector_norms by irrep index
+    norms: Dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def group(self) -> Group:
@@ -54,16 +58,10 @@ def require_samplable(G: Group) -> None:
 def sampling_context(table: CharacterTable) -> SamplingContext:
     """The table with its realized irreps, after require_samplable(group)."""
     require_samplable(table.group)
-    return SamplingContext(table=table, reals=realize_table(table), basis="realized coordinates")
+    return SamplingContext(table=table, reals=realize_table(table))
 
 
-@dataclass
-class ProjectionBundle:
-    matrix: np.ndarray
-    trace: float
-
-
-def projection_bundle(real: RealizedIrrep, H: Subgroup) -> ProjectionBundle:
+def projection_bundle(real: RealizedIrrep, H: Subgroup) -> np.ndarray:
     """Average of the realized irrep over H; verified to be an orthogonal
     projection."""
     P = np.zeros((real.dim, real.dim), dtype=complex)
@@ -75,7 +73,7 @@ def projection_bundle(real: RealizedIrrep, H: Subgroup) -> ProjectionBundle:
         raise AssertionError(f"projection of {real.label} over H is not Hermitian")
     if np.abs(P @ P - P).max() >= STRUCT_TOL:
         raise AssertionError(f"projection of {real.label} over H is not idempotent")
-    return ProjectionBundle(matrix=P, trace=float(np.trace(P).real))
+    return P
 
 
 def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
@@ -99,17 +97,19 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     return probs
 
 
-class _CosetKernel:
-    """Strong sampling of one irrep under one subgroup H: the projection
-    bundle, an orthonormal basis Q of the H-fixed space (Q Q* = Pi_H) and
-    the weights |Q* rho(g) e_i|^2 = |Pi_{H^g} e_i|^2 of the realized basis.
-    Q* rho(hg) = Q* rho(g), so `weights`, taken on the least id of every
-    right coset Hg, gives every mean and variance over G."""
+class CosetKernel:
+    """Strong sampling of one irrep under one subgroup H: the projection P
+    onto the H-fixed space and its trace, an orthonormal basis Q of that
+    space (Q Q* = P), and the weights |Q* rho(g) e_i|^2 = |Pi_{H^g} e_i|^2
+    of the realized basis.  Q* rho(hg) = Q* rho(g), so `weights`, taken on
+    the least id of every right coset Hg, gives every mean and variance
+    over G.  Its caller builds it for one (irrep, H) and drops it."""
 
     def __init__(self, real: RealizedIrrep, H: Subgroup):
         self.real, self.H = real, H
-        self.bundle = projection_bundle(real, H)
-        self.Q = projector_basis(self.bundle.matrix, round(self.bundle.trace))
+        self.P = projection_bundle(real, H)
+        self.trace = float(np.trace(self.P).real)
+        self.Q = projector_basis(self.P, round(self.trace))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -127,23 +127,16 @@ class _CosetKernel:
         """Weights over tr Pi_H, at ids or on the coset representatives: the
         distribution over the realized basis after observing rho with the
         hidden subgroup conjugated by g."""
-        if self.bundle.trace < ZERO_TRACE_TOL:
+        if self.trace < ZERO_TRACE_TOL:
             raise ValueError(
                 "projection has zero trace: the irrep has zero weak weight and "
                 "the conditional distribution is undefined"
             )
-        return (self.weights if ids is None else self.at(ids)) / self.bundle.trace
+        return (self.weights if ids is None else self.at(ids)) / self.trace
 
     def distortions(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
         """Squared L1 distance of each conditional from uniform."""
         return np.abs(self.conditionals(ids) - 1.0 / self.real.dim).sum(axis=1) ** 2
-
-
-def _kernel(ctx: SamplingContext, rho_idx: int, H: Subgroup) -> _CosetKernel:
-    key = ("kernel", rho_idx, H.ids.tobytes())
-    if key not in ctx._cache:
-        ctx._cache[key] = _CosetKernel(ctx.reals[rho_idx], H)
-    return ctx._cache[key]
 
 
 @dataclass
@@ -185,7 +178,7 @@ def distinguishability(
         if probs[i] < ZERO_TRACE_TOL:
             per_irrep[ctx.table.labels[i]] = 0.0
             continue
-        dists = _CosetKernel(ctx.reals[i], H).distortions(ids)
+        dists = CosetKernel(ctx.reals[i], H).distortions(ids)
         per_irrep[ctx.table.labels[i]] = float(np.mean(dists))
         per_sample = per_sample + probs[i] * dists
     value = float(np.mean(per_sample))
@@ -211,9 +204,8 @@ def isotypic_vector_norms(ctx: SamplingContext, rho_idx: int) -> np.ndarray:
     uses (A (x) A*)(b (x) b*) = col (x) col* to stay in d^2 vectors.
     Also certifies completeness: the projections of b (x) b* sum back to
     it.  Cached on the context (independent of any subgroup)."""
-    key = ("norms", rho_idx)
-    if key in ctx._cache:
-        return ctx._cache[key]
+    if rho_idx in ctx.norms:
+        return ctx.norms[rho_idx]
     real, table = ctx.reals[rho_idx], ctx.table
     d = real.dim
     U = real.stack()
@@ -229,25 +221,22 @@ def isotypic_vector_norms(ctx: SamplingContext, rho_idx: int) -> np.ndarray:
     if np.abs(W.sum(axis=0) - np.eye(d * d)[:: d + 1]).max() >= STRUCT_TOL:
         raise AssertionError(f"isotypic projections of {real.label} do not sum back to b (x) b*")
     norms = (np.abs(W) ** 2).sum(axis=2)
-    ctx._cache[key] = norms
+    ctx.norms[rho_idx] = norms
     return norms
 
 
 # ---- identity and inequality checks ----
 
-def _by_basis(k: _CosetKernel) -> np.ndarray:
+def _by_basis(k: CosetKernel) -> np.ndarray:
     """The kernel weights with one contiguous row per basis vector b, so a
     reduction along a row sums as the strided column would."""
     return np.ascontiguousarray(k.weights.T)
 
 
-def schur_expectation_check(
-    ctx: SamplingContext, H: Subgroup, rho_idx: int
-) -> Tuple[np.ndarray, float]:
+def schur_expectation_check(k: CosetKernel) -> Tuple[np.ndarray, float]:
     """Mean over all g of |Pi_{H^g} b|^2, for every basis vector b, against
     tr(Pi_H)/d."""
-    k = _kernel(ctx, rho_idx, H)
-    return _by_basis(k).mean(axis=1), k.bundle.trace / k.real.dim
+    return _by_basis(k).mean(axis=1), k.trace / k.real.dim
 
 
 def second_moment_check(
@@ -274,24 +263,18 @@ def second_moment_check(
 
 
 def variance_bound_check(
-    ctx: SamplingContext, H: Subgroup, rho_idx: int
+    ctx: SamplingContext, k: CosetKernel, rho_idx: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Variance over g of |Pi_{H^g} b|^2, for every basis vector b, against
     sum over sigma appearing in rho (x) rho* of
     (max normalized character of sigma on H minus identity) times the
-    isotypic norm of b (x) b*."""
-    lhs = _by_basis(_kernel(ctx, rho_idx, H)).var(axis=1)
-    chi_max = ctx.table.normalized_char_maxes(H)
+    isotypic norm of b (x) b*; k is the kernel of irrep rho_idx."""
+    lhs = _by_basis(k).var(axis=1)
+    chi_max = ctx.table.normalized_char_maxes(k.H)
     norms = isotypic_vector_norms(ctx, rho_idx)
     mult = ctx.table.tensor_square_multiplicities(rho_idx)
     # for every b, a running sum over sigma in index order
     return lhs, sum(chi_max[s] * norms[s] for s in np.flatnonzero(mult > 0))
-
-
-def irrep_distortion(ctx: SamplingContext, H: Subgroup, rho_idx: int) -> float:
-    """E_g |P_{H^g}(.|rho) - uniform|_1^2 for one irrep; the quantity the
-    per-irrep bounds control."""
-    return float(np.mean(_kernel(ctx, rho_idx, H).distortions()))
 
 
 def _chi_bar(table: CharacterTable, H: Subgroup, S: set) -> float:
@@ -300,16 +283,16 @@ def _chi_bar(table: CharacterTable, H: Subgroup, S: set) -> float:
 
 
 def general_method_check(
-    ctx: SamplingContext, H: Subgroup, rho_idx: int, S_indices: Sequence[int]
+    table: CharacterTable, k: CosetKernel, rho_idx: int, S_indices: Sequence[int]
 ) -> Tuple[float, float]:
-    """Per-irrep distortion against
+    """The per-irrep distortion E_g |P_{H^g}(.|rho) - uniform|_1^2 against
     4|H|^2 (max normalized character outside S + |S inside rho (x) rho*| *
-    d_S^2 / d_rho) for rho outside S."""
+    d_S^2 / d_rho) for rho outside S; k is the kernel of irrep rho_idx."""
     S = set(S_indices)
     if rho_idx in S:
         raise ValueError("rho must lie outside S")
-    lhs = irrep_distortion(ctx, H, rho_idx)
-    table = ctx.table
+    H = k.H
+    lhs = float(np.mean(k.distortions()))
     chi_bar = _chi_bar(table, H, S)
     d_S = max((table.dims[s] for s in S), default=0)
     mult = table.tensor_square_multiplicities(rho_idx)
@@ -345,10 +328,10 @@ def pg_invariance_error(table: CharacterTable, H: Subgroup) -> float:
     return worst
 
 
-def basis_average_error(ctx: SamplingContext, H: Subgroup, rho_idx: int) -> float:
+def basis_average_error(k: CosetKernel) -> float:
     """Deviation of the g-averaged conditional distribution from uniform;
     zero by the averaging argument behind the Schur check."""
-    conds = _kernel(ctx, rho_idx, H).conditionals()
+    conds = k.conditionals()
     return float(np.abs(conds.mean(axis=0) - 1.0 / conds.shape[1]).max())
 
 
@@ -410,64 +393,3 @@ def distinguishability_bound(
         value=value,
     )
 
-
-# ---- aggregate report ----
-
-@dataclass
-class SamplingReport:
-    group_label: str
-    subgroup_label: str
-    subgroup_order: int
-    basis: str
-    weak: Dict[str, float]
-    # mean squared L1 distance per irrep label, as in DistResult
-    per_irrep: Dict[str, float]
-    dist: float
-    mc_samples: Optional[int]
-    std_error: Optional[float]
-    bound: Optional[BoundComponents]
-
-    def as_json(self) -> dict:
-        out = {
-            "group": self.group_label,
-            "subgroup": self.subgroup_label,
-            "subgroup_order": self.subgroup_order,
-            "basis": self.basis,
-            "weak_distribution": self.weak,
-            "distinguishability": self.dist,
-        }
-        if self.mc_samples is not None:
-            out["mc_samples"] = self.mc_samples
-            out["std_error"] = self.std_error
-        if self.bound is not None:
-            out["bound"] = self.bound.as_json()
-        return out
-
-
-def sampling_report(
-    ctx: SamplingContext,
-    H: Subgroup,
-    S_indices: Optional[Sequence[int]] = None,
-    D: Optional[int] = None,
-    mc_samples: Optional[int] = None,
-    seed: int = 0,
-) -> SamplingReport:
-    res = distinguishability(ctx, H, mc_samples=mc_samples, seed=seed)
-    bound = None
-    if S_indices is not None and D is not None:
-        bound = distinguishability_bound(ctx.table, H, S_indices, D)
-    weak = {
-        ctx.table.labels[i]: float(res.weak[i]) for i in range(ctx.table.n_irreps)
-    }
-    return SamplingReport(
-        group_label=repr(ctx.group),
-        subgroup_label=H.label or f"order-{H.order} subgroup",
-        subgroup_order=H.order,
-        basis=ctx.basis,
-        weak=weak,
-        per_irrep=res.per_irrep,
-        dist=res.value,
-        mc_samples=mc_samples,
-        std_error=res.std_error,
-        bound=bound,
-    )

@@ -32,6 +32,7 @@ INEQ_TOL = 1e-7
 INVARIANCE_TOL = 1e-8
 WEIGHT_TOL = 1e-12
 GOLDEN_TOL = 1e-10
+DIST_RANGE_TOL = 1e-12
 
 SECOND_MOMENT_ELEMENTS = 3
 
@@ -127,7 +128,8 @@ def subgroup_catalog(G: Group) -> List[Subgroup]:
 
 # ---- grid runners ----
 
-def _linear_indices(table: CharacterTable) -> List[int]:
+def linear_indices(table: CharacterTable) -> List[int]:
+    """Indices of the one-dimensional irreps."""
     return [i for i in range(table.n_irreps) if table.dims[i] == 1]
 
 
@@ -162,17 +164,19 @@ def lemma_checks(
     ids = H.group.ids()
     rest = sorted((h for h in H.ids.tolist() if h != ids.identity), key=ids.value_of)
     h_ids = [ids.identity] + rest[:SECOND_MOMENT_ELEMENTS]
-    lin = _linear_indices(table)
-    # each check runs once per irrep on every basis vector b at once; the
-    # records read plain floats and bools from .tolist()
+    lin = linear_indices(table)
+    # each check runs once per irrep on every basis vector b at once, on
+    # one coset kernel dropped with the irrep; the records read plain
+    # floats and bools from .tolist()
     for i in rho_list:
         rho = f"rho={table.labels[i]}"
+        k = sampling.CosetKernel(ctx.reals[i], H)
         norms = sampling.isotypic_vector_norms(ctx, i)
         for s, lhs in enumerate(norms.sum(axis=1).tolist()):
             rhs = float(table.dims[s] ** 2)
             add("large-small", f"{rho} sigma={table.labels[s]}", lhs, rhs, lhs <= rhs + INEQ_TOL)
-        schur, schur_rhs = sampling.schur_expectation_check(ctx, H, i)
-        var, var_rhs = sampling.variance_bound_check(ctx, H, i)
+        schur, schur_rhs = sampling.schur_expectation_check(k)
+        var, var_rhs = sampling.variance_bound_check(ctx, k, i)
         moment, moment_rhs = sampling.second_moment_check(ctx, h_ids, i)
         per_b = zip(
             schur.tolist(), var.tolist(), var_rhs.tolist(), moment.T.tolist(), moment_rhs.T.tolist()
@@ -184,10 +188,10 @@ def lemma_checks(
             for j, (lhs, rhs) in enumerate(zip(m_lhs, m_rhs)):
                 add("second-moment", f"{rho} b={b} h#{j}", lhs, rhs, abs(lhs - rhs) < IDENTITY_TOL)
         if probs[i] > WEIGHT_TOL:
-            err = sampling.basis_average_error(ctx, H, i)
+            err = sampling.basis_average_error(k)
             add("basis-average", rho, err, 0.0, err < SCHUR_TOL)
             if i not in lin and lin:
-                lhs, rhs = sampling.general_method_check(ctx, H, i, lin)
+                lhs, rhs = sampling.general_method_check(table, k, i, lin)
                 add("general-method", f"{rho} S=linear", lhs, rhs, lhs <= rhs + INEQ_TOL)
     return records
 
@@ -201,32 +205,33 @@ def dist_checks(
 ) -> List[CheckRecord]:
     """Distinguishability of one subgroup: range check, optional golden
     value, optional bound configuration."""
-    table = ctx.table
-    gname = repr(ctx.group)
-    res = sampling.distinguishability(ctx, H)
-    records = [
-        CheckRecord(
-            gname, H.label, "dist-range", "",
-            res.value, sampling.DIST_CEILING,
-            -1e-12 < res.value <= sampling.DIST_CEILING + 1e-12,
-        )
-    ]
-    if golden is not None:
-        records.append(
-            CheckRecord(
-                gname, H.label, "dist-golden", "",
-                res.value, golden, abs(res.value - golden) < GOLDEN_TOL,
-            )
-        )
+    value = sampling.distinguishability(ctx, H).value
+    bound = None
     if S_indices is not None and D is not None:
-        bc = sampling.distinguishability_bound(table, H, S_indices, D)
-        records.append(
-            CheckRecord(
-                gname, H.label, "dist-bound",
-                f"S={','.join(bc.S_labels) or 'empty'} D={D}",
-                res.value, bc.value, res.value <= bc.value + INEQ_TOL,
-            )
-        )
+        bound = sampling.distinguishability_bound(ctx.table, H, S_indices, D)
+    return dist_records(repr(ctx.group), H, value, bound, golden)
+
+
+def dist_records(
+    gname: str,
+    H: Subgroup,
+    value: float,
+    bound: Optional[sampling.BoundComponents] = None,
+    golden: Optional[float] = None,
+) -> List[CheckRecord]:
+    """The verdict on one distinguishability value, as records in this
+    order: the range [0, DIST_CEILING], then the golden value and the bound
+    when they are given."""
+    ceiling = sampling.DIST_CEILING
+    in_range = -DIST_RANGE_TOL < value <= ceiling + DIST_RANGE_TOL
+    records = [CheckRecord(gname, H.label, "dist-range", "", value, ceiling, in_range)]
+    if golden is not None:
+        ok = abs(value - golden) < GOLDEN_TOL
+        records.append(CheckRecord(gname, H.label, "dist-golden", "", value, golden, ok))
+    if bound is not None:
+        subject = f"S={','.join(bound.S_labels) or 'empty'} D={bound.D}"
+        ok = value <= bound.value + INEQ_TOL
+        records.append(CheckRecord(gname, H.label, "dist-bound", subject, value, bound.value, ok))
     return records
 
 
@@ -309,7 +314,7 @@ def run_dist_suite() -> List[CheckRecord]:
         ctx = sampling_context(table)
         G = ctx.group
         uni = subgroup_closure(G, [((1, 1), (0, 1))], label="unipotent")
-        lin = _linear_indices(table)
+        lin = linear_indices(table)
         records.extend(dist_checks(ctx, uni, S_indices=lin, D=q - 1))
 
     table = sn_character_table(6)

@@ -223,8 +223,9 @@ def test_wreath_character_stack():
 def test_no_runtime_asserts_in_src():
     # python -O strips assert statements, so runtime checks raise instead.
     # The character and sampling layers read the group through id arrays
-    # only, and no module keeps tuple arithmetic, per-element class keys or
-    # an element wrapper.
+    # only, and no module keeps tuple arithmetic, per-element class keys, an
+    # element wrapper, a cache of coset kernels, or the sampling layer's old
+    # report and projection records.
     src = Path(symrep.__file__).resolve().parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     found = [
@@ -243,7 +244,11 @@ def test_no_runtime_asserts_in_src():
         and node.func.attr in ("elements", "iter_values")
     ]
     assert not enumerating
-    retired = {"mul_values", "inv_value", "class_key_of", "GroupElement"}
+    retired = {
+        "mul_values", "inv_value", "class_key_of", "GroupElement",
+        "_kernel", "_cache", "sampling_report", "SamplingReport", "ProjectionBundle",
+        "irrep_distortion",
+    }
     defined = [
         f"{name}:{node.lineno}"
         for name, tree in trees.items()

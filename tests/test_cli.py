@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -94,6 +95,63 @@ def test_dist_with_linear_small_set(capsys):
     bound = body["report"]["bound"]
     assert bound["S"] == ["U0", "U1"]
     assert body["report"]["distinguishability"] <= bound["value"]
+
+
+@pytest.mark.parametrize(
+    "group, subgroup, S, D, labels",
+    [
+        ("s4", "order-2", "(4,)", "2", ["(4,)"]),
+        ("s3", "order-2", "(3,),(2, 1)", "5", ["(3,)", "(2, 1)"]),
+        ("gl2_3", "unipotent", "W0,1", "17", ["W0,1"]),
+        ("gl2_3", "unipotent", "U1,W0,1,U0", "17", ["U0", "U1", "W0,1"]),
+    ],
+)
+def test_dist_S_reads_labels_that_hold_commas(group, subgroup, S, D, labels):
+    # each item is the longest label up to a comma or the end, so S_n's
+    # partitions and GL2's W labels can be named
+    rc, out = run_cli_captured(["dist", "--group", group, "--subgroup", subgroup, "--S", S, "--D", D])
+    assert rc == 0
+    assert json.loads(out)["report"]["bound"]["S"] == labels
+
+
+# stdout of four dist runs, kept byte for byte since they were first written
+PINNED_DIST_REPORTS = {
+    "dist_s3_order-2.json": ["--group", "s3", "--subgroup", "order-2"],
+    "dist_gl2_3_unipotent_S-linear_D2.json": [
+        "--group", "gl2_3", "--subgroup", "unipotent", "--S", "linear", "--D", "2",
+    ],
+    "dist_wreath_s4_K-type_mc50_seed1.json": [
+        "--group", "wreath_s4", "--subgroup", "K-type", "--mc-samples", "50", "--seed", "1",
+    ],
+    "dist_gl2_3xs2_cyclic_mc20.json": ["--group", "gl2_3xs2", "--subgroup", "cyclic", "--mc-samples", "20"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIST_REPORTS))
+def test_dist_reports_keep_their_bytes(name):
+    rc, out = run_cli_captured(["dist", *PINNED_DIST_REPORTS[name]])
+    assert rc == 0
+    assert out == (DATA / name).read_text()
+
+
+def test_dist_failures_come_from_the_shared_verdict(monkeypatch):
+    # the first failing record of suites.dist_records names the failed check
+    argv = ["dist", "--group", "s3", "--subgroup", "order-2", "--S", "linear", "--D", "2"]
+    bound = sampling.distinguishability_bound
+    monkeypatch.setattr(
+        sampling, "distinguishability_bound", lambda *a: dataclasses.replace(bound(*a), value=0.3)
+    )
+    rc, out = run_cli_captured(argv)
+    body = json.loads(out)
+    assert rc == 1 and body["ok"] is False and body["failed_check"] == "dist-bound"
+    assert body["report"]["distinguishability"] > body["report"]["bound"]["value"] == 0.3
+    # a value past the ceiling also fails the bound; the range record comes first
+    dist = sampling.distinguishability
+    monkeypatch.setattr(
+        sampling, "distinguishability", lambda *a, **k: dataclasses.replace(dist(*a, **k), value=4.5)
+    )
+    rc, out = run_cli_captured(argv)
+    assert rc == 1 and json.loads(out)["failed_check"] == "dist-range"
 
 
 def test_chartable_gl2_summary(tmp_path, capsys):
@@ -355,6 +413,9 @@ def run_cli_process(*argv):
         # full tables of p(n)^2 characters: n = 22 took 24.5 s, s26 did not finish
         (["chartable", "sn", "--n", "22"], "--n"),
         (["dist", "--group", "s26", "--subgroup", "trivial"], "--group"),
+        # an --S item must be a whole label: a cut label, or a trailing comma
+        (["dist", "--group", "s4", "--subgroup", "order-2", "--S", "(4", "--D", "2"], "--S"),
+        (["dist", "--group", "s4", "--subgroup", "order-2", "--S", "(4,),", "--D", "2"], "--S"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):
@@ -455,7 +516,7 @@ GROUPS = st.sampled_from(
 SUBGROUPS = st.sampled_from(
     ["trivial", "order-2", "unipotent", "cyclic", "[(12)]", "[(1,9)]", "[()]", "bogus"]
 )
-S_SPECS = st.sampled_from(["linear", "U0", "U0,U1", "nope"])
+S_SPECS = st.sampled_from(["linear", "U0", "U0,U1", "(3,),(2, 1)", "W0,1", "nope"])
 GAMMAS = st.sampled_from(["0,1,2,3", "0,1,2", "0,0,1", "0,1,99999999999", "a,b"])
 
 

@@ -12,16 +12,14 @@ from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import product_group, subgroup_closure, trivial_subgroup
 from cosetlab.realize import RealizedIrrep
 from cosetlab.sampling import (
+    CosetKernel,
     SamplingContext,
-    _kernel,
     distinguishability,
     distinguishability_bound,
-    irrep_distortion,
     isotypic_vector_norms,
     pg_invariance_error,
     projection_bundle,
     sampling_context,
-    sampling_report,
     schur_expectation_check,
     second_moment_check,
     variance_bound_check,
@@ -50,11 +48,12 @@ def test_projection_bundle_is_projector():
     _, order2, alt = s3_subgroups(ctx)
     for H in (order2, alt):
         for real in ctx.reals:
-            b = projection_bundle(real, H)
-            P = b.matrix
+            P = projection_bundle(real, H)
             assert np.allclose(P @ P, P, atol=1e-10)
             assert np.allclose(P, P.conj().T, atol=1e-10)
-            assert abs(b.trace - np.trace(P).real) < 1e-10
+            k = CosetKernel(real, H)
+            assert np.array_equal(k.P, P)
+            assert abs(k.trace - np.trace(P).real) < 1e-10
 
 
 def test_weak_distribution_golden_values():
@@ -89,7 +88,7 @@ def test_conditional_distribution_golden_at_identity():
     ctx = s3_ctx()
     _, order2, _ = s3_subgroups(ctx)
     std = next(i for i in range(3) if ctx.table.dims[i] == 2)
-    k = _kernel(ctx, std, order2)
+    k = CosetKernel(ctx.reals[std], order2)
     p = k.conditionals(np.array([ctx.group.ids().identity]))[0]
     assert np.allclose(sorted(p), [0.0, 1.0], atol=1e-10)
 
@@ -101,7 +100,7 @@ def test_conditional_distribution_zero_weight_raises():
         i for i in range(3)
         if ctx.table.dims[i] == 1 and ctx.table.labels[i] == "(1, 1, 1)"
     )
-    k = _kernel(ctx, sign, order2)
+    k = CosetKernel(ctx.reals[sign], order2)
     # rank 0: every weight is 0, and only normalizing a conditional raises
     assert k.Q.shape == (1, 0) and not k.weights.any()
     with pytest.raises(ValueError, match="zero trace"):
@@ -131,7 +130,7 @@ def test_distinguishability_basis_relabeling_invariant():
             real.group, real.label, d,
             lambda g, r=real, V=V: V.conj().T @ r.at(g) @ V,
         ))
-    other = SamplingContext(ctx.table, relabeled, ctx.basis)
+    other = SamplingContext(ctx.table, relabeled)
     a = distinguishability(ctx, order2).value
     b = distinguishability(other, order2).value
     assert abs(a - b) < 1e-10
@@ -159,14 +158,15 @@ def test_expected_l1sq_matches_direct_average():
     _, order2, _ = s3_subgroups(ctx)
     std = next(i for i in range(3) if ctx.table.dims[i] == 2)
     real = ctx.reals[std]
-    bundle = projection_bundle(real, order2)
+    P = projection_bundle(real, order2)
+    trace = np.trace(P).real
     direct = np.mean(
         [
-            np.abs(fixed_weights(real.at([g]), bundle.matrix)[0] / bundle.trace - 0.5).sum() ** 2
+            np.abs(fixed_weights(real.at([g]), P)[0] / trace - 0.5).sum() ** 2
             for g in range(ctx.group.order)
         ]
     )
-    assert abs(irrep_distortion(ctx, order2, std) - direct) < 1e-12
+    assert abs(np.mean(CosetKernel(real, order2).distortions()) - direct) < 1e-12
 
 
 def test_tensor_conj_multiplicities_are_integral():
@@ -202,7 +202,7 @@ def test_irrep_distortion_zero_weight_raises():
     _, order2, _ = s3_subgroups(ctx)
     sign = next(i for i in range(3) if ctx.table.labels[i] == "(1, 1, 1)")
     with pytest.raises(ValueError):
-        irrep_distortion(ctx, order2, sign)
+        CosetKernel(ctx.reals[sign], order2).distortions()
 
 
 def test_pg_invariance_is_exact_for_weak_probabilities():
@@ -228,15 +228,14 @@ def test_distinguishability_bound_components():
         distinguishability_bound(table, uni, lin, D=1)
 
 
-def test_sampling_report_shape():
+def test_distinguishability_result_shape():
     ctx = s3_ctx()
     _, order2, _ = s3_subgroups(ctx)
-    rep = sampling_report(ctx, order2)
-    body = rep.as_json()
-    assert body["group"] == "S3"
-    assert body["subgroup_order"] == 2
-    assert abs(body["distinguishability"] - 1 / 3) < 1e-10
-    assert abs(sum(body["weak_distribution"].values()) - 1.0) < 1e-9
+    res = distinguishability(ctx, order2)
+    assert set(res.per_irrep) == set(ctx.table.labels)
+    assert res.mc_samples is None and res.std_error is None
+    assert abs(res.value - 1 / 3) < 1e-10
+    assert abs(res.weak.sum() - 1.0) < 1e-9
 
 
 def test_wreath_minus_irrep_zero_weight_under_swap():
@@ -329,9 +328,10 @@ def test_stacked_checks_match_per_element_loops():
                     assert abs(lhs - rhs) < 1e-7
             # every basis vector at once, each b summed as its own column
             for H in catalog:
-                weights = _kernel(ctx, i, H).weights
-                schur, schur_rhs = schur_expectation_check(ctx, H, i)
-                var, var_rhs = variance_bound_check(ctx, H, i)
+                k = CosetKernel(real, H)
+                weights = k.weights
+                schur, schur_rhs = schur_expectation_check(k)
+                var, var_rhs = variance_bound_check(ctx, k, i)
                 assert schur.shape == var.shape == var_rhs.shape == (real.dim,)
                 for b in range(real.dim):
                     assert schur[b] == np.mean(weights[:, b])
@@ -373,24 +373,24 @@ def test_coset_kernel_matches_the_per_element_contraction():
             reps = sorted(set(least))
             assert H.coset_reps.tolist() == reps
             for i, real in enumerate(ctx.reals):
-                k = _kernel(ctx, i, H)
-                want = fixed_weights(real.stack(), k.bundle.matrix)
+                k = CosetKernel(real, H)
+                want = fixed_weights(real.stack(), k.P)
                 # constant on right cosets Hg, so the representatives hold all
                 assert np.abs(want - want[least]).max() < 1e-13
                 assert np.abs(k.weights - want[reps]).max() < 1e-13
                 assert np.abs(k.at(sampled) - want[sampled]).max() < 1e-13
-                if k.bundle.trace > sampling.ZERO_TRACE_TOL:
+                if k.trace > sampling.ZERO_TRACE_TOL:
                     conds = k.conditionals(sampled)
-                    assert np.abs(conds - want[sampled] / k.bundle.trace).max() < 1e-13
+                    assert np.abs(conds - want[sampled] / k.trace).max() < 1e-13
 
 
 def test_coset_kernel_basis_spans_the_fixed_space():
     for ctx, catalog in catalog_contexts():
         for H in catalog:
-            for i in range(ctx.table.n_irreps):
-                k = _kernel(ctx, i, H)
-                Q, P = k.Q, k.bundle.matrix
-                assert Q.shape == (len(P), round(k.bundle.trace))
+            for real in ctx.reals:
+                k = CosetKernel(real, H)
+                Q, P = k.Q, k.P
+                assert Q.shape == (len(P), round(k.trace))
                 assert np.all(np.abs(Q @ Q.conj().T - P) < 1e-12)
                 assert np.all(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-12)
 
@@ -427,26 +427,45 @@ def test_lemma_checks_build_each_bundle_once(monkeypatch):
 
 
 
-def wreath_s4_k_type():
+def track_kernels(monkeypatch):
+    """Weak references to every CosetKernel built from now on."""
+    refs = []
+    init = CosetKernel.__init__
+
+    def tracked(self, real, H):
+        init(self, real, H)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(CosetKernel, "__init__", tracked)
+    return refs
+
+
+def test_distinguishability_keeps_no_kernel_and_matches_a_warm_context(monkeypatch):
+    # each irrep's kernel is dropped once it is reduced to distortions, in
+    # distinguishability and in lemma_checks alike, and a context that
+    # lemma_checks has used gives the same bits
     ctx = sampling_context(wreath_char_table(sn_character_table(4)))
-    return ctx, next(H for H in subgroup_catalog(ctx.group) if H.label == "K-type")
-
-
-def cached_kernels(ctx):
-    return [key for key in ctx._cache if key[0] == "kernel"]
-
-
-def test_distinguishability_keeps_no_kernel_and_matches_a_warm_context():
-    # each irrep's weights are dropped once they are reduced to distortions,
-    # and they give the same bits as the kernels the lemma checks cache
-    ctx, H = wreath_s4_k_type()
+    H = next(H for H in subgroup_catalog(ctx.group) if H.label == "K-type")
+    kernels = track_kernels(monkeypatch)
     cold = []
     for mc_samples in (None, 60):
         cold.append(distinguishability(ctx, H, mc_samples=mc_samples, seed=3))
         assert cold[-1].value > 0
-        assert not cached_kernels(ctx)
-    lemma_checks(ctx, H)
-    assert len(cached_kernels(ctx)) == ctx.table.n_irreps
+    # one kernel per irrep of nonzero weak weight and run
+    assert len(kernels) == 2 * np.count_nonzero(cold[0].weak >= sampling.ZERO_TRACE_TOL)
+    assert all(ref() is None for ref in kernels)
+    del kernels[:]
+    records = lemma_checks(ctx, H)
+    assert len(kernels) == ctx.table.n_irreps
+    assert all(ref() is None for ref in kernels)
+    # the context keeps only the subgroup-free isotypic norms
+    assert vars(ctx).keys() == {"table", "reals", "norms"}
+    assert sorted(ctx.norms) == list(range(ctx.table.n_irreps))
     warm = [distinguishability(ctx, H, mc_samples=m, seed=3) for m in (None, 60)]
     for w, c in zip(warm, cold):
         assert (w.value, w.std_error, w.per_irrep) == (c.value, c.std_error, c.per_irrep)
+    # the general-method check reads the distortions distinguishability reports
+    method = {r.subject: r.lhs for r in records if r.check == "general-method"}
+    assert method
+    for subject, lhs in method.items():
+        assert lhs == cold[0].per_irrep[subject[len("rho="):-len(" S=linear")]]

@@ -11,6 +11,7 @@ from cosetlab.groups import general_linear_group, symmetric_group, wreath_z2
 from cosetlab.sampling import sampling_context
 from cosetlab.suites import (
     dist_checks,
+    dist_records,
     failed,
     grid_tables,
     lambda_set_indices,
@@ -65,15 +66,21 @@ def test_lemma_checks_cover_expected_kinds():
 @pytest.mark.parametrize("max_dim", [None, 2])
 def test_lemma_checks_run_each_batched_check_once_per_irrep(monkeypatch, max_dim):
     calls = Counter()
-    for name in ("schur_expectation_check", "variance_bound_check", "second_moment_check"):
+    ctx = sampling_context(wreath_char_table(sn_character_table(3)))
+    # the irrep each check ran on; a kernel passed with an index must be its own
+    irrep_of = {
+        "schur_expectation_check": lambda k: ctx.reals.index(k.real),
+        "variance_bound_check": lambda c, k, i: i if k.real is ctx.reals[i] else None,
+        "second_moment_check": lambda c, h_ids, i: i,
+    }
+    for name, irrep in irrep_of.items():
         check = getattr(sampling, name)
 
-        def counted(ctx, subject, i, name=name, check=check):
-            calls[name, i] += 1
-            return check(ctx, subject, i)
+        def counted(*args, name=name, check=check, irrep=irrep):
+            calls[name, irrep(*args)] += 1
+            return check(*args)
 
         monkeypatch.setattr(sampling, name, counted)
-    ctx = sampling_context(wreath_char_table(sn_character_table(3)))
     examined = [i for i, d in enumerate(ctx.table.dims) if max_dim is None or d <= max_dim]
     for H in subgroup_catalog(ctx.group):
         calls.clear()
@@ -101,6 +108,31 @@ def test_dist_checks_golden_and_bound():
     assert not failed(records)
     bad = dist_checks(ctx, H, golden=0.5)
     assert any(r.check == "dist-golden" and not r.ok for r in bad)
+
+
+def test_dist_records_edges_and_order():
+    G = symmetric_group(3)
+    H = subgroup_catalog(G)[1]
+    ceiling = sampling.DIST_CEILING
+
+    def verdict(value, **kw):
+        return [(r.check, r.ok) for r in dist_records("S3", H, value, **kw)]
+
+    # the range is open below and closed above, each widened by 1e-12
+    assert verdict(-0.5e-12) == verdict(ceiling + 1e-12) == [("dist-range", True)]
+    assert verdict(-1e-12) == verdict(ceiling + 2e-12) == [("dist-range", False)]
+    bound = sampling.BoundComponents(("U0",), 2, 1, 0.0, 0, 0, 1, 1.0)
+    assert verdict(1.0 + 1e-7, bound=bound)[1] == ("dist-bound", True)
+    assert verdict(1.0 + 2e-7, bound=bound)[1] == ("dist-bound", False)
+    # range, golden, bound: the CLI names the first failing one
+    records = dist_records("S3", H, 4.5, bound=bound, golden=0.0)
+    assert [(r.check, r.ok) for r in records] == [
+        ("dist-range", False), ("dist-golden", False), ("dist-bound", False),
+    ]
+    assert [(r.group, r.subgroup, r.subject) for r in records] == [
+        ("S3", H.label, ""), ("S3", H.label, ""), ("S3", H.label, "S=U0 D=2"),
+    ]
+    assert [r.rhs for r in records] == [ceiling, 0.0, 1.0]
 
 
 def test_lambda_set_indices_match_membership():
