@@ -1,7 +1,8 @@
 """Closed-form conjugacy data and the complete character table of GL_2(F_q):
 four class families keyed by eigenvalue structure, four character families
-built from cyclic characters of F_q^* and F_{q^2}^*, and the Gelfand-Graev
-models that realize it.
+written as array formulas over one per-class table of discrete logs, which
+index the roots of unity behind the cyclic characters of F_q^* and
+F_{q^2}^*, and the Gelfand-Graev models that realize it.
 """
 
 from __future__ import annotations
@@ -18,22 +19,6 @@ from .groups import GeneralLinearGroup, _distinct, general_linear_group
 from .realize import projector_basis
 
 GL2_TABLE_CAP = 32
-
-
-class CyclicCharacter:
-    """Character of a cyclic group of order m with value exp(2*pi*i*k*j/m)
-    at generator^j."""
-
-    def __init__(self, m: int, k: int):
-        self.m = m
-        self.k = k % m
-
-    def at_log(self, j: int) -> complex:
-        return complex(np.exp(2j * np.pi * ((self.k * j) % self.m) / self.m))
-
-    def of(self, F: Fq, x: int) -> complex:
-        return self.at_log(F.log(x))
-
 
 
 # ---- conjugacy classes ----
@@ -93,130 +78,79 @@ def gl2_class_list(F: Fq) -> List[Gl2Class]:
 
 # ---- the character table ----
 
+def _roots(m: int) -> np.ndarray:
+    """exp(2 pi i r / m) for r < m, each from the scalar expression, so the
+    table's values do not depend on how numpy vectorizes exp."""
+    return np.array([complex(np.exp(2j * np.pi * r / m)) for r in range(m)])
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b in real arithmetic, rounded as CPython rounds a complex
+    product; numpy's complex multiply may fuse it and round differently."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def char_table(q: int) -> CharacterTable:
     """Complete character table of GL_2(F_q): linear characters U, the
     q-dimensional twists V, principal-series W (unordered pairs), and the
     (q-1)-dimensional family X indexed by characters of the quadratic
-    extension not fixed by the q-power map."""
+    extension not fixed by the q-power map.
+
+    Each family is one array formula over a per-class exponent table, with
+    the cyclic characters alpha_k of F_q^* and phi_k of F_{q^2}^* read from
+    their roots of unity: alpha_k(g^j) = alpha[k j mod (q - 1)]."""
     if q > GL2_TABLE_CAP:
         raise ValueError(f"table construction capped at q = {GL2_TABLE_CAP}")
     F = field_of_order(q)
     G = general_linear_group(2, q)
     E, emb, inv = _quadratic_extension(F)
     cls = gl2_class_list(F)
+    m, M = q - 1, q * q - 1
 
-    # per-class discrete logs feeding the character formulas
-    a_logs: Dict[ClassKey, int] = {}
-    ext_logs: Dict[ClassKey, int] = {}
-    c_logs: Dict[ClassKey, Tuple[int, int]] = {}
-    d_logs: Dict[ClassKey, Tuple[int, int]] = {}
-    for c in cls:
-        kind = c.key[0]
-        if kind in ("a", "b"):
-            x = c.key[1]
-            a_logs[c.key] = F.log(x)
-            ext_logs[c.key] = E.log(emb[x])
-        elif kind == "c":
-            c_logs[c.key] = (F.log(c.key[1]), F.log(c.key[2]))
-        else:
-            xi = c.key[1]
-            norm = inv[E.pow(xi, q + 1)]
-            d_logs[c.key] = (E.log(xi), F.log(norm))
+    def exponents(key):
+        # F-logs of the eigenvalues x, y (key[-1] is x off family c) and of
+        # the determinant, and the E-log of x; family d has no eigenvalue in
+        # F, only xi in E
+        if key[0] == "d":
+            return 0, 0, F.log(inv[E.pow(key[1], q + 1)]), E.log(key[1])
+        lx, ly = F.log(key[1]), F.log(key[-1])
+        return lx, ly, lx + ly, E.log(emb[key[1]])
 
-    labels: List[str] = []
-    dims: List[int] = []
-    rows: List[List[complex]] = []
+    lx, ly, ldet, le = np.array([exponents(c.key) for c in cls]).T
+    fam = np.array([c.key[0] for c in cls])
+    a, b, c, d = (fam == f for f in "abcd")
+    alpha, phi = _roots(m), _roots(M)
 
-    def alpha(k: int) -> CyclicCharacter:
-        return CyclicCharacter(q - 1, k)
+    def at(roots: np.ndarray, ks, logs: np.ndarray) -> np.ndarray:
+        return roots[np.outer(ks, logs) % len(roots)]
 
-    def phi(k: int) -> CyclicCharacter:
-        return CyclicCharacter(q * q - 1, k)
+    U = at(alpha, range(m), ldet)
+    V = np.select([a, b, d], [q * U, 0j, -U], U)
+    k, l = np.triu_indices(m, 1)
+    # alpha_k and alpha_l at x and y
+    akx, aky, alx, aly = (at(alpha, j, e) for j in (k, l) for e in (lx, ly))
+    W = np.select(
+        [a, b, c],
+        [_product((q + 1) * akx, alx), _product(akx, alx), _product(akx, aly) + _product(aky, alx)],
+        0j,
+    )
+    # one phi_k per orbit {k, kq} of the q-power map, from orbits of size 2
+    xs = [j for j in range(M) if j < j * q % M]
+    P, Pq = at(phi, xs, le), at(phi, xs, le * q)
+    X = np.select([a, b, d], [(q - 1) * P, -P, -(P + Pq)], 0j)
 
-    for k in range(q - 1):
-        ak = alpha(k)
-        row = []
-        for c in cls:
-            kind = c.key[0]
-            if kind in ("a", "b"):
-                row.append(ak.at_log(2 * a_logs[c.key]))
-            elif kind == "c":
-                lx, ly = c_logs[c.key]
-                row.append(ak.at_log(lx + ly))
-            else:
-                row.append(ak.at_log(d_logs[c.key][1]))
-        labels.append(f"U{k}")
-        dims.append(1)
-        rows.append(row)
+    labels = (
+        [f"U{j}" for j in range(m)] + [f"V{j}" for j in range(m)]
+        + [f"W{i},{j}" for i, j in zip(k, l)] + [f"X{j}" for j in xs]
+    )
+    dims = [1] * m + [q] * m + [q + 1] * len(k) + [q - 1] * len(xs)
+    if len(labels) != M:
+        raise AssertionError(f"{len(labels)} irreps, expected q^2 - 1 = {M}")
 
-    for k in range(q - 1):
-        ak = alpha(k)
-        row = []
-        for c in cls:
-            kind = c.key[0]
-            if kind == "a":
-                row.append(q * ak.at_log(2 * a_logs[c.key]))
-            elif kind == "b":
-                row.append(0j)
-            elif kind == "c":
-                lx, ly = c_logs[c.key]
-                row.append(ak.at_log(lx + ly))
-            else:
-                row.append(-ak.at_log(d_logs[c.key][1]))
-        labels.append(f"V{k}")
-        dims.append(q)
-        rows.append(row)
-
-    for k in range(q - 1):
-        for l in range(k + 1, q - 1):
-            ak, al = alpha(k), alpha(l)
-            row = []
-            for c in cls:
-                kind = c.key[0]
-                if kind == "a":
-                    row.append((q + 1) * ak.at_log(a_logs[c.key]) * al.at_log(a_logs[c.key]))
-                elif kind == "b":
-                    row.append(ak.at_log(a_logs[c.key]) * al.at_log(a_logs[c.key]))
-                elif kind == "c":
-                    lx, ly = c_logs[c.key]
-                    row.append(
-                        ak.at_log(lx) * al.at_log(ly) + ak.at_log(ly) * al.at_log(lx)
-                    )
-                else:
-                    row.append(0j)
-            labels.append(f"W{k},{l}")
-            dims.append(q + 1)
-            rows.append(row)
-
-    ext_order = q * q - 1
-    seen_phi = set()
-    for k in range(ext_order):
-        partner = (k * q) % ext_order
-        if partner == k or min(k, partner) in seen_phi:
-            continue
-        seen_phi.add(k)
-        pk = phi(k)
-        row = []
-        for c in cls:
-            kind = c.key[0]
-            if kind == "a":
-                row.append((q - 1) * pk.at_log(ext_logs[c.key]))
-            elif kind == "b":
-                row.append(-pk.at_log(ext_logs[c.key]))
-            elif kind == "c":
-                row.append(0j)
-            else:
-                lxi = d_logs[c.key][0]
-                row.append(-(pk.at_log(lxi) + pk.at_log(lxi * q)))
-        labels.append(f"X{k}")
-        dims.append(q - 1)
-        rows.append(row)
-
-    expected = (q - 1) + (q - 1) + (q - 1) * (q - 2) // 2 + q * (q - 1) // 2
-    if not len(rows) == expected == q * q - 1:
-        raise AssertionError(f"{len(rows)} irreps, expected {expected} = q^2 - 1")
-
-    values = np.array(rows, dtype=complex)
+    values = np.concatenate([U, V, W, X])
     return CharacterTable(
         G,
         labels,

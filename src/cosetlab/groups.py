@@ -41,6 +41,12 @@ TABLE_CAP = 2048
 TABLE_CHUNK_CELLS = 1 << 14
 
 
+def require_enumerable(G: "Group") -> None:
+    """Refuse a group of more than GROUP_ENUM_CAP elements."""
+    if G.order > GROUP_ENUM_CAP:
+        raise ValueError(f"|{G}| = {G.order} exceeds enumeration cap {GROUP_ENUM_CAP}")
+
+
 class Group:
     """Abstract finite group handle; concrete kinds fill in payload ops."""
 
@@ -73,10 +79,7 @@ class Group:
     def elements(self) -> list:
         """The values of the group in id order, enumerated on first use."""
         if self._elements is None:
-            if self.order > GROUP_ENUM_CAP:
-                raise ValueError(
-                    f"|{self}| = {self.order} exceeds enumeration cap {GROUP_ENUM_CAP}"
-                )
+            require_enumerable(self)
             els = list(self.iter_values())
             if len(els) != self.order:
                 raise AssertionError(f"enumerated {len(els)} elements of {self}, order {self.order}")

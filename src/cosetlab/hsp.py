@@ -16,10 +16,10 @@ from .fields import Matrix
 from .groups import (
     DirectProduct,
     Group,
-    GROUP_ENUM_CAP,
     Subgroup,
     WreathZ2,
     _distinct,
+    require_enumerable,
     wreath_z2,
 )
 from .mceliece import McElieceInstance, public_matrix
@@ -47,7 +47,7 @@ def shift_problem(inst: McElieceInstance) -> ShiftProblem:
     exceeds GROUP_ENUM_CAP, which also keeps every code below
     q^(kn) < 2^18."""
     G = inst.base_group()
-    _require_cap(wreath_z2(G))
+    require_enumerable(wreath_z2(G))
     F, k = inst.field(), inst.k
     gl, sn = G.ids().factors
     add, mul = F.tables()
@@ -88,11 +88,6 @@ def lifted_labels(problem: ShiftProblem) -> np.ndarray:
 
 # ---- coset structure of a function ----
 
-def _require_cap(G: Group) -> None:
-    if G.order > GROUP_ENUM_CAP:
-        raise ValueError(f"|{G}| = {G.order} exceeds enumeration cap {GROUP_ENUM_CAP}")
-
-
 def check_right_injective(labels, G: Group) -> bool:
     """f(x) = f(y) iff f(y x^-1) = f(identity), for the function f given by
     its label array over G's ids (equal labels iff equal values), certified
@@ -101,7 +96,7 @@ def check_right_injective(labels, G: Group) -> bool:
     translate of the identity class K, K is closed under multiplication
     (hence a subgroup), and the class count times |K| accounts for the
     whole group, which forces each class to equal its translate exactly."""
-    _require_cap(G)
+    require_enumerable(G)
     labels = np.asarray(labels)
     if labels.shape != (G.order,) or labels.min() < 0:
         raise ValueError(f"a label array holds |{G}| = {G.order} non-negative integers")

@@ -78,7 +78,9 @@ def projection_bundle(real: RealizedIrrep, H: Subgroup) -> np.ndarray:
 
 def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     """P_H(rho) = d_rho * (sum of chi_rho over H) / |G| for every irrep;
-    the outcome distribution of measuring only the irrep name."""
+    the outcome distribution of measuring only the irrep name.  Its sum is
+    a verdict of the caller: a `weak-sum` record in the lemma grid, a
+    raise in `distinguishability`."""
     G = table.group
     # each row is summed in id order with Python's sum, which fixes how
     # every probability rounds
@@ -91,10 +93,7 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
         probs[i] = table.dims[i] * s.real / G.order
     if probs.min() <= -WEAK_SUM_TOL:
         raise AssertionError(f"negative weak probability {probs.min()}")
-    probs = np.clip(probs, 0.0, None)
-    if abs(probs.sum() - 1.0) >= WEAK_SUM_TOL:
-        raise AssertionError(f"weak distribution sums to {probs.sum()}")
-    return probs
+    return np.clip(probs, 0.0, None)
 
 
 class CosetKernel:
@@ -158,6 +157,8 @@ def distinguishability(
     and uniform, weighted by the weak distribution; exhaustive over g by
     default, Monte Carlo over g when mc_samples is set."""
     probs = weak_distribution(ctx.table, H)
+    if abs(probs.sum() - 1.0) >= WEAK_SUM_TOL:
+        raise AssertionError(f"weak distribution sums to {probs.sum()}")
     if H.order == 1:
         # trivial subgroup: the fixed-space projection is the identity, so
         # every conditional is uniform and the distance is zero exactly

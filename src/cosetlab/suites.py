@@ -22,13 +22,12 @@ from .groups import (
     subgroup_closure,
     trivial_subgroup,
 )
-from .sampling import SamplingContext, sampling_context
+from .sampling import INEQ_TOL, SamplingContext, sampling_context
 from .symrep import lambda_c_member, sn_character_table
 from .wreathrep import k_build, wreath_char_table
 
 SCHUR_TOL = 1e-8
 IDENTITY_TOL = 1e-7
-INEQ_TOL = 1e-7
 INVARIANCE_TOL = 1e-8
 WEIGHT_TOL = 1e-12
 GOLDEN_TOL = 1e-10
@@ -152,7 +151,7 @@ def lemma_checks(
 
     probs = sampling.weak_distribution(table, H)
     total = float(probs.sum())
-    add("weak-sum", "", total, 1.0, abs(total - 1.0) < 1e-9)
+    add("weak-sum", "", total, 1.0, abs(total - 1.0) < sampling.WEAK_SUM_TOL)
     inv_err = sampling.pg_invariance_error(table, H)
     add("conjugation-invariance", "", inv_err, 0.0, inv_err < INVARIANCE_TOL)
     rho_list = [

@@ -63,6 +63,29 @@ def test_lemma_checks_cover_expected_kinds():
         assert set(body) >= {"group", "subgroup", "check", "lhs", "rhs", "ok"}
 
 
+def test_a_weak_sum_off_by_a_millionth_fails_its_record_and_stops_dist(monkeypatch):
+    # the sum is a verdict of each caller, not a raise inside
+    # weak_distribution, so the lemma grid reports it as a failed record.
+    # The probabilities are bent, not the characters: moving a character
+    # value by the 6e-6 this takes on S3 trips the 1e-6 integrality check
+    # of the tensor multiplicities first
+    ctx = sampling_context(sn_character_table(3))
+    H = next(H for H in subgroup_catalog(ctx.group) if H.label == "order-2")
+    weak = sampling.weak_distribution
+
+    def bent(table, H):
+        probs = weak(table, H)
+        probs[0] += 1e-6
+        return probs
+
+    monkeypatch.setattr(sampling, "weak_distribution", bent)
+    (record,) = [r for r in lemma_checks(ctx, H) if r.check == "weak-sum"]
+    assert not record.ok
+    assert abs(record.lhs - (1.0 + 1e-6)) < 1e-12
+    with pytest.raises(AssertionError, match="weak distribution sums to"):
+        sampling.distinguishability(ctx, H)
+
+
 @pytest.mark.parametrize("max_dim", [None, 2])
 def test_lemma_checks_run_each_batched_check_once_per_irrep(monkeypatch, max_dim):
     calls = Counter()
