@@ -401,6 +401,7 @@ def _irrep_indices(table, spec: str) -> List[int]:
 def cmd_dist(args):
     from . import sampling, suites
     from .fields import GROUP_ENUM_CAP
+    from .groups import require_enumerable
     if args.mc_samples is not None:
         # a standard error needs 2 samples, and no Monte Carlo run gathers
         # more rows than the largest exhaustive one
@@ -411,7 +412,9 @@ def cmd_dist(args):
         if args.seed < 0:
             raise ConfigError("--seed", f"a Monte Carlo run needs a seed >= 0, got {args.seed}")
     with _flag("--group"):
-        table = parse_group_table(args.group, sampling.require_samplable)
+        table = parse_group_table(
+            args.group, lambda G: require_enumerable(G, sampling.SAMPLING_CAP)
+        )
         ctx = sampling.sampling_context(table)
     S_indices = None
     if args.S is not None:

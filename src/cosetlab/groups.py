@@ -10,10 +10,10 @@ order.  All arithmetic runs in the id view (`Group.ids()`): id i is the
 i-th value of `iter_values()`, and products and inverses run on numpy id
 arrays.
 S_n and GL_k(F_q) multiply through an int32 Cayley table, built on first
-use and only up to TABLE_CAP elements; past the cap S_n multiplies by
-composing image arrays.  Direct products and wreath products compose ids
-from their factors' ids and multiply through the factors, so their own
-|G|^2 table is never built.  A Subgroup is the sorted array of its ids,
+use, S_n up to SN_TABLE_CAP elements and GL_k up to TABLE_CAP; past its
+cap S_n multiplies by composing image arrays.  Direct products and wreath
+products compose ids from their factors' ids and multiply through the
+factors, so their own |G|^2 table is never built.  A Subgroup is the sorted array of its ids,
 certified and closed on id arrays.
 
 Composition convention, fixed globally: products apply left factor first,
@@ -35,16 +35,20 @@ from .fields import GROUP_ENUM_CAP, Fq
 
 # largest group given a full Cayley table
 TABLE_CAP = 2048
+# largest S_n that multiplies through it (S5): S6's 720 x 720 table costs
+# more than the few thousand products that strong sampling takes
+SN_TABLE_CAP = 120
 # products per row chunk of a table build or a subgroup's closure scan,
 # which bounds its transient memory; on a 2-vCPU VM a first S6 table took
 # 16-23 ms in these chunks and 39-50 ms in chunks of 1 << 16
 TABLE_CHUNK_CELLS = 1 << 14
 
 
-def require_enumerable(G: "Group") -> None:
-    """Refuse a group of more than GROUP_ENUM_CAP elements."""
+def require_enumerable(G: "Group", cap: str = "enumeration cap") -> None:
+    """Refuse a group of more than GROUP_ENUM_CAP elements; cap names the
+    cap's purpose in the message ("the sampling cap" for strong sampling)."""
     if G.order > GROUP_ENUM_CAP:
-        raise ValueError(f"|{G}| = {G.order} exceeds enumeration cap {GROUP_ENUM_CAP}")
+        raise ValueError(f"|{G}| = {G.order} exceeds {cap} {GROUP_ENUM_CAP}")
 
 
 class Group:
@@ -284,10 +288,11 @@ class TableIds:
     GL_k.
 
     product(a, b) gives the ids of a*b for broadcasting id arrays a and b.
-    Up to TABLE_CAP elements the int32 Cayley table (table[a, b] is the id
-    of a*b), built from product in row chunks on first use, caches it.  S_n
-    passes its inverse array and past the cap multiplies with product; GL_k
-    reads its inverse off the table, so past the cap it has neither.
+    The int32 Cayley table (table[a, b] is the id of a*b), built from
+    product in row chunks on first use and only up to TABLE_CAP elements,
+    caches it.  S_n passes its inverse array and past SN_TABLE_CAP
+    multiplies with product; GL_k reads its inverse off the table, so past
+    TABLE_CAP it has neither.
     """
 
     def __init__(self, group: Group, values, array, product, inverse=None):
@@ -318,7 +323,7 @@ class TableIds:
         return np.argmax(self.table == self.identity, axis=1)
 
     def mul(self, a, b) -> np.ndarray:
-        if self.order > TABLE_CAP and self._inverse is not None:
+        if self.order > SN_TABLE_CAP and self._inverse is not None:
             return self.product(a, b)
         return self.table[a, b]
 
@@ -431,6 +436,25 @@ def _distinct(x) -> np.ndarray:
     return x[keep]
 
 
+def _distinct_rows(x: np.ndarray):
+    """The distinct rows of a 2-d array in lexicographic order and the
+    position of each row among them, as (distinct, index) with
+    distinct[index] == x; np.unique would import numpy.ma."""
+    order = np.lexsort(x.T[::-1])
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = (x[order[1:]] != x[order[:-1]]).any(axis=1)
+    index = np.empty(len(x), dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    return x[order[new]], index
+
+
+def _distinct_index(x):
+    """The sorted distinct ids of an id array and, in x's shape, the
+    position of each entry among them."""
+    distinct, index = _distinct_rows(np.asarray(x, dtype=np.int64).reshape(-1, 1))
+    return distinct[:, 0], index.reshape(np.shape(x))
+
+
 def _member(sorted_ids: np.ndarray, x) -> np.ndarray:
     """Whether each id in x lies in the sorted, duplicate-free id array."""
     pos = np.minimum(np.searchsorted(sorted_ids, x), len(sorted_ids) - 1)
@@ -473,16 +497,22 @@ class Subgroup:
         value_of = self.group.ids().value_of
         return frozenset(value_of(i) for i in self.ids)
 
+    def least_in_cosets(self, g) -> np.ndarray:
+        """The least id of the right coset Hg for every id of an id array,
+        found in chunks of H."""
+        ids, g = self.group.ids(), np.asarray(g, dtype=np.int64)
+        least = g.copy()
+        rows = max(1, TABLE_CHUNK_CELLS // max(1, len(g)))
+        for lo in range(0, self.order, rows):
+            np.minimum(least, ids.mul(self.ids[lo : lo + rows, None], g).min(axis=0), out=least)
+        return least
+
     @cached_property
     def coset_reps(self) -> np.ndarray:
         """The least id of every right coset Hg, ascending: the ids g with
-        id(h g) >= g for every h in H, found in chunks of H."""
-        ids, g = self.group.ids(), np.arange(self.group.order)
-        least = g.copy()
-        rows = max(1, TABLE_CHUNK_CELLS // len(g))
-        for lo in range(0, self.order, rows):
-            np.minimum(least, ids.mul(self.ids[lo : lo + rows, None], g).min(axis=0), out=least)
-        return np.flatnonzero(least == g)
+        id(h g) >= g for every h in H."""
+        g = np.arange(self.group.order)
+        return np.flatnonzero(self.least_in_cosets(g) == g)
 
     def __repr__(self) -> str:
         return f"<{self.label} in {self.group}>"

@@ -15,6 +15,9 @@ the factors' rows for products (read through the factor's `at` for a
 request smaller than the factor group, from its stack otherwise) and
 `wreathrep.wreath_stack` of the base stack rows for wreaths.  `at(ids)`,
 `stack()` and `mat_value` all read it, so they agree bit for bit.
+
+Strong sampling reads `diag`, the (n, d) diagonals of `at` at an id array,
+gathered once per distinct id in bounded calls.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from .chartab import (
     SymmetricFamily,
     WreathFamily,
 )
-from .groups import Group
+from .groups import Group, _distinct_index
 
 TRACE_TOL = 1e-8
+GATHER_CELLS = 1 << 18  # matrix entries per `at` call of a default diagonal gather
 
 
 def kron_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -93,6 +97,21 @@ class RealizedIrrep:
             got.setflags(write=False)
             self._stack = got
         return self._stack
+
+    def diag(self, ids: Sequence[int]) -> np.ndarray:
+        """The (n, d) complex diagonals of `at` at an id array: read off
+        the stack once it is built, otherwise gathered on the distinct ids
+        in calls of at most GATHER_CELLS matrix entries."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if self._stack is not None:
+            return np.einsum("nii->ni", self._stack)[ids]
+        distinct, index = _distinct_index(ids)
+        out = np.empty((len(distinct), self.dim), dtype=complex)
+        step = max(1, GATHER_CELLS // self.dim**2)
+        for lo in range(0, len(distinct), step):
+            # einsum's diagonal is a view, so copy it before the next gather
+            out[lo : lo + step] = np.einsum("nii->ni", self.at(distinct[lo : lo + step]))
+        return out[index]
 
     def mat_value(self, value) -> np.ndarray:
         """The matrix at one group value; ValueError outside the group."""

@@ -10,8 +10,10 @@ strong-sampling quantity reads a `CosetKernel` of one (irrep, subgroup),
 which its caller builds and drops: `suites.lemma_checks` passes one per
 examined irrep to the Schur, variance, basis-average and general-method
 checks, and `distinguishability` reduces each irrep's kernel to distortions.
-The context caches only the isotypic norms, which do not depend on a
-subgroup.
+A kernel's weights are means of diagonals (`RealizedIrrep.diag`) at the
+conjugates g^-1 h g, which one `Conjugates` per (subgroup, ids) forms once
+for every irrep.  The context caches only the isotypic norms, which do not
+depend on a subgroup.
 """
 
 from __future__ import annotations
@@ -23,16 +25,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartab import CharacterTable
-from .groups import GROUP_ENUM_CAP, Group, Subgroup
-from .realize import RealizedIrrep, projector_basis, realize_table
+from .groups import Group, Subgroup, _distinct_index, _distinct_rows, require_enumerable
+from .realize import RealizedIrrep, realize_table
 
 STRUCT_TOL = 1e-8
 INEQ_TOL = 1e-7
 WEAK_SUM_TOL = 1e-9
 ZERO_TRACE_TOL = 1e-12
 DIST_CEILING = 4.0
-KERNEL_CHUNK_CELLS = 1 << 18  # matrix entries per coset-kernel gather
+# conjugate ids times the largest irrep dimension per chunk of Conjugates
+CONJUGATE_CHUNK_CELLS = 1 << 20
 BASIS = "realized coordinates"  # the basis every strong-sampling output is in
+SAMPLING_CAP = "the sampling cap"  # the enumeration cap's name in sampling's refusals
 
 
 @dataclass
@@ -49,15 +53,10 @@ class SamplingContext:
         return self.table.group
 
 
-def require_samplable(G: Group) -> None:
-    """Refuse a group of more than GROUP_ENUM_CAP elements."""
-    if G.order > GROUP_ENUM_CAP:
-        raise ValueError(f"|{G}| = {G.order} exceeds the sampling cap {GROUP_ENUM_CAP}")
-
-
 def sampling_context(table: CharacterTable) -> SamplingContext:
-    """The table with its realized irreps, after require_samplable(group)."""
-    require_samplable(table.group)
+    """The table with its realized irreps, after the group passes the
+    enumeration cap (named SAMPLING_CAP)."""
+    require_enumerable(table.group, SAMPLING_CAP)
     return SamplingContext(table=table, reals=realize_table(table))
 
 
@@ -96,46 +95,86 @@ def weak_distribution(table: CharacterTable, H: Subgroup) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+class Conjugates:
+    """The conjugates g^-1 H g at an id array (by default H's right-coset
+    representatives), read by the kernel of every irrep and by the
+    conjugation-invariance check.  They depend only on the coset Hg, so
+    each distinct subgroup is formed once, as a row of ascending ids in
+    `sets`, and `row` maps every id to its row.  The subgroups come in
+    chunks of at most CONJUGATE_CHUNK_CELLS // (dim |H|), dim the largest
+    irrep dimension read, each as its distinct ids and the position of
+    every subgroup element among them."""
+
+    def __init__(self, H: Subgroup, dim: int, ids: Optional[np.ndarray] = None):
+        G = H.group.ids()
+        self.H = H
+        if ids is None:
+            # the coset representatives are the least ids of their cosets
+            self.ids = reps = H.coset_reps
+        else:
+            self.ids = np.asarray(ids, dtype=np.int64)
+            reps, rep_of = _distinct_index(H.least_in_cosets(self.ids))
+        g = reps[:, None]
+        conj = np.sort(G.mul(G.mul(G.inverse[g], H.ids[None, :]), g), axis=1)
+        self.sets, set_of = _distinct_rows(conj)
+        self.row = set_of if ids is None else set_of[rep_of]
+        step = max(1, CONJUGATE_CHUNK_CELLS // (dim * H.order))
+        self.chunks = [
+            _distinct_index(self.sets[lo : lo + step]) for lo in range(0, len(self.sets), step)
+        ]
+
+
 class CosetKernel:
     """Strong sampling of one irrep under one subgroup H: the projection P
-    onto the H-fixed space and its trace, an orthonormal basis Q of that
-    space (Q Q* = P), and the weights |Q* rho(g) e_i|^2 = |Pi_{H^g} e_i|^2
-    of the realized basis.  Q* rho(hg) = Q* rho(g), so `weights`, taken on
-    the least id of every right coset Hg, gives every mean and variance
-    over G.  Its caller builds it for one (irrep, H) and drops it."""
+    onto the H-fixed space and its trace, and the weights
+    |Pi_{H^g} e_b|^2 = (1/|H|) sum_{h in H} rho(g^-1 h g)_bb of the realized
+    basis at the ids of shared conjugates.  Pi_{H^{hg}} = Pi_{H^g}, so on
+    the right-coset representatives the weights give every mean and
+    variance over G.  Its caller builds it for one (irrep, conjugates) and
+    drops it."""
 
-    def __init__(self, real: RealizedIrrep, H: Subgroup):
-        self.real, self.H = real, H
-        self.P = projection_bundle(real, H)
+    def __init__(self, real: RealizedIrrep, conj: Conjugates):
+        self.real, self.conj, self.H = real, conj, conj.H
+        self.P = projection_bundle(real, self.H)
         self.trace = float(np.trace(self.P).real)
-        self.Q = projector_basis(self.P, round(self.trace))
+
+    @cached_property
+    def by_subgroup(self) -> np.ndarray:
+        """(distinct conjugate subgroups, d) weights: for each subgroup, the
+        real parts of the diagonals at its elements summed in ascending id
+        order and divided by |H|.  Every row must sum to tr P."""
+        parts = []
+        for distinct, index in self.conj.chunks:
+            parts.append(self.real.diag(distinct).real[index].sum(axis=1) / self.H.order)
+        W = np.concatenate(parts)
+        err = float(np.abs(W.sum(axis=1) - self.trace).max())
+        if err >= STRUCT_TOL:
+            raise AssertionError(f"weights of {self.real.label} miss the projection trace by {err}")
+        return W
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """The weights on H's right-coset representatives, ascending."""
-        return self.at(self.H.coset_reps)
+        """(len(ids), d) weights at the conjugates' ids."""
+        return self.by_subgroup[self.conj.row]
 
-    def at(self, ids: np.ndarray) -> np.ndarray:
-        """(len(ids), d) weights at an id array, in gathers of KERNEL_CHUNK_CELLS entries."""
-        Qh = self.Q.conj().T
-        step = max(1, KERNEL_CHUNK_CELLS // self.real.dim**2)
-        chunks = (Qh @ self.real.at(ids[lo : lo + step]) for lo in range(0, len(ids), step))
-        return np.concatenate([(A.real**2 + A.imag**2).sum(axis=1) for A in chunks])
-
-    def conditionals(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
-        """Weights over tr Pi_H, at ids or on the coset representatives: the
-        distribution over the realized basis after observing rho with the
-        hidden subgroup conjugated by g."""
+    def _conditionals(self) -> np.ndarray:
         if self.trace < ZERO_TRACE_TOL:
             raise ValueError(
                 "projection has zero trace: the irrep has zero weak weight and "
                 "the conditional distribution is undefined"
             )
-        return (self.weights if ids is None else self.at(ids)) / self.trace
+        return self.by_subgroup / self.trace
 
-    def distortions(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+    def conditionals(self) -> np.ndarray:
+        """Weights over tr Pi_H at the conjugates' ids: the distribution
+        over the realized basis after observing rho with the hidden
+        subgroup conjugated by g."""
+        return self._conditionals()[self.conj.row]
+
+    def distortions(self) -> np.ndarray:
         """Squared L1 distance of each conditional from uniform."""
-        return np.abs(self.conditionals(ids) - 1.0 / self.real.dim).sum(axis=1) ** 2
+        dists = np.abs(self._conditionals() - 1.0 / self.real.dim).sum(axis=1) ** 2
+        return dists[self.conj.row]
 
 
 @dataclass
@@ -172,6 +211,9 @@ def distinguishability(
     ids = None
     if mc_samples is not None:
         ids = np.random.default_rng(seed).integers(0, ctx.group.order, size=mc_samples)
+    # one set of conjugates for every irrep of nonzero weak weight
+    dim = max(d for d, p in zip(ctx.table.dims, probs) if p >= ZERO_TRACE_TOL)
+    conj = Conjugates(H, dim, ids)
     per_irrep: Dict[str, float] = {}
     # per sampled g, or per right coset Hg; the weak weights make it an array
     per_sample = 0.0
@@ -179,7 +221,7 @@ def distinguishability(
         if probs[i] < ZERO_TRACE_TOL:
             per_irrep[ctx.table.labels[i]] = 0.0
             continue
-        dists = CosetKernel(ctx.reals[i], H).distortions(ids)
+        dists = CosetKernel(ctx.reals[i], conj).distortions()
         per_irrep[ctx.table.labels[i]] = float(np.mean(dists))
         per_sample = per_sample + probs[i] * dists
     value = float(np.mean(per_sample))
@@ -304,27 +346,23 @@ def general_method_check(
     return lhs, rhs
 
 
-def pg_invariance_error(table: CharacterTable, H: Subgroup) -> float:
+def pg_invariance_error(table: CharacterTable, conj: Conjugates) -> float:
     """Largest deviation of the weak distribution of any conjugate of H
     from that of H itself; zero because characters are class functions.
 
-    All conjugates g^-1 H g are formed at once on id arrays, in H's id
-    order, and mapped to class columns; conjugates with the same
-    columns give the same distribution, so each distinct row is summed
-    once."""
-    G = table.group
-    ids = G.ids()
+    Reads the distinct conjugate subgroups of the Conjugates at H's coset
+    representatives, which are all of them, as class columns in ascending
+    id order; subgroups with the same columns give the same distribution,
+    so each distinct row is summed once."""
+    H = conj.H
+    if conj.ids is not H.coset_reps:
+        raise ValueError("conjugation invariance needs the conjugates at every right coset")
     base = weak_distribution(table, H)
     dims = np.asarray(table.dims, dtype=float)
-    g = np.arange(G.order)[:, None]
-    conj = ids.mul(ids.mul(ids.inverse[g], H.ids[None, :]), g)
-    # the distinct rows, sorted as one key per row (np.unique would import numpy.ma)
-    rows = table.element_columns()[conj]
-    rows = rows[np.lexsort(rows.T[::-1])]
     worst = 0.0
-    for cols in rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]:
+    for cols in _distinct_rows(table.element_columns()[conj.sets])[0]:
         sums = table.values[:, cols].sum(axis=1)
-        probs = dims * sums.real / G.order
+        probs = dims * sums.real / table.group.order
         worst = max(worst, float(np.abs(probs - base).max()))
     return worst
 

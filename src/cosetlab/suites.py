@@ -152,24 +152,27 @@ def lemma_checks(
     probs = sampling.weak_distribution(table, H)
     total = float(probs.sum())
     add("weak-sum", "", total, 1.0, abs(total - 1.0) < sampling.WEAK_SUM_TOL)
-    inv_err = sampling.pg_invariance_error(table, H)
-    add("conjugation-invariance", "", inv_err, 0.0, inv_err < INVARIANCE_TOL)
     rho_list = [
         i
         for i in range(table.n_irreps)
         if max_dim is None or table.dims[i] <= max_dim
     ]
+    # one set of conjugates for the invariance check and every kernel
+    conj = sampling.Conjugates(H, max(table.dims[i] for i in rho_list))
+    inv_err = sampling.pg_invariance_error(table, conj)
+    add("conjugation-invariance", "", inv_err, 0.0, inv_err < INVARIANCE_TOL)
     # the identity, then the first non-identity elements in value order
     ids = H.group.ids()
     rest = sorted((h for h in H.ids.tolist() if h != ids.identity), key=ids.value_of)
     h_ids = [ids.identity] + rest[:SECOND_MOMENT_ELEMENTS]
     lin = linear_indices(table)
     # each check runs once per irrep on every basis vector b at once, on
-    # one coset kernel dropped with the irrep; the records read plain
-    # floats and bools from .tolist()
+    # one coset kernel dropped with the irrep and reading the conjugates
+    # every irrep shares; the records read plain floats and bools from
+    # .tolist()
     for i in rho_list:
         rho = f"rho={table.labels[i]}"
-        k = sampling.CosetKernel(ctx.reals[i], H)
+        k = sampling.CosetKernel(ctx.reals[i], conj)
         norms = sampling.isotypic_vector_norms(ctx, i)
         for s, lhs in enumerate(norms.sum(axis=1).tolist()):
             rhs = float(table.dims[s] ** 2)

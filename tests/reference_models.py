@@ -6,8 +6,10 @@ formulas in `wreathrep` and `realize` replaced, the enumerating wreath
 character table that the closed form in `wreathrep` replaced, and the
 tuple-valued subgroup certification and closure that the id arrays of
 `groups.Subgroup` replaced, and the per-element contraction diag(U* Pi U)
-that the coset kernel in `sampling` replaced; the tuple-valued McEliece
-shift functions and stabilizer that the label arrays of `hsp` replaced; and
+that the coset kernel in `sampling` replaced, and the kernel's dense route
+|Q* rho(g) e_i|^2 that its diagonals at conjugates replaced; the
+tuple-valued McEliece shift functions and stabilizer that the label arrays
+of `hsp` replaced; and
 paper quantities that no package code reads: the stabilizer/orbit counting
 formulas over F_q, the linear multiplicities of GL2 tensor squares and the
 scalar-free corollary bound."""
@@ -29,7 +31,7 @@ from cosetlab.groups import (
     SymmetricGroup,
     wreath_z2,
 )
-from cosetlab.realize import TRACE_TOL
+from cosetlab.realize import TRACE_TOL, projector_basis
 from cosetlab.wreathrep import wreath_char_table
 
 
@@ -107,6 +109,20 @@ def fixed_weights(mats: np.ndarray, P: np.ndarray) -> np.ndarray:
     """<U e_i, P U e_i> for every matrix U of a stack and basis vector e_i:
     the (n, d) diagonals of U* P U, one d^3 contraction per matrix."""
     return np.einsum("gji,jk,gki->gi", mats.conj(), P, mats).real
+
+
+def fixed_space_basis(P: np.ndarray) -> np.ndarray:
+    """(d, rank) orthonormal basis Q of the range of the projection P, with
+    Q Q* = P, by the package's pivoted Gram-Schmidt."""
+    return projector_basis(P, round(np.trace(P).real))
+
+
+def q_route_weights(real, P: np.ndarray, ids) -> np.ndarray:
+    """|Q* rho(g) e_i|^2 for every id g and basis vector e_i, from the
+    dense products Q* rho(g): the coset kernel's weights before they were
+    read off diagonals at conjugates."""
+    A = fixed_space_basis(P).conj().T @ real.at(ids)
+    return (A.real**2 + A.imag**2).sum(axis=1)
 
 
 def swap_matrix(d: int) -> np.ndarray:

@@ -247,7 +247,7 @@ def test_no_runtime_asserts_in_src():
     retired = {
         "mul_values", "inv_value", "class_key_of", "GroupElement",
         "_kernel", "_cache", "sampling_report", "SamplingReport", "ProjectionBundle",
-        "irrep_distortion", "CyclicCharacter",
+        "irrep_distortion", "CyclicCharacter", "require_samplable", "KERNEL_CHUNK_CELLS",
     }
     defined = [
         f"{name}:{node.lineno}"

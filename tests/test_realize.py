@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from cosetlab.chartab import (
     WreathFamily,
     product_table,
 )
+from cosetlab import realize
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group, product_group
 from cosetlab.realize import RealizedIrrep, kron_stack, realize_table
@@ -152,6 +154,39 @@ def test_at_equals_stack_rows(data):
         assert np.array_equal(before.at(ids), want)
         assert np.array_equal(after.at(ids), want)
         assert before._stack is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_diag_is_the_diagonal_of_at(data):
+    # the diagonal gather equals the diagonal of the matrices bit for bit,
+    # read off the stack or gathered on the distinct ids
+    name = data.draw(st.sampled_from(sorted(AT_TABLES)))
+    order, lazy, built = lazy_and_built(name)
+    ids = data.draw(st.lists(st.integers(0, order - 1), max_size=12))
+    for before, after in zip(lazy, built):
+        want = np.einsum("nii->ni", after.at(ids))
+        assert np.array_equal(before.diag(ids), want)
+        assert np.array_equal(after.diag(ids), want)
+        assert before._stack is None
+
+
+def test_diag_holds_one_gather_at_a_time(monkeypatch):
+    # the diagonals over all 720 ids of S6's 16-dimensional irrep are
+    # copied out of each gather of GATHER_CELLS entries, so the gathers'
+    # matrices (2.9 MB in all) are never held at once
+    monkeypatch.setattr(realize, "GATHER_CELLS", 1 << 12)
+    real = next(r for r in realize_table(sn_character_table(6)) if r.dim == 16)
+    ids = np.arange(720)
+    want = np.einsum("nii->ni", real.at(ids))
+    tracemalloc.start()
+    try:
+        got = real.diag(ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 720 * 16 * 16 * 16 / 4
 
 
 def test_s7_at_equals_yor_loop_without_a_cayley_table():

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import gc
+import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cosetlab import sampling
+from cosetlab import sampling, wreathrep
 from cosetlab.chartab import CharacterTable, product_table
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import product_group, subgroup_closure, trivial_subgroup
 from cosetlab.realize import RealizedIrrep
 from cosetlab.sampling import (
+    Conjugates,
     CosetKernel,
     SamplingContext,
     distinguishability,
@@ -25,11 +28,11 @@ from cosetlab.sampling import (
     variance_bound_check,
     weak_distribution,
 )
-from cosetlab.suites import lemma_checks, subgroup_catalog
+from cosetlab.suites import big_wreath_table, lemma_checks, subgroup_catalog
 from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import wreath_char_table
 
-from reference_models import conj, fixed_weights
+from reference_models import conj, fixed_space_basis, fixed_weights, q_route_weights
 
 
 def s3_ctx():
@@ -51,7 +54,7 @@ def test_projection_bundle_is_projector():
             P = projection_bundle(real, H)
             assert np.allclose(P @ P, P, atol=1e-10)
             assert np.allclose(P, P.conj().T, atol=1e-10)
-            k = CosetKernel(real, H)
+            k = CosetKernel(real, Conjugates(H, real.dim))
             assert np.array_equal(k.P, P)
             assert abs(k.trace - np.trace(P).real) < 1e-10
 
@@ -88,8 +91,8 @@ def test_conditional_distribution_golden_at_identity():
     ctx = s3_ctx()
     _, order2, _ = s3_subgroups(ctx)
     std = next(i for i in range(3) if ctx.table.dims[i] == 2)
-    k = CosetKernel(ctx.reals[std], order2)
-    p = k.conditionals(np.array([ctx.group.ids().identity]))[0]
+    k = CosetKernel(ctx.reals[std], Conjugates(order2, 2, [ctx.group.ids().identity]))
+    p = k.conditionals()[0]
     assert np.allclose(sorted(p), [0.0, 1.0], atol=1e-10)
 
 
@@ -100,11 +103,11 @@ def test_conditional_distribution_zero_weight_raises():
         i for i in range(3)
         if ctx.table.dims[i] == 1 and ctx.table.labels[i] == "(1, 1, 1)"
     )
-    k = CosetKernel(ctx.reals[sign], order2)
+    k = CosetKernel(ctx.reals[sign], Conjugates(order2, 1, [ctx.group.ids().identity]))
     # rank 0: every weight is 0, and only normalizing a conditional raises
-    assert k.Q.shape == (1, 0) and not k.weights.any()
+    assert k.trace == 0 and not k.weights.any()
     with pytest.raises(ValueError, match="zero trace"):
-        k.conditionals(np.array([ctx.group.ids().identity]))
+        k.conditionals()
 
 
 def test_distinguishability_golden_values():
@@ -166,7 +169,7 @@ def test_expected_l1sq_matches_direct_average():
             for g in range(ctx.group.order)
         ]
     )
-    assert abs(np.mean(CosetKernel(real, order2).distortions()) - direct) < 1e-12
+    assert abs(np.mean(CosetKernel(real, Conjugates(order2, real.dim)).distortions()) - direct) < 1e-12
 
 
 def test_tensor_conj_multiplicities_are_integral():
@@ -202,14 +205,14 @@ def test_irrep_distortion_zero_weight_raises():
     _, order2, _ = s3_subgroups(ctx)
     sign = next(i for i in range(3) if ctx.table.labels[i] == "(1, 1, 1)")
     with pytest.raises(ValueError):
-        CosetKernel(ctx.reals[sign], order2).distortions()
+        CosetKernel(ctx.reals[sign], Conjugates(order2, 1)).distortions()
 
 
 def test_pg_invariance_is_exact_for_weak_probabilities():
     ctx = sampling_context(gl2_char_table(2))
     G = ctx.group
     H = subgroup_closure(G, [G.make(((0, 1), (1, 1)))], label="order-3")
-    assert pg_invariance_error(ctx.table, H) < 1e-12
+    assert pg_invariance_error(ctx.table, Conjugates(H, 1)) < 1e-12
 
 
 def test_distinguishability_bound_components():
@@ -313,7 +316,8 @@ def test_stacked_checks_match_per_element_loops():
     for ctx, catalog in catalog_contexts():
         table = ctx.table
         for H in catalog:
-            assert pg_invariance_error(table, H) == reference_pg_invariance_error(table, H)
+            want = reference_pg_invariance_error(table, H)
+            assert pg_invariance_error(table, Conjugates(H, 1)) == want
         h_values = sorted({h for H in catalog for h in sorted(H.value_set)[:3]})
         h_ids = [ctx.group.ids().id_of(hv) for hv in h_values]
         for i, real in enumerate(ctx.reals):
@@ -328,7 +332,7 @@ def test_stacked_checks_match_per_element_loops():
                     assert abs(lhs - rhs) < 1e-7
             # every basis vector at once, each b summed as its own column
             for H in catalog:
-                k = CosetKernel(real, H)
+                k = CosetKernel(real, Conjugates(H, real.dim))
                 weights = k.weights
                 schur, schur_rhs = schur_expectation_check(k)
                 var, var_rhs = variance_bound_check(ctx, k, i)
@@ -357,8 +361,8 @@ def test_pg_invariance_flags_a_wrong_class_map():
         good.class_reps, good.values, wrong_columns,
     )
     H = subgroup_closure(G, [G.make(bad_value)], label="order-2")
-    assert pg_invariance_error(good, H) < 1e-12
-    assert pg_invariance_error(bad, H) > 1e-3
+    assert pg_invariance_error(good, Conjugates(H, 1)) < 1e-12
+    assert pg_invariance_error(bad, Conjugates(H, 1)) > 1e-3
     assert reference_pg_invariance_error(bad, H) > 1e-3
 
 
@@ -373,23 +377,26 @@ def test_coset_kernel_matches_the_per_element_contraction():
             reps = sorted(set(least))
             assert H.coset_reps.tolist() == reps
             for i, real in enumerate(ctx.reals):
-                k = CosetKernel(real, H)
+                k = CosetKernel(real, Conjugates(H, real.dim))
                 want = fixed_weights(real.stack(), k.P)
                 # constant on right cosets Hg, so the representatives hold all
                 assert np.abs(want - want[least]).max() < 1e-13
                 assert np.abs(k.weights - want[reps]).max() < 1e-13
-                assert np.abs(k.at(sampled) - want[sampled]).max() < 1e-13
+                at_sampled = CosetKernel(real, Conjugates(H, real.dim, sampled))
+                assert np.abs(at_sampled.weights - want[sampled]).max() < 1e-13
                 if k.trace > sampling.ZERO_TRACE_TOL:
-                    conds = k.conditionals(sampled)
+                    conds = at_sampled.conditionals()
                     assert np.abs(conds - want[sampled] / k.trace).max() < 1e-13
 
 
 def test_coset_kernel_basis_spans_the_fixed_space():
+    # the basis of the reference Q route, built from every kernel's P
     for ctx, catalog in catalog_contexts():
         for H in catalog:
             for real in ctx.reals:
-                k = CosetKernel(real, H)
-                Q, P = k.Q, k.P
+                k = CosetKernel(real, Conjugates(H, real.dim))
+                P = k.P
+                Q = fixed_space_basis(P)
                 assert Q.shape == (len(P), round(k.trace))
                 assert np.all(np.abs(Q @ Q.conj().T - P) < 1e-12)
                 assert np.all(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-12)
@@ -432,8 +439,8 @@ def track_kernels(monkeypatch):
     refs = []
     init = CosetKernel.__init__
 
-    def tracked(self, real, H):
-        init(self, real, H)
+    def tracked(self, real, conj):
+        init(self, real, conj)
         refs.append(weakref.ref(self))
 
     monkeypatch.setattr(CosetKernel, "__init__", tracked)
@@ -469,3 +476,106 @@ def test_distinguishability_keeps_no_kernel_and_matches_a_warm_context(monkeypat
     assert method
     for subject, lhs in method.items():
         assert lhs == cold[0].per_irrep[subject[len("rho="):-len(" S=linear")]]
+
+
+# ---- the diagonal route against the dense Q route ----
+
+def test_diagonal_weights_match_the_q_route():
+    # every catalog subgroup, on the coset representatives and on 50 seeded
+    # Monte Carlo ids; the big wreath examines irreps up to dimension 2, as
+    # its lemma grid does
+    big = sampling_context(big_wreath_table())
+    contexts = [(ctx, catalog, None) for ctx, catalog in catalog_contexts()]
+    contexts.append((big, subgroup_catalog(big.group), 2))
+    for ctx, catalog, max_dim in contexts:
+        sampled = np.random.default_rng(11).integers(0, ctx.group.order, size=50)
+        reals = [r for r in ctx.reals if max_dim is None or r.dim <= max_dim]
+        for H in catalog:
+            shared = [Conjugates(H, max(r.dim for r in reals), ids) for ids in (None, sampled)]
+            for real in reals:
+                for conj in shared:
+                    k = CosetKernel(real, conj)
+                    want = q_route_weights(real, k.P, conj.ids)
+                    assert k.weights.shape == want.shape
+                    assert np.abs(k.weights - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_weights_do_not_depend_on_the_chunk(monkeypatch, rows):
+    # the distinct conjugate subgroups (15 to 72 per subgroup here) in
+    # chunks of 1 or 7, against one chunk
+    for table in (wreath_char_table(sn_character_table(4)), gl2_char_table(4)):
+        ctx = sampling_context(table)
+        D = max(table.dims)
+        for H in subgroup_catalog(ctx.group)[1:]:
+            one = Conjugates(H, D)
+            assert len(one.chunks) == 1
+            with monkeypatch.context() as m:
+                m.setattr(sampling, "CONJUGATE_CHUNK_CELLS", rows * D * H.order)
+                chunked = Conjugates(H, D)
+            sizes = [len(index) for _, index in chunked.chunks]
+            assert max(sizes) == rows and sum(sizes) == len(one.chunks[0][1]) > 7
+            for real in ctx.reals:
+                a, b = (CosetKernel(real, conj).weights for conj in (one, chunked))
+                assert a.tobytes() == b.tobytes()
+
+
+def test_weights_off_the_projection_trace_raise():
+    # one diagonal entry at the identity, a conjugate in every row, moved
+    # by 1e-6: every row's weights miss tr P by 5e-7
+    ctx = s3_ctx()
+    _, order2, _ = s3_subgroups(ctx)
+    real = next(r for r in ctx.reals if r.dim == 2)
+    e = ctx.group.ids().identity
+    assert CosetKernel(real, Conjugates(order2, real.dim)).weights.shape == (3, 2)
+
+    def bent(ids, diag=real.diag):
+        got = diag(ids)
+        got[ids == e, 0] += 1e-6
+        return got
+
+    real.diag = bent
+    with pytest.raises(AssertionError, match="miss the projection trace"):
+        CosetKernel(real, Conjugates(order2, real.dim)).weights
+
+
+def test_order_2_values_land_on_their_exact_rationals():
+    # Young's matrices have rational entries, and the diagonal route sums
+    # them as the exact values 1/3, 35/96 and 5477/165888 round
+    def order2_value(table):
+        ctx = sampling_context(table)
+        H = next(H for H in subgroup_catalog(ctx.group) if H.label == "order-2")
+        return distinguishability(ctx, H).value
+
+    assert order2_value(sn_character_table(3)) == float(Fraction(1, 3))
+    for table, exact in (
+        (sn_character_table(4), Fraction(35, 96)),
+        (wreath_char_table(sn_character_table(4)), Fraction(5477, 165888)),
+    ):
+        value = order2_value(table)
+        assert abs(Fraction(value) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+
+def test_wreath_dist_forms_wreath_matrices_only_at_conjugates_of_the_subgroup(monkeypatch):
+    # per irrep of nonzero weight, wreath_stack runs once for the projection
+    # on the |H| elements of H and once for the diagonals on the distinct
+    # ids of the conjugates g^-1 H g, which lie in the classes meeting H;
+    # the exhaustive run meets all of them
+    rows = []
+    stack = wreathrep.wreath_stack
+    monkeypatch.setattr(
+        wreathrep, "wreath_stack", lambda kind, xs, ys, b: rows.append(len(b)) or stack(kind, xs, ys, b)
+    )
+    ctx = sampling_context(wreath_char_table(sn_character_table(4)))
+    H = next(H for H in subgroup_catalog(ctx.group) if H.label == "K-type")
+    meeting = np.asarray(ctx.table.class_sizes)[sorted(set(ctx.table.columns_of(H.ids).tolist()))].sum()
+    assert meeting < ctx.group.order
+    for mc_samples in (None, 60):
+        del rows[:]
+        res = distinguishability(ctx, H, mc_samples=mc_samples, seed=3)
+        n = np.count_nonzero(res.weak >= sampling.ZERO_TRACE_TOL)
+        assert rows[::2] == [H.order] * n and len(rows) == 2 * n
+        conjugate_rows = set(rows[1::2])
+        assert len(conjugate_rows) == 1 and conjugate_rows.pop() <= meeting
+        if mc_samples is None:
+            assert rows[1] == meeting
