@@ -46,9 +46,21 @@ def _flag(flag: str):
         raise ConfigError(flag, str(exc)) from None
 
 
-def _json(obj: dict) -> str:
+def _record(obj):
+    """The JSON form of a report record: a dataclass is written as its
+    fields and a Fraction as "p/q".  Any other type is refused, never
+    written as its str()."""
+    if hasattr(obj, "__dataclass_fields__"):
+        return vars(obj)
+    from fractions import Fraction
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not a report record")
+
+
+def _json(obj) -> str:
     """Report text; NaN and infinities are refused, not written."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_record) + "\n"
 
 
 def _write(text: str, out_dir: Optional[str], filename: str) -> None:
@@ -257,14 +269,14 @@ def cmd_lambda_audit(args):
     from . import symrep
     # from n = 2 on: at n = 1 no irrep has dimension below the strict bound 1^cn
     audit = symrep.lambda_c_audit(args.n, _parse_rate(args, 2, symrep.PARTITION_CAP))
-    body = {"ok": audit.size_ok and audit.dim_ok, "audit": audit.as_json()}
+    body = {"ok": audit.size_ok and audit.dim_ok, "audit": audit}
     return "lambda_audit.json", ("n", "c"), body
 
 
 def cmd_roichman(args):
     from . import symrep
     report = symrep.roichman_report(args.n, _parse_rate(args, 1, symrep.ROICHMAN_CAP))
-    return "roichman.json", ("n", "c"), {"ok": True, "report": report.as_json()}
+    return "roichman.json", ("n", "c"), {"ok": True, "report": report}
 
 
 # ---- goppa ----
@@ -295,13 +307,7 @@ def cmd_goppa(args):
                 spec.validate()
     code = goppa.build_goppa(spec)
     if args.action == "build":
-        body = {
-            "ok": True,
-            "spec": spec.as_json(),
-            "generator_matrix": [list(r) for r in code.generator],
-            "k": code.k,
-            "n": code.n,
-        }
+        body = {"ok": True, "spec": spec, "generator_matrix": code.generator, "k": code.k, "n": code.n}
         if code.field.q**code.k <= goppa.CODEWORD_CAP:
             body["min_distance"] = code.min_distance()
             body["distance_floor"] = code.n - spec.r
@@ -309,18 +315,12 @@ def cmd_goppa(args):
         return "goppa_build.json", ("q", "n", "r", "gamma", "g", "h", "spec"), body
     report = goppa.automorphisms(code)
     if args.action == "aut":
-        return "goppa_aut.json", ("spec",), {
-            "ok": True,
-            "spec": spec.as_json(),
-            "order": report.order,
-            "minimal_degree": report.minimal_degree,
-            "automorphisms": [list(p) for p in report.automorphisms],
-        }
+        return "goppa_aut.json", ("spec",), {"ok": True, "spec": spec, **vars(report)}
     with _flag("--spec"):
         ok = goppa.stichtenoth_check(spec, report)
     return "goppa_check.json", ("spec",), {
         "ok": ok,
-        "spec": spec.as_json(),
+        "spec": spec,
         "order": report.order,
         "failed_check": None if ok else "moebius-induced-automorphisms",
     }
@@ -338,16 +338,11 @@ def cmd_mceliece(args):
         for flag, value in (("--k", args.k), ("--n", args.n)):
             if not 1 <= value <= shape_cap:
                 raise ConfigError(flag, f"must lie in [1, {shape_cap}], got {value}")
-        if args.min_rank > min(args.k, args.n):
-            raise ConfigError(
-                "--min-rank",
-                f"{args.min_rank} exceeds min(k, n) = {min(args.k, args.n)}: "
-                "no message matrix has that rank",
-            )
         with _flag("--q"):
             F = field_of_order(args.q)
-        inst = mceliece.random_instance(F, args.k, args.n, args.seed, min_rank=args.min_rank)
-        body = {"ok": True, "instance": inst.as_json()}
+        with _flag("--min-rank"):
+            inst = mceliece.random_instance(F, args.k, args.n, args.seed, min_rank=args.min_rank)
+        body = {"ok": True, "instance": inst._asdict()}
         return "mceliece_instance.json", ("k", "n", "q", "min_rank"), body
     from . import groups, hsp
     if not args.instance:
@@ -372,9 +367,11 @@ def cmd_mceliece(args):
         "recovered-key-valid": res.valid,
     }
     ok = all(checks.values())
+    result = {**res._asdict(), "K_order": res.K.order, "H0_order": res.H0.order}
+    del result["K"], result["H0"]
     body = {
         "ok": ok,
-        "result": res.as_json(),
+        "result": result,
         "failed_check": None if ok else [k for k, v in checks.items() if not v][0],
     }
     return "mceliece_attack.json", ("instance",), body
@@ -447,7 +444,7 @@ def cmd_dist(args):
     if res.mc_samples is not None:
         report.update(mc_samples=res.mc_samples, std_error=res.std_error)
     if bound is not None:
-        report["bound"] = bound.as_json()
+        report["bound"] = bound
     bad = suites.failed(suites.dist_records(report["group"], H, res.value, bound))
     body = {"ok": not bad, "failed_check": bad[0].check if bad else None, "report": report}
     return "dist_report.json", ("group", "subgroup", "S", "D", "mc_samples"), body
@@ -477,7 +474,7 @@ def cmd_verify_lemmas(args):
         records = suites.run_lemma_suite(args.suite)
     bad = suites.failed(records)
     if bad:
-        body = {"ok": False, "failed": [r.as_json() for r in bad]}
+        body = {"ok": False, "failed": bad}
     else:
         body = {"ok": True, "checks": len(records), "by_check": _slack_summary(records)}
     return "verify_lemmas.json", ("suite",), body

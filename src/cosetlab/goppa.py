@@ -53,15 +53,6 @@ class RationalGoppaSpec:
             if fields.poly_eval(F, h, x) == 0:
                 raise ValueError(f"h vanishes at point {x}")
 
-    def as_json(self) -> dict:
-        return {
-            "q": self.q,
-            "gamma": list(self.gamma),
-            "r": self.r,
-            "g": list(self.g),
-            "h": list(self.h),
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "RationalGoppaSpec":
         spec = RationalGoppaSpec(

@@ -163,7 +163,6 @@ def extract_shift(K: Subgroup):
 
 
 class AttackResult(NamedTuple):
-    instance: McElieceInstance
     right_injective: bool
     K: Subgroup
     H0: Subgroup
@@ -172,18 +171,6 @@ class AttackResult(NamedTuple):
     recovered_A: Matrix
     recovered_P: Tuple[int, ...]
     valid: bool
-
-    def as_json(self) -> dict:
-        return {
-            "right_injective": self.right_injective,
-            "K_order": self.K.order,
-            "H0_order": self.H0.order,
-            "k_formula_match": self.k_formula_match,
-            "size_match": self.size_match,
-            "recovered_A": [list(r) for r in self.recovered_A],
-            "recovered_P": list(self.recovered_P),
-            "valid": self.valid,
-        }
 
 
 def attack(inst: McElieceInstance) -> AttackResult:
@@ -201,7 +188,6 @@ def attack(inst: McElieceInstance) -> AttackResult:
     Av, P_rec = extract_shift(K)
     A_rec = fields.mat_inv(F, Av)
     return AttackResult(
-        instance=inst,
         right_injective=True,
         K=K,
         H0=H0,

@@ -1,5 +1,6 @@
-"""McEliece keys (M, A, P, M* = A M P) over F_q: seeded generation and JSON
-round trips, in F_q tuple arithmetic only, so `mceliece gen` loads no numpy."""
+"""McEliece keys (M, A, P, M* = A M P) over F_q: seeded generation and
+reading a key file back with tamper checks, in F_q tuple arithmetic only, so
+`mceliece gen` loads no numpy."""
 
 from __future__ import annotations
 
@@ -28,18 +29,6 @@ class McElieceInstance(NamedTuple):
         return product_group(
             general_linear_group(self.k, self.q), symmetric_group(self.n)
         )
-
-    def as_json(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "n": self.n,
-            "seed": self.seed,
-            "M": [list(r) for r in self.M],
-            "A": [list(r) for r in self.A],
-            "P": list(self.P),
-            "Mstar": [list(r) for r in self.Mstar],
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "McElieceInstance":
@@ -86,7 +75,9 @@ def random_instance(
     if k < 1 or n < 1:
         raise ValueError(f"k and n must be at least 1, got k={k}, n={n}")
     if min_rank > min(k, n):
-        raise ValueError(f"min_rank {min_rank} exceeds min(k, n) = {min(k, n)}")
+        raise ValueError(
+            f"{min_rank} exceeds min(k, n) = {min(k, n)}: no message matrix has that rank"
+        )
     rng = random.Random(seed)
     while True:
         M = random_matrix(rng, F, k, n)
@@ -95,28 +86,16 @@ def random_instance(
     return keygen(F, M, seed=rng.randrange(2**32))
 
 
-def keygen(
-    F: Fq,
-    M: Matrix,
-    seed: int,
-    force_A: Optional[Matrix] = None,
-    force_P: Optional[Tuple[int, ...]] = None,
-) -> McElieceInstance:
+def keygen(F: Fq, M: Matrix, seed: int) -> McElieceInstance:
     """Instance with uniformly random scrambler (rejection sampling) and
-    permutation (shuffle), deterministic from the seed; force hooks pin
-    either secret for tests."""
+    permutation (shuffle), deterministic from the seed."""
     k = len(M)
     n = len(M[0])
     rng = random.Random(seed)
-    A = force_A if force_A is not None else random_invertible(rng, F, k)
-    if force_P is not None:
-        P = tuple(force_P)
-    else:
-        p = list(range(n))
-        rng.shuffle(p)
-        P = tuple(p)
-    if not fields.mat_is_invertible(F, A):
-        raise ValueError("forced scrambler is singular")
+    A = random_invertible(rng, F, k)
+    p = list(range(n))
+    rng.shuffle(p)
+    P = tuple(p)
     return McElieceInstance(
         q=F.q, k=k, n=n, M=M, A=A, P=P,
         Mstar=public_matrix(F, A, M, P), seed=seed,

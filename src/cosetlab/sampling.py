@@ -378,7 +378,7 @@ def basis_average_error(k: CosetKernel) -> float:
 
 @dataclass
 class BoundComponents:
-    S_labels: Tuple[str, ...]
+    S: Tuple[str, ...]
     D: int
     d_S: int
     chi_bar_rest: float
@@ -386,18 +386,6 @@ class BoundComponents:
     small_count: int
     subgroup_order: int
     value: float
-
-    def as_json(self) -> dict:
-        return {
-            "S": list(self.S_labels),
-            "D": self.D,
-            "d_S": self.d_S,
-            "chi_bar_rest": self.chi_bar_rest,
-            "delta": self.delta,
-            "small_count": self.small_count,
-            "subgroup_order": self.subgroup_order,
-            "value": self.value,
-        }
 
 
 def distinguishability_bound(
@@ -422,7 +410,7 @@ def distinguishability_bound(
         chi_bar + delta * d_S**2 / D + small_count * D**2 / table.group.order
     )
     return BoundComponents(
-        S_labels=tuple(table.labels[s] for s in sorted(S)),
+        S=tuple(table.labels[s] for s in sorted(S)),
         D=D,
         d_S=d_S,
         chi_bar_rest=chi_bar,

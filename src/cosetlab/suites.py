@@ -46,17 +46,6 @@ class CheckRecord:
     rhs: float
     ok: bool
 
-    def as_json(self) -> dict:
-        return {
-            "group": self.group,
-            "subgroup": self.subgroup,
-            "check": self.check,
-            "subject": self.subject,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ok": self.ok,
-        }
-
 
 # ---- canonical subgroup catalogs ----
 
@@ -231,7 +220,7 @@ def dist_records(
         ok = abs(value - golden) < GOLDEN_TOL
         records.append(CheckRecord(gname, H.label, "dist-golden", "", value, golden, ok))
     if bound is not None:
-        subject = f"S={','.join(bound.S_labels) or 'empty'} D={bound.D}"
+        subject = f"S={','.join(bound.S) or 'empty'} D={bound.D}"
         ok = value <= bound.value + INEQ_TOL
         records.append(CheckRecord(gname, H.label, "dist-bound", subject, value, bound.value, ok))
     return records

@@ -20,7 +20,7 @@ from .groups import SymmetricGroup, symmetric_group
 PARTITION_CAP = 40
 # largest n of the full-table decay report
 ROICHMAN_CAP = 10
-SN_TABLE_CAP = 16  # largest n of a full table of p(n)^2 Murnaghan-Nakayama values
+SN_CHARTABLE_N_CAP = 16  # largest n of a full table of p(n)^2 Murnaghan-Nakayama values
 
 Partition = Tuple[int, ...]
 
@@ -134,9 +134,9 @@ def _rep_of_cycle_type(G: SymmetricGroup, mu: Partition) -> Tuple[int, ...]:
 
 
 def sn_table_group(n: int) -> SymmetricGroup:
-    """S_n, refused past SN_TABLE_CAP before n! is formed."""
-    if n > SN_TABLE_CAP:
-        raise ValueError(f"full S_n character table capped at n = {SN_TABLE_CAP}")
+    """S_n, refused past SN_CHARTABLE_N_CAP before n! is formed."""
+    if n > SN_CHARTABLE_N_CAP:
+        raise ValueError(f"full S_n character table capped at n = {SN_CHARTABLE_N_CAP}")
     return symmetric_group(n)
 
 
@@ -209,21 +209,6 @@ class LambdaCAudit:
     dim_ok: bool
     min_dim_outside: Optional[int]
 
-    def as_json(self) -> dict:
-        return {
-            "n": self.n,
-            "c": str(self.c),
-            "cn_ceil": self.cn_ceil,
-            "size": self.size,
-            "size_bound": self.size_bound,
-            "size_ok": self.size_ok,
-            "max_dim": self.max_dim,
-            "dim_bound": self.dim_bound,
-            "dim_ok": self.dim_ok,
-            "min_dim_outside": self.min_dim_outside,
-            "members": [list(la) for la in self.members],
-        }
-
 
 def lambda_c_audit(n: int, c: Fraction) -> LambdaCAudit:
     """Enumerate Lambda_c and evaluate both size and dimension bounds.
@@ -273,22 +258,6 @@ class DecayReport:
     n: int
     c: Fraction
     rows: Tuple[DecayRow, ...]
-
-    def as_json(self) -> dict:
-        return {
-            "n": self.n,
-            "c": str(self.c),
-            "rows": [
-                {
-                    "support": r.support,
-                    "max_ratio": r.max_ratio,
-                    "alpha_hat": r.alpha_hat,
-                    "witness_la": list(r.witness_la),
-                    "witness_mu": list(r.witness_mu),
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def support_of_type(mu: Partition) -> int:

@@ -168,10 +168,6 @@ class KSubgroup(NamedTuple):
     shift: tuple
     subgroup: Subgroup
 
-    @property
-    def order(self) -> int:
-        return self.subgroup.order
-
 
 def k_build(H0: Subgroup, s) -> KSubgroup:
     """K = ((H0, s^-1 H0 s), 0) union ((H0 s, s^-1 H0), 1) inside G wr Z_2

@@ -248,6 +248,7 @@ def test_no_runtime_asserts_in_src():
         "mul_values", "inv_value", "class_key_of", "GroupElement",
         "_kernel", "_cache", "sampling_report", "SamplingReport", "ProjectionBundle",
         "irrep_distortion", "CyclicCharacter", "require_samplable", "KERNEL_CHUNK_CELLS",
+        "as_json",
     }
     defined = [
         f"{name}:{node.lineno}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,6 +134,74 @@ def test_dist_reports_keep_their_bytes(name):
     rc, out = run_cli_captured(["dist", *PINNED_DIST_REPORTS[name]])
     assert rc == 0
     assert out == (DATA / name).read_text()
+
+
+# every report record is written by cli._json's one encoder; SHA-256 of
+# each run's exit status, stdout and --out files (the tmp directory written
+# as <tmp>), taken while each record still listed its own JSON keys
+PINNED_REPORT_RUNS = {
+    "lambda-audit": ["lambda-audit", "--n", "12", "--c", "1/6"],
+    "roichman": ["roichman", "--n", "8", "--c", "1/6"],
+    "goppa-build": ["goppa", "build", "--q", "7", "--n", "6", "--r", "2", "--seed", "3"],
+    "goppa-aut": ["goppa", "aut", "--spec", "<tmp>/goppa-build/goppa_build.json"],
+    "goppa-check": ["goppa", "check", "--spec", "<tmp>/goppa-build/goppa_build.json"],
+    "mceliece-gen": [
+        "mceliece", "gen", "--q", "3", "--k", "2", "--n", "3", "--min-rank", "2", "--seed", "1",
+    ],
+    "mceliece-attack": ["mceliece", "attack", "--instance", "<tmp>/mceliece-gen/mceliece_instance.json"],
+    "dist-gl2_5": ["dist", "--group", "gl2_5", "--subgroup", "unipotent", "--S", "linear", "--D", "4"],
+    "dist-wreath_s4": [
+        "dist", "--group", "wreath_s4", "--subgroup", "K-type", "--mc-samples", "50", "--seed", "1",
+        "--S", "linear", "--D", "2",
+    ],
+}
+PINNED_REPORT_DIGESTS = {
+    "dist-gl2_5": "9c86964645cda0e3ed152376d7b311e026bba44b985fc6f449fb713afad0d88f",
+    "dist-wreath_s4": "f5fccc5e9ba46ed8a03681d9ea4adaaea842aef9d8ef4b1367bb74a5c35b1e37",
+    "goppa-aut": "749aee9196654c9285b8b38082da062bccadc3858d57f61b3b65765bde4ca21a",
+    "goppa-build": "a2fd93e7a94bb4c79bb0005731643b68bf6d53a80340e9fd12d86251a0c70108",
+    "goppa-check": "4e904fa528e408b0cc684f7c1f75907edc49889ee44af68e70ce5d375ce2727c",
+    "lambda-audit": "8fc87ebcabcad686a4dabf7ab6213567e433f2ad7327138d04a3e0c5cd7d8a63",
+    "mceliece-attack": "910f1b0e048620e7b665f5a28de895e5793c72254783a375686f9bb2abb9a4e7",
+    "mceliece-gen": "a2b711decc98173bf7744b29fbad06531236523c58b8f1ad2959176f45e28749",
+    "roichman": "9df4e94180e12a5f5a81c0515f7107d24db3fbe4d4808a183ef3a08b53c74524",
+    "verify-lemmas-failing": "5e87662ab918c04d890f7224b9479b7771f90fa388219ad03e8bf16fbcacdb25",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path, monkeypatch):
+    tmp = str(tmp_path).encode()
+
+    def digest(name, argv):
+        out_dir = tmp_path / name
+        argv = [a.replace("<tmp>", str(tmp_path)) for a in argv]
+        rc, out = run_cli_captured([*argv, "--out", str(out_dir)])
+        h = hashlib.sha256(b"%d\0" % rc + out.encode().replace(tmp, b"<tmp>"))
+        for path in sorted(out_dir.iterdir()):
+            h.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes().replace(tmp, b"<tmp>"))
+        return h.hexdigest()
+
+    digests = {name: digest(name, argv) for name, argv in PINNED_REPORT_RUNS.items()}
+    # a failing verify-lemmas body lists its failed records: the weak-sum
+    # bend of test_a_weak_sum_off_by_a_millionth_fails_its_record_and_stops_dist
+    weak = sampling.weak_distribution
+
+    def bent(table, H):
+        probs = weak(table, H)
+        probs[0] += 1e-6
+        return probs
+
+    monkeypatch.setattr(sampling, "weak_distribution", bent)
+    digests["verify-lemmas-failing"] = digest("verify-lemmas-failing", ["verify-lemmas", "--suite", "small"])
+    assert digests == PINNED_REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("value", [np.int64(1), object()])
+def test_the_report_encoder_refuses_other_types(value):
+    # a dataclass is written as its fields and a Fraction as "p/q"; nothing
+    # else falls back to its str()
+    with pytest.raises(TypeError):
+        cli._json({"value": value})
 
 
 def test_dist_failures_come_from_the_shared_verdict(monkeypatch):
@@ -702,6 +772,9 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     assert not seen["import"] - {"cosetlab.cli"}, seen["import"]
     assert not seen["gen"] & {"numpy", "dataclasses", "fractions"}, seen["gen"]
     assert "numpy" in seen["attack"]
+    # the keyrec records are NamedTuples, and the attack's report reaches
+    # no dataclass or Fraction in the encoder
+    assert not seen["attack"] & {"dataclasses", "fractions"}, seen["attack"]
     # only the goppa command and the closed form for |H0| read the code layer
     for command in ("gen", "attack", "lemmas"):
         assert "cosetlab.goppa" not in seen[command], command

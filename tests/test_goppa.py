@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
 
-from cosetlab import goppa
+from cosetlab import cli, goppa
 from cosetlab.fields import field_of_order, mat_rank, poly_eval
 from cosetlab.goppa import (
     LinearCode,
@@ -41,7 +42,7 @@ def test_spec_validation_rejects_bad_input():
 
 def test_spec_json_roundtrip():
     spec = grs_spec()
-    back = RationalGoppaSpec.from_json(spec.as_json())
+    back = RationalGoppaSpec.from_json(json.loads(cli._json(spec)))
     assert back == spec
 
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cosetlab import sampling
+from cosetlab import cli, sampling
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group, symmetric_group, wreath_z2
 from cosetlab.sampling import sampling_context
@@ -59,7 +60,7 @@ def test_lemma_checks_cover_expected_kinds():
         "general-method",
     } <= kinds
     for r in records:
-        body = r.as_json()
+        body = json.loads(cli._json(r))
         assert set(body) >= {"group", "subgroup", "check", "lhs", "rhs", "ok"}
 
 

@@ -89,7 +89,7 @@ def test_k_two_coset_structure():
     H0 = subgroup_closure(G0, [G0.make((1, 0, 2))], label="order-2")
     s = G0.make((1, 2, 0))
     K = k_build(H0, s)
-    assert K.order == 2 * H0.order**2
+    assert K.subgroup.order == 2 * H0.order**2
     s_inv = inv_value(G0, s)
     H0s = {mul_values(G0, h, s) for h in H0.value_set}
     sH0s = {conj(G0, s, h) for h in H0.value_set}
