@@ -367,8 +367,10 @@ def cmd_mceliece(args):
         "recovered-key-valid": res.valid,
     }
     ok = all(checks.values())
-    result = {**res._asdict(), "K_order": res.K.order, "H0_order": res.H0.order}
-    del result["K"], result["H0"]
+    result = res._asdict()
+    for name in ("K", "H0"):
+        sub = result.pop(name)
+        result[f"{name}_order"] = None if sub is None else sub.order
     body = {
         "ok": ok,
         "result": result,

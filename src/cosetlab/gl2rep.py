@@ -226,7 +226,7 @@ class GelfandGraev:
         coset = np.searchsorted(reps, keys)
         moved = cay[:, reps]
         self.target = coset[moved]
-        inside = cay[ids.inverse[reps[self.target]], moved]
+        inside = cay[ids.inv(reps[self.target]), moved]
         # (log z, digit 0 of y/z) of every ZU element, -1 elsewhere
         zlog = np.full(G.order, -1)
         digit = np.full(G.order, -1)

@@ -7,14 +7,16 @@ elements).  They are the edge format: parsing, JSON, reports and class
 representatives.  There is no element wrapper: `Group.make` validates a
 value and returns it, and `Group.elements()` is the list of values in id
 order.  All arithmetic runs in the id view (`Group.ids()`): id i is the
-i-th value of `iter_values()`, and products and inverses run on numpy id
-arrays.
+i-th value of `iter_values()`, and every view has `mul(a, b)` and `inv(a)`
+on numpy id arrays.
 S_n and GL_k(F_q) multiply through an int32 Cayley table, built on first
 use, S_n up to SN_TABLE_CAP elements and GL_k up to TABLE_CAP; past its
-cap S_n multiplies by composing image arrays.  Direct products and wreath
-products compose ids from their factors' ids and multiply through the
-factors, so their own |G|^2 table is never built.  A Subgroup is the sorted array of its ids,
-certified and closed on id arrays.
+cap S_n multiplies by composing image arrays.  Their inverses are one
+array over the group.  Direct products and wreath products compose ids
+from their factors' ids, and compose `inv` as they compose `mul`, through
+the factors; neither keeps an array of its own order, so their |G|^2
+table and |G| inverse are never built.  A Subgroup is the sorted array of
+its ids, certified and closed on id arrays.
 
 Composition convention, fixed globally: products apply left factor first,
 (pi * sigma)(i) = sigma(pi(i)), which matches P_(pi*sigma) = P_pi P_sigma for
@@ -292,7 +294,7 @@ class TableIds:
     product in row chunks on first use and only up to TABLE_CAP elements,
     caches it.  S_n passes its inverse array and past SN_TABLE_CAP
     multiplies with product; GL_k reads its inverse off the table, so past
-    TABLE_CAP it has neither.
+    TABLE_CAP it has neither.  inv(a) reads the inverse array.
     """
 
     def __init__(self, group: Group, values, array, product, inverse=None):
@@ -327,6 +329,9 @@ class TableIds:
             return self.product(a, b)
         return self.table[a, b]
 
+    def inv(self, a) -> np.ndarray:
+        return self.inverse[a]
+
     def id_of(self, value) -> int:
         return self.index[value]
 
@@ -336,21 +341,23 @@ class TableIds:
 
 class ProductIds:
     """Ids of G1 x G2: (i1, i2) has id i1*|G2| + i2, the order of
-    DirectProduct.iter_values()."""
+    DirectProduct.iter_values(); mul and inv act componentwise."""
 
     def __init__(self, first, second):
         self.factors = (first, second)
         self.order = first.order * second.order
         self.identity = first.identity * second.order + second.identity
-        self.inverse = (
-            first.inverse[:, None] * second.order + second.inverse[None, :]
-        ).ravel()
 
     def mul(self, a, b) -> np.ndarray:
         first, second = self.factors
         a1, a2 = np.divmod(np.asarray(a, dtype=np.int64), second.order)
         b1, b2 = np.divmod(np.asarray(b, dtype=np.int64), second.order)
         return first.mul(a1, b1) * np.int64(second.order) + second.mul(a2, b2)
+
+    def inv(self, a) -> np.ndarray:
+        first, second = self.factors
+        a1, a2 = np.divmod(np.asarray(a, dtype=np.int64), second.order)
+        return first.inv(a1) * np.int64(second.order) + second.inv(a2)
 
     def id_of(self, value) -> int:
         first, second = self.factors
@@ -364,19 +371,13 @@ class ProductIds:
 
 class WreathIds:
     """Ids of G wr Z_2: (x, y, b) has id (b*|G| + x)*|G| + y, the order of
-    WreathZ2.iter_values()."""
+    WreathZ2.iter_values(); mul and inv compose base ids."""
 
     def __init__(self, base):
         self.base = base
         n = base.order
         self.order = 2 * n * n
         self.identity = base.identity * n + base.identity
-        inv = base.inverse
-        # (x, y, 0)^-1 = (x^-1, y^-1, 0) and (x, y, 1)^-1 = (y^-1, x^-1, 1)
-        self.inverse = np.concatenate([
-            (inv[:, None] * n + inv[None, :]).ravel(),
-            ((n + inv[None, :]) * n + inv[:, None]).ravel(),
-        ])
 
     def split(self, a):
         """The (x, y, b) base-id arrays of wreath id array a."""
@@ -393,6 +394,13 @@ class WreathIds:
         x = self.base.mul(x1, np.where(swap, y2, x2))
         y = self.base.mul(y1, np.where(swap, x2, y2))
         return ((b1 ^ b2) * n + x) * n + y
+
+    def inv(self, a) -> np.ndarray:
+        # (x, y, 0)^-1 = (x^-1, y^-1, 0) and (x, y, 1)^-1 = (y^-1, x^-1, 1)
+        n = np.int64(self.base.order)
+        x, y, b = self.split(a)
+        x, y, swap = self.base.inv(x), self.base.inv(y), b == 1
+        return (b * n + np.where(swap, y, x)) * n + np.where(swap, x, y)
 
     def id_of(self, value) -> int:
         x, y, b = value
@@ -480,7 +488,7 @@ class Subgroup:
         gids = group.ids()
         if not _member(ids, gids.identity):
             raise ValueError("subgroup misses the identity")
-        if not _member(ids, gids.inverse[ids]).all():
+        if not _member(ids, gids.inv(ids)).all():
             raise ValueError("subgroup not closed under inverse")
         rows = max(1, TABLE_CHUNK_CELLS // len(ids))
         for lo in range(0, len(ids), rows):

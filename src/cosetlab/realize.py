@@ -17,7 +17,11 @@ request smaller than the factor group, from its stack otherwise) and
 `stack()` and `mat_value` all read it, so they agree bit for bit.
 
 Strong sampling reads `diag`, the (n, d) diagonals of `at` at an id array,
-gathered once per distinct id in bounded calls.
+computed once per distinct id in bounded calls.  Wreath irreps
+(`WreathIrrep`) also have a diagonal source that forms no D x D matrix,
+`wreathrep.wreath_diag` of the base stacks; each of its entries is the one
+product the gather forms there, so it equals the gathered diagonal bit for
+bit.  Every other family takes the diagonals of its gathers.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .chartab import (
 from .groups import Group, _distinct_index
 
 TRACE_TOL = 1e-8
-GATHER_CELLS = 1 << 18  # matrix entries per `at` call of a default diagonal gather
+GATHER_CELLS = 1 << 18  # matrix (or diagonal) entries per call of a diagonal gather
 
 
 def kron_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -48,6 +52,12 @@ def kron_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     b = B.shape[1]
     prod = A[:, :, None, :, None] * B[:, None, :, None, :]
     return prod.reshape(n, a * b, a * b)
+
+
+def kron_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, a*b) diagonals of kron_stack(A, B), from the (n, a) and (n, b)
+    diagonals of A and B: the same products, bit for bit."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), a.shape[1] * b.shape[1])
 
 
 def projector_basis(P: np.ndarray, rank: int) -> np.ndarray:
@@ -69,6 +79,11 @@ def projector_basis(P: np.ndarray, rank: int) -> np.ndarray:
 class RealizedIrrep:
     """One irrep given by its gather: matfun maps an id array to the
     (n, d, d) matrices of the irrep at those ids."""
+
+    # a subclass that forms diagonals without matrices defines this as a
+    # method from an id array to the (n, d) diagonals of the gather there,
+    # equal to them bit for bit
+    _diagonals: Optional[Callable] = None
 
     def __init__(self, group: Group, label: str, dim: int, matfun: Callable):
         self.group = group
@@ -100,18 +115,26 @@ class RealizedIrrep:
 
     def diag(self, ids: Sequence[int]) -> np.ndarray:
         """The (n, d) complex diagonals of `at` at an id array: read off
-        the stack once it is built, otherwise gathered on the distinct ids
-        in calls of at most GATHER_CELLS matrix entries."""
+        the stack once it is built, otherwise computed on the distinct ids
+        by the diagonal source in calls of at most GATHER_CELLS diagonal
+        entries, or without one off gathers of at most GATHER_CELLS matrix
+        entries."""
         ids = np.asarray(ids, dtype=np.int64)
         if self._stack is not None:
             return np.einsum("nii->ni", self._stack)[ids]
         distinct, index = _distinct_index(ids)
         out = np.empty((len(distinct), self.dim), dtype=complex)
-        step = max(1, GATHER_CELLS // self.dim**2)
+        if self._diagonals is not None:
+            source, step = self._diagonals, max(1, GATHER_CELLS // self.dim)
+        else:
+            source, step = self._gathered_diagonals, max(1, GATHER_CELLS // self.dim**2)
         for lo in range(0, len(distinct), step):
-            # einsum's diagonal is a view, so copy it before the next gather
-            out[lo : lo + step] = np.einsum("nii->ni", self.at(distinct[lo : lo + step]))
+            out[lo : lo + step] = source(distinct[lo : lo + step])
         return out[index]
+
+    def _gathered_diagonals(self, ids: np.ndarray) -> np.ndarray:
+        # einsum's diagonal is a view of the gather, which diag copies out
+        return np.einsum("nii->ni", self.at(ids))
 
     def mat_value(self, value) -> np.ndarray:
         """The matrix at one group value; ValueError outside the group."""
@@ -120,6 +143,29 @@ class RealizedIrrep:
 
     def __repr__(self) -> str:
         return f"RealizedIrrep({self.label}, dim={self.dim})"
+
+
+class WreathIrrep(RealizedIrrep):
+    """A wreath irrep of kind plus, minus or pair over its realized base
+    irreps (rho, and sigma for a pair): `wreath_stack` of their stack rows
+    at the x and y components is its gather, and `wreath_diag` of the same
+    rows its diagonal source."""
+
+    def __init__(self, group: Group, label: str, dim: int, kind: str, bases):
+        self.kind, self.bases = kind, bases
+        super().__init__(group, label, dim, self._wreath_gather)
+
+    def _wreath_gather(self, g: np.ndarray) -> np.ndarray:
+        from .wreathrep import wreath_stack
+
+        x, y, b = self.group.ids().split(g)
+        stacks = [r.stack() for r in self.bases]
+        return wreath_stack(self.kind, [s[x] for s in stacks], [s[y] for s in stacks], b)
+
+    def _diagonals(self, g: np.ndarray) -> np.ndarray:
+        from .wreathrep import wreath_diag
+
+        return wreath_diag(self.kind, [r.stack() for r in self.bases], *self.group.ids().split(g))
 
 
 # ---- GL_2 through the Gelfand-Graev model ----
@@ -170,19 +216,10 @@ def realize_table(table: CharacterTable) -> List[RealizedIrrep]:
             rep = YorRep(la)
             out.append(RealizedIrrep(G, label, rep.dim, lambda g, r=rep: r.mats(perms[g])))
     elif isinstance(fam, WreathFamily):
-        from .wreathrep import wreath_stack
-
         base_reals = realize_table(fam.base)
         for i, meta in enumerate(fam.metas):
-            # rho, and sigma for a pair irrep
             bases = [base_reals[meta.i]] + ([base_reals[meta.j]] if meta.kind == "pair" else [])
-
-            def gather(g, kind=meta.kind, bases=bases):
-                x, y, b = G.ids().split(g)
-                stacks = [r.stack() for r in bases]
-                return wreath_stack(kind, [s[x] for s in stacks], [s[y] for s in stacks], b)
-
-            out.append(RealizedIrrep(G, table.labels[i], table.dims[i], gather))
+            out.append(WreathIrrep(G, table.labels[i], table.dims[i], meta.kind, bases))
     elif isinstance(fam, ProductFamily):
         reals1, reals2 = (realize_table(t) for t in fam.factors)
         n2 = fam.factors[1].group.order

@@ -115,7 +115,7 @@ class Conjugates:
             self.ids = np.asarray(ids, dtype=np.int64)
             reps, rep_of = _distinct_index(H.least_in_cosets(self.ids))
         g = reps[:, None]
-        conj = np.sort(G.mul(G.mul(G.inverse[g], H.ids[None, :]), g), axis=1)
+        conj = np.sort(G.mul(G.mul(G.inv(g), H.ids[None, :]), g), axis=1)
         self.sets, set_of = _distinct_rows(conj)
         self.row = set_of if ids is None else set_of[rep_of]
         step = max(1, CONJUGATE_CHUNK_CELLS // (dim * H.order))

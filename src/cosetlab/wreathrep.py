@@ -10,7 +10,9 @@ are computed on whole id arrays.
 Each wreath irrep has one matrix formula, `wreath_stack`, which takes the
 base irreps' matrices at the x and y components of a batch of elements,
 element by element; the realized irrep's gather feeds it rows of the base
-stacks at the components of an id array.
+stacks at the components of an id array.  `wreath_diag`, beside it, gives
+the diagonals of those matrices from the base stacks without forming them,
+and is the diagonal source of `realize.WreathIrrep`.
 
 `chartab` and `realize` are imported inside the functions that use them,
 so building K for `mceliece attack` loads no character-table layer.
@@ -161,6 +163,34 @@ def wreath_stack(
     return out
 
 
+def wreath_diag(kind: str, stacks: Sequence[np.ndarray], x, y, b) -> np.ndarray:
+    """The (n, D) diagonals of one wreath irrep at the elements
+    (x[i], y[i], b[i]), for the (|G|, d, d) stacks of rho (and, for a pair
+    irrep, sigma), without forming its D x D matrices.  Each entry is the
+    one product wreath_stack forms for it, so the two agree bit for bit:
+    diag rho(x) (x) diag rho(y) for plus/minus off the swap and
+    +-rho(x)[a, c] rho(y)[c, a] at a*d + c on it; the two block diagonals
+    diag rho(x) (x) diag sigma(y) and diag rho(y) (x) diag sigma(x) for a
+    pair off the swap, and 0 on it."""
+    from .realize import kron_diag
+    swap = np.asarray(b) == 1
+    diags = [np.einsum("nii->ni", s) for s in stacks]
+    if kind in ("plus", "minus"):
+        sign = 1.0 if kind == "plus" else -1.0
+        rho, d = stacks[0], diags[0]
+        out = kron_diag(d[x], d[y])
+        out[swap] = sign * (rho[x[swap]] * rho[y[swap]].transpose(0, 2, 1)).reshape(-1, out.shape[1])
+        return out
+    if kind != "pair":
+        raise ValueError(f"unknown wreath irrep kind {kind!r}")
+    (rho, sigma), off = diags, ~swap
+    h = rho.shape[1] * sigma.shape[1]
+    out = np.zeros((len(swap), 2 * h), dtype=complex)
+    out[off, :h] = kron_diag(rho[x[off]], sigma[y[off]])
+    out[off, h:] = kron_diag(rho[y[off]], sigma[x[off]])
+    return out
+
+
 # ---- the hidden subgroup K of the lifted shift problem ----
 
 class KSubgroup(NamedTuple):
@@ -178,7 +208,7 @@ def k_build(H0: Subgroup, s) -> KSubgroup:
     ids0 = G0.ids()
     n = np.int64(ids0.order)
     h, si = H0.ids, ids0.id_of(s)
-    s_inv = ids0.inverse[si]
+    s_inv = ids0.inv(si)
     conj = ids0.mul(ids0.mul(s_inv, h), si)
     K = np.concatenate([
         (h[:, None] * n + conj[None, :]).ravel(),

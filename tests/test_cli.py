@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import cli, gl2rep, sampling, symrep
+from cosetlab import cli, gl2rep, hsp, sampling, symrep
 from cosetlab.chartab import CharacterTable
 from cosetlab.cli import main
 
@@ -335,6 +335,28 @@ def test_mceliece_attack_tampered_instance(tmp_path, capsys):
     body = read_json(capsys)
     assert body["ok"] is False
     assert "error" in body
+
+
+def test_mceliece_attack_fails_right_injective_before_extraction(tmp_path, monkeypatch):
+    assert run_cli_captured([
+        "mceliece", "gen", "--q", "2", "--k", "2", "--n", "3", "--seed", "3",
+        "--out", str(tmp_path),
+    ])[0] == 0
+    lifted = hsp.lifted_labels
+
+    def bent(problem):
+        # the last id leaves its class alone, which splits a coset of K
+        labels = lifted(problem)
+        labels[-1] = labels.max() + 1
+        return labels
+
+    monkeypatch.setattr(hsp, "lifted_labels", bent)
+    monkeypatch.setattr(hsp, "extract_shift", lambda K: pytest.fail("extracted"))
+    rc, out = run_cli_captured(["mceliece", "attack", "--instance", str(tmp_path / "mceliece_instance.json")])
+    body = json.loads(out)
+    assert rc == 1 and body["ok"] is False and body["failed_check"] == "right-injective"
+    assert body["result"]["right_injective"] is False
+    assert body["result"]["K_order"] is None and body["result"]["valid"] is None
 
 
 def test_mceliece_attack_requires_instance():

@@ -104,7 +104,7 @@ def test_conjugation():
         ids = G.ids()
         for _ in range(40):
             g, x = rng.randrange(G.order), rng.randrange(G.order)
-            want = ids.value_of(ids.mul(ids.mul(ids.inverse[g], x), g))
+            want = ids.value_of(ids.mul(ids.mul(ids.inv(g), x), g))
             assert conj(G, ids.value_of(g), ids.value_of(x)) == want
 
 
@@ -188,7 +188,7 @@ def test_conjugate_values_is_conjugate_subgroup():
     ids = G.ids()
     H = subgroup_closure(G, [G.make((1, 0, 2, 3))])
     for g in range(G.order):
-        vals = [ids.value_of(c) for c in ids.mul(ids.mul(ids.inverse[g], H.ids), g)]
+        vals = [ids.value_of(c) for c in ids.mul(ids.mul(ids.inv(g), H.ids), g)]
         assert len(vals) == H.order
         expected = {conj(G, G.elements()[g], h) for h in H.value_set}
         assert set(vals) == expected
@@ -282,13 +282,15 @@ def test_element_order_divides_group_order():
 
 
 def test_id_view_matches_tuple_arithmetic_on_every_pair():
-    gl23 = general_linear_group(2, 3)
+    gl23, s3 = general_linear_group(2, 3), symmetric_group(3)
     for G in (
-        symmetric_group(3),
+        s3,
         symmetric_group(4),
         general_linear_group(2, 2),
         gl23,
-        product_group(gl23, symmetric_group(3)),
+        product_group(gl23, s3),
+        product_group(general_linear_group(2, 2), s3),
+        wreath_z2(s3),
     ):
         ids = G.ids()
         values = list(G.iter_values())
@@ -299,7 +301,7 @@ def test_id_view_matches_tuple_arithmetic_on_every_pair():
         n = len(values)
         prods = ids.mul(np.arange(n)[:, None], np.arange(n)[None, :])
         for a, va in enumerate(values):
-            assert values[ids.inverse[a]] == inv_value(G, va)
+            assert values[ids.inv(a)] == inv_value(G, va)
             assert [values[c] for c in prods[a]] == [mul_values(G, va, vb) for vb in values]
 
 
@@ -316,9 +318,21 @@ def test_wreath_id_view_matches_tuple_arithmetic():
     b = np.array([rng.randrange(W.order) for _ in range(2000)])
     for i, j, c in zip(a, b, ids.mul(a, b)):
         assert ids.value_of(c) == mul_values(W, values[i], values[j])
-    for i in a[:500]:
-        assert ids.value_of(ids.inverse[i]) == inv_value(W, values[i])
+    for i, c in zip(a, ids.inv(a)):
+        assert ids.value_of(c) == inv_value(W, values[i])
     assert ids.value_of(ids.identity) == W.identity_value()
+
+
+def test_product_and_wreath_ids_hold_no_array_of_their_order():
+    # mul and inv compose from the factors' or base's ids, so neither view
+    # keeps a |G|-sized table or inverse
+    gl23, s3 = general_linear_group(2, 3), symmetric_group(3)
+    for G in (product_group(gl23, s3), wreath_z2(product_group(gl23, s3)), wreath_z2(s3)):
+        ids = G.ids()
+        ids.inv(np.arange(ids.order))
+        assert not [
+            name for name, v in vars(ids).items() if isinstance(v, np.ndarray) and v.size >= ids.order
+        ]
 
 
 def test_product_enumeration_runs_each_factor_once():
@@ -365,7 +379,7 @@ def test_sn_ids_match_tuple_arithmetic():
         every = np.arange(G.order)
         assert np.array_equal(ids.mul(every[:, None], every[None, :]), want)
         assert np.array_equal(ids.product(every[:, None], every[None, :]), want)
-        assert [values[i] for i in ids.inverse] == [inv_value(G, v) for v in values]
+        assert [values[i] for i in ids.inv(every)] == [inv_value(G, v) for v in values]
     # seeded pairs past the table cap, where mul composes image arrays
     rng = np.random.default_rng(0)
     for n in (7, 8):
@@ -375,7 +389,7 @@ def test_sn_ids_match_tuple_arithmetic():
         assert [ids.value_of(c) for c in ids.mul(a, b)] == [
             mul_values(G, ids.value_of(x), ids.value_of(y)) for x, y in zip(a, b)
         ]
-        assert [ids.value_of(c) for c in ids.inverse[a]] == [
+        assert [ids.value_of(c) for c in ids.inv(a)] == [
             inv_value(G, ids.value_of(x)) for x in a
         ]
         with pytest.raises(ValueError, match="exceeds the Cayley table cap"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import cli, fields, hsp
+from cosetlab import cli, fields, groups, hsp
 from cosetlab.fields import (
     GROUP_ENUM_CAP,
     apply_perm_to_cols,
@@ -264,12 +264,14 @@ def test_attack_refuses_past_the_cap_before_enumerating(monkeypatch):
         attack(inst)
 
 
-def test_attack_works_in_one_scan_chunk_plus_its_labels():
+def test_attack_works_in_one_scan_chunk_plus_its_labels(monkeypatch):
     # (GL2(F3) x S3) wr Z2 has 165,888 elements: the lifted labels take
     # 648 KiB as int32, and the certification scans hold one chunk at a
-    # time, where whole-group temporaries took 10.7 MiB
+    # time, where whole-group temporaries took 10.7 MiB.  The groups are
+    # fresh, so their id views are built inside the trace: a dense wreath
+    # inverse (1.3 MiB of int64) would take the peak past 3 MiB
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
     inst = random_instance(field_of_order(3), 2, 3, seed=1, min_rank=2)
-    attack(inst)  # builds the groups' id tables, which are cached
     tracemalloc.start()
     try:
         res = attack(inst)
@@ -277,7 +279,32 @@ def test_attack_works_in_one_scan_chunk_plus_its_labels():
     finally:
         tracemalloc.stop()
     assert res.valid and res.k_formula_match
-    assert peak <= 4 << 20, peak
+    assert peak < 2 << 20, peak
+
+
+# exhaustive distinguishability of the attack's K, min-rank 2, k = 2, n = 3
+K_REFERENCE_VALUES = {
+    (2, 0): 0.6335733882030178,
+    (2, 1): 0.5956472590560382,
+    (3, 0): 0.19778848190130363,
+    (3, 1): 0.6068042635935834,
+}
+
+
+@pytest.mark.parametrize("q, seed", sorted(K_REFERENCE_VALUES))
+def test_the_attacks_hidden_subgroup_keeps_its_distinguishability(q, seed):
+    from cosetlab import sampling
+    from cosetlab.chartab import product_table
+    from cosetlab.gl2rep import char_table
+    from cosetlab.symrep import sn_character_table
+    from cosetlab.wreathrep import wreath_char_table
+
+    res = attack(random_instance(field_of_order(q), 2, 3, seed=seed, min_rank=2))
+    base = res.K.group.base
+    table = wreath_char_table(product_table(base, char_table(q), sn_character_table(3)))
+    assert table.group == res.K.group
+    value = sampling.distinguishability(sampling.sampling_context(table), res.K).value
+    assert value == K_REFERENCE_VALUES[q, seed]
 
 
 def test_attack_larger_permutation_side():
@@ -352,8 +379,7 @@ def test_id_scan_matches_tuple_reference_when_not_right_injective():
         verdict, _ = reference_right_injective(f, W)
         assert verdict is False
         assert check_right_injective(labels, W) is False
-        with pytest.raises(ValueError):
-            hidden_subgroup_of(labels, W)
+        assert hidden_subgroup_of(labels, W) is None
 
 
 def unique_right_injective(labels, G):
@@ -363,7 +389,7 @@ def unique_right_injective(labels, G):
     _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
     in_K = labels == labels[ids.identity]
     y = np.arange(G.order)
-    if not in_K[ids.mul(y, ids.inverse[first[cls]])].all():
+    if not in_K[ids.mul(y, ids.inv(first[cls]))].all():
         return False
     K = np.flatnonzero(in_K)
     if not in_K[ids.mul(K[:, None], K[None, :])].all():

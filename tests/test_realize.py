@@ -80,10 +80,10 @@ def reference_stacks(table, max_dim=None):
         models = [(a, b) for a in reals1 for b in reals2]
         mat = lambda ab, v: product_mat(ab[0], ab[1], v)
     else:
-        base = realize_table(fam.base)
-        models = [
-            (m.kind, base[m.i].mat_value, base[m.j].mat_value) for m in fam.metas
-        ]
+        # each base matrix is built once per value and read by np.kron at
+        # every wreath element that holds the value
+        base = [functools.lru_cache(maxsize=None)(r.mat_value) for r in realize_table(fam.base)]
+        models = [(m.kind, base[m.i], base[m.j]) for m in fam.metas]
         mat = lambda model, v: wreath_mat(*model, v)
     for i, model in enumerate(models):
         if max_dim is None or table.dims[i] <= max_dim:
@@ -187,6 +187,32 @@ def test_diag_holds_one_gather_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(got, want)
     assert peak < 720 * 16 * 16 * 16 / 4
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("name", ["big_wreath", "wreath_s3"])
+def test_wreath_diagonals_equal_the_gathered_diagonals(name):
+    # every id in id order (so b = 0 and b = 1 of a wreath), then seeded
+    # Monte Carlo ids with repeats, read through the diagonal source and
+    # through the diagonal of the gathered matrices
+    table = AT_TABLES[name]()
+    assert isinstance(table.family, WreathFamily)
+    order = table.group.order
+    mc = np.random.default_rng(0).integers(0, order, size=600)
+    assert len(np.unique(mc)) < len(mc)
+    for real in realize_table(table):
+        assert real._diagonals is not None
+        step = max(1, realize.GATHER_CELLS // real.dim**2)
+        for ids in (np.arange(order), mc):
+            got = real.diag(ids)
+            assert real._stack is None
+            for lo in range(0, len(ids), step):
+                want = np.einsum("nii->ni", real.at(ids[lo : lo + step]))
+                assert bits(real._diagonals(ids[lo : lo + step])) == bits(want)
+                assert bits(got[lo : lo + step]) == bits(want)
 
 
 def test_s7_at_equals_yor_loop_without_a_cayley_table():

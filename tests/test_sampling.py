@@ -558,14 +558,17 @@ def test_order_2_values_land_on_their_exact_rationals():
 
 def test_wreath_dist_forms_wreath_matrices_only_at_conjugates_of_the_subgroup(monkeypatch):
     # per irrep of nonzero weight, wreath_stack runs once for the projection
-    # on the |H| elements of H and once for the diagonals on the distinct
-    # ids of the conjugates g^-1 H g, which lie in the classes meeting H;
-    # the exhaustive run meets all of them
+    # on the |H| elements of H, and wreath_diag once for the diagonals on
+    # the distinct ids of the conjugates g^-1 H g, which lie in the classes
+    # meeting H; the exhaustive run meets all of them
     rows = []
-    stack = wreathrep.wreath_stack
-    monkeypatch.setattr(
-        wreathrep, "wreath_stack", lambda kind, xs, ys, b: rows.append(len(b)) or stack(kind, xs, ys, b)
-    )
+    for name in ("wreath_stack", "wreath_diag"):
+        monkeypatch.setattr(
+            wreathrep,
+            name,
+            lambda *args, f=getattr(wreathrep, name), name=name: rows.append((name, len(args[-1])))
+            or f(*args),
+        )
     ctx = sampling_context(wreath_char_table(sn_character_table(4)))
     H = next(H for H in subgroup_catalog(ctx.group) if H.label == "K-type")
     meeting = np.asarray(ctx.table.class_sizes)[sorted(set(ctx.table.columns_of(H.ids).tolist()))].sum()
@@ -574,8 +577,10 @@ def test_wreath_dist_forms_wreath_matrices_only_at_conjugates_of_the_subgroup(mo
         del rows[:]
         res = distinguishability(ctx, H, mc_samples=mc_samples, seed=3)
         n = np.count_nonzero(res.weak >= sampling.ZERO_TRACE_TOL)
-        assert rows[::2] == [H.order] * n and len(rows) == 2 * n
+        assert rows[::2] == [("wreath_stack", H.order)] * n and len(rows) == 2 * n
         conjugate_rows = set(rows[1::2])
-        assert len(conjugate_rows) == 1 and conjugate_rows.pop() <= meeting
+        assert len(conjugate_rows) == 1
+        name, count = conjugate_rows.pop()
+        assert name == "wreath_diag" and count <= meeting
         if mc_samples is None:
-            assert rows[1] == meeting
+            assert count == meeting

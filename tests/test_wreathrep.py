@@ -213,5 +213,5 @@ BIG_WREATH_ORDER = 2 * 36**2
 def test_big_wreath_columns_are_conjugation_invariant(g, k):
     ids, cols = _big_wreath_columns()
     assert ids.order == BIG_WREATH_ORDER
-    conj = ids.mul(ids.mul(ids.inverse[k], g), k)
+    conj = ids.mul(ids.mul(ids.inv(k), g), k)
     assert cols[conj] == cols[g]
