@@ -353,11 +353,11 @@ def cmd_mceliece(args):
         return mceliece.McElieceInstance.from_json(obj)
     inst = _read_json("--instance", args.instance, instance, "instance")
     shape_ok = all(1 <= v <= shape_cap for v in (inst.k, inst.n))
-    if not shape_ok or groups.wreath_z2(inst.base_group()).order > GROUP_ENUM_CAP:
+    if not shape_ok or groups.wreath_z2(inst.base_group()).order > hsp.ATTACK_CAP:
         raise ConfigError(
             "--instance",
             f"the attack needs k, n >= 1 and (GL_k(F_q) x S_n) wr Z2 within the "
-            f"enumeration cap {GROUP_ENUM_CAP}; got q={inst.q}, k={inst.k}, n={inst.n}",
+            f"attack cap {hsp.ATTACK_CAP}; got q={inst.q}, k={inst.k}, n={inst.n}",
         )
     res = hsp.attack(inst)
     checks = {

@@ -46,11 +46,12 @@ SN_TABLE_CAP = 120
 TABLE_CHUNK_CELLS = 1 << 14
 
 
-def require_enumerable(G: "Group", cap: str = "enumeration cap") -> None:
-    """Refuse a group of more than GROUP_ENUM_CAP elements; cap names the
-    cap's purpose in the message ("the sampling cap" for strong sampling)."""
-    if G.order > GROUP_ENUM_CAP:
-        raise ValueError(f"|{G}| = {G.order} exceeds {cap} {GROUP_ENUM_CAP}")
+def require_enumerable(G: "Group", cap: str = "enumeration cap", limit: int = GROUP_ENUM_CAP) -> None:
+    """Refuse a group of more than limit elements, GROUP_ENUM_CAP unless a
+    caller has its own cap; cap names the cap's purpose in the message
+    ("the sampling cap" for strong sampling, "the attack cap" in `hsp`)."""
+    if G.order > limit:
+        raise ValueError(f"|{G}| = {G.order} exceeds {cap} {limit}")
 
 
 class Group:

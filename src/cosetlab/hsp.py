@@ -3,6 +3,11 @@ two stabilizer-shift functions on GL_k x S_n of a `mceliece` key as label
 arrays over ids, their lift to the wreath product, right-injectivity
 certification, explicit hidden subgroups, and shift extraction back to a
 valid private key.
+
+The lift is never stored: `LiftedLabels` evaluates it from the two base
+label arrays, a scan chunk or an id array at a time, so the attack holds
+no array of |W| entries and runs up to ATTACK_CAP wreath elements, past
+the enumeration cap.
 """
 
 from __future__ import annotations
@@ -27,9 +32,16 @@ from .wreathrep import k_build
 
 # ids per chunk of the scans over a whole group: one chunk's temporaries
 # (about twenty int64 id arrays in a wreath product) stay under about 1 MiB;
-# traced, the right-injectivity scan of (GL2(F3) x S3) wr Z2, class tables
-# included, peaks at 0.88 MiB in chunks of 1 << 12 ids, 1.42 MiB in 1 << 13
+# traced, the right-injectivity scan of (GL2(F3) x S3) wr Z2, class table
+# and lifted labels included, peaks at 0.63 MiB in chunks of 1 << 12 ids,
+# 1.16 MiB in 1 << 13
 SCAN_CHUNK = 1 << 12
+
+# largest wreath lift the attack takes, set by its memory: its one table
+# over the lift's label space holds at most |G|^2 = |W| / 2 int32 ids (8 MiB
+# here), beside one scan chunk; (3,2,4) and (4,2,3) fit, (5,2,3) with
+# 16,588,800 elements does not
+ATTACK_CAP = 1 << 22
 
 
 # ---- the shift pair and its wreath lift ----
@@ -46,10 +58,10 @@ class ShiftProblem(NamedTuple):
 def shift_problem(inst: McElieceInstance) -> ShiftProblem:
     """The shift pair of inst; the recorded witness shift is (A^-1, P) for
     the secret pair.  Refused before any enumeration when the wreath lift
-    exceeds GROUP_ENUM_CAP, which also keeps every code below
-    q^(kn) < 2^18."""
+    exceeds ATTACK_CAP, which also keeps every code below q^(kn) < 2^24
+    (241^3 at k = 1, n = 3), far inside int64."""
     G = inst.base_group()
-    require_enumerable(wreath_z2(G))
+    require_enumerable(wreath_z2(G), "the attack cap", ATTACK_CAP)
     F, k = inst.field(), inst.k
     gl, sn = G.ids().factors
     add, mul = F.tables()
@@ -71,73 +83,101 @@ def shift_problem(inst: McElieceInstance) -> ShiftProblem:
     )
 
 
-def lifted_labels(problem: ShiftProblem) -> np.ndarray:
+class LiftedLabels:
     """The single function on (G x G) semidirect Z_2 hiding the two-coset
-    subgroup, as labels over its ids (equal labels iff equal values):
-    (f0(x), f1(y)) at (x, y, 0) and (f1(y), f0(x)) at (x, y, 1)."""
-    m = int(max(problem.l0.max(), problem.l1.max())) + 1
-    # m <= |G|, so every label is below m^2 <= |W| / 2, which the cap check
-    # in shift_problem keeps far below 2^31
-    l0, l1 = problem.l0.astype(np.int32), problem.l1.astype(np.int32)
-    n = len(l0)
-    out = np.empty((2, n, n), dtype=np.int32)
-    np.multiply(l0[:, None], m, out=out[0])
-    out[0] += l1[None, :]
-    np.multiply(l1[None, :], m, out=out[1])
-    out[1] += l0[:, None]
-    return out.ravel()
+    subgroup, as labels over its ids (equal labels iff equal values),
+    evaluated on demand from the base label arrays: (f0(x), f1(y)) at
+    (x, y, 0) is l0[x] m + l1[y] and (f1(y), f0(x)) at (x, y, 1) is
+    l1[y] m + l0[x], with m base labels, so every label lies below
+    size = m^2.  labels[lo:hi] evaluates a contiguous chunk of ids by whole
+    (b, x) rows and labels[a] an id array of any shape through
+    WreathIds.split; no array of |W| labels is formed."""
+
+    def __init__(self, problem: ShiftProblem):
+        self.group = wreath_z2(problem.group)
+        self.m = int(max(problem.l0.max(), problem.l1.max())) + 1
+        # m <= |G|, so every label is below |G|^2 = |W| / 2, which the cap
+        # check in shift_problem keeps far below 2^31
+        self.size = self.m**2
+        self.l0, self.l1 = problem.l0.astype(np.int32), problem.l1.astype(np.int32)
+
+    def __getitem__(self, a) -> np.ndarray:
+        l0, l1, m = self.l0, self.l1, self.m
+        if isinstance(a, slice):
+            n = len(l0)
+            first = a.start // n
+            b, x = np.divmod(np.arange(first, (a.stop - 1) // n + 1), n)
+            lx = l0[x][:, None]
+            rows = np.where((b == 1)[:, None], l1 * m + lx, lx * m + l1)
+            return rows.ravel()[a.start - first * n : a.stop - first * n]
+        x, y, b = self.group.ids().split(a)
+        lx, ly = l0[x], l1[y]
+        return np.where(b == 1, ly * m + lx, lx * m + ly)
 
 
 # ---- coset structure of a function ----
 
-def check_right_injective(labels, G: Group) -> bool:
+def check_right_injective(labels, G: Group, level_set: Optional[list] = None) -> bool:
     """f(x) = f(y) iff f(y x^-1) = f(identity), for the function f given by
-    its label array over G's ids (equal labels iff equal values), certified
-    over the whole group through three facts that together are equivalent
-    to the pairwise biconditional: every value class lies in one right
-    translate of the identity class K, K is closed under multiplication
-    (hence a subgroup), and the class count times |K| accounts for the
-    whole group, which forces each class to equal its translate exactly."""
-    require_enumerable(G)
-    labels = np.asarray(labels)
-    if labels.shape != (G.order,) or labels.min() < 0:
-        raise ValueError(f"a label array holds |{G}| = {G.order} non-negative integers")
-    if labels.max() >= G.order:
-        # sparse labels: number the classes densely, so the class table
-        # below has at most |G| entries
-        labels = np.searchsorted(_distinct(labels), labels)
+    its labels over G's ids (equal labels iff equal values): a LiftedLabels
+    of G or an array of |G| non-negative integers.  Certified over the whole
+    group through three facts that together are equivalent to the pairwise
+    biconditional: every value class lies in one right translate of the
+    identity class K, K is closed under multiplication (hence a subgroup),
+    and the class count times |K| accounts for the whole group, which forces
+    each class to equal its translate exactly.  One pass over id chunks
+    reads the labels; a list passed as level_set receives K's ids from that
+    pass, in ascending chunks."""
+    require_enumerable(G, "the attack cap", ATTACK_CAP)
+    if isinstance(labels, LiftedLabels):
+        if labels.group != G:
+            raise ValueError(f"lifted labels of {labels.group} do not label {G}")
+        size = labels.size
+    else:
+        labels = np.asarray(labels)
+        if labels.shape != (G.order,) or labels.min() < 0:
+            raise ValueError(f"a label array holds |{G}| = {G.order} non-negative integers")
+        if labels.max() >= G.order:
+            # sparse labels: number the classes densely, so the class table
+            # below has at most |G| entries
+            labels = np.searchsorted(_distinct(labels), labels)
+        size = int(labels.max()) + 1
     ids, n = G.ids(), G.order
     k_label = labels[ids.identity]
-    chunks = [slice(lo, min(lo + SCAN_CHUNK, n)) for lo in range(0, n, SCAN_CHUNK)]
-    # the least id of each label's class; n marks an unused label
-    first = np.full(labels.max() + 1, n, dtype=np.int64)
-    for c in chunks:
-        np.minimum.at(first, labels[c], np.arange(c.start, c.stop))
-    used = np.flatnonzero(first < n)
-    # x^-1 for the first element x of each class, once per class, in place
-    for lo in range(0, len(used), SCAN_CHUNK):
-        first[used[lo : lo + SCAN_CHUNK]] = ids.inv(first[used[lo : lo + SCAN_CHUNK]])
-    # y x^-1 in K, with x the first element of y's class
-    for c in chunks:
-        if not (labels[ids.mul(np.arange(c.start, c.stop), first[labels[c]])] == k_label).all():
+    # x^-1 for the least id x of each label's class, n for a label not met
+    # yet; the cap keeps ids in int32
+    x_inv = np.full(size, n, dtype=np.int32)
+    K = [] if level_set is None else level_set
+    for lo in range(0, n, SCAN_CHUNK):
+        y = np.arange(lo, min(lo + SCAN_CHUNK, n), dtype=np.int32)
+        chunk = labels[lo : lo + len(y)]
+        # ids come in ascending order, so a class first met in this chunk
+        # has its least id here
+        fresh = x_inv[chunk] == n
+        new = chunk[fresh]
+        np.minimum.at(x_inv, new, y[fresh])
+        x_inv[new] = ids.inv(x_inv[new])
+        # y x^-1 in K
+        if not (labels[ids.mul(y, x_inv[chunk])] == k_label).all():
             return False
-    K = np.flatnonzero(labels == k_label)
+        K.append(y[chunk == k_label])
+    K = np.concatenate(K)
     rows = max(1, SCAN_CHUNK // len(K))
     for lo in range(0, len(K), rows):
         if not (labels[ids.mul(K[lo : lo + rows, None], K[None, :])] == k_label).all():
             return False
-    return len(used) * len(K) == n
+    return int(np.count_nonzero(x_inv < n)) * len(K) == n
 
 
 def hidden_subgroup_of(labels, G: Group, label: str = "G|_f") -> Optional[Subgroup]:
     """The stabilizer class {g : f(g) = f(1)} as a verified subgroup, or
     None unless f is right-injective, which it needs to separate its right
     cosets exactly.  labels are as for check_right_injective, which checks
-    them."""
-    labels = np.asarray(labels)
-    if not check_right_injective(labels, G):
+    them and reads the class in its one pass."""
+    level_set: list = []
+    if not check_right_injective(labels, G, level_set):
         return None
-    return Subgroup(G, np.flatnonzero(labels == labels[G.ids().identity]), label=label)
+    return Subgroup(G, np.concatenate(level_set), label=label)
 
 
 def stabilizer_order_product(inst: McElieceInstance) -> int:
@@ -187,7 +227,7 @@ def attack(inst: McElieceInstance) -> AttackResult:
     extract a shift, and verify it reproduces the public matrix."""
     F = inst.field()
     prob = shift_problem(inst)
-    K = hidden_subgroup_of(lifted_labels(prob), wreath_z2(prob.group), label="K")
+    K = hidden_subgroup_of(LiftedLabels(prob), wreath_z2(prob.group), label="K")
     if K is None:
         return AttackResult(right_injective=False)
     # f0(identity) = M, so H0 = {g : f0(g) = M} is f0's class at the identity

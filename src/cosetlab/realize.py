@@ -37,7 +37,7 @@ from .chartab import (
     SymmetricFamily,
     WreathFamily,
 )
-from .groups import Group, _distinct_index
+from .groups import Group
 
 TRACE_TOL = 1e-8
 GATHER_CELLS = 1 << 18  # matrix (or diagonal) entries per call of a diagonal gather
@@ -115,22 +115,21 @@ class RealizedIrrep:
 
     def diag(self, ids: Sequence[int]) -> np.ndarray:
         """The (n, d) complex diagonals of `at` at an id array: read off
-        the stack once it is built, otherwise computed on the distinct ids
-        by the diagonal source in calls of at most GATHER_CELLS diagonal
-        entries, or without one off gathers of at most GATHER_CELLS matrix
-        entries."""
+        the stack once it is built, otherwise computed by the diagonal
+        source in calls of at most GATHER_CELLS diagonal entries, or without
+        one off gathers of at most GATHER_CELLS matrix entries.  A repeated
+        id is computed again at each place it occurs."""
         ids = np.asarray(ids, dtype=np.int64)
         if self._stack is not None:
             return np.einsum("nii->ni", self._stack)[ids]
-        distinct, index = _distinct_index(ids)
-        out = np.empty((len(distinct), self.dim), dtype=complex)
+        out = np.empty((len(ids), self.dim), dtype=complex)
         if self._diagonals is not None:
             source, step = self._diagonals, max(1, GATHER_CELLS // self.dim)
         else:
             source, step = self._gathered_diagonals, max(1, GATHER_CELLS // self.dim**2)
-        for lo in range(0, len(distinct), step):
-            out[lo : lo + step] = source(distinct[lo : lo + step])
-        return out[index]
+        for lo in range(0, len(ids), step):
+            out[lo : lo + step] = source(ids[lo : lo + step])
+        return out
 
     def _gathered_diagonals(self, ids: np.ndarray) -> np.ndarray:
         # einsum's diagonal is a view of the gather, which diag copies out

@@ -9,7 +9,8 @@ tuple-valued subgroup certification and closure that the id arrays of
 that the coset kernel in `sampling` replaced, and the kernel's dense route
 |Q* rho(g) e_i|^2 that its diagonals at conjugates replaced; the
 tuple-valued McEliece shift functions and stabilizer that the label arrays
-of `hsp` replaced; and
+of `hsp` replaced, and the materialized int32 label array of their wreath
+lift that `hsp.LiftedLabels` replaced; and
 paper quantities that no package code reads: the stabilizer/orbit counting
 formulas over F_q, the linear multiplicities of GL2 tensor squares and the
 scalar-free corollary bound."""
@@ -293,6 +294,21 @@ def lifted_function(inst):
         return (f1[y], f0[x]) if b else (f0[x], f1[y])
 
     return f
+
+
+def lifted_labels(problem) -> np.ndarray:
+    """The labels of `hsp.LiftedLabels` as one int32 array over every id
+    of the wreath lift: l0[x] m + l1[y] at (x, y, 0) and l1[y] m + l0[x]
+    at (x, y, 1), with m base labels."""
+    m = int(max(problem.l0.max(), problem.l1.max())) + 1
+    l0, l1 = problem.l0.astype(np.int32), problem.l1.astype(np.int32)
+    n = len(l0)
+    out = np.empty((2, n, n), dtype=np.int32)
+    np.multiply(l0[:, None], m, out=out[0])
+    out[0] += l1[None, :]
+    np.multiply(l1[None, :], m, out=out[1])
+    out[1] += l0[:, None]
+    return out.ravel()
 
 
 def reference_stabilizer_values(inst) -> frozenset:

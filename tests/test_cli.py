@@ -342,15 +342,21 @@ def test_mceliece_attack_fails_right_injective_before_extraction(tmp_path, monke
         "mceliece", "gen", "--q", "2", "--k", "2", "--n", "3", "--seed", "3",
         "--out", str(tmp_path),
     ])[0] == 0
-    lifted = hsp.lifted_labels
 
-    def bent(problem):
-        # the last id leaves its class alone, which splits a coset of K
-        labels = lifted(problem)
-        labels[-1] = labels.max() + 1
-        return labels
+    class Bent(hsp.LiftedLabels):
+        # the last id takes the identity's label, so K's level set gains an
+        # element outside K and is no longer a subgroup
+        def __getitem__(self, a):
+            labels = super().__getitem__(a)
+            last, k_label = self.group.order - 1, super().__getitem__(self.group.ids().identity)
+            if isinstance(a, slice):
+                if a.start <= last < a.stop:
+                    labels[last - a.start] = k_label
+            else:
+                labels[np.asarray(a) == last] = k_label
+            return labels
 
-    monkeypatch.setattr(hsp, "lifted_labels", bent)
+    monkeypatch.setattr(hsp, "LiftedLabels", Bent)
     monkeypatch.setattr(hsp, "extract_shift", lambda K: pytest.fail("extracted"))
     rc, out = run_cli_captured(["mceliece", "attack", "--instance", str(tmp_path / "mceliece_instance.json")])
     body = json.loads(out)
@@ -482,8 +488,8 @@ def run_cli_process(*argv):
         (["dist", "--group", "gl2_3", "--subgroup", "[(12)]"], "--subgroup"),
         (["dist", "--group", "gl2_2xs3", "--subgroup", "[(12)]"], "--subgroup"),
         (["dist", "--group", "wreath_s3", "--subgroup", "[(12)]"], "--subgroup"),
-        # |W| = 1,036,800 is past the attack's enumeration cap (exit 1, no flag)
-        (["mceliece", "attack", "--instance", str(DATA / "mceliece_q2_k2_n5.json")], "--instance"),
+        # |W| = 16,588,800 is past the attack cap (exit 1, no flag)
+        (["mceliece", "attack", "--instance", str(DATA / "mceliece_q5_k2_n3.json")], "--instance"),
         # --S or --D alone recorded the flag and computed no bound (exit 0)
         (["dist", "--group", "gl2_3", "--subgroup", "unipotent", "--S", "linear"], "--D"),
         (["dist", "--group", "gl2_3", "--subgroup", "unipotent", "--D", "2"], "--S"),

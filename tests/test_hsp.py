@@ -34,11 +34,12 @@ from cosetlab.groups import (
     wreath_z2,
 )
 from cosetlab.hsp import (
+    ATTACK_CAP,
+    LiftedLabels,
     attack,
     check_right_injective,
     extract_shift,
     hidden_subgroup_of,
-    lifted_labels,
     shift_problem,
     stabilizer_order_product,
 )
@@ -49,6 +50,7 @@ from cosetlab.wreathrep import k_build
 from reference_models import (
     inv_value,
     lifted_function,
+    lifted_labels,
     mul_values,
     reference_stabilizer_values,
     shift_value,
@@ -185,7 +187,7 @@ def test_lifted_function_hides_the_two_coset_subgroup():
     prob = shift_problem(inst)
     G = prob.group
     W = wreath_z2(G)
-    labels = lifted_labels(prob)
+    labels = LiftedLabels(prob)
     assert check_right_injective(labels, W)
     K = hidden_subgroup_of(labels, W)
     H0 = Subgroup(G, [G.ids().id_of(v) for v in reference_stabilizer_values(inst)])
@@ -198,8 +200,7 @@ def test_lifted_function_constant_exactly_on_left_cosets():
     inst = tiny_instance(9)
     prob = shift_problem(inst)
     W = wreath_z2(prob.group)
-    labels = lifted_labels(prob)
-    K = hidden_subgroup_of(labels, W)
+    K = hidden_subgroup_of(LiftedLabels(prob), W)
     els = W.elements()
     f = lifted_function(inst)
     fvals = {el: f(el) for el in els}
@@ -252,26 +253,31 @@ def test_attack_runs_no_tuple_arithmetic_per_base_element(monkeypatch):
 
 
 def test_attack_refuses_past_the_cap_before_enumerating(monkeypatch):
-    # (GL2(F3) x S4) wr Z2 has 2 (48 * 24)^2 = 2,654,208 elements
-    inst = random_instance(field_of_order(3), 2, 4, seed=0, min_rank=2)
+    # (GL2(F5) x S3) wr Z2 has 2 (480 * 6)^2 = 16,588,800 elements
+    inst = random_instance(field_of_order(5), 2, 3, seed=0, min_rank=2)
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{self} was enumerated")
 
     monkeypatch.setattr(Group, "elements", refuse)
     monkeypatch.setattr(Group, "ids", refuse)
-    with pytest.raises(ValueError, match=f"enumeration cap {GROUP_ENUM_CAP}"):
+    with pytest.raises(ValueError, match=f"attack cap {ATTACK_CAP}"):
         attack(inst)
 
 
-def test_attack_works_in_one_scan_chunk_plus_its_labels(monkeypatch):
-    # (GL2(F3) x S3) wr Z2 has 165,888 elements: the lifted labels take
-    # 648 KiB as int32, and the certification scans hold one chunk at a
-    # time, where whole-group temporaries took 10.7 MiB.  The groups are
-    # fresh, so their id views are built inside the trace: a dense wreath
-    # inverse (1.3 MiB of int64) would take the peak past 3 MiB
-    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
-    inst = random_instance(field_of_order(3), 2, 3, seed=1, min_rank=2)
+@pytest.mark.parametrize("q, n", [(3, 4), (4, 3)])
+def test_attack_recovers_the_key_past_the_enumeration_cap(q, n):
+    # |W| = 2,654,208 at (3,2,4) and 2,332,800 at (4,2,3): past
+    # GROUP_ENUM_CAP, within ATTACK_CAP
+    inst = random_instance(field_of_order(q), 2, n, seed=0, min_rank=2)
+    res = attack(inst)
+    assert GROUP_ENUM_CAP < res.K.group.order <= ATTACK_CAP
+    assert res.right_injective and res.k_formula_match and res.size_match and res.valid
+    assert res.H0.order == stabilizer_order_product(inst)
+
+
+def traced_attack_peak(inst):
+    """The attack's traced peak in bytes, once its key is checked valid."""
     tracemalloc.start()
     try:
         res = attack(inst)
@@ -279,7 +285,30 @@ def test_attack_works_in_one_scan_chunk_plus_its_labels(monkeypatch):
     finally:
         tracemalloc.stop()
     assert res.valid and res.k_formula_match
+    return peak
+
+
+def test_attack_works_in_one_scan_chunk_plus_its_labels(monkeypatch):
+    # (GL2(F3) x S3) wr Z2 has 165,888 elements, and the certification
+    # scans hold one chunk at a time, where whole-group temporaries took
+    # 10.7 MiB.  The groups are fresh, so their id views are built inside
+    # the trace: a dense wreath inverse (1.3 MiB of int64) would take the
+    # peak past 3 MiB
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    inst = random_instance(field_of_order(3), 2, 3, seed=1, min_rank=2)
+    peak = traced_attack_peak(inst)
     assert peak < 2 << 20, peak
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_attack_holds_no_label_array_of_the_lift(monkeypatch, seed):
+    # an int32 label per wreath id (648 KiB at (3,2,3)) beside the scan's
+    # class table and chunk took the peak to 1.54 MiB; evaluated per chunk,
+    # the labels leave the class table (83 KiB of int32) and one chunk
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    inst = random_instance(field_of_order(3), 2, 3, seed=seed, min_rank=2)
+    peak = traced_attack_peak(inst)
+    assert peak < 1 << 20, peak
 
 
 # exhaustive distinguishability of the attack's K, min-rank 2, k = 2, n = 3
@@ -347,19 +376,39 @@ def test_id_scan_matches_tuple_reference(n, seed):
     W = wreath_z2(prob.group)
     verdict, K_vals = reference_right_injective(f, W)
     assert verdict is True
-    labels = lifted_labels(prob)
     codes = {}
     by_value = np.array([
         codes.setdefault(f(v), len(codes)) for v in W.iter_values()
     ])
-    assert same_partition(labels, by_value)
+    assert same_partition(lifted_labels(prob), by_value)
     # one id per chunk over the 41,472 ids at n = 4 would take seconds
     for chunk in SCAN_CHUNKS if n == 3 else SCAN_CHUNKS[1:]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hsp, "SCAN_CHUNK", chunk)
-            assert check_right_injective(labels, W) is True
-            assert hidden_subgroup_of(labels, W).value_set == K_vals
+            assert check_right_injective(LiftedLabels(prob), W) is True
+            assert hidden_subgroup_of(LiftedLabels(prob), W).value_set == K_vals
     assert attack(inst).K.value_set == K_vals
+
+
+@pytest.mark.parametrize("q, ids_read", [(2, None), (3, 4096)])
+def test_lifted_labels_equal_the_materialized_reference(q, ids_read):
+    # every id of a q = 2 lift (2,592) or 4,096 seeded ids of a q = 3 lift
+    # (165,888), read as an id array and as contiguous chunks of 1, 7, 64,
+    # 100 and 4,096 ids: chunks that start and end inside (b, x) rows of
+    # 36 or 288 ids
+    inst = random_instance(field_of_order(q), 2, 3, seed=q, min_rank=2)
+    prob = shift_problem(inst)
+    want, got = lifted_labels(prob), LiftedLabels(prob)
+    n = len(want)
+    rng = np.random.default_rng(q)
+    a = np.arange(n) if ids_read is None else rng.integers(0, n, size=ids_read)
+    assert got[a].dtype == want.dtype and np.array_equal(got[a], want[a])
+    assert np.array_equal(got[a.reshape(-1, 16)], want[a.reshape(-1, 16)])
+    for chunk in (1, 7, 64, 100, 4096):
+        starts = range(0, n, chunk) if ids_read is None else rng.integers(0, n, size=ids_read // chunk + 1)
+        for lo in starts:
+            hi = min(int(lo) + chunk, n)
+            assert got[lo:hi].dtype == want.dtype and np.array_equal(got[lo:hi], want[lo:hi])
 
 
 def test_id_scan_matches_tuple_reference_when_not_right_injective():
