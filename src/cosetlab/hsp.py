@@ -1,8 +1,9 @@
 """Scrambler-permutation key recovery as a hidden subgroup computation: the
 two stabilizer-shift functions on GL_k x S_n of a `mceliece` key as label
-arrays over ids, their lift to the wreath product, right-injectivity
-certification, explicit hidden subgroups, and shift extraction back to a
-valid private key.
+arrays over ids, their lift to the wreath product, the hidden subgroup
+read off the lift with its one certificate (`hidden_subgroup_of`: one scan
+for the coset facts, then the `Subgroup` constructor for closure), and
+shift extraction back to a valid private key.
 
 The lift is never stored: `LiftedLabels` evaluates it from the two base
 label arrays, a scan chunk or an id array at a time, so the attack holds
@@ -20,7 +21,6 @@ from . import fields
 from .fields import Matrix
 from .groups import (
     DirectProduct,
-    Group,
     Subgroup,
     WreathZ2,
     _distinct,
@@ -28,7 +28,7 @@ from .groups import (
     wreath_z2,
 )
 from .mceliece import McElieceInstance, public_matrix
-from .wreathrep import k_build
+from .wreathrep import k_ids
 
 # ids per chunk of the scans over a whole group: one chunk's temporaries
 # (about twenty int64 id arrays in a wreath product) stay under about 1 MiB;
@@ -117,37 +117,25 @@ class LiftedLabels:
 
 # ---- coset structure of a function ----
 
-def check_right_injective(labels, G: Group, level_set: Optional[list] = None) -> bool:
-    """f(x) = f(y) iff f(y x^-1) = f(identity), for the function f given by
-    its labels over G's ids (equal labels iff equal values): a LiftedLabels
-    of G or an array of |G| non-negative integers.  Certified over the whole
-    group through three facts that together are equivalent to the pairwise
-    biconditional: every value class lies in one right translate of the
-    identity class K, K is closed under multiplication (hence a subgroup),
-    and the class count times |K| accounts for the whole group, which forces
-    each class to equal its translate exactly.  One pass over id chunks
-    reads the labels; a list passed as level_set receives K's ids from that
-    pass, in ascending chunks."""
-    require_enumerable(G, "the attack cap", ATTACK_CAP)
-    if isinstance(labels, LiftedLabels):
-        if labels.group != G:
-            raise ValueError(f"lifted labels of {labels.group} do not label {G}")
-        size = labels.size
-    else:
-        labels = np.asarray(labels)
-        if labels.shape != (G.order,) or labels.min() < 0:
-            raise ValueError(f"a label array holds |{G}| = {G.order} non-negative integers")
-        if labels.max() >= G.order:
-            # sparse labels: number the classes densely, so the class table
-            # below has at most |G| entries
-            labels = np.searchsorted(_distinct(labels), labels)
-        size = int(labels.max()) + 1
+def hidden_subgroup_of(labels: LiftedLabels, label: str = "G|_f") -> Optional[Subgroup]:
+    """The stabilizer class K = {g : f(g) = f(1)} as a verified subgroup of
+    labels.group, for the function f given by its labels over that group's
+    ids (equal labels iff equal values), or None unless f is
+    right-injective: f(x) = f(y) iff f(y x^-1) = f(1), which f needs to
+    separate K's right cosets exactly.  Three facts together are equivalent
+    to that biconditional: every value class lies in one right translate of
+    K, the class count times |K| accounts for the whole group, which forces
+    each class to equal its translate exactly, and K is closed under
+    inverses and products.  One pass over id chunks checks the first and
+    reads K and the class count; the Subgroup constructor checks the
+    closure."""
+    G = labels.group
     ids, n = G.ids(), G.order
     k_label = labels[ids.identity]
     # x^-1 for the least id x of each label's class, n for a label not met
-    # yet; the cap keeps ids in int32
-    x_inv = np.full(size, n, dtype=np.int32)
-    K = [] if level_set is None else level_set
+    # yet; the attack cap in shift_problem keeps ids in int32
+    x_inv = np.full(labels.size, n, dtype=np.int32)
+    K = []
     for lo in range(0, n, SCAN_CHUNK):
         y = np.arange(lo, min(lo + SCAN_CHUNK, n), dtype=np.int32)
         chunk = labels[lo : lo + len(y)]
@@ -159,25 +147,16 @@ def check_right_injective(labels, G: Group, level_set: Optional[list] = None) ->
         x_inv[new] = ids.inv(x_inv[new])
         # y x^-1 in K
         if not (labels[ids.mul(y, x_inv[chunk])] == k_label).all():
-            return False
+            return None
         K.append(y[chunk == k_label])
     K = np.concatenate(K)
-    rows = max(1, SCAN_CHUNK // len(K))
-    for lo in range(0, len(K), rows):
-        if not (labels[ids.mul(K[lo : lo + rows, None], K[None, :])] == k_label).all():
-            return False
-    return int(np.count_nonzero(x_inv < n)) * len(K) == n
-
-
-def hidden_subgroup_of(labels, G: Group, label: str = "G|_f") -> Optional[Subgroup]:
-    """The stabilizer class {g : f(g) = f(1)} as a verified subgroup, or
-    None unless f is right-injective, which it needs to separate its right
-    cosets exactly.  labels are as for check_right_injective, which checks
-    them and reads the class in its one pass."""
-    level_set: list = []
-    if not check_right_injective(labels, G, level_set):
+    if int(np.count_nonzero(x_inv < n)) * len(K) != n:
         return None
-    return Subgroup(G, np.concatenate(level_set), label=label)
+    try:
+        return Subgroup(G, K, label=label)
+    except ValueError:
+        # K is not closed, so its classes are not its right cosets
+        return None
 
 
 def stabilizer_order_product(inst: McElieceInstance) -> int:
@@ -227,20 +206,19 @@ def attack(inst: McElieceInstance) -> AttackResult:
     extract a shift, and verify it reproduces the public matrix."""
     F = inst.field()
     prob = shift_problem(inst)
-    K = hidden_subgroup_of(LiftedLabels(prob), wreath_z2(prob.group), label="K")
+    K = hidden_subgroup_of(LiftedLabels(prob), label="K")
     if K is None:
         return AttackResult(right_injective=False)
     # f0(identity) = M, so H0 = {g : f0(g) = M} is f0's class at the identity
     l0 = prob.l0
     H0 = Subgroup(prob.group, np.flatnonzero(l0 == l0[prob.group.ids().identity]), label="H0")
-    oracle = k_build(H0, prob.witness)
     Av, P_rec = extract_shift(K)
     A_rec = fields.mat_inv(F, Av)
     return AttackResult(
         right_injective=True,
         K=K,
         H0=H0,
-        k_formula_match=np.array_equal(K.ids, oracle.subgroup.ids),
+        k_formula_match=np.array_equal(K.ids, k_ids(H0, prob.witness)),
         size_match=K.order == 2 * H0.order**2,
         recovered_A=A_rec,
         recovered_P=P_rec,

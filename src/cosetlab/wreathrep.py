@@ -199,10 +199,10 @@ class KSubgroup(NamedTuple):
     subgroup: Subgroup
 
 
-def k_build(H0: Subgroup, s) -> KSubgroup:
-    """K = ((H0, s^-1 H0 s), 0) union ((H0 s, s^-1 H0), 1) inside G wr Z_2
-    for the shift value s of the base group, built on ids: (x, y, b) has
-    id (b*|G| + x)*|G| + y."""
+def k_ids(H0: Subgroup, s) -> np.ndarray:
+    """The ids of K = ((H0, s^-1 H0 s), 0) union ((H0 s, s^-1 H0), 1) inside
+    G wr Z_2, ascending, for the shift value s of the base group: (x, y, b)
+    has id (b*|G| + x)*|G| + y."""
     G0 = H0.group
     G0.validate_value(s)
     ids0 = G0.ids()
@@ -210,11 +210,15 @@ def k_build(H0: Subgroup, s) -> KSubgroup:
     h, si = H0.ids, ids0.id_of(s)
     s_inv = ids0.inv(si)
     conj = ids0.mul(ids0.mul(s_inv, h), si)
-    K = np.concatenate([
+    return np.sort(np.concatenate([
         (h[:, None] * n + conj[None, :]).ravel(),
         ((n + ids0.mul(h, si))[:, None] * n + ids0.mul(s_inv, h)[None, :]).ravel(),
-    ])
-    sub = Subgroup(wreath_z2(G0), K, label=f"K[{H0.label}, shift {s}]")
+    ]))
+
+
+def k_build(H0: Subgroup, s) -> KSubgroup:
+    """K of k_ids, certified as a subgroup of G wr Z_2."""
+    sub = Subgroup(wreath_z2(H0.group), k_ids(H0, s), label=f"K[{H0.label}, shift {s}]")
     return KSubgroup(H0, s, sub)
 
 

@@ -311,6 +311,21 @@ def lifted_labels(problem) -> np.ndarray:
     return out.ravel()
 
 
+class ArrayLabels:
+    """A function on the ids of group as one array of |group| labels (equal
+    labels iff equal values), numbered densely, read through the `group`,
+    `size` and indexing of `hsp.LiftedLabels`."""
+
+    def __init__(self, group, labels):
+        distinct, dense = np.unique(np.asarray(labels), return_inverse=True)
+        self.group = group
+        self.size = len(distinct)
+        self.labels = dense.reshape(-1)
+
+    def __getitem__(self, a):
+        return self.labels[a]
+
+
 def reference_stabilizer_values(inst) -> frozenset:
     """H0 = {(A, P) : A^-1 M P = M}, by full enumeration on tuples."""
     F = inst.field()

@@ -224,6 +224,17 @@ def test_dist_failures_come_from_the_shared_verdict(monkeypatch):
     assert rc == 1 and json.loads(out)["failed_check"] == "dist-range"
 
 
+def test_dist_past_the_ceiling_is_a_failed_range_record_with_its_report(monkeypatch):
+    # the range has one verdict, dist_records, and no raise inside
+    # distinguishability: a value past 4 + 1e-8 still writes its report
+    distortions = sampling.CosetKernel.distortions
+    monkeypatch.setattr(sampling.CosetKernel, "distortions", lambda self: distortions(self) + 5.0)
+    rc, out = run_cli_captured(["dist", "--group", "s3", "--subgroup", "order-2"])
+    body = json.loads(out)
+    assert rc == 1 and body["ok"] is False and body["failed_check"] == "dist-range"
+    assert body["report"]["distinguishability"] > sampling.DIST_CEILING + 1e-8
+
+
 def test_chartable_gl2_summary(tmp_path, capsys):
     rc = run_cli(["chartable", "gl2", "--q", "3", "--out", str(tmp_path)])
     assert rc == 0

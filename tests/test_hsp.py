@@ -37,7 +37,6 @@ from cosetlab.hsp import (
     ATTACK_CAP,
     LiftedLabels,
     attack,
-    check_right_injective,
     extract_shift,
     hidden_subgroup_of,
     shift_problem,
@@ -48,6 +47,7 @@ from cosetlab.suites import subgroup_catalog
 from cosetlab.wreathrep import k_build
 
 from reference_models import (
+    ArrayLabels,
     inv_value,
     lifted_function,
     lifted_labels,
@@ -186,10 +186,8 @@ def test_lifted_function_hides_the_two_coset_subgroup():
     inst = tiny_instance(8)
     prob = shift_problem(inst)
     G = prob.group
-    W = wreath_z2(G)
-    labels = LiftedLabels(prob)
-    assert check_right_injective(labels, W)
-    K = hidden_subgroup_of(labels, W)
+    K = hidden_subgroup_of(LiftedLabels(prob))
+    assert K.group == wreath_z2(G)
     H0 = Subgroup(G, [G.ids().id_of(v) for v in reference_stabilizer_values(inst)])
     oracle = k_build(H0, prob.witness)
     assert K.value_set == oracle.subgroup.value_set
@@ -199,8 +197,8 @@ def test_lifted_function_hides_the_two_coset_subgroup():
 def test_lifted_function_constant_exactly_on_left_cosets():
     inst = tiny_instance(9)
     prob = shift_problem(inst)
-    W = wreath_z2(prob.group)
-    K = hidden_subgroup_of(LiftedLabels(prob), W)
+    K = hidden_subgroup_of(LiftedLabels(prob))
+    W = K.group
     els = W.elements()
     f = lifted_function(inst)
     fvals = {el: f(el) for el in els}
@@ -311,6 +309,28 @@ def test_attack_holds_no_label_array_of_the_lift(monkeypatch, seed):
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize(
+    "q, seed, min_rank, k_order", [(3, 0, 2, 8), (3, 1, 2, 8), (2, 2, 1, 32)]
+)
+def test_the_attack_forms_each_wreath_product_once(monkeypatch, q, seed, min_rank, k_order):
+    # the scan forms y x^-1 once per wreath id and the Subgroup constructor
+    # forms K x K once; a second closure loop in the scan and a certified
+    # formula subgroup took the count to |W| + 3 |K|^2
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    formed = []
+    mul = groups.WreathIds.mul
+
+    def counted(self, a, b):
+        out = mul(self, a, b)
+        formed.append(out.size)
+        return out
+
+    monkeypatch.setattr(groups.WreathIds, "mul", counted)
+    res = attack(random_instance(field_of_order(q), 2, 3, seed=seed, min_rank=min_rank))
+    assert res.valid and res.k_formula_match and res.K.order == k_order
+    assert sum(formed) == res.K.group.order + k_order**2
+
+
 # exhaustive distinguishability of the attack's K, min-rank 2, k = 2, n = 3
 K_REFERENCE_VALUES = {
     (2, 0): 0.6335733882030178,
@@ -349,8 +369,8 @@ SCAN_CHUNKS = (1, 7, 64, hsp.SCAN_CHUNK)
 
 
 def reference_right_injective(f, G):
-    """The tuple loop check_right_injective ran before the id view, kept as
-    the reference: (verdict, value set of the identity class)."""
+    """The tuple loop the right-injectivity scan ran before the id view,
+    kept as the reference: (verdict, value set of the identity class)."""
     fv = {el: f(el) for el in G.elements()}
     classes = {}
     for v, val in fv.items():
@@ -385,8 +405,8 @@ def test_id_scan_matches_tuple_reference(n, seed):
     for chunk in SCAN_CHUNKS if n == 3 else SCAN_CHUNKS[1:]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hsp, "SCAN_CHUNK", chunk)
-            assert check_right_injective(LiftedLabels(prob), W) is True
-            assert hidden_subgroup_of(LiftedLabels(prob), W).value_set == K_vals
+            K = hidden_subgroup_of(LiftedLabels(prob))
+            assert K is not None and K.value_set == K_vals
     assert attack(inst).K.value_set == K_vals
 
 
@@ -419,7 +439,8 @@ def test_id_scan_matches_tuple_reference_when_not_right_injective():
     ids = W.ids()
     identity = W.identity_value()
     x, _, _ = ids.split(np.arange(W.order))
-    # a level set that is not a subgroup, and classes of unequal size
+    # a level set that is not a subgroup, and classes of unequal size; in
+    # both, some class is not a right translate of the level set
     cases = [
         (lambda v: shift_value(F, inst.M, v[0]), prob.l0[x]),
         (lambda v: v == identity, (np.arange(W.order) == ids.identity).astype(np.int64)),
@@ -427,13 +448,15 @@ def test_id_scan_matches_tuple_reference_when_not_right_injective():
     for f, labels in cases:
         verdict, _ = reference_right_injective(f, W)
         assert verdict is False
-        assert check_right_injective(labels, W) is False
-        assert hidden_subgroup_of(labels, W) is None
+        for chunk in SCAN_CHUNKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hsp, "SCAN_CHUNK", chunk)
+                assert hidden_subgroup_of(ArrayLabels(W, labels)) is None
 
 
 def unique_right_injective(labels, G):
-    """check_right_injective as it ran on np.unique, kept as the reference
-    for the np.minimum.at scan."""
+    """The right-injectivity scan as it ran on np.unique, kept as the
+    reference for the np.minimum.at scan."""
     ids = G.ids()
     _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
     in_K = labels == labels[ids.identity]
@@ -444,6 +467,45 @@ def unique_right_injective(labels, G):
     if not in_K[ids.mul(K[:, None], K[None, :])].all():
         return False
     return len(first) * len(K) == G.order
+
+
+def test_a_level_set_that_tiles_but_is_not_closed_fails_in_the_subgroup_constructor(monkeypatch):
+    # pair each id u of GL2(F3) with g u along the right cosets of <g>, for
+    # g of order 6, cutting each coset {g^k t} at its least id t: (t, g t),
+    # (g^2 t, g^3 t), (g^4 t, g^5 t).  For this g every pair is led by its
+    # smaller id, so each class is the right translate of the level set
+    # {1, g} at its least id and 24 classes of 2 cover the group: the scan
+    # passes, and only the closure check refuses {1, g}
+    G = general_linear_group(2, 3)
+    ids, g = G.ids(), 33
+    powers = [ids.identity]
+    while (nxt := int(ids.mul(g, powers[-1]))) != ids.identity:
+        powers.append(nxt)
+    assert len(powers) == 6
+    u = np.arange(G.order)
+    t = ids.mul(np.array(powers)[:, None], u[None, :]).min(axis=0)
+    k = np.argmax(ids.mul(np.array(powers)[:, None], t[None, :]) == u, axis=0)
+    labels = 3 * t + k // 2
+    in_K = labels == labels[ids.identity]
+    _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
+    assert np.flatnonzero(in_K).tolist() == sorted([ids.identity, g])
+    assert in_K[ids.mul(u, ids.inv(first[cls]))].all() and len(first) * 2 == G.order
+    assert unique_right_injective(labels, G) is False
+    refused = []
+
+    def certified(*args, **kwargs):
+        try:
+            return Subgroup(*args, **kwargs)
+        except ValueError as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(hsp, "Subgroup", certified)
+    for chunk in SCAN_CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hsp, "SCAN_CHUNK", chunk)
+            assert hidden_subgroup_of(ArrayLabels(G, labels)) is None
+    assert refused == ["subgroup not closed under inverse"] * len(SCAN_CHUNKS)
 
 
 SCAN_GROUPS = [
@@ -472,45 +534,13 @@ def test_right_injective_scan_matches_the_unique_reference(data):
         labels = np.array(data.draw(st.lists(st.integers(0, m), min_size=G.order, max_size=G.order)))
     expected = unique_right_injective(labels, G)
     assert expected is True or kind != "cosets"
+    level_set = np.flatnonzero(labels == labels[ids.identity])
     for chunk in SCAN_CHUNKS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hsp, "SCAN_CHUNK", chunk)
-            assert check_right_injective(labels, G) is expected
-
-
-def test_sparse_labels_get_the_verdict_of_their_dense_relabelling():
-    # the class table is sized by the number of classes, not by the largest
-    # label: labels up to 2^62 would otherwise ask for 2^65 bytes
-    rng = np.random.default_rng(0)
-    s3 = symmetric_group(3)
-    cases = [(s3, np.array([0, 1, 2, 0, 1, 3]), np.array([0, 1, 2, 0, 1, 2**40]))]
-    for G in SCAN_GROUPS:
-        ids = G.ids()
-        for H in subgroup_catalog(G):
-            coset = ids.mul(H.ids[:, None], np.arange(G.order)[None, :]).min(axis=0)
-            for dense in (coset, rng.integers(0, 4, size=G.order)):
-                dense = np.searchsorted(np.unique(dense), dense)
-                # distinct classes get distinct labels just below 2^62
-                cases.append((G, dense, 2**62 - 2**40 * rng.permutation(G.order)[dense]))
-    verdicts = set()
-    for G, dense, sparse in cases:
-        assert sparse.max() >= G.order
-        tracemalloc.start()
-        try:
-            got = check_right_injective(sparse, G)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        assert got is check_right_injective(dense, G) is unique_right_injective(dense, G)
-        verdicts.add(got)
-    assert verdicts == {True, False}
-
-
-def test_a_negative_label_array_is_refused():
-    G = symmetric_group(3)
-    with pytest.raises(ValueError, match="non-negative"):
-        check_right_injective(np.array([0, 1, -1, 0, 1, 2]), G)
+            K = hidden_subgroup_of(ArrayLabels(G, labels))
+            assert (K is not None) is expected
+            assert K is None or np.array_equal(K.ids, level_set)
 
 
 def test_subgroups_and_k_are_built_without_tuple_arithmetic():
@@ -525,7 +555,7 @@ def test_subgroups_and_k_are_built_without_tuple_arithmetic():
     groups += [wreath_z2(s3), wreath_z2(product_group(gl22, s3)), product_group(gl22, s3)]
     for G in groups:
         assert subgroup_catalog(G)
-    # attack builds K, H0 and the k_build oracle
+    # attack builds K, H0 and K's formula ids
     for q in (2, 3):
         for seed in range(3):
             res = attack(random_instance(field_of_order(q), 2, 3, seed=seed))
