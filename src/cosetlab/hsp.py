@@ -52,7 +52,7 @@ class ShiftProblem(NamedTuple):
     group: DirectProduct
     l0: np.ndarray
     l1: np.ndarray
-    witness: tuple  # the value of a known shift, for oracle tests only
+    witness: tuple  # a known shift's value: attack's k_formula_match and oracle tests read it
 
 
 def shift_problem(inst: McElieceInstance) -> ShiftProblem:

@@ -108,16 +108,14 @@ class Conjugates:
     def __init__(self, H: Subgroup, dim: int, ids: Optional[np.ndarray] = None):
         G = H.group.ids()
         self.H = H
-        if ids is None:
-            # the coset representatives are the least ids of their cosets
-            self.ids = reps = H.coset_reps
-        else:
-            self.ids = np.asarray(ids, dtype=np.int64)
-            reps, rep_of = _distinct_index(H.least_in_cosets(self.ids))
+        # the coset representatives are the least ids of their cosets, so
+        # on them the mapping below is the identity
+        self.ids = H.coset_reps if ids is None else np.asarray(ids, dtype=np.int64)
+        reps, rep_of = _distinct_index(H.least_in_cosets(self.ids))
         g = reps[:, None]
         conj = np.sort(G.mul(G.mul(G.inv(g), H.ids[None, :]), g), axis=1)
         self.sets, set_of = _distinct_rows(conj)
-        self.row = set_of if ids is None else set_of[rep_of]
+        self.row = set_of[rep_of]
         step = max(1, CONJUGATE_CHUNK_CELLS // (dim * H.order))
         self.chunks = [
             _distinct_index(self.sets[lo : lo + step]) for lo in range(0, len(self.sets), step)

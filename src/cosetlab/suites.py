@@ -79,19 +79,16 @@ def _wreath_catalog(G: WreathZ2) -> List[Subgroup]:
     e = base.identity_value()
     out = [trivial_subgroup(G)]
     out.append(subgroup_closure(G, [(e, e, 1)], label="order-2"))
-    base_els = base.elements()
-    if len(base_els) < 2:  # S1 wr Z2 has no shift s != 1
+    if base.order < 2:  # S1 wr Z2 has no shift s != 1
         return out
-    s = base_els[1]
-    small = k_build(trivial_subgroup(base), s)
-    small.subgroup.label = "K-type small"
-    out.append(small.subgroup)
-    H0 = subgroup_closure(base, [base_els[1]], label="H0")
-    s2 = next((v for v in base_els if v not in H0.value_set), None)
+    ids = base.ids()
+    s = ids.value_of(1)
+    out.append(k_build(trivial_subgroup(base), s, label="K-type small"))
+    H0 = subgroup_closure(base, [s], label="H0")
+    inside = set(H0.ids.tolist())
+    s2 = next((i for i in range(base.order) if i not in inside), None)
     if s2 is not None:  # none when H0 is the whole base, as in S2
-        big = k_build(H0, s2)
-        big.subgroup.label = "K-type"
-        out.append(big.subgroup)
+        out.append(k_build(H0, ids.value_of(s2), label="K-type"))
     return out
 
 

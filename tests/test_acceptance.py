@@ -211,9 +211,10 @@ def test_wreath_character_stack():
     for H0 in subgroups:
         for s in G0.elements():
             K = k_build(H0, s)
-            assert K.subgroup.order == 2 * H0.order**2
+            assert K.order == 2 * H0.order**2
             for idx in range(table.n_irreps):
-                rep = k_max_normalized_char(table, idx, K)
+                rep = k_max_normalized_char(table, idx, K, H0)
+                assert rep.within_bound
                 assert rep.direct <= rep.formula + 1e-8
                 if rep.kind in ("plus", "minus"):
                     assert rep.equality_holds
@@ -248,7 +249,7 @@ def test_no_runtime_asserts_in_src():
         "mul_values", "inv_value", "class_key_of", "GroupElement",
         "_kernel", "_cache", "sampling_report", "SamplingReport", "ProjectionBundle",
         "irrep_distortion", "CyclicCharacter", "require_samplable", "KERNEL_CHUNK_CELLS",
-        "as_json",
+        "as_json", "KSubgroup",
     }
     defined = [
         f"{name}:{node.lineno}"

@@ -389,6 +389,19 @@ def test_verify_lemmas_small(tmp_path, capsys):
     assert all(v["failures"] == 0 for v in body["by_check"].values())
 
 
+def test_verify_lemmas_runs_the_whole_grid():
+    # every lemma grid, the big wreath included, plus the distinguishability
+    # suite; 5,042 checks is the count the lemma-grid benchmark pins
+    rc, out = run_cli_captured(["verify-lemmas", "--suite", "all"])
+    assert rc == 0
+    body = json.loads(out)
+    assert body["ok"] is True and body["checks"] == 5042
+    from cosetlab import suites
+    records = suites.run_lemma_suite("big-wreath")
+    assert records and not suites.failed(records)
+    assert {r.group for r in records} == {"(GL2(F2)xS3)wrZ2"}
+
+
 def test_a_failing_lemma_check_exits_1_with_json_records(monkeypatch):
     # no mean equals its rhs within a negative tolerance, so every Schur
     # record fails; np.bool_ or np.float64 fields would not serialize as these

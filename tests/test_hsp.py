@@ -190,7 +190,7 @@ def test_lifted_function_hides_the_two_coset_subgroup():
     assert K.group == wreath_z2(G)
     H0 = Subgroup(G, [G.ids().id_of(v) for v in reference_stabilizer_values(inst)])
     oracle = k_build(H0, prob.witness)
-    assert K.value_set == oracle.subgroup.value_set
+    assert K.value_set == oracle.value_set
     assert K.order == 2 * H0.order**2
 
 

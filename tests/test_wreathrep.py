@@ -89,12 +89,13 @@ def test_k_two_coset_structure():
     H0 = subgroup_closure(G0, [G0.make((1, 0, 2))], label="order-2")
     s = G0.make((1, 2, 0))
     K = k_build(H0, s)
-    assert K.subgroup.order == 2 * H0.order**2
+    assert K.order == 2 * H0.order**2
+    assert K.label == "K[order-2, shift (1, 2, 0)]"
     s_inv = inv_value(G0, s)
     H0s = {mul_values(G0, h, s) for h in H0.value_set}
     sH0s = {conj(G0, s, h) for h in H0.value_set}
     sinvH0 = {mul_values(G0, s_inv, h) for h in H0.value_set}
-    for v in K.subgroup.value_set:
+    for v in K.value_set:
         g1, g2, bit = v
         if bit == 0:
             assert g1 in H0.value_set and g2 in sH0s
@@ -130,7 +131,8 @@ def test_k_normalized_character_relations_exhaustive():
         for s in G0.elements():
             K = k_build(H0, s)
             for idx in range(t.n_irreps):
-                rep = k_max_normalized_char(t, idx, K)
+                rep = k_max_normalized_char(t, idx, K, H0)
+                assert rep.within_bound
                 assert rep.direct <= rep.formula + 1e-8
                 if rep.kind in ("plus", "minus"):
                     # the closed form is exact for the two extensions
@@ -142,9 +144,12 @@ def test_k_normalized_character_relations_exhaustive():
 def test_k_max_normalized_char_refuses_other_families():
     base = sn_character_table(3)
     G0 = base.group
-    K = k_build(trivial_subgroup(G0), G0.make((1, 0, 2)))
+    H0 = trivial_subgroup(G0)
+    K = k_build(H0, G0.make((1, 0, 2)))
     with pytest.raises(ValueError, match="wreath"):
-        k_max_normalized_char(base, 0, K)
+        k_max_normalized_char(base, 0, K, H0)
+    with pytest.raises(ValueError, match="trivial"):
+        k_max_normalized_char(s3_wreath(), 0, trivial_subgroup(K.group), H0)
 
 
 def test_wreath_over_matrix_base():
@@ -154,10 +159,11 @@ def test_wreath_over_matrix_base():
     assert t.orthogonality_error() < 1e-9
 
 
-def test_k_max_normalized_char_raises_on_a_tampered_table():
+def test_k_max_normalized_char_reports_a_tampered_table():
     # every character set to its dimension off the identity: the pair row's
     # direct maximum 1 exceeds its bound, and the plus row of the
-    # 2-dimensional base irrep differs from its closed form 1/2
+    # 2-dimensional base irrep differs from its closed form 1/2; both come
+    # back as verdicts, not as raises
     t = s3_wreath()
     ident = t.class_index_of(t.group.make(t.group.identity_value()))
     values = np.repeat(np.asarray(t.dims, dtype=complex)[:, None], t.n_irreps, axis=1)
@@ -167,11 +173,14 @@ def test_k_max_normalized_char_raises_on_a_tampered_table():
         values, t.columns_of, t.family,
     )
     G0 = t.family.base.group
-    K = k_build(subgroup_closure(G0, [G0.make((1, 0, 2))]), G0.make((1, 2, 0)))
-    with pytest.raises(AssertionError, match="exceeds its bound"):
-        k_max_normalized_char(tampered, t.index_of("pair{(3,)|(2, 1)}"), K)
-    with pytest.raises(AssertionError, match="differs from its closed form"):
-        k_max_normalized_char(tampered, t.index_of("plus{(2, 1)}"), K)
+    H0 = subgroup_closure(G0, [G0.make((1, 0, 2))])
+    K = k_build(H0, G0.make((1, 2, 0)))
+    pair = k_max_normalized_char(tampered, t.index_of("pair{(3,)|(2, 1)}"), K, H0)
+    assert pair.within_bound is False
+    assert pair.equality_holds is None
+    plus = k_max_normalized_char(tampered, t.index_of("plus{(2, 1)}"), K, H0)
+    assert plus.equality_holds is False
+    assert plus.formula == 0.5 and plus.direct == 1.0
 
 
 @pytest.mark.parametrize(
