@@ -96,6 +96,12 @@ def _read_json(flag: str, path: str, parse, key: Optional[str] = None):
 
 _ATOM_SN = re.compile(r"^s(\d+)$")
 _ATOM_GL2 = re.compile(r"^gl2_(\d+)$")
+# largest q of a gl2_<q> group spec, in `dist`, products and wreath bases:
+# realizing every irrep bounds it.  On a 2-vCPU VM, `dist --group gl2_9
+# --subgroup unipotent` took 1.5-2.1 s and 131 MiB, gl2_11 7.4 s and
+# 414 MiB, and `chartable wreath --base gl2_9` 23 s and 863 MiB
+# (`chartable gl2 --q` has its own cap, gl2rep.GL2_TABLE_CAP)
+GL2_GROUP_Q_CAP = 9
 
 
 def _parse_group(spec: str):
@@ -118,6 +124,8 @@ def _parse_group(spec: str):
     m = _ATOM_GL2.match(spec)
     if m:
         q = int(m.group(1))
+        if q > GL2_GROUP_Q_CAP:
+            raise ValueError(f"gl2_{q} is past the GL2 group cap q <= {GL2_GROUP_Q_CAP}")
         return groups.general_linear_group(2, q), lambda: gl2rep.char_table(q)
     raise ValueError(f"unrecognized group spec {spec!r}")
 

@@ -216,17 +216,17 @@ class GelfandGraev:
         F = G.field
         q, p = F.q, F.p
         ids = G.ids()
-        cay = ids.table
+        every = np.arange(G.order)[:, None]
         pairs = [(z, y) for z in F.units() for y in F.elements()]
         zu = np.array([ids.id_of(((z, y), (0, z))) for z, y in pairs])
-        keys = cay[:, zu].min(axis=1)
+        keys = ids.mul(every, zu).min(axis=1)
         reps = _distinct(keys)
         if len(reps) != q * q - 1:
             raise AssertionError(f"{len(reps)} cosets of ZU in {G}, expected q^2 - 1")
         coset = np.searchsorted(reps, keys)
-        moved = cay[:, reps]
+        moved = ids.mul(every, reps)
         self.target = coset[moved]
-        inside = cay[ids.inv(reps[self.target]), moved]
+        inside = ids.mul(ids.inv(reps[self.target]), moved)
         # (log z, digit 0 of y/z) of every ZU element, -1 elsewhere
         zlog = np.full(G.order, -1)
         digit = np.full(G.order, -1)

@@ -9,14 +9,14 @@ value and returns it, and `Group.elements()` is the list of values in id
 order.  All arithmetic runs in the id view (`Group.ids()`): id i is the
 i-th value of `iter_values()`, and every view has `mul(a, b)` and `inv(a)`
 on numpy id arrays.
-S_n and GL_k(F_q) multiply through an int32 Cayley table, built on first
-use, S_n up to SN_TABLE_CAP elements and GL_k up to TABLE_CAP; past its
-cap S_n multiplies by composing image arrays.  Their inverses are one
-array over the group.  Direct products and wreath products compose ids
-from their factors' ids, and compose `inv` as they compose `mul`, through
-the factors; neither keeps an array of its own order, so their |G|^2
-table and |G| inverse are never built.  A Subgroup is the sorted array of
-its ids, certified and closed on id arrays.
+S_n and GL_k(F_q) have one product path each, and no |G|^2 table: `mul`
+is a product function on broadcasting id arrays, and `inv` reads one
+inverse array over the group.  S_n composes image arrays.  GL_k multiplies
+rows through one row-action array, and inverts each matrix by inverting
+its permutation of the rows.  Direct products and wreath products compose
+ids from their factors' ids, and compose `inv` as they compose `mul`,
+through the factors; neither keeps an array of its own order.  A Subgroup
+is the sorted array of its ids, certified and closed on id arrays.
 
 Composition convention, fixed globally: products apply left factor first,
 (pi * sigma)(i) = sigma(pi(i)), which matches P_(pi*sigma) = P_pi P_sigma for
@@ -35,15 +35,9 @@ import numpy as np
 from . import fields
 from .fields import GROUP_ENUM_CAP, Fq
 
-# largest group given a full Cayley table
-TABLE_CAP = 2048
-# largest S_n that multiplies through it (S5): S6's 720 x 720 table costs
-# more than the few thousand products that strong sampling takes
-SN_TABLE_CAP = 120
-# products per row chunk of a table build or a subgroup's closure scan,
-# which bounds its transient memory; on a 2-vCPU VM a first S6 table took
-# 16-23 ms in these chunks and 39-50 ms in chunks of 1 << 16
-TABLE_CHUNK_CELLS = 1 << 14
+# products per chunk of a subgroup's closure scan and of least_in_cosets,
+# which bounds their transient memory
+CHUNK_CELLS = 1 << 14
 
 
 def require_enumerable(G: "Group", cap: str = "enumeration cap", limit: int = GROUP_ENUM_CAP) -> None:
@@ -94,7 +88,7 @@ class Group:
         return self._elements
 
     def ids(self):
-        """The id view of this group (a TableIds, ProductIds or WreathIds),
+        """The id view of this group (an ElementIds, ProductIds or WreathIds),
         built on first use."""
         if self._ids is None:
             self._ids = self._make_ids()
@@ -139,21 +133,24 @@ class SymmetricGroup(Group):
         n = self.n
         imgs = np.array(values).reshape(len(values), n)
         flat = imgs.ravel()
+        cols = imgs.T.copy()
         # a permutation is fixed by its first n - 1 images, coded positionally
         place = n ** np.arange(n - 1)
         code_to_id = np.zeros(n ** (n - 1), dtype=np.int32)
         code_to_id[imgs[:, :-1] @ place] = np.arange(len(values))
+        top = max(n - 2, 0)  # S1's code is its one image, 0
 
         def product(a, b):
-            # (a*b)(i) = b(a(i)), one image position at a time
-            bn = np.asarray(b) * n
-            code = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-            for i in range(n - 1):
-                code += flat[bn + imgs[a, i]] * place[i]
+            # (a*b)(i) = b(a(i)), one image position at a time, coded by
+            # Horner's rule from the last coded position
+            bn = np.multiply(b, n)
+            code = flat[bn + cols[top][a]]
+            for i in range(top - 1, -1, -1):
+                code = code * n + flat[bn + cols[i][a]]
             return code_to_id[code]
 
         inverse = code_to_id[np.argsort(imgs, axis=1)[:, :-1] @ place].astype(np.int64)
-        return TableIds(self, values, imgs, product, inverse)
+        return ElementIds(self, values, imgs, product, inverse)
 
 
 class GeneralLinearGroup(Group):
@@ -192,26 +189,36 @@ class GeneralLinearGroup(Group):
         add, mul = self.field.tables()
         place = q ** np.arange(k)
         rows = (np.arange(R)[:, None] // place) % q
-        scale = (mul[:, rows] @ place).ravel()  # c * row at c*R + row
-        row_add = (add[rows[:, None, :], rows[None, :, :]] @ place).ravel()
         mats = np.array(values).reshape(len(values), k, k)
+        N = len(values)
+        # acts[b, r] is the code of row r times matrix b: the sum over l of
+        # r[l] * (row l of b), entrywise through the field tables.  It is
+        # held matrix-major, so that one flat index b*R + r reads it
+        acc = mul[rows[None, :, 0, None], mats[:, None, 0]]
+        for l in range(1, k):
+            acc = add[acc, mul[rows[None, :, l, None], mats[:, None, l]]]
+        acts = acc @ place
+        flat = acts.ravel()
         row_codes = mats @ place
+        cols = row_codes.T.copy()
         row_place = R ** np.arange(k)
         code_to_id = np.zeros(R**k, dtype=np.int32)
-        code_to_id[row_codes @ row_place] = np.arange(len(values))
+        code_to_id[row_codes @ row_place] = np.arange(N)
 
         def product(a, b):
-            # row i of A B is the sum over l of A[i, l] * (row l of B)
-            A, B = mats[a], row_codes[b]
-            out = 0
-            for i in range(k):
-                acc = scale[A[..., i, 0] * R + B[..., 0]]
-                for l in range(1, k):
-                    acc = row_add[acc * R + scale[A[..., i, l] * R + B[..., l]]]
-                out = out + acc * row_place[i]
-            return code_to_id[out]
+            # row i of A B is row i of A times B, coded by Horner's rule
+            bR = np.multiply(b, R)
+            code = flat[bR + cols[k - 1][a]]
+            for i in range(k - 2, -1, -1):
+                code = code * R + flat[bR + cols[i][a]]
+            return code_to_id[code]
 
-        return TableIds(self, values, mats, product)
+        # B permutes the row codes, and row i of B^-1 is the row that B
+        # sends to the unit row e_i, whose code is place[i]
+        back = np.empty_like(acts)
+        back[np.arange(N)[:, None], acts] = np.arange(R)
+        inverse = code_to_id[back[:, place] @ row_place].astype(np.int64)
+        return ElementIds(self, values, mats, product, inverse)
 
 
 class DirectProduct(Group):
@@ -284,51 +291,26 @@ class WreathZ2(Group):
 
 # ---- id views ----
 
-class TableIds:
+class ElementIds:
     """Ids of S_n or GL_k(F_q): id i is values[i], the i-th value of
     iter_values(), and index maps values to ids.  array holds the values as
     one integer array: (N, n) image rows for S_n, (N, k, k) matrices for
     GL_k.
 
-    product(a, b) gives the ids of a*b for broadcasting id arrays a and b.
-    The int32 Cayley table (table[a, b] is the id of a*b), built from
-    product in row chunks on first use and only up to TABLE_CAP elements,
-    caches it.  S_n passes its inverse array and past SN_TABLE_CAP
-    multiplies with product; GL_k reads its inverse off the table, so past
-    TABLE_CAP it has neither.  inv(a) reads the inverse array.
+    mul(a, b) is the family's product function: the ids of a*b for
+    broadcasting id arrays a and b.  inverse is the array of every id's
+    inverse, which inv(a) reads.
     """
 
-    def __init__(self, group: Group, values, array, product, inverse=None):
+    def __init__(self, group: Group, values, array, mul, inverse):
         self.group = group
         self.values = values
         self.array = array
         self.index = {v: i for i, v in enumerate(values)}
         self.order = len(values)
         self.identity = self.index[group.identity_value()]
-        self.product = product
-        self._inverse = inverse
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        n = self.order
-        if n > TABLE_CAP:
-            raise ValueError(f"|{self.group}| = {n} exceeds the Cayley table cap {TABLE_CAP}")
-        table = np.empty((n, n), dtype=np.int32)
-        rows = max(1, TABLE_CHUNK_CELLS // n)
-        for lo in range(0, n, rows):
-            table[lo : lo + rows] = self.product(np.arange(lo, min(lo + rows, n))[:, None], np.arange(n))
-        return table
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        if self._inverse is not None:
-            return self._inverse
-        return np.argmax(self.table == self.identity, axis=1)
-
-    def mul(self, a, b) -> np.ndarray:
-        if self.order > SN_TABLE_CAP and self._inverse is not None:
-            return self.product(a, b)
-        return self.table[a, b]
+        self.mul = mul
+        self.inverse = inverse
 
     def inv(self, a) -> np.ndarray:
         return self.inverse[a]
@@ -491,7 +473,7 @@ class Subgroup:
             raise ValueError("subgroup misses the identity")
         if not _member(ids, gids.inv(ids)).all():
             raise ValueError("subgroup not closed under inverse")
-        rows = max(1, TABLE_CHUNK_CELLS // len(ids))
+        rows = max(1, CHUNK_CELLS // len(ids))
         for lo in range(0, len(ids), rows):
             if not _member(ids, gids.mul(ids[lo : lo + rows, None], ids[None, :])).all():
                 raise ValueError("subgroup not closed under product")
@@ -511,7 +493,7 @@ class Subgroup:
         found in chunks of H."""
         ids, g = self.group.ids(), np.asarray(g, dtype=np.int64)
         least = g.copy()
-        rows = max(1, TABLE_CHUNK_CELLS // max(1, len(g)))
+        rows = max(1, CHUNK_CELLS // max(1, len(g)))
         for lo in range(0, self.order, rows):
             np.minimum(least, ids.mul(self.ids[lo : lo + rows, None], g).min(axis=0), out=least)
         return least

@@ -476,13 +476,13 @@ def run_cli_process(*argv):
         # over the enumeration cap (s7 and s8 now have products and tables)
         (["chartable", "wreath", "--base", "s9"], "--base"),
         # past the enumeration cap (these exited 1 naming no flag) and, for
-        # gl2_8, past the Cayley table cap that its realization needs
+        # gl2_11, past the GL2 group cap q <= 9
         (["dist", "--group", "wreath_s6", "--subgroup", "trivial"], "--group"),
         (
             ["dist", "--group", "wreath_gl2_5", "--subgroup", "trivial", "--mc-samples", "10"],
             "--group",
         ),
-        (["dist", "--group", "gl2_8", "--subgroup", "trivial"], "--group"),
+        (["dist", "--group", "gl2_11", "--subgroup", "trivial"], "--group"),
         # --n 0 raised an IndexError; the others exited 1
         (["lambda-audit", "--n", "0", "--c", "1/6"], "--n"),
         (["roichman", "--n", "0", "--c", "1/6"], "--n"),
@@ -538,6 +538,8 @@ def run_cli_process(*argv):
         # an --S item must be a whole label: a cut label, or a trailing comma
         (["dist", "--group", "s4", "--subgroup", "order-2", "--S", "(4", "--D", "2"], "--S"),
         (["dist", "--group", "s4", "--subgroup", "order-2", "--S", "(4,),", "--D", "2"], "--S"),
+        # the GL2 group cap q <= 9 holds for a wreath base too (gl2_9 took 18 s)
+        (["chartable", "wreath", "--base", "gl2_11"], "--base"),
     ],
 )
 def test_bad_inputs_are_config_errors(argv, flag):

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosetlab import fields
 from cosetlab.chartab import product_table
-from cosetlab.cli import parse_subgroup
+from cosetlab.cli import parse_group_table, parse_subgroup
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import (
-    TABLE_CAP,
     DirectProduct,
     Subgroup,
     SymmetricGroup,
@@ -358,19 +358,33 @@ def test_product_enumeration_runs_each_factor_once():
     ]
 
 
-def test_cayley_table_cap():
-    # past the cap the id view holds values and index, and refuses the table
-    G = general_linear_group(2, 8)
-    assert G.order > TABLE_CAP
-    ids = G.ids()
-    assert ids.value_of(ids.id_of(G.identity_value())) == G.identity_value()
-    for attr in ("table", "inverse"):
-        with pytest.raises(ValueError, match=r"\|GL2\(F8\)\| = 3528 exceeds"):
-            getattr(ids, attr)
+def test_gl2_group_spec_cap():
+    # a gl2_<q> atom anywhere in a group spec is refused past q = 9, before
+    # any group check or table build; gl2_9 is accepted
+    for spec in ("gl2_11", "gl2_11xs2", "s2xgl2_16", "wreath_gl2_11"):
+        with pytest.raises(ValueError, match=r"gl2_1[16] is past the GL2 group cap q <= 9"):
+            parse_group_table(spec, lambda G: pytest.fail("group checked"))
+    assert parse_group_table("gl2_9").group == general_linear_group(2, 9)
+
+
+@pytest.mark.parametrize("k, q", [(1, 5), (2, 2), (2, 3), (2, 4), (2, 8), (2, 9), (3, 2), (3, 3)])
+def test_glk_ids_match_field_arithmetic(k, q):
+    # the row-action product and inverse against fields.mat_mul and
+    # fields.mat_inv on seeded pairs, and the group laws on every id
+    G = general_linear_group(k, q)
+    F, ids = G.field, G.ids()
+    a, b = np.random.default_rng(q * 10 + k).integers(0, G.order, size=(2, 500))
+    assert [ids.value_of(c) for c in ids.mul(a, b)] == [
+        fields.mat_mul(F, ids.value_of(x), ids.value_of(y)) for x, y in zip(a, b)
+    ]
+    assert [ids.value_of(c) for c in ids.inv(a)] == [fields.mat_inv(F, ids.value_of(x)) for x in a]
+    every = np.arange(G.order)
+    assert np.array_equal(ids.inv(ids.inv(every)), every)
+    assert (ids.mul(every, ids.inv(every)) == ids.identity).all()
 
 
 def test_sn_ids_match_tuple_arithmetic():
-    # every pair of S1-S6, through the table and through the product it caches
+    # every pair of S1-S6, and seeded pairs of S7 and S8
     for n in range(1, 7):
         G = symmetric_group(n)
         ids = G.ids()
@@ -378,9 +392,7 @@ def test_sn_ids_match_tuple_arithmetic():
         want = np.array([[ids.id_of(mul_values(G, a, b)) for b in values] for a in values])
         every = np.arange(G.order)
         assert np.array_equal(ids.mul(every[:, None], every[None, :]), want)
-        assert np.array_equal(ids.product(every[:, None], every[None, :]), want)
         assert [values[i] for i in ids.inv(every)] == [inv_value(G, v) for v in values]
-    # seeded pairs past the table cap, where mul composes image arrays
     rng = np.random.default_rng(0)
     for n in (7, 8):
         G = symmetric_group(n)
@@ -392,8 +404,7 @@ def test_sn_ids_match_tuple_arithmetic():
         assert [ids.value_of(c) for c in ids.inv(a)] == [
             inv_value(G, ids.value_of(x)) for x in a
         ]
-        with pytest.raises(ValueError, match="exceeds the Cayley table cap"):
-            ids.table
+        assert not hasattr(ids, "table")
 
 
 def subgroup_test_groups():

@@ -213,9 +213,10 @@ def test_yor_mats_equal_the_mat_loop_on_s7_samples():
 @pytest.mark.parametrize("n", range(3, 7))
 def test_realized_sn_irreps_are_unitary_homomorphisms(n):
     # rho(s_i) rho(g) = rho(s_i * g) for every adjacent transposition s_i,
-    # which generate S_n, and every g, through the id table
+    # which generate S_n, and every g, through the id view's product
     G = symmetric_group(n)
     ids = G.ids()
+    every = np.arange(G.order)
     swaps = []
     for i in range(n - 1):
         v = list(range(n))
@@ -226,7 +227,7 @@ def test_realized_sn_irreps_are_unitary_homomorphisms(n):
         eye = np.eye(real.dim)
         assert np.abs(U @ U.conj().transpose(0, 2, 1) - eye).max() < 1e-12
         for s in swaps:
-            assert np.abs(U[s] @ U - U[ids.table[s]]).max() < 1e-12
+            assert np.abs(U[s] @ U - U[ids.mul(s, every)]).max() < 1e-12
 
 
 def test_yor_traces_match_mn_characters():
