@@ -167,22 +167,23 @@ def _parse_cycle_string(G, text: str) -> List:
 
 def parse_subgroup(G, spec: str):
     """A catalog label (trivial, order-2, unipotent, ...), a cycle string
-    for symmetric groups, or a path to a JSON file with a generator list;
+    for symmetric groups, or a path to a JSON file with a generator list,
+    tried in that order, so a file named like a label is read as ./<name>;
     an empty generator list means the trivial subgroup."""
     from . import groups, suites
     spec = spec.strip()
-    if os.path.exists(spec):
+    for H in suites.subgroup_catalog(G):
+        if H.label == spec:
+            return H
+    if _CYCLES.match(spec):
+        gens, label = _parse_cycle_string(G, spec), spec
+    elif os.path.exists(spec):
         gens = _read_json("--subgroup", spec, lambda obj: [
             groups.element_from_json(G, o)
             for o in (obj["generators"] if isinstance(obj, dict) else obj)
         ])
         label = "from file"
-    elif _CYCLES.match(spec):
-        gens, label = _parse_cycle_string(G, spec), spec
     else:
-        for H in suites.subgroup_catalog(G):
-            if H.label == spec:
-                return H
         raise ValueError(f"unrecognized subgroup spec {spec!r}")
     return groups.subgroup_closure(G, gens, label=label) if gens else groups.trivial_subgroup(G)
 
@@ -595,4 +596,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # `python -m cosetlab.cli` runs this file as __main__; the suites import
+    # parse_group_table from .cli, which then finds this module instead of
+    # executing the file a second time
+    sys.modules.setdefault("cosetlab.cli", sys.modules[__name__])
     raise SystemExit(main())

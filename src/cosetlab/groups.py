@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -400,22 +400,28 @@ class WreathIds:
 _GROUP_CACHE: dict = {}
 
 
+def _cached(key: tuple, build: Callable[[], Group]) -> Group:
+    """The group cached under key, built only on a miss."""
+    G = _GROUP_CACHE.get(key)
+    if G is None:
+        G = _GROUP_CACHE[key] = build()
+    return G
+
+
 def symmetric_group(n: int) -> SymmetricGroup:
-    return _GROUP_CACHE.setdefault(("sym", n), SymmetricGroup(n))
+    return _cached(("sym", n), lambda: SymmetricGroup(n))
 
 
 def general_linear_group(k: int, q: int) -> GeneralLinearGroup:
-    F = fields.field_of_order(q)
-    return _GROUP_CACHE.setdefault(("gl", k, q), GeneralLinearGroup(k, F))
+    return _cached(("gl", k, q), lambda: GeneralLinearGroup(k, fields.field_of_order(q)))
 
 
 def product_group(g1: Group, g2: Group) -> DirectProduct:
-    key = ("prod", g1.key, g2.key)
-    return _GROUP_CACHE.setdefault(key, DirectProduct(g1, g2))
+    return _cached(("prod", g1.key, g2.key), lambda: DirectProduct(g1, g2))
 
 
 def wreath_z2(base: Group) -> WreathZ2:
-    return _GROUP_CACHE.setdefault(("wr", base.key), WreathZ2(base))
+    return _cached(("wr", base.key), lambda: WreathZ2(base))
 
 
 def _distinct(x) -> np.ndarray:

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import sampling
 from .chartab import CharacterTable, SymmetricFamily
-from .gl2rep import char_table as gl2_char_table
 from .groups import (
     GeneralLinearGroup,
     Group,
@@ -23,8 +22,8 @@ from .groups import (
     trivial_subgroup,
 )
 from .sampling import INEQ_TOL, SamplingContext, sampling_context
-from .symrep import lambda_c_member, sn_character_table
-from .wreathrep import k_build, wreath_char_table
+from .symrep import lambda_c_member
+from .wreathrep import k_build
 
 SCHUR_TOL = 1e-8
 IDENTITY_TOL = 1e-7
@@ -225,47 +224,30 @@ def dist_records(
 
 # ---- named suites ----
 
-def grid_tables() -> List[Tuple[str, Callable[[], CharacterTable]]]:
-    """The small-instance grid: name plus a character-table factory."""
-    return [
-        ("s3", lambda: sn_character_table(3)),
-        ("s4", lambda: sn_character_table(4)),
-        ("gl2_2", lambda: gl2_char_table(2)),
-        ("gl2_3", lambda: gl2_char_table(3)),
-        ("wreath_s3", lambda: wreath_char_table(sn_character_table(3))),
-    ]
-
-
-def big_wreath_table() -> CharacterTable:
-    from .chartab import product_table
-    from .groups import product_group
-
-    g1t = gl2_char_table(2)
-    g2t = sn_character_table(3)
-    G = product_group(g1t.group, g2t.group)
-    return wreath_char_table(product_table(G, g1t, g2t))
+# each lemma suite: (dist --group spec, largest irrep dimension checked or
+# None for all) rows; "all" runs the four in this order, then the dist suite
+LEMMA_SUITES: Dict[str, List[Tuple[str, Optional[int]]]] = {
+    "small": [("s3", None), ("s4", None)],
+    "gl2": [("gl2_2", None), ("gl2_3", None)],
+    "wreath": [("wreath_s3", None)],
+    "big-wreath": [("wreath_gl2_2xs3", 2)],
+}
 
 
 def run_lemma_suite(name: str) -> List[CheckRecord]:
-    """name: one of small, gl2, wreath, big-wreath, all."""
-    records: List[CheckRecord] = []
-    picks: List[Tuple[str, Callable[[], CharacterTable]]] = []
-    if name in ("small", "all"):
-        picks += [t for t in grid_tables() if t[0] in ("s3", "s4")]
-    if name in ("gl2", "all"):
-        picks += [t for t in grid_tables() if t[0] in ("gl2_2", "gl2_3")]
-    if name in ("wreath", "all"):
-        picks += [t for t in grid_tables() if t[0] == "wreath_s3"]
-    if not picks and name not in ("big-wreath",):
+    """name: a key of LEMMA_SUITES, or all."""
+    from .cli import parse_group_table
+    if name == "all":
+        rows = [row for rows in LEMMA_SUITES.values() for row in rows]
+    elif name in LEMMA_SUITES:
+        rows = LEMMA_SUITES[name]
+    else:
         raise ValueError(f"unknown suite {name!r}")
-    for _, factory in picks:
-        ctx = sampling_context(factory())
+    records: List[CheckRecord] = []
+    for spec, max_dim in rows:
+        ctx = sampling_context(parse_group_table(spec))
         for H in subgroup_catalog(ctx.group):
-            records.extend(lemma_checks(ctx, H))
-    if name in ("big-wreath", "all"):
-        ctx = sampling_context(big_wreath_table())
-        for H in subgroup_catalog(ctx.group):
-            records.extend(lemma_checks(ctx, H, max_dim=2))
+            records.extend(lemma_checks(ctx, H, max_dim=max_dim))
     return records
 
 
@@ -284,33 +266,27 @@ def lambda_set_indices(table: CharacterTable, c: Fraction) -> List[int]:
 def run_dist_suite() -> List[CheckRecord]:
     """Golden distinguishability values plus bound configurations: the
     symmetric-group goldens, GL2 over q in {3,4,5} with S = linear irreps
-    and D = q-1, and S6 against the long-row set at c = 1/6."""
+    and D = q-1, and S6 against the long-row set at c = 1/6.  Groups and
+    subgroups are named by their `dist` specs; every subgroup is a catalog
+    label."""
+    from .cli import parse_group_table, parse_subgroup
     records: List[CheckRecord] = []
 
-    table = sn_character_table(3)
-    ctx = sampling_context(table)
-    G = ctx.group
-    trivialH = trivial_subgroup(G)
-    order2 = subgroup_closure(G, [(1, 0, 2)], label="order-2")
-    alt = subgroup_closure(G, [(1, 2, 0)], label="three-cycle")
-    records.extend(dist_checks(ctx, trivialH, golden=0.0))
-    records.extend(dist_checks(ctx, order2, golden=1.0 / 3.0))
-    records.extend(dist_checks(ctx, alt, golden=0.0))
+    ctx = sampling_context(parse_group_table("s3"))
+    for label, golden in (("trivial", 0.0), ("order-2", 1.0 / 3.0), ("three-cycle", 0.0)):
+        records.extend(dist_checks(ctx, parse_subgroup(ctx.group, label), golden=golden))
 
     for q in (3, 4, 5):
-        table = gl2_char_table(q)
+        table = parse_group_table(f"gl2_{q}")
         ctx = sampling_context(table)
-        G = ctx.group
-        uni = subgroup_closure(G, [((1, 1), (0, 1))], label="unipotent")
-        lin = linear_indices(table)
-        records.extend(dist_checks(ctx, uni, S_indices=lin, D=q - 1))
+        uni = parse_subgroup(ctx.group, "unipotent")
+        records.extend(dist_checks(ctx, uni, S_indices=linear_indices(table), D=q - 1))
 
-    table = sn_character_table(6)
+    table = parse_group_table("s6")
     ctx = sampling_context(table)
-    G = ctx.group
-    order2 = subgroup_closure(G, [(1, 0, 2, 3, 4, 5)], label="order-2")
     S = lambda_set_indices(table, Fraction(1, 6))
     d_S = max(table.dims[i] for i in S)
+    order2 = parse_subgroup(ctx.group, "order-2")
     records.extend(dist_checks(ctx, order2, S_indices=S, D=d_S**2 + 1))
     return records
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -87,6 +88,21 @@ def test_dist_with_subgroup_file(tmp_path, capsys):
     body = read_json(capsys)
     assert body["report"]["subgroup_order"] == 1
     assert body["report"]["distinguishability"] < 1e-10
+
+
+def test_a_catalog_label_wins_over_a_file_in_the_cwd(tmp_path, monkeypatch):
+    # --subgroup tries a catalog label, then a cycle string, then a path,
+    # so a file named like a label is read as ./<name>
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "order-2").write_text('{"generators": []}')
+    rc, out = run_cli_captured(["dist", "--group", "s3", "--subgroup", "order-2"])
+    assert rc == 0
+    report = json.loads(out)["report"]
+    assert (report["subgroup"], report["subgroup_order"]) == ("order-2", 2)
+    rc, out = run_cli_captured(["dist", "--group", "s3", "--subgroup", "./order-2"])
+    assert rc == 0
+    report = json.loads(out)["report"]
+    assert (report["subgroup"], report["subgroup_order"]) == ("trivial", 1)
 
 
 def test_dist_with_linear_small_set(capsys):
@@ -429,6 +445,14 @@ def test_unknown_suite_is_config_error():
     assert run_cli(["verify-lemmas", "--suite", "giant"]) == 2
 
 
+def test_suite_choices_are_the_lemma_suites_dist_and_all():
+    # the parser may not import suites, so its choices are written out
+    from cosetlab import suites
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in sub.choices["verify-lemmas"]._actions if a.dest == "suite"]
+    assert suite.choices == [*suites.LEMMA_SUITES, "dist", "all"]
+
+
 def test_version_flag(capsys):
     rc = run_cli(["--version"])
     assert rc == 0
@@ -444,6 +468,20 @@ def run_cli_process(*argv):
         [sys.executable, "-m", "cosetlab.cli", *argv],
         capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def test_python_m_executes_the_cli_module_once():
+    # the suites reach cli.parse_group_table by a relative import, which
+    # finds the running __main__ rather than importing cosetlab.cli again
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cosetlab.cli", "verify-lemmas", "--suite", "small"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "cosetlab.suites" in imported and "cosetlab.cli" not in imported
 
 
 @pytest.mark.parametrize(

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import fields
+from cosetlab import fields, groups
 from cosetlab.chartab import product_table
 from cosetlab.cli import parse_group_table, parse_subgroup
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import (
     DirectProduct,
+    GeneralLinearGroup,
     Subgroup,
     SymmetricGroup,
     WreathZ2,
@@ -65,6 +66,27 @@ def test_group_orders():
     assert wr.order == 72
     for G in sample_groups():
         assert len(G.elements()) == G.order
+
+
+def test_group_cache_builds_a_group_only_on_a_miss(monkeypatch):
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    built = []
+    for cls in (SymmetricGroup, GeneralLinearGroup, DirectProduct, WreathZ2):
+        def counting(self, *args, init=cls.__init__, cls=cls):
+            built.append(cls)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def every():
+        s3 = symmetric_group(3)
+        return [s3, general_linear_group(2, 3), product_group(s3, s3), wreath_z2(s3)]
+
+    first = every()
+    assert built == [SymmetricGroup, GeneralLinearGroup, DirectProduct, WreathZ2]
+    built.clear()
+    assert all(a is b for a, b in zip(every(), first))
+    assert built == []
 
 
 def test_group_axioms_sampled():

@@ -21,10 +21,11 @@ from cosetlab.chartab import (
     product_table,
 )
 from cosetlab import realize
+from cosetlab.cli import parse_group_table
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group, product_group
 from cosetlab.realize import RealizedIrrep, kron_stack, realize_table
-from cosetlab.suites import big_wreath_table, grid_tables
+from cosetlab.suites import LEMMA_SUITES
 from cosetlab.symrep import YorRep, sn_character_table
 from reference_models import inv_value, mul_values, product_mat, wreath_mat
 
@@ -61,9 +62,15 @@ def mat_value_stack(real):
     return np.stack([real.mat_value(el) for el in real.group.elements()])
 
 
-@pytest.mark.parametrize("name", [name for name, _ in grid_tables()] + ["gl2_5"])
+# the groups of every lemma suite but big-wreath, which reads only the
+# irreps of dimension at most 2
+GRID_SPECS = [spec for name in ("small", "gl2", "wreath") for spec, _ in LEMMA_SUITES[name]]
+BIG_WREATH = "wreath_gl2_2xs3"
+
+
+@pytest.mark.parametrize("name", GRID_SPECS + ["gl2_5"])
 def test_stack_equals_mat_value_loop(name):
-    table = dict(grid_tables(), gl2_5=lambda: gl2_char_table(5))[name]()
+    table = parse_group_table(name)
     for real in realize_table(table):
         got = real.stack()
         assert got.shape == (table.group.order, real.dim, real.dim)
@@ -91,17 +98,9 @@ def reference_stacks(table, max_dim=None):
             yield table.labels[i], np.stack([mat(model, v) for v in els])
 
 
-def product_table_of_big_wreath():
-    return big_wreath_table().family.base
-
-
-@pytest.mark.parametrize(
-    "factory",
-    [dict(grid_tables())["wreath_s3"], product_table_of_big_wreath],
-    ids=["wreath_s3", "gl2_2xs3"],
-)
-def test_composed_irreps_equal_the_per_element_kron_model(factory):
-    table = factory()
+@pytest.mark.parametrize("spec", ["wreath_s3", "gl2_2xs3"])
+def test_composed_irreps_equal_the_per_element_kron_model(spec):
+    table = parse_group_table(spec)
     reals = {r.label: r for r in realize_table(table)}
     for label, want in reference_stacks(table):
         real = reals[label]
@@ -111,7 +110,7 @@ def test_composed_irreps_equal_the_per_element_kron_model(factory):
 
 def test_big_wreath_stacks_equal_mat_value_loop():
     # |W| = 2592; the lemma grid reads the irreps of dimension at most 2
-    table = big_wreath_table()
+    table = parse_group_table(BIG_WREATH)
     reals = {r.label: r for r in realize_table(table) if r.dim <= 2}
     assert {label.split("{")[0] for label in reals} == {"pair", "plus", "minus"}
     for label, want in reference_stacks(table, max_dim=2):
@@ -121,13 +120,8 @@ def test_big_wreath_stacks_equal_mat_value_loop():
     assert not reals
 
 
-AT_TABLES = dict(
-    grid_tables(),
-    s5=lambda: sn_character_table(5),
-    s6=lambda: sn_character_table(6),
-    gl2_2xs3=product_table_of_big_wreath,
-    big_wreath=big_wreath_table,
-)
+AT_SPECS = {spec: spec for spec in GRID_SPECS + ["s5", "s6", "gl2_2xs3"]}
+AT_SPECS["big_wreath"] = BIG_WREATH
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,7 +129,7 @@ def lazy_and_built(name):
     """|G| and two realizations of one table's irreps of dimension at most
     5 (all the irreps of S5 and six of S6): one whose stacks are never
     built, one whose stacks are."""
-    table = AT_TABLES[name]()
+    table = parse_group_table(AT_SPECS[name])
     lazy, built = ([r for r in realize_table(table) if r.dim <= 5] for _ in range(2))
     for real in built:
         real.stack()
@@ -147,7 +141,7 @@ def lazy_and_built(name):
 def test_at_equals_stack_rows(data):
     # unsorted, repeated and empty id arrays, gathered before and after the
     # stack is built
-    name = data.draw(st.sampled_from(sorted(AT_TABLES)))
+    name = data.draw(st.sampled_from(sorted(AT_SPECS)))
     order, lazy, built = lazy_and_built(name)
     ids = data.draw(st.lists(st.integers(0, order - 1), max_size=12))
     for before, after in zip(lazy, built):
@@ -162,7 +156,7 @@ def test_at_equals_stack_rows(data):
 def test_diag_is_the_diagonal_of_at(data):
     # the diagonal gather equals the diagonal of the matrices bit for bit,
     # read off the stack or gathered on the distinct ids
-    name = data.draw(st.sampled_from(sorted(AT_TABLES)))
+    name = data.draw(st.sampled_from(sorted(AT_SPECS)))
     order, lazy, built = lazy_and_built(name)
     ids = data.draw(st.lists(st.integers(0, order - 1), max_size=12))
     for before, after in zip(lazy, built):
@@ -199,7 +193,7 @@ def test_wreath_diagonals_equal_the_gathered_diagonals(name):
     # every id in id order (so b = 0 and b = 1 of a wreath), then seeded
     # Monte Carlo ids with repeats, read through the diagonal source and
     # through the diagonal of the gathered matrices
-    table = AT_TABLES[name]()
+    table = parse_group_table(AT_SPECS[name])
     assert isinstance(table.family, WreathFamily)
     order = table.group.order
     mc = np.random.default_rng(0).integers(0, order, size=600)
@@ -242,7 +236,7 @@ def test_big_wreath_stacks_run_each_base_gather_once(monkeypatch):
         init(self, group, label, dim, gather)
 
     monkeypatch.setattr(RealizedIrrep, "__init__", counting_init)
-    table = big_wreath_table()
+    table = parse_group_table(BIG_WREATH)
     for real in realize_table(table):
         real.stack()
     base = table.family.base
@@ -356,7 +350,7 @@ def test_gl2_stacks_do_not_depend_on_blas_threads():
 
 
 def test_every_builder_sets_a_family():
-    wreath = big_wreath_table()
+    wreath = parse_group_table(BIG_WREATH)
     assert isinstance(wreath.family, WreathFamily)
     assert isinstance(wreath.family.base.family, ProductFamily)
     gl2, sym = wreath.family.base.family.factors

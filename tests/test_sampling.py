@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from cosetlab import sampling, wreathrep
-from cosetlab.chartab import CharacterTable, product_table
+from cosetlab.chartab import CharacterTable
+from cosetlab.cli import parse_group_table
 from cosetlab.gl2rep import char_table as gl2_char_table
-from cosetlab.groups import product_group, subgroup_closure, trivial_subgroup
+from cosetlab.groups import subgroup_closure, trivial_subgroup
 from cosetlab.realize import RealizedIrrep
 from cosetlab.sampling import (
     Conjugates,
@@ -28,7 +29,7 @@ from cosetlab.sampling import (
     variance_bound_check,
     weak_distribution,
 )
-from cosetlab.suites import big_wreath_table, lemma_checks, subgroup_catalog
+from cosetlab.suites import LEMMA_SUITES, lemma_checks, subgroup_catalog
 from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import wreath_char_table
 
@@ -300,15 +301,8 @@ def reference_second_moment_lhs(ctx, h_value, rho_idx, b_idx):
 
 
 def catalog_contexts():
-    g1, g2 = gl2_char_table(2), sn_character_table(3)
-    tables = (
-        sn_character_table(4),
-        wreath_char_table(sn_character_table(3)),
-        gl2_char_table(3),
-        product_table(product_group(g1.group, g2.group), g1, g2),
-    )
-    for table in tables:
-        ctx = sampling_context(table)
+    for spec in ("s4", "wreath_s3", "gl2_3", "gl2_2xs3"):
+        ctx = sampling_context(parse_group_table(spec))
         yield ctx, subgroup_catalog(ctx.group)
 
 
@@ -484,9 +478,10 @@ def test_diagonal_weights_match_the_q_route():
     # every catalog subgroup, on the coset representatives and on 50 seeded
     # Monte Carlo ids; the big wreath examines irreps up to dimension 2, as
     # its lemma grid does
-    big = sampling_context(big_wreath_table())
+    ((spec, big_max_dim),) = LEMMA_SUITES["big-wreath"]
+    big = sampling_context(parse_group_table(spec))
     contexts = [(ctx, catalog, None) for ctx, catalog in catalog_contexts()]
-    contexts.append((big, subgroup_catalog(big.group), 2))
+    contexts.append((big, subgroup_catalog(big.group), big_max_dim))
     for ctx, catalog, max_dim in contexts:
         sampled = np.random.default_rng(11).integers(0, ctx.group.order, size=50)
         reals = [r for r in ctx.reals if max_dim is None or r.dim <= max_dim]

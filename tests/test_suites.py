@@ -11,10 +11,10 @@ from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.groups import general_linear_group, symmetric_group, wreath_z2
 from cosetlab.sampling import sampling_context
 from cosetlab.suites import (
+    LEMMA_SUITES,
     dist_checks,
     dist_records,
     failed,
-    grid_tables,
     lambda_set_indices,
     lemma_checks,
     run_lemma_suite,
@@ -25,8 +25,14 @@ from cosetlab.wreathrep import wreath_char_table
 
 
 def test_grid_names():
-    names = [name for name, _ in grid_tables()]
-    assert names == ["s3", "s4", "gl2_2", "gl2_3", "wreath_s3"]
+    # "all" runs the rows in this order; big-wreath reads only the irreps
+    # of dimension at most 2
+    assert list(LEMMA_SUITES.items()) == [
+        ("small", [("s3", None), ("s4", None)]),
+        ("gl2", [("gl2_2", None), ("gl2_3", None)]),
+        ("wreath", [("wreath_s3", None)]),
+        ("big-wreath", [("wreath_gl2_2xs3", 2)]),
+    ]
 
 
 def test_subgroup_catalog_labels():
@@ -113,8 +119,13 @@ def test_lemma_checks_run_each_batched_check_once_per_irrep(monkeypatch, max_dim
         assert max(calls.values()) == 1
 
 
-def test_run_lemma_suite_small_green():
+def test_run_lemma_suite_small_green(monkeypatch):
+    # each table comes from the CLI's group-spec parser
+    specs = []
+    parse = cli.parse_group_table
+    monkeypatch.setattr(cli, "parse_group_table", lambda spec: specs.append(spec) or parse(spec))
     records = run_lemma_suite("small")
+    assert specs == ["s3", "s4"]
     assert len(records) > 100
     assert not failed(records)
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosetlab.chartab import CharacterTable
+from cosetlab.cli import parse_group_table
 from cosetlab.groups import subgroup_closure, trivial_subgroup
 from cosetlab.realize import realize_table
-from cosetlab.suites import big_wreath_table
 from cosetlab.symrep import sn_character_table
 from cosetlab.gl2rep import char_table as gl2_char_table
 from cosetlab.wreathrep import k_build, k_max_normalized_char, wreath_char_table
@@ -187,7 +187,7 @@ def test_k_max_normalized_char_reports_a_tampered_table():
     "make_base",
     [
         lambda: sn_character_table(3),
-        lambda: big_wreath_table().family.base,
+        lambda: parse_group_table("gl2_2xs3"),
         lambda: gl2_char_table(3),
     ],
     ids=["s3", "gl2_2xs3", "gl2_3"],
@@ -210,7 +210,7 @@ def test_closed_form_equals_enumerated_table(make_base):
 
 @functools.lru_cache(maxsize=None)
 def _big_wreath_columns():
-    t = big_wreath_table()
+    t = parse_group_table("wreath_gl2_2xs3")
     return t.group.ids(), t.element_columns()
 
 
