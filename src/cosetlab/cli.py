@@ -224,7 +224,8 @@ def _family_counts(table) -> dict:
 
 def cmd_chartable(args):
     from . import chartab, gl2rep, symrep, wreathrep
-    with _flag({"gl2": "--q", "sn": "--n", "wreath": "--base"}[args.kind]):
+    flag = {"gl2": "--q", "sn": "--n", "wreath": "--base"}[args.kind]
+    with _flag(flag):
         if args.kind == "gl2":
             table = gl2rep.char_table(args.q)
         elif args.kind == "sn":
@@ -251,7 +252,8 @@ def cmd_chartable(args):
             )
         )
     _write("\n".join(lines) + "\n", args.out, "chartable.csv")
-    return "chartable_summary.json", ("kind", "q", "n", "base"), {
+    # the config records only the flag this kind reads
+    return "chartable_summary.json", ("kind", flag[2:]), {
         "ok": True,
         "n_irreps": table.n_irreps,
         "dims": {table.labels[i]: table.dims[i] for i in range(table.n_irreps)},
@@ -390,22 +392,6 @@ def cmd_mceliece(args):
 
 # ---- dist ----
 
-def _irrep_indices(table, spec: str) -> List[int]:
-    """The irreps named in a comma-separated --S list.  A label may hold
-    commas itself ('(2, 1)', 'W0,1'), so each item is the longest label
-    that the rest of the list starts with, up to a comma or the end."""
-    out = []
-    while True:
-        fits = [lbl for lbl in table.labels if spec.startswith(lbl) and spec[len(lbl):][:1] in ("", ",")]
-        if not fits:
-            raise ConfigError("--S", f"no irrep labelled {spec.split(',', 1)[0]!r} in {table.group}")
-        lbl = max(fits, key=len)
-        out.append(table.index_of(lbl))
-        if spec == lbl:
-            return out
-        spec = spec[len(lbl) + 1:]
-
-
 def cmd_dist(args):
     from . import sampling, suites
     from .fields import GROUP_ENUM_CAP
@@ -426,7 +412,8 @@ def cmd_dist(args):
         ctx = sampling.sampling_context(table)
     S_indices = None
     if args.S is not None:
-        S_indices = suites.linear_indices(table) if args.S == "linear" else _irrep_indices(table, args.S)
+        with _flag("--S"):
+            S_indices = suites.irrep_indices(table, args.S)
         d_S = max((table.dims[i] for i in S_indices), default=0)
         if args.D is not None and args.D <= d_S**2:
             raise ConfigError("--D", f"must exceed d_S^2 = {d_S**2}, got {args.D}")
@@ -435,10 +422,9 @@ def cmd_dist(args):
         raise ConfigError(missing, "the bound needs both --S and --D")
     with _flag("--subgroup"):
         H = parse_subgroup(table.group, args.subgroup)
-    res = sampling.distinguishability(ctx, H, mc_samples=args.mc_samples, seed=args.seed)
-    bound = None
-    if S_indices is not None:
-        bound = sampling.distinguishability_bound(table, H, S_indices, args.D)
+    res, bound, records = suites.run_dist(
+        ctx, H, S_indices, args.D, mc_samples=args.mc_samples, seed=args.seed
+    )
     weak = dict(zip(table.labels, res.weak.tolist()))
     lines = ["irrep,dim,weak_probability,mean_l1sq"]
     for lbl, dim in zip(table.labels, table.dims):
@@ -456,7 +442,7 @@ def cmd_dist(args):
         report.update(mc_samples=res.mc_samples, std_error=res.std_error)
     if bound is not None:
         report["bound"] = bound
-    bad = suites.failed(suites.dist_records(report["group"], H, res.value, bound))
+    bad = suites.failed(records)
     body = {"ok": not bad, "failed_check": bad[0].check if bad else None, "report": report}
     return "dist_report.json", ("group", "subgroup", "S", "D", "mc_samples"), body
 
@@ -477,12 +463,7 @@ def _slack_summary(records) -> dict:
 
 def cmd_verify_lemmas(args):
     from . import suites
-    if args.suite == "dist":
-        records = suites.run_dist_suite()
-    elif args.suite == "all":
-        records = suites.run_lemma_suite("all") + suites.run_dist_suite()
-    else:
-        records = suites.run_lemma_suite(args.suite)
+    records = suites.run_suite(args.suite)
     bad = suites.failed(records)
     if bad:
         body = {"ok": False, "failed": bad}

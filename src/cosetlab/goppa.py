@@ -16,6 +16,8 @@ from .fields import Fq, Matrix, field_of_order
 
 AUT_POINT_CAP = 8
 CODEWORD_CAP = 10**6
+# largest degree of random_spec's g and h
+RANDOM_POLY_DEG = 2
 
 
 @dataclass(frozen=True)
@@ -225,9 +227,7 @@ def stichtenoth_check(spec: RationalGoppaSpec, report: CodeAutReport) -> bool:
 
 # ---- instance generation for batch checks ----
 
-def random_spec(
-    rng: random.Random, q: int, n: int, r: int, max_poly_deg: int = 2
-) -> RationalGoppaSpec:
+def random_spec(rng: random.Random, q: int, n: int, r: int) -> RationalGoppaSpec:
     """A valid random spec: distinct points, then rejection-sampled coprime
     g, h nonvanishing on them."""
     F = field_of_order(q)
@@ -237,8 +237,8 @@ def random_spec(
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     gamma = tuple(rng.sample(list(F.elements()), n))
     while True:
-        g = tuple(rng.randrange(q) for _ in range(rng.randint(1, max_poly_deg + 1)))
-        h = tuple(rng.randrange(q) for _ in range(rng.randint(1, max_poly_deg + 1)))
+        g = tuple(rng.randrange(q) for _ in range(rng.randint(1, RANDOM_POLY_DEG + 1)))
+        h = tuple(rng.randrange(q) for _ in range(rng.randint(1, RANDOM_POLY_DEG + 1)))
         spec = RationalGoppaSpec(q=q, gamma=gamma, r=r, g=g, h=h)
         try:
             spec.validate()

@@ -7,11 +7,10 @@ configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import sampling
-from .chartab import CharacterTable, SymmetricFamily
+from .chartab import CharacterTable
 from .groups import (
     GeneralLinearGroup,
     Group,
@@ -22,7 +21,6 @@ from .groups import (
     trivial_subgroup,
 )
 from .sampling import INEQ_TOL, SamplingContext, sampling_context
-from .symrep import lambda_c_member
 from .wreathrep import k_build
 
 SCHUR_TOL = 1e-8
@@ -112,11 +110,6 @@ def subgroup_catalog(G: Group) -> List[Subgroup]:
 
 # ---- grid runners ----
 
-def linear_indices(table: CharacterTable) -> List[int]:
-    """Indices of the one-dimensional irreps."""
-    return [i for i in range(table.n_irreps) if table.dims[i] == 1]
-
-
 def lemma_checks(
     ctx: SamplingContext,
     H: Subgroup,
@@ -150,7 +143,7 @@ def lemma_checks(
     ids = H.group.ids()
     rest = sorted((h for h in H.ids.tolist() if h != ids.identity), key=ids.value_of)
     h_ids = [ids.identity] + rest[:SECOND_MOMENT_ELEMENTS]
-    lin = linear_indices(table)
+    lin = irrep_indices(table, "linear")
     # each check runs once per irrep on every basis vector b at once, on
     # one coset kernel dropped with the irrep and reading the conjugates
     # every irrep shares; the records read plain floats and bools from
@@ -183,20 +176,22 @@ def lemma_checks(
     return records
 
 
-def dist_checks(
+def run_dist(
     ctx: SamplingContext,
     H: Subgroup,
     S_indices: Optional[Sequence[int]] = None,
     D: Optional[int] = None,
     golden: Optional[float] = None,
-) -> List[CheckRecord]:
-    """Distinguishability of one subgroup: range check, optional golden
-    value, optional bound configuration."""
-    value = sampling.distinguishability(ctx, H).value
+    mc_samples: Optional[int] = None,
+    seed: int = 0,
+) -> Tuple[sampling.DistResult, Optional[sampling.BoundComponents], List[CheckRecord]]:
+    """One distinguishability run, as `dist` and the dist suite make it: the
+    value, the bound when S and D are given, and their dist_records."""
+    res = sampling.distinguishability(ctx, H, mc_samples=mc_samples, seed=seed)
     bound = None
     if S_indices is not None and D is not None:
         bound = sampling.distinguishability_bound(ctx.table, H, S_indices, D)
-    return dist_records(repr(ctx.group), H, value, bound, golden)
+    return res, bound, dist_records(repr(ctx.group), H, res.value, bound, golden)
 
 
 def dist_records(
@@ -225,7 +220,7 @@ def dist_records(
 # ---- named suites ----
 
 # each lemma suite: (dist --group spec, largest irrep dimension checked or
-# None for all) rows; "all" runs the four in this order, then the dist suite
+# None for all) rows
 LEMMA_SUITES: Dict[str, List[Tuple[str, Optional[int]]]] = {
     "small": [("s3", None), ("s4", None)],
     "gl2": [("gl2_2", None), ("gl2_3", None)],
@@ -234,60 +229,70 @@ LEMMA_SUITES: Dict[str, List[Tuple[str, Optional[int]]]] = {
 }
 
 
-def run_lemma_suite(name: str) -> List[CheckRecord]:
-    """name: a key of LEMMA_SUITES, or all."""
-    from .cli import parse_group_table
-    if name == "all":
-        rows = [row for rows in LEMMA_SUITES.values() for row in rows]
-    elif name in LEMMA_SUITES:
-        rows = LEMMA_SUITES[name]
-    else:
-        raise ValueError(f"unknown suite {name!r}")
-    records: List[CheckRecord] = []
-    for spec, max_dim in rows:
-        ctx = sampling_context(parse_group_table(spec))
-        for H in subgroup_catalog(ctx.group):
-            records.extend(lemma_checks(ctx, H, max_dim=max_dim))
-    return records
+# the dist suite: each --group spec's (--subgroup, --S, --D, golden) rows,
+# the flags of one `cosetlab dist` run each.  GL2 takes S = linear and
+# D = q - 1; S6's S is the long-row set at c = 1/6
+# (symrep.lambda_c_audit(6, 1/6).members) and D = d_S^2 + 1
+DIST_SUITE: Dict[str, List[Tuple[str, Optional[str], Optional[int], Optional[float]]]] = {
+    "s3": [
+        ("trivial", None, None, 0.0),
+        ("order-2", None, None, 1.0 / 3.0),
+        ("three-cycle", None, None, 0.0),
+    ],
+    "gl2_3": [("unipotent", "linear", 2, None)],
+    "gl2_4": [("unipotent", "linear", 3, None)],
+    "gl2_5": [("unipotent", "linear", 4, None)],
+    "s6": [("order-2", "(6,),(5, 1),(2, 1, 1, 1, 1),(1, 1, 1, 1, 1, 1)", 26, None)],
+}
 
 
-def lambda_set_indices(table: CharacterTable, c: Fraction) -> List[int]:
-    """Indices of the partitions with a long first row or column at rate
-    c, in a symmetric-group table."""
-    if not isinstance(table.family, SymmetricFamily):
-        raise ValueError(f"{table.group} has no symmetric-group character table")
-    parts = table.family.partitions
-    n = sum(parts[0])
-    return [
-        i for i, la in enumerate(parts) if lambda_c_member(la, n, c)
-    ]
+def irrep_indices(table: CharacterTable, spec: str) -> List[int]:
+    """The irreps a --S spec names: `linear` for the one-dimensional ones, or
+    a comma-separated list of labels.  A label may hold commas itself
+    ('(2, 1)', 'W0,1'), so each item is the longest label that the rest of
+    the list starts with, up to a comma or the end."""
+    if spec == "linear":
+        return [i for i in range(table.n_irreps) if table.dims[i] == 1]
+    out = []
+    while True:
+        fits = [lbl for lbl in table.labels if spec.startswith(lbl) and spec[len(lbl):][:1] in ("", ",")]
+        if not fits:
+            raise ValueError(f"no irrep labelled {spec.split(',', 1)[0]!r} in {table.group}")
+        lbl = max(fits, key=len)
+        out.append(table.index_of(lbl))
+        if spec == lbl:
+            return out
+        spec = spec[len(lbl) + 1:]
 
 
 def run_dist_suite() -> List[CheckRecord]:
-    """Golden distinguishability values plus bound configurations: the
-    symmetric-group goldens, GL2 over q in {3,4,5} with S = linear irreps
-    and D = q-1, and S6 against the long-row set at c = 1/6.  Groups and
-    subgroups are named by their `dist` specs; every subgroup is a catalog
-    label."""
+    """Every DIST_SUITE row, run as `cosetlab dist` runs its flags."""
     from .cli import parse_group_table, parse_subgroup
     records: List[CheckRecord] = []
+    for spec, rows in DIST_SUITE.items():
+        ctx = sampling_context(parse_group_table(spec))
+        for label, S, D, golden in rows:
+            H = parse_subgroup(ctx.group, label)
+            S_indices = None if S is None else irrep_indices(ctx.table, S)
+            records.extend(run_dist(ctx, H, S_indices, D, golden)[2])
+    return records
 
-    ctx = sampling_context(parse_group_table("s3"))
-    for label, golden in (("trivial", 0.0), ("order-2", 1.0 / 3.0), ("three-cycle", 0.0)):
-        records.extend(dist_checks(ctx, parse_subgroup(ctx.group, label), golden=golden))
 
-    for q in (3, 4, 5):
-        table = parse_group_table(f"gl2_{q}")
-        ctx = sampling_context(table)
-        uni = parse_subgroup(ctx.group, "unipotent")
-        records.extend(dist_checks(ctx, uni, S_indices=linear_indices(table), D=q - 1))
-
-    table = parse_group_table("s6")
-    ctx = sampling_context(table)
-    S = lambda_set_indices(table, Fraction(1, 6))
-    d_S = max(table.dims[i] for i in S)
-    order2 = parse_subgroup(ctx.group, "order-2")
-    records.extend(dist_checks(ctx, order2, S_indices=S, D=d_S**2 + 1))
+def run_suite(name: str) -> List[CheckRecord]:
+    """name: a key of LEMMA_SUITES, dist, or all: every LEMMA_SUITES entry
+    in order, then dist."""
+    if name == "all":
+        return [r for key in [*LEMMA_SUITES, "dist"] for r in run_suite(key)]
+    if name == "dist":
+        return run_dist_suite()
+    if name not in LEMMA_SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    from .cli import parse_group_table
+    records: List[CheckRecord] = []
+    for spec, max_dim in LEMMA_SUITES[name]:
+        ctx = sampling_context(parse_group_table(spec))
+        for H in subgroup_catalog(ctx.group):
+            records.extend(lemma_checks(ctx, H, max_dim=max_dim))
     return records
 
 

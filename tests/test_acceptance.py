@@ -114,9 +114,9 @@ def test_key_recovery_attack_end_to_end():
 def test_sampling_identity_grid():
     start = time.monotonic()
     records = (
-        suites.run_lemma_suite("small")
-        + suites.run_lemma_suite("gl2")
-        + suites.run_lemma_suite("wreath")
+        suites.run_suite("small")
+        + suites.run_suite("gl2")
+        + suites.run_suite("wreath")
     )
     assert suites.failed(records) == []
     kinds = {r.check for r in records}
@@ -251,7 +251,8 @@ def test_no_runtime_asserts_in_src():
         "_kernel", "_cache", "sampling_report", "SamplingReport", "ProjectionBundle",
         "irrep_distortion", "CyclicCharacter", "require_samplable", "KERNEL_CHUNK_CELLS",
         "as_json", "KSubgroup", "TableIds", "TABLE_CAP", "SN_TABLE_CAP", "TABLE_CHUNK_CELLS",
-        "grid_tables", "big_wreath_table",
+        "grid_tables", "big_wreath_table", "lambda_set_indices", "dist_checks", "_irrep_indices",
+        "run_lemma_suite",
     }
     defined = [
         f"{name}:{node.lineno}"

@@ -170,6 +170,7 @@ PINNED_REPORT_RUNS = {
         "dist", "--group", "wreath_s4", "--subgroup", "K-type", "--mc-samples", "50", "--seed", "1",
         "--S", "linear", "--D", "2",
     ],
+    "verify-lemmas-dist": ["verify-lemmas", "--suite", "dist"],
 }
 PINNED_REPORT_DIGESTS = {
     "dist-gl2_5": "9c86964645cda0e3ed152376d7b311e026bba44b985fc6f449fb713afad0d88f",
@@ -181,6 +182,7 @@ PINNED_REPORT_DIGESTS = {
     "mceliece-attack": "910f1b0e048620e7b665f5a28de895e5793c72254783a375686f9bb2abb9a4e7",
     "mceliece-gen": "a2b711decc98173bf7744b29fbad06531236523c58b8f1ad2959176f45e28749",
     "roichman": "9df4e94180e12a5f5a81c0515f7107d24db3fbe4d4808a183ef3a08b53c74524",
+    "verify-lemmas-dist": "aeb5af60dfcb7c0d386e9e54d2e9a132b5c4623f86b628dc758a97a472bb7905",
     "verify-lemmas-failing": "5e87662ab918c04d890f7224b9479b7771f90fa388219ad03e8bf16fbcacdb25",
 }
 
@@ -269,6 +271,21 @@ def test_chartable_other_kinds(tmp_path, capsys):
     assert run_cli(["chartable", "sn", "--n", "4", "--out", str(tmp_path)]) == 0
     assert run_cli(["chartable", "wreath", "--base", "s3", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["chartable", "gl2", "--q", "2"], {"kind": "gl2", "q": 2, "seed": 0}),
+        (["chartable", "sn", "--n", "3"], {"kind": "sn", "n": 3, "seed": 0}),
+        (["chartable", "wreath", "--base", "s2"], {"kind": "wreath", "base": "s2", "seed": 0}),
+    ],
+)
+def test_chartable_config_records_only_the_flag_it_read(argv, config):
+    # the other kinds' flags have defaults, which played no part in the table
+    rc, out = run_cli_captured(argv)
+    assert rc == 0
+    assert json.loads(out)["config"] == config
 
 
 @pytest.mark.parametrize("base, order", [("gl2_5", 2 * 480**2), ("s6", 2 * 720**2)])
@@ -405,6 +422,10 @@ def test_verify_lemmas_small(tmp_path, capsys):
     assert all(v["failures"] == 0 for v in body["by_check"].values())
 
 
+# SHA-256 of the `verify-lemmas --suite all` stdout
+ALL_SUITE_DIGEST = "826fce71a68f6766fdf33b98dc143dbfa4eb51363f553d8bd4febc6a4d4ad46c"
+
+
 def test_verify_lemmas_runs_the_whole_grid():
     # every lemma grid, the big wreath included, plus the distinguishability
     # suite; 5,042 checks is the count the lemma-grid benchmark pins
@@ -412,8 +433,9 @@ def test_verify_lemmas_runs_the_whole_grid():
     assert rc == 0
     body = json.loads(out)
     assert body["ok"] is True and body["checks"] == 5042
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_SUITE_DIGEST
     from cosetlab import suites
-    records = suites.run_lemma_suite("big-wreath")
+    records = suites.run_suite("big-wreath")
     assert records and not suites.failed(records)
     assert {r.group for r in records} == {"(GL2(F2)xS3)wrZ2"}
 

@@ -1,26 +1,29 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cosetlab import cli, sampling
-from cosetlab.gl2rep import char_table as gl2_char_table
+from cosetlab import cli, sampling, symrep
 from cosetlab.groups import general_linear_group, symmetric_group, wreath_z2
 from cosetlab.sampling import sampling_context
 from cosetlab.suites import (
+    DIST_SUITE,
     LEMMA_SUITES,
-    dist_checks,
     dist_records,
     failed,
-    lambda_set_indices,
+    irrep_indices,
     lemma_checks,
-    run_lemma_suite,
+    run_dist,
+    run_dist_suite,
+    run_suite,
     subgroup_catalog,
 )
-from cosetlab.symrep import lambda_c_member, partitions, sn_character_table
+from cosetlab.symrep import sn_character_table
 from cosetlab.wreathrep import wreath_char_table
 
 
@@ -124,7 +127,7 @@ def test_run_lemma_suite_small_green(monkeypatch):
     specs = []
     parse = cli.parse_group_table
     monkeypatch.setattr(cli, "parse_group_table", lambda spec: specs.append(spec) or parse(spec))
-    records = run_lemma_suite("small")
+    records = run_suite("small")
     assert specs == ["s3", "s4"]
     assert len(records) > 100
     assert not failed(records)
@@ -132,17 +135,21 @@ def test_run_lemma_suite_small_green(monkeypatch):
 
 def test_run_lemma_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
-        run_lemma_suite("huge")
+        run_suite("huge")
 
 
-def test_dist_checks_golden_and_bound():
+def test_run_dist_golden_and_bound():
     ctx = sampling_context(sn_character_table(3))
     H = next(H for H in subgroup_catalog(ctx.group) if H.label == "order-2")
-    records = dist_checks(ctx, H, golden=1.0 / 3.0)
-    assert {r.check for r in records} == {"dist-range", "dist-golden"}
-    assert not failed(records)
-    bad = dist_checks(ctx, H, golden=0.5)
-    assert any(r.check == "dist-golden" and not r.ok for r in bad)
+    res, bound, records = run_dist(ctx, H, golden=1.0 / 3.0)
+    assert bound is None
+    assert [r.check for r in records] == ["dist-range", "dist-golden"]
+    assert not failed(records) and records[0].lhs == res.value
+    res, bound, bad = run_dist(ctx, H, S_indices=[0], D=2, golden=0.5)
+    assert [(r.check, r.ok) for r in bad] == [
+        ("dist-range", True), ("dist-golden", False), ("dist-bound", True),
+    ]
+    assert bad[2].rhs == bound.value
 
 
 def test_dist_records_edges_and_order():
@@ -170,15 +177,48 @@ def test_dist_records_edges_and_order():
     assert [r.rhs for r in records] == [ceiling, 0.0, 1.0]
 
 
-def test_lambda_set_indices_match_membership():
+def test_dist_suite_rows_follow_their_rules():
+    assert list(DIST_SUITE) == ["s3", "gl2_3", "gl2_4", "gl2_5", "s6"]
+    # S6 against the long-row set at c = 1/6, with D = d_S^2 + 1
+    audit = symrep.lambda_c_audit(6, Fraction(1, 6))
+    ((_, S, D, _),) = DIST_SUITE["s6"]
     table = sn_character_table(6)
-    idx = set(lambda_set_indices(table, Fraction(1, 6)))
-    for i, la in enumerate(table.family.partitions):
-        assert (i in idx) == lambda_c_member(la, 6, Fraction(1, 6))
-    assert len(idx) == 4
-    assert len(idx) < len(partitions(6))
+    assert [table.labels[i] for i in irrep_indices(table, S)] == [str(la) for la in audit.members]
+    assert D == max(symrep.dimension(la) for la in audit.members) ** 2 + 1
+    # GL2 over q takes S = linear and D = q - 1
+    for q in (3, 4, 5):
+        assert DIST_SUITE[f"gl2_{q}"] == [("unipotent", "linear", q - 1, None)]
+    assert [(row[0], row[3]) for row in DIST_SUITE["s3"]] == [
+        ("trivial", 0.0), ("order-2", 1.0 / 3.0), ("three-cycle", 0.0),
+    ]
 
 
-def test_lambda_set_indices_refuses_other_families():
-    with pytest.raises(ValueError, match="symmetric-group"):
-        lambda_set_indices(gl2_char_table(3), Fraction(1, 6))
+@pytest.fixture(scope="module")
+def suite_records():
+    return run_dist_suite()
+
+
+@pytest.mark.parametrize(
+    "spec, row",
+    [(spec, row) for spec, rows in DIST_SUITE.items() for row in rows],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_each_dist_suite_row_is_a_dist_run(suite_records, spec, row):
+    # the row's flags, given to `cosetlab dist`, report what the suite records
+    label, S, D, golden = row
+    argv = ["dist", "--group", spec, "--subgroup", label]
+    if S is not None:
+        argv += ["--S", S, "--D", str(D)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    report = json.loads(out.getvalue())["report"]
+    mine = {
+        r.check: r for r in suite_records
+        if (r.group, r.subgroup) == (report["group"], report["subgroup"])
+    }
+    assert mine["dist-range"].lhs == report["distinguishability"]
+    assert ("dist-golden" in mine) == (golden is not None)
+    assert ("dist-bound" in mine) == ("bound" in report) == (S is not None)
+    if S is not None:
+        assert mine["dist-bound"].rhs == report["bound"]["value"]
